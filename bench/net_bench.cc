@@ -281,11 +281,6 @@ int RunFaultScenarios(std::string* json) {
   auto packed = pds::crypto::PackedAggregate::Create(
       *paillier, fleet.tokens.size(), /*max_value=*/4096, 2 * domain.size());
   if (!packed.ok()) return Fail("PackedAggregate::Create");
-  pds::global::PackedPaillierProtocol::Config packed_cfg;
-  packed_cfg.domain = domain;
-  packed_cfg.max_slot_value = 4096;
-  packed_cfg.paillier_bits = 256;
-  packed_cfg.key_seed = 42;
 
   std::vector<pds::net::ScenarioResult> results;
   for (pds::net::ScenarioSpec& spec :
@@ -294,7 +289,6 @@ int RunFaultScenarios(std::string* json) {
     spec.verifier = fleet.verifier.get();
     spec.domain = domain;
     spec.packed = &packed.value();
-    spec.packed_cfg = packed_cfg;
     auto cell = pds::net::RunScenarioCell(spec);
     if (!cell.ok()) {
       return Fail("scenario " + spec.name + ": " + cell.status().ToString());

@@ -109,11 +109,6 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "PackedAggregate::Create failed\n");
     return 1;
   }
-  pds::global::PackedPaillierProtocol::Config packed_cfg;
-  packed_cfg.domain = domain;
-  packed_cfg.max_slot_value = 4096;
-  packed_cfg.paillier_bits = 256;
-  packed_cfg.key_seed = 42;
 
   // 2. Every cell of the matrix, in order. A failing guarantee prints the
   // seed and the realized injection log — rerunning with the same --seed
@@ -129,7 +124,6 @@ int main(int argc, char** argv) {
     spec.verifier = &verifier;
     spec.domain = domain;
     spec.packed = &packed.value();
-    spec.packed_cfg = packed_cfg;
     auto cell = RunScenarioCell(spec);
     if (!cell.ok()) {
       std::printf("  %-36s HARNESS ERROR: %s\n", spec.name.c_str(),

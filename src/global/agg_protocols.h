@@ -12,13 +12,6 @@
 
 namespace pds::global {
 
-/// Result of a secure GROUP-BY aggregate over the fleet.
-struct AggOutput {
-  std::map<std::string, double> groups;
-  Metrics metrics;
-  LeakageReport leakage;
-};
-
 /// A secure "SELECT group, AGG(value) GROUP BY group" protocol over the
 /// asymmetric architecture (trusted tokens + untrusted SSI) — the [TNP14]
 /// family presented in Part III of the tutorial. Implementations differ in
@@ -36,6 +29,14 @@ struct AggOutput {
 ///    homomorphic ciphertext carrying all of its per-group counters, the
 ///    SSI folds blindly, the querier decrypts once. Minimum leakage (the
 ///    SSI sees only the fleet size) at asymmetric-crypto cost.
+///
+/// These classes are the in-process entry point, not a second copy of the
+/// protocols: Execute admits every participant to a net::SsiServer over a
+/// synchronous net::DirectTokenLink and runs the matching SsiServer::Run*,
+/// so the frames, the Metrics (measured wire frames, headers included) and
+/// the leakage report are the wire runtime's. In-process runs therefore
+/// obey the wire's frame bounds (net/codec.h). The implementation lives in
+/// src/net/agg_protocols.cc and links with pds_net.
 class AggregationProtocol {
  public:
   virtual ~AggregationProtocol() = default;
@@ -43,7 +44,8 @@ class AggregationProtocol {
   virtual std::string_view name() const = 0;
 
   /// Runs the protocol over the participants. All tokens must share the
-  /// fleet key. The observer inside records the SSI's view.
+  /// fleet key; participant 0's token verifies the others' membership.
+  /// The leakage report is the SSI's view of the frames it received.
   virtual Result<AggOutput> Execute(std::vector<Participant>& participants,
                                     AggFunc func) = 0;
 };
@@ -56,9 +58,10 @@ class SecureAggProtocol : public AggregationProtocol {
     /// Max ciphertext tuples a token can ingest per aggregation step
     /// (bounded by token RAM). Must exceed the number of distinct groups.
     size_t partition_capacity = 256;
-    /// Optional fleet executor: per-token work (encrypt/decrypt/aggregate)
-    /// runs across worker threads with results gathered by index, so the
-    /// output is byte-identical to a serial run. Null means serial.
+    /// Optional fleet executor: the SSI fans each round's per-session work
+    /// (and so each token's handlers) out over worker threads, gathering
+    /// results by session index, so the output is byte-identical to a
+    /// serial run. Null means serial.
     FleetExecutor* executor = nullptr;
   };
 
@@ -76,8 +79,11 @@ class SecureAggProtocol : public AggregationProtocol {
 class WhiteNoiseProtocol : public AggregationProtocol {
  public:
   struct Config {
-    /// Fake tuples added per real tuple (0.2 = 20% noise).
+    /// Fake tuples added per real tuple (0.2 = 20% noise); must be finite
+    /// and >= 0, and a token's real + fake tuples must fit one reply batch.
     double noise_ratio = 0.2;
+    /// Each token draws its fake labels from a stream seeded with
+    /// noise_seed + its token id.
     uint64_t noise_seed = 7;
     /// See SecureAggProtocol::Config::executor.
     FleetExecutor* executor = nullptr;

@@ -30,7 +30,10 @@ struct Participant {
 /// Cost accounting for one protocol execution. Token work is the number of
 /// cryptographic operations performed inside secure tokens (the scarce
 /// resource of the asymmetric architecture); SSI work is plaintext-side
-/// operations on the powerful-but-untrusted infrastructure.
+/// operations on the powerful-but-untrusted infrastructure. For the [TNP14]
+/// protocols (net::SsiServer, and the global::*Protocol adapters over it)
+/// `messages` and `bytes` count the frames on the token <-> SSI wire,
+/// frame headers included.
 struct Metrics {
   uint64_t messages = 0;        // network messages
   uint64_t bytes = 0;           // bytes transferred
@@ -42,9 +45,9 @@ struct Metrics {
   // is recorded through the directional helpers.
   uint64_t bytes_token_to_ssi = 0;
   uint64_t bytes_ssi_to_token = 0;
-  // Tokens that never answered a wire round within its deadline and retry
-  // budget (the quorum shortfall). Only the src/net runtime sets this; the
-  // in-process protocols model always-connected tokens.
+  // Tokens that never answered the collect round within its deadline and
+  // retry budget (the quorum shortfall). Always 0 for the in-process
+  // global::*Protocol runs, which require every token to answer.
   uint64_t tokens_missing = 0;
 
   void AddMessage(uint64_t message_bytes) {
@@ -87,16 +90,22 @@ struct LeakageReport {
 /// The aggregate requested from the fleet.
 enum class AggFunc { kSum, kCount, kAvg };
 
+/// Result of a secure GROUP-BY aggregate over the fleet.
+struct AggOutput {
+  std::map<std::string, double> groups;
+  Metrics metrics;
+  LeakageReport leakage;
+};
+
 /// Group-label prefix marking [TNP14] noise tuples. The prefix starts with
 /// a non-printable byte so it cannot collide with a real user-visible group.
-/// Both the in-process det/noise protocols (agg_protocols.cc) and the wire
-/// runtime's kDetCollect handlers must agree on it, so it lives here.
+/// Tokens add it to white-noise fakes in the kDetCollect round and drop
+/// classes carrying it in the class-aggregate round.
 inline constexpr char kFakeGroupPrefix[] = "\x01__fake__";
 
 /// Payload carried (encrypted) with each [TNP14] protocol tuple:
-/// [u8 fake][f64 sum][u64 count][group bytes]. The in-process protocols
-/// (agg_protocols.cc) and the wire runtime (src/net) must agree on this
-/// layout bit-for-bit, so it lives here rather than in either module.
+/// [u8 fake][f64 sum][u64 count][group bytes]. Only tokens read it: the
+/// SSI forwards the ciphertexts without opening them.
 struct AggPayload {
   bool fake = false;
   double sum = 0;

@@ -1,5 +1,6 @@
 #include "net/codec.h"
 
+#include <cmath>
 #include <cstring>
 #include <utility>
 
@@ -397,10 +398,36 @@ Result<DetParams> DecodeDetParams(ByteView blob) {
   p.variant = static_cast<DetVariant>(variant);
   uint64_t bits = GetU64(blob.data() + 1);
   std::memcpy(&p.noise_ratio, &bits, 8);
+  if (!std::isfinite(p.noise_ratio) || p.noise_ratio < 0) {
+    return Status::Corruption("det noise ratio is not finite and >= 0");
+  }
   p.noise_seed = GetU64(blob.data() + 9);
   p.fakes_per_value = GetU32(blob.data() + 17);
   p.num_buckets = GetU32(blob.data() + 21);
   return p;
+}
+
+Result<size_t> DetSendListSize(const DetParams& p, size_t real_count,
+                               size_t domain_size) {
+  if (!std::isfinite(p.noise_ratio) || p.noise_ratio < 0) {
+    return Status::InvalidArgument(
+        "noise ratio must be a finite non-negative number");
+  }
+  // Counted in double so no product can overflow before the bound check.
+  double fakes = 0;
+  if (p.variant == DetVariant::kWhiteNoise) {
+    fakes = std::floor(static_cast<double>(real_count) * p.noise_ratio);
+  } else if (p.variant == DetVariant::kDomainNoise) {
+    fakes = static_cast<double>(domain_size) *
+            static_cast<double>(p.fakes_per_value);
+  }
+  constexpr size_t kMaxPairs = kMaxBatchTuples / 2;
+  if (static_cast<double>(real_count) + fakes >
+      static_cast<double>(kMaxPairs)) {
+    return Status::InvalidArgument(
+        "det send list exceeds one reply batch (kMaxBatchTuples / 2 pairs)");
+  }
+  return real_count + static_cast<size_t>(fakes);
 }
 
 Bytes AttachTraceContext(const Bytes& v1_frame, const TraceContext& ctx) {

@@ -286,8 +286,20 @@ struct FrameHeader {
 [[nodiscard]] Bytes EncodeDetParams(const DetParams& p);
 
 /// Decodes a DetParams blob; the blob must be exactly kDetParamsSize bytes
-/// with a known variant.
+/// with a known variant and a finite, non-negative noise ratio.
 [[nodiscard]] Result<DetParams> DecodeDetParams(ByteView blob);
+
+/// Number of tuples a token sends in a kDetCollect round: its `real_count`
+/// tuples plus the fakes `p` asks for (white noise: real_count *
+/// noise_ratio, rounded down; domain noise: fakes_per_value per value of a
+/// `domain_size` domain). InvalidArgument when the ratio is not a finite
+/// non-negative number, or when the list would not fit one reply batch
+/// (kMaxBatchTuples / 2 key+payload pairs). The token's guard against
+/// hostile parameters from the untrusted SSI; the in-process protocols run
+/// the same check on their Config before any frame is sent.
+[[nodiscard]] Result<size_t> DetSendListSize(const DetParams& p,
+                                             size_t real_count,
+                                             size_t domain_size);
 
 /// Validates magic/version/type and that the declared payload length is
 /// within kMaxFramePayload. `bytes` must hold at least kFrameHeaderSize

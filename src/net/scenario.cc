@@ -30,79 +30,6 @@ struct ReconnectRendezvous {
   std::unique_ptr<Transport> client_side;
 };
 
-/// Plaintext truth over a participant subset, summed in pooled order —
-/// the same addition order as a sealed-batch audit, so doubles are
-/// bit-equal, not just close.
-std::map<std::string, double> PlainReference(
-    const std::vector<Participant>& parts, AggFunc func) {
-  struct Acc {
-    double sum = 0;
-    uint64_t count = 0;
-  };
-  std::map<std::string, Acc> state;
-  for (const Participant& p : parts) {
-    for (const global::SourceTuple& t : p.tuples) {
-      state[t.group].sum += t.value;
-      state[t.group].count += 1;
-    }
-  }
-  std::map<std::string, double> out;
-  for (const auto& [group, acc] : state) {
-    if (acc.count == 0) continue;
-    switch (func) {
-      case AggFunc::kSum:
-        out[group] = acc.sum;
-        break;
-      case AggFunc::kCount:
-        out[group] = static_cast<double>(acc.count);
-        break;
-      case AggFunc::kAvg:
-        out[group] = acc.sum / static_cast<double>(acc.count);
-        break;
-    }
-  }
-  return out;
-}
-
-/// In-process reference run over `parts` with the cell's parameters. Token
-/// reuse after the wire run is safe: group results depend on plaintext
-/// values and deterministic layouts, never on the tokens' RNG positions.
-Result<AggOutput> ReferenceRun(const ScenarioSpec& spec,
-                               std::vector<Participant> parts) {
-  switch (spec.protocol) {
-    case WireProtocol::kSecureAgg: {
-      global::SecureAggProtocol protocol({});
-      return protocol.Execute(parts, spec.func);
-    }
-    case WireProtocol::kWhiteNoise: {
-      global::WhiteNoiseProtocol::Config c;
-      c.noise_ratio = spec.noise_ratio;
-      c.noise_seed = spec.noise_seed;
-      global::WhiteNoiseProtocol protocol(c);
-      return protocol.Execute(parts, spec.func);
-    }
-    case WireProtocol::kDomainNoise: {
-      global::DomainNoiseProtocol::Config c;
-      c.domain = spec.domain;
-      c.fakes_per_value = spec.fakes_per_value;
-      c.noise_seed = spec.noise_seed;
-      global::DomainNoiseProtocol protocol(std::move(c));
-      return protocol.Execute(parts, spec.func);
-    }
-    case WireProtocol::kHistogram: {
-      global::HistogramProtocol::Config c;
-      c.num_buckets = spec.num_buckets;
-      global::HistogramProtocol protocol(c);
-      return protocol.Execute(parts, spec.func);
-    }
-    case WireProtocol::kPacked: {
-      global::PackedPaillierProtocol protocol(spec.packed_cfg);
-      return protocol.Execute(parts, spec.func);
-    }
-  }
-  return Status::InvalidArgument("unknown wire protocol");
-}
-
 /// The fault label of a cell for reports: single-kind cells by design.
 std::string FaultLabel(const ScenarioSpec& spec) {
   if (spec.adversary.action != AdversaryAction::kNone) {
@@ -330,20 +257,12 @@ Result<ScenarioResult> RunScenarioCell(const ScenarioSpec& spec) {
             if (tele[i].alive) subset.push_back(spec.participants[i]);
           }
           res.byte_identical =
-              res.groups == PlainReference(subset, spec.func);
+              res.groups == global::PlainAggregate(subset, spec.func);
         }
       }
     }
   }
 
-  // The in-process reference run reuses the participants' SecureTokens, so
-  // it must wait until the client threads are joined: a duplicated or
-  // reordered frame can reach a token *after* the SSI finished the run,
-  // and the late round handler would race the reference. The alive subset
-  // is snapshotted here (churn changes it later); the comparison happens
-  // after shutdown().
-  std::vector<Participant> wire_subset;
-  bool wire_reference_pending = false;
   if (!spec.sealed_round) {
     auto wire = RunWireProtocol(&server, spec);
     if (!wire.ok()) {
@@ -352,12 +271,26 @@ Result<ScenarioResult> RunScenarioCell(const ScenarioSpec& spec) {
       res.ran_ok = true;
       res.groups = wire.value().groups;
       res.leakage = wire.value().leakage;
-      auto tele = server.Telemetry();
-      for (size_t i = 0; i < tele.size() && i < spec.participants.size();
-           ++i) {
-        if (tele[i].alive) wire_subset.push_back(spec.participants[i]);
+      // Compare with the plaintext truth over the tokens that answered.
+      // A churn cell compares its full-fleet rerun below instead: run 1
+      // legitimately diverges (the churned token's collect data has no
+      // class answers).
+      if (!churn_cell) {
+        auto tele = server.Telemetry();
+        std::vector<Participant> subset;
+        for (size_t i = 0; i < tele.size() && i < spec.participants.size();
+             ++i) {
+          if (tele[i].alive) subset.push_back(spec.participants[i]);
+        }
+        const auto expected = global::PlainAggregate(subset, spec.func);
+        res.byte_identical = res.groups == expected;
+        if (spec.adversary.action == AdversaryAction::kForgeAggregate) {
+          global::IntegrityVerdict verdict =
+              CompareAggregates(res.groups, expected);
+          res.detected = !verdict.ok;
+          res.detection = verdict.problem;
+        }
       }
-      wire_reference_pending = true;
       // Link damage must leave forensics: either frames were rejected in
       // place or the faulty session was dropped to quorum.
       if (spec.faults.truncate_rate > 0 || spec.faults.bitflip_rate > 0) {
@@ -413,9 +346,8 @@ Result<ScenarioResult> RunScenarioCell(const ScenarioSpec& spec) {
         res.detection =
             "post-churn run failed: " + second.status().ToString();
       } else {
-        auto ref = ReferenceRun(spec, spec.participants);
-        res.detected = ref.ok() &&
-                       second.value().groups == ref.value().groups;
+        res.detected = second.value().groups ==
+                       global::PlainAggregate(spec.participants, spec.func);
         res.detection =
             "token re-admitted after churn; full-fleet rerun matches";
         res.groups = second.value().groups;
@@ -435,24 +367,6 @@ Result<ScenarioResult> RunScenarioCell(const ScenarioSpec& spec) {
   res.deadline_hits = report.deadline_hits;
 
   shutdown();
-
-  // Client threads are joined: the tokens are quiescent, so the reference
-  // run (and the forge-aggregate comparison that needs it) is race-free.
-  // The churn cell already compared its full-fleet rerun above.
-  if (wire_reference_pending && !churn_cell) {
-    auto ref = ReferenceRun(spec, wire_subset);
-    if (!ref.ok()) {
-      res.error = "reference run failed: " + ref.status().ToString();
-    } else {
-      res.byte_identical = res.groups == ref.value().groups;
-      if (spec.adversary.action == AdversaryAction::kForgeAggregate) {
-        global::IntegrityVerdict verdict =
-            CompareAggregates(res.groups, ref.value().groups);
-        res.detected = !verdict.ok;
-        res.detection = verdict.problem;
-      }
-    }
-  }
 
   res.injection_log = link_log.ToString();
   res.injections = link_log.size();

@@ -7,15 +7,16 @@
 #include <vector>
 
 #include "common/result.h"
-#include "global/agg_protocols.h"
+#include "crypto/paillier.h"
 #include "global/common.h"
 #include "mcu/secure_token.h"
 #include "net/adversary.h"
 #include "net/fault_injection.h"
 
 /// Adversarial-wire scenario harness: one cell = one protocol run over real
-/// transports under one fault or adversary configuration, followed by an
-/// in-process reference run over the same tokens and a verdict.
+/// transports under one fault or adversary configuration, compared with the
+/// plaintext aggregate (global::PlainAggregate) of the tokens that
+/// answered, and a verdict.
 ///
 /// The harness owns the plumbing (transport pairs, fault wrappers, client
 /// threads, reconnect rendezvous) but never constructs tokens or keys —
@@ -57,17 +58,14 @@ struct ScenarioSpec {
   uint32_t deadline_ms = 0;
   uint32_t max_retries = 2;
 
-  // Protocol parameters (shared by the wire run and the reference run).
+  // Protocol parameters.
   std::vector<std::string> domain;  // domain noise + packed slot order
   double noise_ratio = 0.5;         // white noise
   uint64_t noise_seed = 7;
   uint32_t fakes_per_value = 1;     // domain noise
   uint32_t num_buckets = 8;         // histogram
-  /// Querier-side packed context for kPacked (wire run + token configs)...
+  /// Querier-side packed context for kPacked (wire run + token configs).
   const crypto::PackedAggregate* packed = nullptr;
-  /// ...and the matching in-process config for the reference run (same
-  /// domain, key seed and sizes, so decoded integer sums are bit-equal).
-  global::PackedPaillierProtocol::Config packed_cfg;
 
   /// The fleet: token pointers plus authorized tuples, session order.
   std::vector<global::Participant> participants;
@@ -86,8 +84,8 @@ struct ScenarioResult {
   /// The wire run completed (possibly degraded to quorum).
   bool ran_ok = false;
   std::string error;  // failure detail when !ran_ok
-  /// Wire groups bit-equal to the in-process reference over the tokens
-  /// that actually responded.
+  /// Wire groups bit-equal to the plaintext aggregate over the tokens
+  /// that actually responded (integer-valued data keeps this exact).
   bool byte_identical = false;
   /// This cell configures something the defences MUST catch (tampering,
   /// damaged frames, churn): `detected` is asserted for exactly these.
@@ -109,8 +107,8 @@ struct ScenarioResult {
   global::LeakageReport leakage;         // what the SSI observed
 };
 
-/// Runs one cell end to end: wire run (with faults/adversary), reference
-/// run over the responding subset, verdicts. A returned error means the
+/// Runs one cell end to end: wire run (with faults/adversary), comparison
+/// with the plaintext aggregate of the responding subset, verdicts. A returned error means the
 /// harness could not run the cell — a failed detection is reported inside
 /// the ScenarioResult, not as a Status.
 [[nodiscard]] Result<ScenarioResult> RunScenarioCell(const ScenarioSpec& spec);

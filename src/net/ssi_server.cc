@@ -21,7 +21,7 @@ using global::AggFunc;
 using global::AggOutput;
 using global::Metrics;
 
-/// Sum/count accumulation per group (mirrors agg_protocols.cc).
+/// Sum/count accumulation per group.
 struct GroupState {
   double sum = 0;
   uint64_t count = 0;
@@ -49,9 +49,9 @@ std::map<std::string, double> Finalize(
   return out;
 }
 
-/// Round-robin unit assignment, identical to the in-process protocol's:
-/// unit u goes to token (first + u) % num_tokens, and each token runs its
-/// units in increasing order.
+/// Round-robin unit assignment: unit u goes to token (first + u) %
+/// num_tokens, and each token runs its units in increasing order (so a
+/// token's RNG and op counters advance the same at any executor width).
 std::vector<std::vector<size_t>> RoundRobin(size_t num_units,
                                             size_t num_tokens, size_t first) {
   std::vector<std::vector<size_t>> by_token(num_tokens);
@@ -370,7 +370,15 @@ Result<Message> SsiServer::RoundTrip(Session* s, const Bytes& frame,
                                   " attempts");
 }
 
-Result<AggOutput> SsiServer::RunSecureAggregation(AggFunc func) {
+void SsiServer::DropStraggler(Session* s) {
+  s->alive = false;  // gone for the rest of the run
+  if (s->stats != nullptr) {
+    s->stats->stragglers.Add(1);
+  }
+}
+
+Result<SsiServer::Collected> SsiServer::CollectRound(
+    const RoundRequestMsg& request, Metrics* metrics) {
   std::vector<size_t> live;
   live.reserve(sessions_.size());
   for (size_t i = 0; i < sessions_.size(); ++i) {
@@ -381,75 +389,63 @@ Result<AggOutput> SsiServer::RunSecureAggregation(AggFunc func) {
   if (live.empty()) {
     return Status::InvalidArgument("no live sessions");
   }
-  RunGuard run_guard(&run_active_);
   report_ = RoundReport{};
   report_.sessions = live.size();
   run_trace_id_ = trace_rng_.Next();
 
-  AggOutput out;
-  global::HbcObserver observer;
   const size_t nl = live.size();
-  obs::Span protocol_span("net.secure-agg", "net");
-  protocol_span.AddArg("sessions", static_cast<double>(nl));
-
-  // Phase 1: collect — every live token encrypts and sends its authorized
-  // tuples. Sessions fan out over the executor; stragglers past the retry
-  // budget are tolerated down to the quorum.
-  std::vector<std::vector<Bytes>> enc(nl);
-  std::vector<WireCost> enc_cost(nl);
-  std::vector<uint8_t> responded(nl, 0);
+  Collected out;
+  out.batches.resize(nl);
+  std::vector<uint8_t> answered(nl, 0);
+  std::vector<WireCost> costs(nl);
   {
     obs::Span phase_span("net.collect", "net");
+    phase_span.AddArg("sessions", static_cast<double>(nl));
     PDS_RETURN_IF_ERROR(global::FleetExecutor::Run(
         config_.executor, nl, [&](size_t li) -> Status {
           Session* s = sessions_[live[li]].get();
-          RoundRequestMsg req;
+          RoundRequestMsg req = request;
           req.header.round_id = s->next_round_id++;
-          req.header.kind = RoundKind::kCollect;
-          req.header.func = func;
-          Bytes frame = EncodeRoundRequest(req);
-          auto reply = RoundTrip(s, frame, req.header.round_id, &enc_cost[li]);
+          auto reply = RoundTrip(s, EncodeRoundRequest(req),
+                                 req.header.round_id, &costs[li]);
           if (!reply.ok()) {
             if (IsStragglerFailure(reply.status())) {
-              s->alive = false;  // straggler: drop for the whole run
-              if (s->stats != nullptr) s->stats->stragglers.Add(1);
+              DropStraggler(s);
               return Status::Ok();
             }
             return reply.status();
           }
-          TupleBatchMsg* batch = std::get_if<TupleBatchMsg>(&reply.value().body);
+          TupleBatchMsg* batch =
+              std::get_if<TupleBatchMsg>(&reply.value().body);
           if (batch == nullptr) {
             return Status::FailedPrecondition(
                 "collect round expected a tuple batch");
           }
-          enc_cost[li].wire.token_crypto_ops += batch->token_ops;
-          enc[li] = std::move(batch->batch);
-          responded[li] = 1;
+          costs[li].wire.token_crypto_ops += batch->token_ops;
+          out.batches[li] = std::move(*batch);
+          answered[li] = 1;
           return Status::Ok();
         }));
   }
 
-  size_t responders = 0;
-  std::vector<size_t> active;  // sessions that stay in the protocol
-  active.reserve(nl);
-  std::vector<Bytes> items;
+  // Keep the responders' batches, compacted in session order.
+  out.sessions.reserve(nl);
   for (size_t li = 0; li < nl; ++li) {
-    enc_cost[li].MergeInto(&out.metrics, &report_);
-    if (responded[li] == 0) {
-      continue;
-    }
-    ++responders;
-    active.push_back(live[li]);
-    for (Bytes& ct : enc[li]) {
-      observer.ObserveTuple(ByteView(ct));
-      items.push_back(std::move(ct));
+    costs[li].MergeInto(metrics, &report_);
+    if (answered[li] != 0) {
+      if (out.sessions.size() != li) {
+        out.batches[out.sessions.size()] = std::move(out.batches[li]);
+      }
+      out.sessions.push_back(live[li]);
     }
   }
-  ++out.metrics.rounds;
+  out.batches.resize(out.sessions.size());
+  ++metrics->rounds;
 
+  const size_t responders = out.sessions.size();
   report_.responders = responders;
   report_.missing_tokens = nl - responders;
-  out.metrics.tokens_missing = report_.missing_tokens;
+  metrics->tokens_missing = report_.missing_tokens;
   const NetObs& hooks = NetHooks();
   size_t need = static_cast<size_t>(
       std::ceil(config_.quorum * static_cast<double>(nl)));
@@ -464,12 +460,38 @@ Result<AggOutput> SsiServer::RunSecureAggregation(AggFunc func) {
         std::to_string(nl) + " tokens answered, need " +
         std::to_string(need));
   }
+  return out;
+}
+
+Result<AggOutput> SsiServer::RunSecureAggregation(AggFunc func) {
+  if (config_.partition_capacity == 0) {
+    return Status::InvalidArgument("partition capacity must be >= 1");
+  }
+  RunGuard run_guard(&run_active_);
+  AggOutput out;
+  global::HbcObserver observer;
+  obs::Span protocol_span("net.secure-agg", "net");
+
+  // Phase 1: collect — every live token encrypts and sends its authorized
+  // tuples.
+  RoundRequestMsg collect;
+  collect.header.kind = RoundKind::kCollect;
+  collect.header.func = func;
+  PDS_ASSIGN_OR_RETURN(Collected collected,
+                       CollectRound(collect, &out.metrics));
+  std::vector<Bytes> items;
+  for (TupleBatchMsg& batch : collected.batches) {
+    for (Bytes& ct : batch.batch) {
+      observer.ObserveTuple(ByteView(ct));
+      items.push_back(std::move(ct));
+    }
+  }
 
   // Phase 2: iterative partition-and-aggregate over the responding tokens,
-  // partitions round-robin in session order exactly as the in-process
-  // protocol assigns them to participants. A token that vanishes now takes
-  // its partition's data with it, so this phase has no quorum: retry, then
-  // fail the run.
+  // partitions round-robin in session order. A token that vanishes now
+  // takes its partition's data with it, so this phase has no quorum:
+  // retry, then fail the run.
+  const std::vector<size_t>& active = collected.sessions;
   const size_t na = active.size();
   size_t worker = 0;
   while (items.size() > config_.partition_capacity) {
@@ -613,106 +635,54 @@ Result<AggOutput> SsiServer::RunPackedAggregation(
     return Status::InvalidArgument(
         "packed layout does not match the domain (need 2 slots per value)");
   }
-  std::vector<size_t> live;
-  live.reserve(sessions_.size());
-  for (size_t i = 0; i < sessions_.size(); ++i) {
-    if (sessions_[i]->alive) {
-      live.push_back(i);
-    }
-  }
-  if (live.empty()) {
-    return Status::InvalidArgument("no live sessions");
-  }
   RunGuard run_guard(&run_active_);
-  report_ = RoundReport{};
-  report_.sessions = live.size();
-  run_trace_id_ = trace_rng_.Next();
-
   AggOutput out;
   global::HbcObserver observer;
-  const size_t nl = live.size();
   obs::Span protocol_span("net.packed-paillier", "net");
-  protocol_span.AddArg("sessions", static_cast<double>(nl));
   protocol_span.AddArg("domain", static_cast<double>(domain.size()));
 
   // The single round: every token packs its counters into one ciphertext.
-  // The request batch carries the domain labels in slot order.
-  std::vector<crypto::BigInt> cts(nl);
-  std::vector<WireCost> costs(nl);
-  std::vector<uint8_t> responded(nl, 0);
+  // The request batch carries the domain labels in slot order. The
+  // "packed-encrypt" and "ssi-fold" spans time the tokens' encryptions and
+  // the SSI's fold for tools that read them by name.
+  RoundRequestMsg request;
+  request.header.kind = RoundKind::kPackedCollect;
+  request.header.func = func;
+  request.batch.reserve(domain.size());
+  for (const std::string& g : domain) {
+    request.batch.push_back(ByteView(std::string_view(g)).ToBytes());
+  }
+  Collected collected;
   {
-    obs::Span phase_span("net.packed-collect", "net");
-    PDS_RETURN_IF_ERROR(global::FleetExecutor::Run(
-        config_.executor, nl, [&](size_t li) -> Status {
-          Session* s = sessions_[live[li]].get();
-          RoundRequestMsg req;
-          req.header.round_id = s->next_round_id++;
-          req.header.kind = RoundKind::kPackedCollect;
-          req.header.func = func;
-          req.batch.reserve(domain.size());
-          for (const std::string& g : domain) {
-            req.batch.push_back(ByteView(std::string_view(g)).ToBytes());
-          }
-          Bytes frame = EncodeRoundRequest(req);
-          auto reply = RoundTrip(s, frame, req.header.round_id, &costs[li]);
-          if (!reply.ok()) {
-            if (IsStragglerFailure(reply.status())) {
-              s->alive = false;  // straggler: drop for the whole run
-              if (s->stats != nullptr) s->stats->stragglers.Add(1);
-              return Status::Ok();
-            }
-            return reply.status();
-          }
-          TupleBatchMsg* batch =
-              std::get_if<TupleBatchMsg>(&reply.value().body);
-          if (batch == nullptr || batch->batch.size() != 1) {
-            return Status::FailedPrecondition(
-                "packed round expected exactly one ciphertext");
-          }
-          costs[li].wire.token_crypto_ops += batch->token_ops;
-          if (batch->batch[0].size() > kMaxPackedCiphertextBytes) {
-            return Status::Corruption(
-                "packed ciphertext exceeds kMaxPackedCiphertextBytes");
-          }
-          cts[li] = crypto::BigInt::FromBytes(ByteView(batch->batch[0]));
-          responded[li] = 1;
-          return Status::Ok();
-        }));
+    obs::Span encrypt_span("packed-encrypt", "protocol");
+    PDS_ASSIGN_OR_RETURN(collected, CollectRound(request, &out.metrics));
   }
+  PDS_RETURN_IF_ERROR(agg.CheckAddBudget(collected.sessions.size()));
 
-  size_t responders = 0;
+  // SSI: blind homomorphic fold (cheap modular multiplications).
   crypto::BigInt acc;
-  for (size_t li = 0; li < nl; ++li) {
-    costs[li].MergeInto(&out.metrics, &report_);
-    if (responded[li] == 0) {
-      continue;
+  {
+    obs::Span fold_span("ssi-fold", "protocol");
+    for (size_t i = 0; i < collected.batches.size(); ++i) {
+      const std::vector<Bytes>& batch = collected.batches[i].batch;
+      if (batch.size() != 1) {
+        return Status::FailedPrecondition(
+            "packed round expected exactly one ciphertext");
+      }
+      if (batch[0].size() > kMaxPackedCiphertextBytes) {
+        return Status::Corruption(
+            "packed ciphertext exceeds kMaxPackedCiphertextBytes");
+      }
+      observer.ObserveTuple(ByteView(batch[0]));
+      crypto::BigInt ct = crypto::BigInt::FromBytes(ByteView(batch[0]));
+      if (i == 0) {
+        acc = std::move(ct);
+      } else {
+        acc = agg.Add(acc, ct);
+        ++out.metrics.ssi_ops;
+      }
     }
-    observer.ObserveTuple(ByteView(cts[li].ToBytes()));
-    acc = responders == 0 ? cts[li] : agg.Add(acc, cts[li]);
-    if (responders > 0) {
-      ++out.metrics.ssi_ops;
-    }
-    ++responders;
   }
-  ++out.metrics.rounds;
-
-  report_.responders = responders;
-  report_.missing_tokens = nl - responders;
-  out.metrics.tokens_missing = report_.missing_tokens;
-  const NetObs& hooks = NetHooks();
-  size_t need = static_cast<size_t>(
-      std::ceil(config_.quorum * static_cast<double>(nl)));
-  need = std::max<size_t>(need, 1);
-  if (report_.missing_tokens > 0) {
-    hooks.missing_tokens->Add(report_.missing_tokens);
-  }
-  if (responders < need) {
-    hooks.quorum_shortfalls->Add(1);
-    return Status::FailedPrecondition(
-        "quorum not reached: " + std::to_string(responders) + "/" +
-        std::to_string(nl) + " tokens answered, need " + std::to_string(need));
-  }
-  PDS_RETURN_IF_ERROR(agg.CheckAddBudget(responders));
 
   // Querier: one decrypt-unpack yields every (sum, count) total.
   // pdslint: declassify(the querier role decrypts only the aggregate sum
@@ -742,101 +712,44 @@ Result<AggOutput> SsiServer::RunDetAggregation(AggFunc func,
   if (det.variant == DetVariant::kHistogram && det.num_buckets == 0) {
     return Status::InvalidArgument("histogram run requires num_buckets >= 1");
   }
-  std::vector<size_t> live;
-  live.reserve(sessions_.size());
-  for (size_t i = 0; i < sessions_.size(); ++i) {
-    if (sessions_[i]->alive) {
-      live.push_back(i);
-    }
-  }
-  if (live.empty()) {
-    return Status::InvalidArgument("no live sessions");
-  }
-  RunGuard run_guard(&run_active_);
-  report_ = RoundReport{};
-  report_.sessions = live.size();
-  run_trace_id_ = trace_rng_.Next();
+  const DetParams params = det.params();
+  // Parameters every token would refuse fail here, before any frame.
+  PDS_RETURN_IF_ERROR(DetSendListSize(params, 0, det.domain.size()).status());
 
+  RunGuard run_guard(&run_active_);
   AggOutput out;
   global::HbcObserver observer;
-  const size_t nl = live.size();
   obs::Span protocol_span("net.det-agg", "net");
-  protocol_span.AddArg("sessions", static_cast<double>(nl));
   protocol_span.AddArg("variant", static_cast<double>(det.variant));
 
   // Phase 1: kDetCollect fan-out. Batch entry 0 carries the public round
   // parameters; domain-noise rounds append the domain labels.
-  DetParams params;
-  params.variant = det.variant;
-  params.noise_ratio = det.noise_ratio;
-  params.noise_seed = det.noise_seed;
-  params.fakes_per_value = det.fakes_per_value;
-  params.num_buckets = det.num_buckets;
-
-  std::vector<std::vector<Bytes>> enc(nl);
-  std::vector<WireCost> enc_cost(nl);
-  std::vector<uint8_t> responded(nl, 0);
-  {
-    obs::Span phase_span("net.det-collect", "net");
-    PDS_RETURN_IF_ERROR(global::FleetExecutor::Run(
-        config_.executor, nl, [&](size_t li) -> Status {
-          Session* s = sessions_[live[li]].get();
-          RoundRequestMsg req;
-          req.header.round_id = s->next_round_id++;
-          req.header.kind = RoundKind::kDetCollect;
-          req.header.func = func;
-          req.batch.push_back(EncodeDetParams(params));
-          if (det.variant == DetVariant::kDomainNoise) {
-            for (const std::string& g : det.domain) {
-              req.batch.push_back(ByteView(std::string_view(g)).ToBytes());
-            }
-          }
-          Bytes frame = EncodeRoundRequest(req);
-          auto reply = RoundTrip(s, frame, req.header.round_id, &enc_cost[li]);
-          if (!reply.ok()) {
-            if (IsStragglerFailure(reply.status())) {
-              s->alive = false;  // straggler: drop for the whole run
-              if (s->stats != nullptr) s->stats->stragglers.Add(1);
-              return Status::Ok();
-            }
-            return reply.status();
-          }
-          TupleBatchMsg* batch =
-              std::get_if<TupleBatchMsg>(&reply.value().body);
-          if (batch == nullptr) {
-            return Status::FailedPrecondition(
-                "det collect round expected a tuple batch");
-          }
-          if (batch->batch.size() % 2 != 0) {
-            return Status::Corruption(
-                "det collect batch must hold (key, payload) pairs");
-          }
-          enc_cost[li].wire.token_crypto_ops += batch->token_ops;
-          enc[li] = std::move(batch->batch);
-          responded[li] = 1;
-          return Status::Ok();
-        }));
+  RoundRequestMsg request;
+  request.header.kind = RoundKind::kDetCollect;
+  request.header.func = func;
+  request.batch.push_back(EncodeDetParams(params));
+  if (det.variant == DetVariant::kDomainNoise) {
+    for (const std::string& g : det.domain) {
+      request.batch.push_back(ByteView(std::string_view(g)).ToBytes());
+    }
   }
+  PDS_ASSIGN_OR_RETURN(Collected collected,
+                       CollectRound(request, &out.metrics));
 
-  size_t responders = 0;
-  std::vector<size_t> active;
-  active.reserve(nl);
-  // Equality classes in deterministic-ciphertext order (mirrors the
-  // in-process protocol's std::map over ct bytes); histogram rounds key by
-  // the plaintext bucket id instead.
+  // Equality classes in deterministic-ciphertext order; histogram rounds
+  // key by the plaintext bucket id instead.
   std::map<Bytes, std::vector<Bytes>> classes;
   std::map<uint32_t, std::vector<Bytes>> buckets;
   const bool histogram = det.variant == DetVariant::kHistogram;
-  for (size_t li = 0; li < nl; ++li) {
-    enc_cost[li].MergeInto(&out.metrics, &report_);
-    if (responded[li] == 0) {
-      continue;
+  for (TupleBatchMsg& reply : collected.batches) {
+    std::vector<Bytes>& batch = reply.batch;
+    if (batch.size() % 2 != 0) {
+      return Status::Corruption(
+          "det collect batch must hold (key, payload) pairs");
     }
-    ++responders;
-    active.push_back(live[li]);
-    for (size_t i = 0; i + 1 < enc[li].size(); i += 2) {
-      Bytes& key = enc[li][i];
-      Bytes& payload = enc[li][i + 1];
+    for (size_t i = 0; i + 1 < batch.size(); i += 2) {
+      Bytes& key = batch[i];
+      Bytes& payload = batch[i + 1];
       observer.ObserveTuple(ByteView(key));
       ++out.metrics.ssi_ops;
       if (histogram) {
@@ -849,30 +762,12 @@ Result<AggOutput> SsiServer::RunDetAggregation(AggFunc func,
       }
     }
   }
-  ++out.metrics.rounds;
-
-  report_.responders = responders;
-  report_.missing_tokens = nl - responders;
-  out.metrics.tokens_missing = report_.missing_tokens;
-  const NetObs& hooks = NetHooks();
-  size_t need = static_cast<size_t>(
-      std::ceil(config_.quorum * static_cast<double>(nl)));
-  need = std::max<size_t>(need, 1);
-  if (report_.missing_tokens > 0) {
-    hooks.missing_tokens->Add(report_.missing_tokens);
-  }
-  if (responders < need) {
-    hooks.quorum_shortfalls->Add(1);
-    return Status::FailedPrecondition(
-        "quorum not reached: " + std::to_string(responders) + "/" +
-        std::to_string(nl) + " tokens answered, need " + std::to_string(need));
-  }
+  const std::vector<size_t>& active = collected.sessions;
 
   // Phase 2: one class/bucket aggregation request per equality class,
-  // distributed round-robin over the responding sessions in class order —
-  // identical to the in-process protocol's unit assignment. A session that
-  // vanishes mid-phase fails over: its unfinished classes go to the next
-  // live responder.
+  // distributed round-robin over the responding sessions in class order. A
+  // session that vanishes mid-phase fails over: its unfinished classes go
+  // to the next live responder.
   struct ClassUnit {
     RoundKind kind = RoundKind::kClassAggregate;
     std::vector<Bytes> batch;  // [key, payloads...] or [payloads...]
@@ -937,8 +832,7 @@ Result<AggOutput> SsiServer::RunDetAggregation(AggFunc func,
             Status st = run_unit(s, ui);
             if (!st.ok()) {
               if (IsStragglerFailure(st)) {
-                s->alive = false;  // failover picks up this session's rest
-                if (s->stats != nullptr) s->stats->stragglers.Add(1);
+                DropStraggler(s);  // failover picks up this session's rest
                 return Status::Ok();
               }
               return st;
@@ -962,8 +856,7 @@ Result<AggOutput> SsiServer::RunDetAggregation(AggFunc func,
         if (st.ok()) {
           recovered = true;
         } else if (IsStragglerFailure(st)) {
-          s->alive = false;
-          if (s->stats != nullptr) s->stats->stragglers.Add(1);
+          DropStraggler(s);
         } else {
           return st;
         }
@@ -976,7 +869,7 @@ Result<AggOutput> SsiServer::RunDetAggregation(AggFunc func,
     }
   }
 
-  // Merge in class order (map order), exactly like the in-process merge.
+  // Merge in class order (map order).
   std::map<std::string, GroupState> state;
   for (size_t ui = 0; ui < num_units; ++ui) {
     unit_cost[ui].MergeInto(&out.metrics, &report_);
@@ -1009,93 +902,32 @@ Result<AggOutput> SsiServer::RunDetAggregation(AggFunc func,
 }
 
 Result<SsiServer::SealedCollect> SsiServer::RunSealedCollect() {
-  std::vector<size_t> live;
-  live.reserve(sessions_.size());
-  for (size_t i = 0; i < sessions_.size(); ++i) {
-    if (sessions_[i]->alive) {
-      live.push_back(i);
-    }
-  }
-  if (live.empty()) {
-    return Status::InvalidArgument("no live sessions");
-  }
   RunGuard run_guard(&run_active_);
-  report_ = RoundReport{};
-  report_.sessions = live.size();
-  run_trace_id_ = trace_rng_.Next();
-
   SealedCollect out;
   global::HbcObserver observer;
-  const size_t nl = live.size();
   obs::Span protocol_span("net.sealed-collect", "net");
-  protocol_span.AddArg("sessions", static_cast<double>(nl));
 
-  std::vector<std::vector<Bytes>> enc(nl);
-  std::vector<WireCost> costs(nl);
-  std::vector<uint8_t> responded(nl, 0);
-  PDS_RETURN_IF_ERROR(global::FleetExecutor::Run(
-      config_.executor, nl, [&](size_t li) -> Status {
-        Session* s = sessions_[live[li]].get();
-        RoundRequestMsg req;
-        req.header.round_id = s->next_round_id++;
-        req.header.kind = RoundKind::kSealedCollect;
-        req.header.func = global::AggFunc::kSum;
-        Bytes frame = EncodeRoundRequest(req);
-        auto reply = RoundTrip(s, frame, req.header.round_id, &costs[li]);
-        if (!reply.ok()) {
-          if (IsStragglerFailure(reply.status())) {
-            s->alive = false;
-            if (s->stats != nullptr) s->stats->stragglers.Add(1);
-            return Status::Ok();
-          }
-          return reply.status();
-        }
-        TupleBatchMsg* batch = std::get_if<TupleBatchMsg>(&reply.value().body);
-        if (batch == nullptr || batch->batch.empty()) {
-          return Status::FailedPrecondition(
-              "sealed collect expected [manifest, sealed tuples...]");
-        }
-        costs[li].wire.token_crypto_ops += batch->token_ops;
-        enc[li] = std::move(batch->batch);
-        responded[li] = 1;
-        return Status::Ok();
-      }));
-
-  size_t responders = 0;
-  for (size_t li = 0; li < nl; ++li) {
-    costs[li].MergeInto(&out.metrics, &report_);
-    if (responded[li] == 0) {
-      continue;
+  RoundRequestMsg request;
+  request.header.kind = RoundKind::kSealedCollect;
+  request.header.func = global::AggFunc::kSum;
+  PDS_ASSIGN_OR_RETURN(Collected collected,
+                       CollectRound(request, &out.metrics));
+  out.manifests.reserve(collected.batches.size());
+  for (const TupleBatchMsg& reply : collected.batches) {
+    if (reply.batch.empty()) {
+      return Status::FailedPrecondition(
+          "sealed collect expected [manifest, sealed tuples...]");
     }
-    ++responders;
     PDS_ASSIGN_OR_RETURN(global::Manifest manifest,
-                         global::DecodeManifest(ByteView(enc[li][0])));
+                         global::DecodeManifest(ByteView(reply.batch[0])));
     out.manifests.push_back(manifest);
-    for (size_t i = 1; i < enc[li].size(); ++i) {
+    for (size_t i = 1; i < reply.batch.size(); ++i) {
       PDS_ASSIGN_OR_RETURN(global::SealedTuple t,
-                           global::DecodeSealedTuple(ByteView(enc[li][i])));
+                           global::DecodeSealedTuple(ByteView(reply.batch[i])));
       observer.ObserveTuple(ByteView(t.payload_ct));
       ++out.metrics.ssi_ops;
       out.tuples.push_back(std::move(t));
     }
-  }
-  ++out.metrics.rounds;
-
-  report_.responders = responders;
-  report_.missing_tokens = nl - responders;
-  out.metrics.tokens_missing = report_.missing_tokens;
-  const NetObs& hooks = NetHooks();
-  size_t need = static_cast<size_t>(
-      std::ceil(config_.quorum * static_cast<double>(nl)));
-  need = std::max<size_t>(need, 1);
-  if (report_.missing_tokens > 0) {
-    hooks.missing_tokens->Add(report_.missing_tokens);
-  }
-  if (responders < need) {
-    hooks.quorum_shortfalls->Add(1);
-    return Status::FailedPrecondition(
-        "quorum not reached: " + std::to_string(responders) + "/" +
-        std::to_string(nl) + " tokens answered, need " + std::to_string(need));
   }
 
   // The weakly-malicious SSI acts here, after honest tokens sealed their

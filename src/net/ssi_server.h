@@ -9,7 +9,6 @@
 
 #include "common/clock.h"
 #include "common/rng.h"
-#include "global/agg_protocols.h"
 #include "global/common.h"
 #include "global/fleet_executor.h"
 #include "global/integrity.h"
@@ -19,16 +18,16 @@
 #include "net/transport.h"
 #include "obs/obs.h"
 
-/// The SSI side of the real wire: hosts one protocol session per connected
-/// token and runs the [TNP14] secure-aggregation rounds over framed
-/// messages instead of in-process calls.
-///
-/// The server mirrors global::SecureAggProtocol exactly — same item order,
-/// same partition layout, same map-ordered partials — so a loopback run
-/// over identically-seeded tokens produces byte-identical group results.
-/// What changes is the accounting: Metrics wire counters are measured from
-/// the actual frames sent and received (headers included), and rounds gain
-/// deadlines, bounded retry with backoff, and a configurable quorum.
+/// The SSI side of the wire and the one implementation of the [TNP14]
+/// aggregation protocols: it hosts one protocol session per connected token
+/// and runs each protocol's rounds over framed messages. Every caller goes
+/// through here — the wire runtime over in-process or socket transports,
+/// the simulator over SimTransport links, and the in-process
+/// global::*Protocol::Execute adapters over DirectTokenLink — so Metrics
+/// wire counters always measure the frames actually sent and received
+/// (headers included), and the HbcObserver leakage report is built from
+/// the frames the SSI received. Rounds have deadlines, bounded retry with
+/// backoff, and a configurable quorum.
 namespace pds::net {
 
 class SsiServer {
@@ -126,6 +125,11 @@ class SsiServer {
     uint32_t fakes_per_value = 1;  // domain noise: fakes per domain value
     std::vector<std::string> domain;  // domain noise: the public domain
     uint32_t num_buckets = 16;     // histogram: bucket count
+
+    /// The public parameter blob of this run's kDetCollect request.
+    [[nodiscard]] DetParams params() const {
+      return {variant, noise_ratio, noise_seed, fakes_per_value, num_buckets};
+    }
   };
 
   /// Executes one det-encryption protocol over all live sessions: a
@@ -241,6 +245,20 @@ class SsiServer {
   /// True when `s` should be dropped from the run as a straggler for this
   /// failure (timeout, dead transport, or a desynchronized byte stream).
   [[nodiscard]] static bool IsStragglerFailure(const Status& s);
+  static void DropStraggler(Session* s);
+
+  /// The replies of a run's opening collect round.
+  struct Collected {
+    std::vector<size_t> sessions;        // responders, in session order
+    std::vector<TupleBatchMsg> batches;  // their reply batches, same order
+  };
+  /// The collect round every protocol run opens with: resets the
+  /// RoundReport, sends each live session `request` under its own round id
+  /// (fanned out over the executor), drops sessions that fail as
+  /// stragglers, merges the measured wire cost into `metrics`, counts the
+  /// round, and fails unless the quorum answered.
+  [[nodiscard]] Result<Collected> CollectRound(const RoundRequestMsg& request,
+                                               global::Metrics* metrics);
 
   Config config_;
   Clock* clock_;  // never null: Config::clock or the wall clock

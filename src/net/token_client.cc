@@ -13,19 +13,18 @@ namespace pds::net {
 
 namespace {
 
-/// Sum/count accumulation per group (mirrors agg_protocols.cc).
+/// Sum/count accumulation per group.
 struct GroupState {
   double sum = 0;
   uint64_t count = 0;
 };
 
-/// Bound on malformed frames tolerated per session before the client gives
+/// Bound on malformed frames tolerated per session before the token gives
 /// up on the stream — a hostile or broken SSI must not spin us forever.
 constexpr uint32_t kMaxMalformedFrames = 8;
 
 /// Decrypts a ciphertext batch into per-group partial aggregates, counting
-/// one token op per decryption — the identical inner loop of the in-process
-/// aggregate phase.
+/// one token op per decryption.
 Result<std::map<std::string, GroupState>> DecryptAndAggregate(
     mcu::SecureToken* token, const std::vector<Bytes>& batch,
     uint64_t* token_ops) {
@@ -42,7 +41,7 @@ Result<std::map<std::string, GroupState>> DecryptAndAggregate(
 }
 
 /// A handler failure that indicts the REQUEST, not the session: answered
-/// with ErrorMsg{3} so the serve loop survives a malformed round.
+/// with ErrorMsg{3} so the session survives a malformed round.
 bool IsRequestFault(const Status& s) {
   return s.code() == StatusCode::kInvalidArgument ||
          s.code() == StatusCode::kCorruption ||
@@ -51,158 +50,190 @@ bool IsRequestFault(const Status& s) {
 
 }  // namespace
 
-TokenClient::TokenClient(std::unique_ptr<Transport> transport, Config config)
-    : transport_(std::move(transport)),
-      config_(std::move(config)),
-      clock_(config_.clock != nullptr ? config_.clock : WallClock()),
-      rng_(config_.faults.seed),
-      swallow_budget_(config_.faults.swallow_first) {}
+// ---------------------------------------------------------------------------
+// TokenSession
 
-TokenClient::~TokenClient() {
-  Stop();
-  if (thread_.joinable()) {
-    thread_.join();
-  }
-}
-
-mcu::SecureToken* TokenClient::token() const {
-  if (config_.pds_node != nullptr) {
-    return &config_.pds_node->token();
-  }
-  return config_.token;
-}
-
-Status TokenClient::PrepareTuples() {
-  mcu::SecureToken* tok = token();
-  if (tok == nullptr) {
-    return Status::InvalidArgument("TokenClient needs a token or a PdsNode");
-  }
-  if (config_.pds_node != nullptr) {
-    // Policy-checked export: only tuples the owner authorized for sharing
-    // ever reach the runtime, and they stay inside the token until
-    // encrypted.
-    std::vector<std::pair<std::string, double>> exported;
-    PDS_RETURN_IF_ERROR(config_.pds_node->ExportAs(
-        config_.subject, config_.table, config_.group_column,
-        config_.value_column, &exported));
-    tuples_.clear();
-    tuples_.reserve(exported.size());
-    for (auto& [group, value] : exported) {
-      tuples_.push_back({std::move(group), value});
+Result<TokenSession::Outcome> TokenSession::OnFrame(ByteView frame) {
+  auto decoded = DecodeMessage(frame);
+  if (!decoded.ok()) {
+    if (state_ != State::kServing) {
+      return decoded.status();
     }
-  } else {
-    tuples_ = config_.tuples;
+    // A garbled frame indicts the frame, not the session — answer with a
+    // transient error so the SSI can retry, but give up on a stream that
+    // keeps producing garbage.
+    if (++malformed_seen_ > kMaxMalformedFrames) {
+      return Status::Corruption("too many malformed frames from the SSI");
+    }
+    Outcome out;
+    out.reply = Seal(EncodeError(ErrorMsg{3, "malformed frame"}));
+    return out;
   }
-  return Status::Ok();
+  const Message& m = decoded.value();
+  if (m.checksummed) {
+    peer_checksummed_ = true;  // mirror the trailer from now on
+  }
+  return state_ == State::kServing ? OnServingFrame(m) : OnHandshakeFrame(m);
 }
 
-Status TokenClient::Connect() {
-  PDS_RETURN_IF_ERROR(PrepareTuples());
-  return Handshake();
-}
-
-Status TokenClient::OnChallengeFrame(const Bytes& frame) {
-  mcu::SecureToken* tok = token();
-  PDS_ASSIGN_OR_RETURN(Message cm, DecodeMessage(frame));
-  if (cm.checksummed) {
-    peer_checksummed_ = true;
+Result<TokenSession::Outcome> TokenSession::OnHandshakeFrame(
+    const Message& m) {
+  Outcome out;
+  if (const ErrorMsg* err = std::get_if<ErrorMsg>(&m.body)) {
+    return Status::FailedPrecondition("peer error: " + err->message);
   }
-  const ChallengeMsg* challenge = std::get_if<ChallengeMsg>(&cm.body);
-  if (challenge == nullptr) {
-    return Status::FailedPrecondition("handshake expected a challenge");
+  if (state_ == State::kAwaitChallenge) {
+    const ChallengeMsg* challenge = std::get_if<ChallengeMsg>(&m.body);
+    if (challenge == nullptr) {
+      return Status::FailedPrecondition("handshake expected a challenge");
+    }
+    HelloMsg hello;
+    hello.token_id = token_->id();
+    PDS_ASSIGN_OR_RETURN(hello.proof,
+                         token_->Attest(ByteView(challenge->nonce)));
+    out.reply = Seal(EncodeHello(hello));
+    state_ = State::kAwaitAck;
+    return out;
   }
-  HelloMsg hello;
-  hello.token_id = tok->id();
-  PDS_ASSIGN_OR_RETURN(hello.proof, tok->Attest(ByteView(challenge->nonce)));
-  return SendFrame(EncodeHello(hello));
-}
-
-Status TokenClient::OnAckFrame(const Bytes& frame) {
-  PDS_ASSIGN_OR_RETURN(HelloAckMsg ack, DecodeAs<HelloAckMsg>(frame));
-  if (!ack.accepted) {
+  const HelloAckMsg* ack = std::get_if<HelloAckMsg>(&m.body);
+  if (ack == nullptr) {
+    return Status::FailedPrecondition("handshake expected a hello ack");
+  }
+  if (!ack->accepted) {
     return Status::PermissionDenied("SSI refused the session");
   }
-  return Status::Ok();
+  state_ = State::kServing;
+  return out;
 }
 
-Status TokenClient::Handshake() {
-  obs::Span span("net.token-connect", "net");
-  PDS_ASSIGN_OR_RETURN(Bytes frame, transport_->Recv(config_.deadline_ms));
-  PDS_RETURN_IF_ERROR(OnChallengeFrame(frame));
-  PDS_ASSIGN_OR_RETURN(Bytes ack_frame, transport_->Recv(config_.deadline_ms));
-  return OnAckFrame(ack_frame);
-}
-
-Status TokenClient::SendFrame(const Bytes& frame) {
-  if (peer_checksummed_) {
-    return transport_->Send(AppendFrameChecksum(frame));
+Result<TokenSession::Outcome> TokenSession::OnServingFrame(const Message& m) {
+  Outcome out;
+  if (std::get_if<ByeMsg>(&m.body) != nullptr) {
+    out.done = true;
+    return out;
   }
-  return transport_->Send(frame);
+  if (std::get_if<PartitionMapMsg>(&m.body) != nullptr) {
+    return out;  // layout announcement; the requests follow
+  }
+  const RoundRequestMsg* req = std::get_if<RoundRequestMsg>(&m.body);
+  if (req == nullptr) {
+    out.reply = Seal(EncodeError(ErrorMsg{1, "unexpected message type"}));
+    return out;
+  }
+  if (req->header.round_id < highest_round_) {
+    // Replay of an already-answered round (an equal id is the SSI's
+    // legitimate retry of a request we never answered).
+    out.reply = Seal(EncodeError(ErrorMsg{4, "stale round replay rejected"}));
+    return out;
+  }
+  highest_round_ = req->header.round_id;
+  if (swallow_budget_ > 0) {
+    --swallow_budget_;  // fault plan: swallow the request silently
+    out.swallowed_round = req->header.round_id;
+    return out;
+  }
+  if (req->header.kind == RoundKind::kPackedCollect && packed_ == nullptr) {
+    out.reply =
+        Seal(EncodeError(ErrorMsg{2, "token has no packed-Paillier context"}));
+    return out;
+  }
+  // Parent this round's handler span under the SSI's round-trip span
+  // when the frame carried trace context; the merged Chrome trace then
+  // shows one cross-process timeline per round.
+  obs::RemoteParent remote;
+  if (m.trace.has_value()) {
+    remote.span_id = m.trace->parent_span_id;
+    remote.sampled = m.trace->sampled;
+  }
+  Result<Bytes> handled = Status::Ok();
+  switch (req->header.kind) {
+    case RoundKind::kCollect: {
+      obs::Span span("net.round.collect", "net", remote);
+      handled = HandleCollect(*req);
+      break;
+    }
+    case RoundKind::kAggregate: {
+      obs::Span span("net.round.aggregate", "net", remote);
+      handled = HandleAggregate(*req);
+      break;
+    }
+    case RoundKind::kFinalize: {
+      obs::Span span("net.round.finalize", "net", remote);
+      handled = HandleFinalize(*req);
+      break;
+    }
+    case RoundKind::kPackedCollect: {
+      obs::Span span("net.round.packed-collect", "net", remote);
+      handled = HandlePackedCollect(*req);
+      break;
+    }
+    case RoundKind::kSealedCollect: {
+      obs::Span span("net.round.sealed-collect", "net", remote);
+      handled = HandleSealedCollect(*req);
+      break;
+    }
+    case RoundKind::kDetCollect: {
+      obs::Span span("net.round.det-collect", "net", remote);
+      handled = HandleDetCollect(*req);
+      break;
+    }
+    case RoundKind::kClassAggregate: {
+      obs::Span span("net.round.class-aggregate", "net", remote);
+      handled = HandleClassAggregate(*req);
+      break;
+    }
+  }
+  if (!handled.ok()) {
+    if (!IsRequestFault(handled.status())) {
+      return handled.status();
+    }
+    if (++malformed_seen_ > kMaxMalformedFrames) {
+      return Status::Corruption("too many malformed rounds from the SSI");
+    }
+    out.reply = Seal(EncodeError(ErrorMsg{3, "malformed round request"}));
+    return out;
+  }
+  out.reply = std::move(handled).value();
+  out.answered = true;
+  return out;
+}
+
+Bytes TokenSession::Seal(Bytes frame) const {
+  return peer_checksummed_ ? AppendFrameChecksum(frame) : frame;
 }
 
 // pdslint: secret(reply)
-Status TokenClient::SendAggResult(const AggResultMsg& reply) {
+Bytes TokenSession::SealAggResult(const AggResultMsg& reply) const {
   // Finalize/class rounds return the decrypted per-group aggregate to the
   // querier by design -- the [TNP14] protocols' output step; only sums and
   // counts leave the token, never the tuples they were folded from.
-  return SendFrame(EncodeAggResult(reply));  // pdslint: declassify([TNP14] aggregate output step)
+  return Seal(EncodeAggResult(reply));  // pdslint: declassify([TNP14] aggregate output step)
 }
 
-Status TokenClient::MaybeChurn() {
-  const FaultPlan& fp = config_.faults;
-  if (fp.disconnect_after_replies == 0 ||
-      replies_since_connect_ < fp.disconnect_after_replies ||
-      reconnects_done_ >= config_.max_reconnects) {
-    return Status::Ok();
-  }
-  ++reconnects_done_;
-  transport_->Close();
-  log_.Add({frame_index_, FaultKind::kChurn, "token",
-            "disconnected after " + std::to_string(replies_since_connect_) +
-                " replies; reconnect attempt " +
-                std::to_string(reconnects_done_)});
-  if (config_.reconnect == nullptr) {
-    // Nobody to dial: stay gone and let the SSI degrade to quorum.
-    return Status::Ok();
-  }
-  uint32_t backoff =
-      config_.reconnect_backoff_ms * reconnects_done_ +
-      static_cast<uint32_t>(rng_.Uniform(config_.reconnect_backoff_ms + 1));
-  clock_->SleepMs(backoff);
-  PDS_ASSIGN_OR_RETURN(std::unique_ptr<Transport> fresh, config_.reconnect());
-  transport_ = std::move(fresh);
-  replies_since_connect_ = 0;
-  peer_checksummed_ = false;
-  // Fresh challenge, fresh proof: membership is re-verified, a recorded
-  // proof from the first handshake would be rejected.
-  return Handshake();
-}
-
-Status TokenClient::HandleCollect(const RoundRequestMsg& req) {
-  mcu::SecureToken* tok = token();
+Result<Bytes> TokenSession::HandleCollect(const RoundRequestMsg& req) {
+  mcu::SecureToken* tok = token_;
   TupleBatchMsg reply;
   reply.round_id = req.header.round_id;
-  reply.batch.reserve(tuples_.size());
-  for (const global::SourceTuple& t : tuples_) {
+  reply.batch.reserve(tuples_->size());
+  for (const global::SourceTuple& t : *tuples_) {
     Bytes payload = global::EncodeAggPayload(false, t.value, 1, t.group);
     PDS_ASSIGN_OR_RETURN(Bytes ct, tok->EncryptNonDet(ByteView(payload)));
     ++reply.token_ops;
     reply.batch.push_back(std::move(ct));
   }
-  return SendFrame(EncodeTupleBatch(reply));
+  return Seal(EncodeTupleBatch(reply));
 }
 
-Status TokenClient::HandlePackedCollect(const RoundRequestMsg& req) {
-  mcu::SecureToken* tok = token();
+Result<Bytes> TokenSession::HandlePackedCollect(const RoundRequestMsg& req) {
+  mcu::SecureToken* tok = token_;
   // The request's batch is the public group domain in slot order; fold
-  // this token's tuples into per-domain (sum, count) counters — exactly
-  // the in-process PackedPaillierProtocol pre-pass.
+  // this token's tuples into per-domain (sum, count) counters.
   std::map<std::string, size_t> slot_of;
   for (size_t i = 0; i < req.batch.size(); ++i) {
     slot_of[ByteView(req.batch[i]).ToString()] = i;
   }
   std::vector<uint64_t> counters(2 * req.batch.size(), 0);
-  for (const global::SourceTuple& t : tuples_) {
+  for (const global::SourceTuple& t : *tuples_) {
     auto it = slot_of.find(t.group);
     if (it == slot_of.end()) {
       return Status::InvalidArgument("tuple group outside the packed domain");
@@ -216,16 +247,16 @@ Status TokenClient::HandlePackedCollect(const RoundRequestMsg& req) {
     counters[2 * it->second + 1] += 1;
   }
   PDS_ASSIGN_OR_RETURN(crypto::BigInt ct,
-                       tok->EncryptPacked(*config_.packed, counters));
+                       tok->EncryptPacked(*packed_, counters));
   TupleBatchMsg reply;
   reply.round_id = req.header.round_id;
   reply.token_ops = 1;  // one packed encryption, whatever the domain size
   reply.batch.push_back(ct.ToBytes());
-  return SendFrame(EncodeTupleBatch(reply));
+  return Seal(EncodeTupleBatch(reply));
 }
 
-Status TokenClient::HandleAggregate(const RoundRequestMsg& req) {
-  mcu::SecureToken* tok = token();
+Result<Bytes> TokenSession::HandleAggregate(const RoundRequestMsg& req) {
+  mcu::SecureToken* tok = token_;
   TupleBatchMsg reply;
   reply.round_id = req.header.round_id;
   PDS_ASSIGN_OR_RETURN(
@@ -238,11 +269,11 @@ Status TokenClient::HandleAggregate(const RoundRequestMsg& req) {
     ++reply.token_ops;
     reply.batch.push_back(std::move(ct));
   }
-  return SendFrame(EncodeTupleBatch(reply));
+  return Seal(EncodeTupleBatch(reply));
 }
 
-Status TokenClient::HandleFinalize(const RoundRequestMsg& req) {
-  mcu::SecureToken* tok = token();
+Result<Bytes> TokenSession::HandleFinalize(const RoundRequestMsg& req) {
+  mcu::SecureToken* tok = token_;
   AggResultMsg reply;
   reply.round_id = req.header.round_id;
   PDS_ASSIGN_OR_RETURN(
@@ -251,16 +282,22 @@ Status TokenClient::HandleFinalize(const RoundRequestMsg& req) {
   for (const auto& [group, state] : final_state) {
     reply.entries.push_back({group, state.sum, state.count});
   }
-  return SendAggResult(reply);
+  return SealAggResult(reply);
 }
 
-Status TokenClient::HandleDetCollect(const RoundRequestMsg& req) {
-  mcu::SecureToken* tok = token();
+Result<Bytes> TokenSession::HandleDetCollect(const RoundRequestMsg& req) {
+  mcu::SecureToken* tok = token_;
   if (req.batch.empty()) {
     return Status::InvalidArgument("det collect carries no parameter blob");
   }
   PDS_ASSIGN_OR_RETURN(DetParams params,
                        DecodeDetParams(ByteView(req.batch[0])));
+  // The parameters come from the untrusted SSI: refuse any send list one
+  // reply batch cannot carry before generating a single fake.
+  const size_t real_count = tuples_->size();
+  PDS_ASSIGN_OR_RETURN(
+      size_t send_count,
+      DetSendListSize(params, real_count, req.batch.size() - 1));
   TupleBatchMsg reply;
   reply.round_id = req.header.round_id;
 
@@ -270,8 +307,8 @@ Status TokenClient::HandleDetCollect(const RoundRequestMsg& req) {
     if (params.num_buckets == 0) {
       return Status::InvalidArgument("histogram needs >= 1 bucket");
     }
-    reply.batch.reserve(2 * tuples_.size());
-    for (const global::SourceTuple& t : tuples_) {
+    reply.batch.reserve(2 * tuples_->size());
+    for (const global::SourceTuple& t : *tuples_) {
       uint32_t bucket = static_cast<uint32_t>(
           Fnv1a64(std::string_view(t.group)) % params.num_buckets);
       Bytes key(4);
@@ -282,25 +319,21 @@ Status TokenClient::HandleDetCollect(const RoundRequestMsg& req) {
       reply.batch.push_back(std::move(key));
       reply.batch.push_back(std::move(ct));
     }
-    return SendFrame(EncodeTupleBatch(reply));
+    return Seal(EncodeTupleBatch(reply));
   }
 
-  // White/domain noise: real tuples first, then this token's fakes —
-  // identical send-list order to the in-process RunDetProtocol.
+  // White/domain noise: real tuples first, then this token's fakes.
   std::vector<std::pair<std::string, double>> send_list;
-  for (const global::SourceTuple& t : tuples_) {
+  send_list.reserve(send_count);
+  for (const global::SourceTuple& t : *tuples_) {
     send_list.emplace_back(t.group, t.value);
   }
-  const size_t real_count = send_list.size();
   if (params.variant == DetVariant::kWhiteNoise) {
-    // The in-process protocol draws fake labels from one shared stream; on
-    // the wire each token seeds its own from (noise_seed, token id) and
-    // prefixes the id, so labels stay distinct across the fleet without
-    // any cross-token coordination.
+    // Each token draws fake labels from its own stream, seeded from
+    // (noise_seed, token id), and prefixes the id, so labels stay distinct
+    // across the fleet without any cross-token coordination.
     Rng noise_rng(params.noise_seed + tok->id());
-    size_t n = static_cast<size_t>(static_cast<double>(real_count) *
-                                   params.noise_ratio);
-    for (size_t i = 0; i < n; ++i) {
+    for (size_t i = real_count; i < send_count; ++i) {
       send_list.emplace_back(std::string(global::kFakeGroupPrefix) +
                                  std::to_string(tok->id()) + "-" +
                                  std::to_string(noise_rng.Next()),
@@ -339,11 +372,11 @@ Status TokenClient::HandleDetCollect(const RoundRequestMsg& req) {
     reply.batch.push_back(std::move(key));
     reply.batch.push_back(std::move(ct));
   }
-  return SendFrame(EncodeTupleBatch(reply));
+  return Seal(EncodeTupleBatch(reply));
 }
 
-Status TokenClient::HandleClassAggregate(const RoundRequestMsg& req) {
-  mcu::SecureToken* tok = token();
+Result<Bytes> TokenSession::HandleClassAggregate(const RoundRequestMsg& req) {
+  mcu::SecureToken* tok = token_;
   if (req.batch.empty()) {
     return Status::InvalidArgument("class aggregate carries no class key");
   }
@@ -355,10 +388,10 @@ Status TokenClient::HandleClassAggregate(const RoundRequestMsg& req) {
   std::string group = ByteView(group_plain).ToString();
   const size_t n = req.batch.size() - 1;
   if (group.rfind(global::kFakeGroupPrefix, 0) == 0) {
-    // Whole class is noise; discard inside the token (decrypt-and-drop op
-    // accounting mirrors the in-process class phase).
+    // Whole class is noise; discard inside the token, charging one
+    // decrypt-and-drop op per noise tuple.
     reply.token_ops += n;
-    return SendAggResult(reply);
+    return SealAggResult(reply);
   }
   GroupState gs;
   for (size_t i = 1; i < req.batch.size(); ++i) {
@@ -373,16 +406,16 @@ Status TokenClient::HandleClassAggregate(const RoundRequestMsg& req) {
     }
   }
   reply.entries.push_back({group, gs.sum, gs.count});
-  return SendAggResult(reply);
+  return SealAggResult(reply);
 }
 
-Status TokenClient::HandleSealedCollect(const RoundRequestMsg& req) {
-  mcu::SecureToken* tok = token();
+Result<Bytes> TokenSession::HandleSealedCollect(const RoundRequestMsg& req) {
+  mcu::SecureToken* tok = token_;
   TupleBatchMsg reply;
   reply.round_id = req.header.round_id;
   std::vector<Bytes> cts;
-  cts.reserve(tuples_.size());
-  for (const global::SourceTuple& t : tuples_) {
+  cts.reserve(tuples_->size());
+  for (const global::SourceTuple& t : *tuples_) {
     Bytes payload = global::EncodeAggPayload(false, t.value, 1, t.group);
     PDS_ASSIGN_OR_RETURN(Bytes ct, tok->EncryptNonDet(ByteView(payload)));
     ++reply.token_ops;
@@ -400,115 +433,123 @@ Status TokenClient::HandleSealedCollect(const RoundRequestMsg& req) {
   for (const global::SealedTuple& t : sealed) {
     reply.batch.push_back(global::EncodeSealedTuple(t));
   }
-  return SendFrame(EncodeTupleBatch(reply));
+  return Seal(EncodeTupleBatch(reply));
 }
 
-Status TokenClient::ServeFrame(const Bytes& frame, bool* done) {
-  *done = false;
-  ++frame_index_;
-  auto decoded = DecodeMessage(frame);
-  if (!decoded.ok()) {
-    // A garbled frame indicts the frame, not the session — answer with a
-    // transient error so the SSI can retry, but give up on a stream that
-    // keeps producing garbage.
-    if (++malformed_seen_ > kMaxMalformedFrames) {
-      return Status::Corruption("too many malformed frames from the SSI");
+// ---------------------------------------------------------------------------
+// TokenClient
+
+namespace {
+
+mcu::SecureToken* ConfiguredToken(const TokenClient::Config& config) {
+  return config.pds_node != nullptr ? &config.pds_node->token()
+                                    : config.token;
+}
+
+}  // namespace
+
+TokenClient::TokenClient(std::unique_ptr<Transport> transport, Config config)
+    : transport_(std::move(transport)),
+      config_(std::move(config)),
+      clock_(config_.clock != nullptr ? config_.clock : WallClock()),
+      session_(ConfiguredToken(config_), &tuples_, config_.packed,
+               config_.faults.swallow_first),
+      rng_(config_.faults.seed) {}
+
+TokenClient::~TokenClient() {
+  Stop();
+  if (thread_.joinable()) {
+    thread_.join();
+  }
+}
+
+Status TokenClient::PrepareTuples() {
+  if (ConfiguredToken(config_) == nullptr) {
+    return Status::InvalidArgument("TokenClient needs a token or a PdsNode");
+  }
+  if (config_.pds_node != nullptr) {
+    // Policy-checked export: only tuples the owner authorized for sharing
+    // ever reach the runtime, and they stay inside the token until
+    // encrypted.
+    std::vector<std::pair<std::string, double>> exported;
+    PDS_RETURN_IF_ERROR(config_.pds_node->ExportAs(
+        config_.subject, config_.table, config_.group_column,
+        config_.value_column, &exported));
+    tuples_.clear();
+    tuples_.reserve(exported.size());
+    for (auto& [group, value] : exported) {
+      tuples_.push_back({std::move(group), value});
     }
-    ErrorMsg err{3, "malformed frame"};
-    return SendFrame(EncodeError(err));
+  } else {
+    tuples_ = config_.tuples;
   }
-  Message m = std::move(decoded.value());
-  if (m.checksummed) {
-    peer_checksummed_ = true;  // mirror the trailer from now on
+  return Status::Ok();
+}
+
+Status TokenClient::Connect() {
+  PDS_RETURN_IF_ERROR(PrepareTuples());
+  return Handshake();
+}
+
+Status TokenClient::Handshake() {
+  obs::Span span("net.token-connect", "net");
+  bool done = false;
+  while (!session_.serving()) {
+    PDS_ASSIGN_OR_RETURN(Bytes frame, transport_->Recv(config_.deadline_ms));
+    PDS_RETURN_IF_ERROR(Deliver(frame, &done));
   }
-  if (std::get_if<ByeMsg>(&m.body) != nullptr) {
-    *done = true;
-    return Status::Ok();
+  return Status::Ok();
+}
+
+Status TokenClient::Deliver(const Bytes& frame, bool* done) {
+  if (session_.serving()) {
+    ++frame_index_;
   }
-  if (std::get_if<PartitionMapMsg>(&m.body) != nullptr) {
-    return Status::Ok();  // layout announcement; the requests follow
-  }
-  const RoundRequestMsg* req = std::get_if<RoundRequestMsg>(&m.body);
-  if (req == nullptr) {
-    ErrorMsg err{1, "unexpected message type"};
-    return SendFrame(EncodeError(err));
-  }
-  if (req->header.round_id < highest_round_) {
-    // Replay of an already-answered round (an equal id is the SSI's
-    // legitimate retry of a request we never answered).
-    ErrorMsg err{4, "stale round replay rejected"};
-    return SendFrame(EncodeError(err));
-  }
-  highest_round_ = req->header.round_id;
-  if (swallow_budget_ > 0) {
-    --swallow_budget_;  // fault plan: swallow the request silently
+  PDS_ASSIGN_OR_RETURN(TokenSession::Outcome out, session_.OnFrame(frame));
+  *done = out.done;
+  if (out.swallowed_round.has_value()) {
     log_.Add({frame_index_, FaultKind::kSwallowRequest, "token",
-              "round " + std::to_string(req->header.round_id) +
+              "round " + std::to_string(*out.swallowed_round) +
                   " swallowed"});
+  }
+  if (out.reply.has_value()) {
+    PDS_RETURN_IF_ERROR(transport_->Send(*out.reply));
+  }
+  if (!out.answered) {
     return Status::Ok();
-  }
-  // Parent this round's handler span under the SSI's round-trip span
-  // when the frame carried trace context; the merged Chrome trace then
-  // shows one cross-process timeline per round.
-  obs::RemoteParent remote;
-  if (m.trace.has_value()) {
-    remote.span_id = m.trace->parent_span_id;
-    remote.sampled = m.trace->sampled;
-  }
-  Status handled = Status::Ok();
-  switch (req->header.kind) {
-    case RoundKind::kCollect: {
-      obs::Span span("net.round.collect", "net", remote);
-      handled = HandleCollect(*req);
-      break;
-    }
-    case RoundKind::kAggregate: {
-      obs::Span span("net.round.aggregate", "net", remote);
-      handled = HandleAggregate(*req);
-      break;
-    }
-    case RoundKind::kFinalize: {
-      obs::Span span("net.round.finalize", "net", remote);
-      handled = HandleFinalize(*req);
-      break;
-    }
-    case RoundKind::kPackedCollect: {
-      if (config_.packed == nullptr) {
-        ErrorMsg err{2, "token has no packed-Paillier context"};
-        return SendFrame(EncodeError(err));
-      }
-      obs::Span span("net.round.packed-collect", "net", remote);
-      handled = HandlePackedCollect(*req);
-      break;
-    }
-    case RoundKind::kSealedCollect: {
-      obs::Span span("net.round.sealed-collect", "net", remote);
-      handled = HandleSealedCollect(*req);
-      break;
-    }
-    case RoundKind::kDetCollect: {
-      obs::Span span("net.round.det-collect", "net", remote);
-      handled = HandleDetCollect(*req);
-      break;
-    }
-    case RoundKind::kClassAggregate: {
-      obs::Span span("net.round.class-aggregate", "net", remote);
-      handled = HandleClassAggregate(*req);
-      break;
-    }
-  }
-  if (!handled.ok()) {
-    if (!IsRequestFault(handled)) {
-      return handled;
-    }
-    if (++malformed_seen_ > kMaxMalformedFrames) {
-      return Status::Corruption("too many malformed rounds from the SSI");
-    }
-    ErrorMsg err{3, "malformed round request"};
-    return SendFrame(EncodeError(err));
   }
   ++replies_since_connect_;
   return MaybeChurn();
+}
+
+Status TokenClient::MaybeChurn() {
+  const FaultPlan& fp = config_.faults;
+  if (fp.disconnect_after_replies == 0 ||
+      replies_since_connect_ < fp.disconnect_after_replies ||
+      reconnects_done_ >= config_.max_reconnects) {
+    return Status::Ok();
+  }
+  ++reconnects_done_;
+  transport_->Close();
+  log_.Add({frame_index_, FaultKind::kChurn, "token",
+            "disconnected after " + std::to_string(replies_since_connect_) +
+                " replies; reconnect attempt " +
+                std::to_string(reconnects_done_)});
+  if (config_.reconnect == nullptr) {
+    // Nobody to dial: stay gone and let the SSI degrade to quorum.
+    return Status::Ok();
+  }
+  uint32_t backoff =
+      config_.reconnect_backoff_ms * reconnects_done_ +
+      static_cast<uint32_t>(rng_.Uniform(config_.reconnect_backoff_ms + 1));
+  clock_->SleepMs(backoff);
+  PDS_ASSIGN_OR_RETURN(std::unique_ptr<Transport> fresh, config_.reconnect());
+  transport_ = std::move(fresh);
+  replies_since_connect_ = 0;
+  // Fresh challenge, fresh proof: membership is re-verified, a recorded
+  // proof from the first handshake would be rejected.
+  session_.Reconnect();
+  return Handshake();
 }
 
 Status TokenClient::ServeLoop() {
@@ -523,7 +564,7 @@ Status TokenClient::ServeLoop() {
       return Status::Ok();
     }
     bool done = false;
-    PDS_RETURN_IF_ERROR(ServeFrame(frame.value(), &done));
+    PDS_RETURN_IF_ERROR(Deliver(frame.value(), &done));
     if (done) {
       return Status::Ok();
     }
@@ -541,7 +582,7 @@ Status TokenClient::StartPumped() {
     return Status::FailedPrecondition("StartPumped called twice");
   }
   PDS_RETURN_IF_ERROR(PrepareTuples());
-  pump_state_ = PumpState::kAwaitChallenge;
+  pump_state_ = PumpState::kRunning;
   return Status::Ok();
 }
 
@@ -563,28 +604,8 @@ Result<bool> TokenClient::PumpOnce() {
     loop_status_ = Status::Ok();
     return false;
   }
-  Status st = Status::Ok();
   bool done = false;
-  switch (pump_state_) {
-    case PumpState::kAwaitChallenge:
-      st = OnChallengeFrame(frame.value());
-      if (st.ok()) {
-        pump_state_ = PumpState::kAwaitAck;
-      }
-      break;
-    case PumpState::kAwaitAck:
-      st = OnAckFrame(frame.value());
-      if (st.ok()) {
-        pump_state_ = PumpState::kServing;
-      }
-      break;
-    case PumpState::kServing:
-      st = ServeFrame(frame.value(), &done);
-      break;
-    default:
-      st = Status::FailedPrecondition("pump state machine out of sequence");
-      break;
-  }
+  Status st = Deliver(frame.value(), &done);
   if (!st.ok()) {
     pump_state_ = PumpState::kDone;
     loop_status_ = st;

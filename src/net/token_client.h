@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -18,15 +19,97 @@
 #include "net/transport.h"
 #include "pds/pds_node.h"
 
-/// The token side of the real wire: wraps a SecureToken (or a full PdsNode)
-/// in a runtime that connects to the SSI, proves fleet membership, and
-/// answers protocol rounds until told to stop.
+/// The token side of the wire. TokenSession is the token's whole protocol
+/// logic: it turns each frame the SSI sends into at most one reply frame.
+/// TokenClient runs a session over a real transport (its own thread, or
+/// pumped by the simulator); DirectTokenLink (net/direct_link.h) runs one
+/// inside Send() for the in-process global::*Protocol::Execute adapters.
 ///
-/// All plaintext handling happens here — "inside" the token, exactly as in
-/// the in-process protocols; only ciphertext and final (authorized)
-/// aggregates cross the transport.
+/// All plaintext handling happens in TokenSession — "inside" the token;
+/// only ciphertext and final (authorized) aggregates leave as replies.
 namespace pds::net {
 
+/// The token's side of one SSI session with the transport taken out: the
+/// challenge/hello/ack handshake, the replay check, and the [TNP14] round
+/// handlers. Nothing here blocks, sleeps, or owns a thread.
+class TokenSession {
+ public:
+  /// `tuples` (the token's authorized tuples) and `packed` (the querier's
+  /// public packing context; null refuses kPackedCollect rounds) are
+  /// pointed at, not copied, and must outlive the session. The first
+  /// `swallow_first` valid round requests get no reply (a token-level
+  /// fault from FaultPlan).
+  TokenSession(mcu::SecureToken* token,
+               const std::vector<global::SourceTuple>* tuples,
+               const crypto::PackedAggregate* packed,
+               uint32_t swallow_first = 0)
+      : token_(token),
+        tuples_(tuples),
+        packed_(packed),
+        swallow_budget_(swallow_first) {}
+
+  /// What one inbound frame produced.
+  struct Outcome {
+    std::optional<Bytes> reply;  // the frame to send back, if any
+    bool answered = false;  // a round handler ran and replied
+    bool done = false;      // Bye: the session ended cleanly
+    /// Set when the fault plan swallowed this round request.
+    std::optional<uint32_t> swallowed_round;
+  };
+
+  /// Advances the session by one inbound frame. An error is fatal to the
+  /// session; a malformed frame or round is answered with an ErrorMsg
+  /// instead, up to a bound.
+  [[nodiscard]] Result<Outcome> OnFrame(ByteView frame);
+
+  /// True once the handshake completed.
+  [[nodiscard]] bool serving() const { return state_ == State::kServing; }
+
+  /// A new connection: the next frame must be a fresh challenge, and the
+  /// peer's checksum framing is forgotten. The highest answered round
+  /// survives, so a replay from before the reconnect is still refused.
+  void Reconnect() {
+    state_ = State::kAwaitChallenge;
+    peer_checksummed_ = false;
+  }
+
+ private:
+  enum class State : uint8_t { kAwaitChallenge, kAwaitAck, kServing };
+
+  [[nodiscard]] Result<Outcome> OnHandshakeFrame(const Message& m);
+  [[nodiscard]] Result<Outcome> OnServingFrame(const Message& m);
+  /// Every reply leaves through here: mirrors the SSI's checksum trailer
+  /// once one has been seen on the inbound side.
+  [[nodiscard]] Bytes Seal(Bytes frame) const;
+  /// Single egress point for decrypted per-group aggregates.
+  [[nodiscard]] Bytes SealAggResult(const AggResultMsg& reply) const;
+  [[nodiscard]] Result<Bytes> HandleCollect(const RoundRequestMsg& req);
+  [[nodiscard]] Result<Bytes> HandleAggregate(const RoundRequestMsg& req);
+  [[nodiscard]] Result<Bytes> HandleFinalize(const RoundRequestMsg& req);
+  [[nodiscard]] Result<Bytes> HandlePackedCollect(const RoundRequestMsg& req);
+  [[nodiscard]] Result<Bytes> HandleDetCollect(const RoundRequestMsg& req);
+  [[nodiscard]] Result<Bytes> HandleClassAggregate(const RoundRequestMsg& req);
+  [[nodiscard]] Result<Bytes> HandleSealedCollect(const RoundRequestMsg& req);
+
+  mcu::SecureToken* token_;
+  const std::vector<global::SourceTuple>* tuples_;
+  const crypto::PackedAggregate* packed_;
+  uint32_t swallow_budget_;
+  /// Highest round id answered so far: a request below it is a replay of an
+  /// already-answered round and gets refused (an equal id is the SSI's
+  /// legitimate retry of an unanswered request).
+  uint32_t highest_round_ = 0;
+  uint32_t malformed_seen_ = 0;
+  State state_ = State::kAwaitChallenge;
+  /// Set once an inbound frame carried a checksum trailer; all replies
+  /// mirror it afterwards.
+  bool peer_checksummed_ = false;
+};
+
+/// Runs a TokenSession over a transport: connects to the SSI, proves fleet
+/// membership, and answers protocol rounds until told to stop. Adds what a
+/// real token runtime needs around the session: the policy-checked tuple
+/// export of a PdsNode, token-level fault injection, and churn/reconnect.
 class TokenClient {
  public:
   struct Config {
@@ -106,14 +189,6 @@ class TokenClient {
   /// transport closed after rounds), or the fatal error that killed it.
   [[nodiscard]] Result<bool> PumpOnce();
 
-  /// True once PumpOnce() has seen the handshake through.
-  [[nodiscard]] bool pump_serving() const {
-    return pump_state_ == PumpState::kServing;
-  }
-  [[nodiscard]] bool pump_done() const {
-    return pump_state_ == PumpState::kDone;
-  }
-
   [[nodiscard]] const Transport& transport() const { return *transport_; }
 
   /// Token-level realized faults (swallows, churns) for scenario repro.
@@ -121,59 +196,33 @@ class TokenClient {
 
  private:
   /// Where the pumped session stands; blocking mode never leaves kIdle.
-  enum class PumpState { kIdle, kAwaitChallenge, kAwaitAck, kServing, kDone };
+  enum class PumpState { kIdle, kRunning, kDone };
 
-  [[nodiscard]] mcu::SecureToken* token() const;
   /// The tuple-export half of Connect(): policy-checked ExportAs from a
   /// PdsNode, or the pre-exported Config::tuples.
   [[nodiscard]] Status PrepareTuples();
   /// The handshake half of Connect(), reused on reconnect: a returning
   /// token must re-prove fleet membership against a FRESH challenge.
   [[nodiscard]] Status Handshake();
-  /// One inbound handshake frame each — the shared bodies of the blocking
-  /// Handshake() and the pumped state machine. Byte-for-byte the same
-  /// decoding, attestation, and replies on both paths.
-  [[nodiscard]] Status OnChallengeFrame(const Bytes& frame);
-  [[nodiscard]] Status OnAckFrame(const Bytes& frame);
-  /// One serve-loop iteration over an already-received frame: decode,
-  /// replay/fault handling, dispatch to the round handler, reply. Sets
-  /// *done when the session ended cleanly (Bye).
-  [[nodiscard]] Status ServeFrame(const Bytes& frame, bool* done);
-  /// All frames leave through here: mirrors the SSI's checksum trailer once
-  /// one has been seen on the inbound side.
-  [[nodiscard]] Status SendFrame(const Bytes& frame);
-  /// Single egress point for decrypted per-group aggregates.
-  [[nodiscard]] Status SendAggResult(const AggResultMsg& reply);
+  /// Feeds one received frame (handshake or round) to the session, sends
+  /// its reply, and applies the token-level fault plan. Sets *done when the
+  /// session ended cleanly (Bye).
+  [[nodiscard]] Status Deliver(const Bytes& frame, bool* done);
   /// Fault-plan churn: after enough replies, close the transport, back off
   /// with seeded jitter, and re-handshake over a fresh connection.
   [[nodiscard]] Status MaybeChurn();
-  [[nodiscard]] Status HandleCollect(const RoundRequestMsg& req);
-  [[nodiscard]] Status HandleAggregate(const RoundRequestMsg& req);
-  [[nodiscard]] Status HandleFinalize(const RoundRequestMsg& req);
-  [[nodiscard]] Status HandlePackedCollect(const RoundRequestMsg& req);
-  [[nodiscard]] Status HandleDetCollect(const RoundRequestMsg& req);
-  [[nodiscard]] Status HandleClassAggregate(const RoundRequestMsg& req);
-  [[nodiscard]] Status HandleSealedCollect(const RoundRequestMsg& req);
 
   std::unique_ptr<Transport> transport_;
   Config config_;
   Clock* clock_;  // never null: Config::clock or the wall clock
   PumpState pump_state_ = PumpState::kIdle;
   std::vector<global::SourceTuple> tuples_;
+  TokenSession session_;  // points at tuples_
   InjectionLog log_;
   Rng rng_;  // jitter + fault draws, seeded from the fault plan
-  uint32_t swallow_budget_ = 0;
   uint64_t frame_index_ = 0;          // frames received this session
   uint64_t replies_since_connect_ = 0;
   uint32_t reconnects_done_ = 0;
-  /// Highest round id answered so far: a request below it is a replay of an
-  /// already-answered round and gets refused (an equal id is the SSI's
-  /// legitimate retry of an unanswered request).
-  uint32_t highest_round_ = 0;
-  /// Set once an inbound frame carried a checksum trailer; all frames we
-  /// send afterwards mirror it.
-  bool peer_checksummed_ = false;
-  uint32_t malformed_seen_ = 0;
   std::atomic<bool> stop_{false};
   std::thread thread_;
   Status loop_status_;

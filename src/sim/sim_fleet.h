@@ -5,7 +5,6 @@
 #include <memory>
 #include <vector>
 
-#include "global/agg_protocols.h"
 #include "global/common.h"
 #include "mcu/secure_token.h"
 #include "net/ssi_server.h"

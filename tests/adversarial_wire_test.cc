@@ -38,7 +38,6 @@ struct ScenarioFleet {
   std::unique_ptr<mcu::SecureToken> verifier;
   std::vector<std::string> domain;
   std::unique_ptr<crypto::PackedAggregate> packed;
-  global::PackedPaillierProtocol::Config packed_cfg;
 };
 
 ScenarioFleet MakeScenarioFleet(size_t n) {
@@ -80,10 +79,6 @@ ScenarioFleet MakeScenarioFleet(size_t n) {
   EXPECT_TRUE(packed.ok());
   f.packed =
       std::make_unique<crypto::PackedAggregate>(std::move(packed).value());
-  f.packed_cfg.domain = f.domain;
-  f.packed_cfg.max_slot_value = 4096;
-  f.packed_cfg.paillier_bits = 256;
-  f.packed_cfg.key_seed = 42;
   return f;
 }
 
@@ -92,7 +87,6 @@ void FillSpec(ScenarioSpec* spec, ScenarioFleet* fleet) {
   spec->verifier = fleet->verifier.get();
   spec->domain = fleet->domain;
   spec->packed = fleet->packed.get();
-  spec->packed_cfg = fleet->packed_cfg;
 }
 
 /// Runs the whole default matrix and asserts the hardening guarantees cell

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
 #include <memory>
 
 #include "common/rng.h"
@@ -94,6 +96,40 @@ TEST_F(AggProtocolTest, SecureAggRejectsImpossibleCapacity) {
   SecureAggProtocol protocol({2});
   auto output = protocol.Execute(participants_, AggFunc::kSum);
   EXPECT_EQ(output.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST_F(AggProtocolTest, SecureAggRejectsZeroCapacity) {
+  // A zero capacity would divide by zero in the partition loop; it must
+  // fail before any token does any work.
+  SecureAggProtocol protocol({0});
+  auto output = protocol.Execute(participants_, AggFunc::kSum);
+  EXPECT_EQ(output.status().code(), StatusCode::kInvalidArgument);
+  for (const auto& token : tokens_) {
+    EXPECT_EQ(token->crypto_ops().total(), 0u);
+  }
+}
+
+TEST_F(AggProtocolTest, NoiseProtocolsRejectUnboundedSendLists) {
+  // Every token refuses a send list one reply batch cannot carry (and a
+  // ratio that is not a finite non-negative number); the in-process run
+  // makes the same check up front, so these fail fast and touch no token.
+  for (double ratio : {std::numeric_limits<double>::quiet_NaN(), -1.0,
+                       1e12}) {
+    WhiteNoiseProtocol protocol({ratio, 3});
+    auto output = protocol.Execute(participants_, AggFunc::kSum);
+    EXPECT_EQ(output.status().code(), StatusCode::kInvalidArgument) << ratio;
+  }
+  DomainNoiseProtocol::Config cfg;
+  for (int i = 0; i < 5; ++i) {
+    cfg.domain.push_back("city-" + std::to_string(i));
+  }
+  cfg.fakes_per_value = UINT32_MAX;
+  DomainNoiseProtocol domain(cfg);
+  auto output = domain.Execute(participants_, AggFunc::kSum);
+  EXPECT_EQ(output.status().code(), StatusCode::kInvalidArgument);
+  for (const auto& token : tokens_) {
+    EXPECT_EQ(token->crypto_ops().total(), 0u);
+  }
 }
 
 TEST_F(AggProtocolTest, WhiteNoiseSumCountAvg) {
@@ -290,7 +326,7 @@ TEST_F(AggProtocolTest, MetricsInvariantsHoldForEveryProtocol) {
     EXPECT_GT(m.rounds, 0u) << protocol->name();
     EXPECT_GT(m.bytes_token_to_ssi, 0u) << protocol->name();
     EXPECT_GT(m.messages, 0u) << protocol->name();
-    // In-process protocols model always-connected tokens.
+    // In-process runs need every token to answer (quorum 1.0).
     EXPECT_EQ(m.tokens_missing, 0u) << protocol->name();
   }
 }

@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+
 #include "net/codec.h"
 
 namespace pds::net {
@@ -300,6 +303,50 @@ TEST(NetCodecTest, EmptyBatchAndEmptyEntriesRoundTrip) {
   auto decoded2 = DecodeMessage(EncodeAggResult(ar));
   ASSERT_TRUE(decoded2.ok());
   EXPECT_TRUE(std::get<AggResultMsg>(decoded2->body).entries.empty());
+}
+
+TEST(NetCodecTest, DetParamsRejectNonFiniteOrNegativeRatio) {
+  // The ratio comes from the untrusted SSI; the token casts
+  // real_count * ratio to a count, so NaN or a negative value must never
+  // decode.
+  DetParams p;
+  ASSERT_TRUE(DecodeDetParams(ByteView(EncodeDetParams(p))).ok());
+  for (double ratio : {std::numeric_limits<double>::quiet_NaN(), -1.0,
+                       std::numeric_limits<double>::infinity()}) {
+    p.noise_ratio = ratio;
+    auto decoded = DecodeDetParams(ByteView(EncodeDetParams(p)));
+    EXPECT_EQ(decoded.status().code(), StatusCode::kCorruption) << ratio;
+  }
+}
+
+TEST(NetCodecTest, DetSendListSizeBoundsEveryVariant) {
+  constexpr size_t kMaxPairs = kMaxBatchTuples / 2;
+  DetParams white;
+  white.variant = DetVariant::kWhiteNoise;
+  white.noise_ratio = 0.5;
+  EXPECT_EQ(DetSendListSize(white, 10, 0).value(), 15u);  // 10 + floor(5)
+  white.noise_ratio = 1e12;
+  EXPECT_EQ(DetSendListSize(white, 10, 0).status().code(),
+            StatusCode::kInvalidArgument);
+  for (double ratio : {std::numeric_limits<double>::quiet_NaN(), -1.0}) {
+    white.noise_ratio = ratio;
+    EXPECT_EQ(DetSendListSize(white, 10, 0).status().code(),
+              StatusCode::kInvalidArgument)
+        << ratio;
+  }
+
+  DetParams domain;
+  domain.variant = DetVariant::kDomainNoise;
+  domain.fakes_per_value = 2;
+  EXPECT_EQ(DetSendListSize(domain, 3, 5).value(), 13u);
+  domain.fakes_per_value = UINT32_MAX;
+  EXPECT_EQ(DetSendListSize(domain, 3, 5).status().code(),
+            StatusCode::kInvalidArgument);
+
+  DetParams histogram;
+  histogram.variant = DetVariant::kHistogram;
+  EXPECT_EQ(DetSendListSize(histogram, kMaxPairs, 0).value(), kMaxPairs);
+  EXPECT_FALSE(DetSendListSize(histogram, kMaxPairs + 1, 0).ok());
 }
 
 }  // namespace

@@ -1,11 +1,14 @@
 // pds::net end-to-end: transports (in-process, Unix socketpair, TCP
 // loopback), the SsiServer/TokenClient handshake, and the secure
-// aggregation protocol over the real wire — byte-identical results to the
-// in-process protocol, measured framed-byte accounting, and quorum /
-// timeout / retry behaviour with dropped or flaky tokens.
+// aggregation protocol over the real wire — results bit-equal to the
+// plaintext aggregate, in-process Execute reporting the same measured
+// Metrics as threaded clients, and quorum / timeout / retry behaviour with
+// dropped or flaky tokens.
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
 #include <memory>
 #include <set>
 #include <sstream>
@@ -15,6 +18,8 @@
 #include "common/clock.h"
 #include "common/rng.h"
 #include "global/agg_protocols.h"
+#include "net/direct_link.h"
+#include "net/scenario.h"
 #include "net/ssi_server.h"
 #include "net/token_client.h"
 #include "obs/obs.h"
@@ -121,8 +126,8 @@ TEST(NetTransportTest, TcpLoopbackConnectAndExchange) {
 // ---------------------------------------------------------------------------
 // Protocol over the wire
 
-/// Deterministic token fleet + tuples, seeded exactly like AggProtocolTest
-/// so in-process and wire runs can be compared byte for byte.
+/// Deterministic token fleet + tuples, seeded exactly like AggProtocolTest.
+/// Values are integers, so any summation order gives bit-equal results.
 struct TestFleet {
   std::vector<std::unique_ptr<mcu::SecureToken>> tokens;
   std::vector<Participant> participants;
@@ -195,17 +200,10 @@ void JoinAll(SsiServer* server,
 }
 
 TEST(NetSecureAggTest, LoopbackMatchesInProcessByteIdentical) {
-  // Two identically-seeded fleets: one runs the in-process protocol, the
-  // other the wire protocol. Same item order, same partitions, same token
-  // RNG streams => exactly equal results, leakage and token work.
-  TestFleet inproc = MakeTestFleet(6);
-  global::SecureAggProtocol::Config pcfg;
-  pcfg.partition_capacity = 16;
-  global::SecureAggProtocol protocol(pcfg);
-  auto expected = protocol.Execute(inproc.participants, AggFunc::kSum);
-  ASSERT_TRUE(expected.ok()) << expected.status().ToString();
-
+  // The wire run over threaded clients equals the in-process plaintext
+  // oracle bit for bit, and the SSI's view stays one class per tuple.
   TestFleet wired = MakeTestFleet(6);
+  auto expected = global::PlainAggregate(wired.participants, AggFunc::kSum);
   SsiServer::Config scfg;
   scfg.partition_capacity = 16;
   scfg.verifier = wired.verifier.get();
@@ -215,63 +213,17 @@ TEST(NetSecureAggTest, LoopbackMatchesInProcessByteIdentical) {
   JoinAll(&server, &clients);
   ASSERT_TRUE(output.ok()) << output.status().ToString();
 
-  // Bit-exact group results (doubles compared with ==).
-  ASSERT_EQ(output->groups.size(), expected->groups.size());
-  for (const auto& [group, value] : expected->groups) {
-    ASSERT_TRUE(output->groups.count(group)) << group;
-    EXPECT_EQ(output->groups[group], value) << group;
-  }
-  // Same SSI view and same token work as in-process.
-  EXPECT_EQ(output->leakage.tuples_observed,
-            expected->leakage.tuples_observed);
+  EXPECT_EQ(output->groups, expected);  // doubles compared with ==
   EXPECT_EQ(output->leakage.distinct_classes,
-            expected->leakage.distinct_classes);
-  EXPECT_EQ(output->metrics.token_crypto_ops,
-            expected->metrics.token_crypto_ops);
-  EXPECT_EQ(output->metrics.rounds, expected->metrics.rounds);
+            output->leakage.tuples_observed);
+  EXPECT_GT(output->metrics.rounds, 2u);  // capacity 16 forces re-partitions
   EXPECT_EQ(output->metrics.tokens_missing, 0u);
   EXPECT_EQ(server.last_report().responders, 6u);
 }
 
-TEST(NetSecureAggTest, FramedBytesExceedSyntheticAccounting) {
-  TestFleet inproc = MakeTestFleet(6);
-  global::SecureAggProtocol::Config pcfg;
-  pcfg.partition_capacity = 16;
-  global::SecureAggProtocol protocol(pcfg);
-  auto synthetic = protocol.Execute(inproc.participants, AggFunc::kSum);
-  ASSERT_TRUE(synthetic.ok());
-
-  TestFleet wired = MakeTestFleet(6);
-  SsiServer::Config scfg;
-  scfg.partition_capacity = 16;
-  scfg.verifier = wired.verifier.get();
-  SsiServer server(scfg);
-  auto clients = ConnectClients(&server, &wired);
-  auto output = server.RunSecureAggregation(AggFunc::kSum);
-  JoinAll(&server, &clients);
-  ASSERT_TRUE(output.ok());
-
-  // The wire pays for frame headers, length prefixes and round metadata on
-  // top of the ciphertexts the in-process model counts.
-  EXPECT_GT(output->metrics.bytes, synthetic->metrics.bytes);
-  EXPECT_GT(output->metrics.bytes_token_to_ssi,
-            synthetic->metrics.bytes_token_to_ssi);
-  EXPECT_GT(output->metrics.bytes_ssi_to_token,
-            synthetic->metrics.bytes_ssi_to_token);
-  // Directional sum invariant over measured frames.
-  EXPECT_EQ(output->metrics.bytes, output->metrics.bytes_token_to_ssi +
-                                       output->metrics.bytes_ssi_to_token);
-}
-
 TEST(NetSecureAggTest, SocketLoopbackMatchesInProcess) {
-  TestFleet inproc = MakeTestFleet(4);
-  global::SecureAggProtocol::Config pcfg;
-  pcfg.partition_capacity = 16;
-  global::SecureAggProtocol protocol(pcfg);
-  auto expected = protocol.Execute(inproc.participants, AggFunc::kSum);
-  ASSERT_TRUE(expected.ok());
-
   TestFleet wired = MakeTestFleet(4);
+  auto expected = global::PlainAggregate(wired.participants, AggFunc::kSum);
   SsiServer::Config scfg;
   scfg.partition_capacity = 16;
   scfg.verifier = wired.verifier.get();
@@ -293,17 +245,15 @@ TEST(NetSecureAggTest, SocketLoopbackMatchesInProcess) {
   auto output = server.RunSecureAggregation(AggFunc::kSum);
   JoinAll(&server, &clients);
   ASSERT_TRUE(output.ok()) << output.status().ToString();
-  ASSERT_EQ(output->groups.size(), expected->groups.size());
-  for (const auto& [group, value] : expected->groups) {
-    EXPECT_EQ(output->groups[group], value) << group;
-  }
+  EXPECT_EQ(output->groups, expected);  // doubles compared with ==
 }
 
 // ---------------------------------------------------------------------------
 // Slot-packed Paillier round over the wire
 
-/// The querier-side packed context, built exactly as the in-process
-/// PackedPaillierProtocol builds it so both runs share keypair and layout.
+/// The querier-side packed context, built exactly as
+/// PackedPaillierProtocol::Execute builds it (256-bit key from seed 42,
+/// slot cap 4096) so both runs share keypair and layout.
 struct PackedContext {
   std::vector<std::string> domain;
   std::unique_ptr<crypto::PackedAggregate> agg;
@@ -325,22 +275,130 @@ PackedContext MakePackedContext(size_t fleet_size) {
   return ctx;
 }
 
-TEST(NetPackedAggTest, PackedLoopbackMatchesInProcessByteIdentical) {
-  // In-process packed protocol vs the same fleet over the wire: identical
-  // keypair, layout and token RNG streams => identical groups, leakage and
-  // token work.
-  TestFleet inproc = MakeTestFleet(6);
-  global::PackedPaillierProtocol::Config pcfg;
-  for (int i = 0; i < 5; ++i) {
-    pcfg.domain.push_back("city-" + std::to_string(i));
+/// The in-process run of `kind` over `fleet`, with the parameters the wire
+/// run in InProcessExecuteReportsThreadedWireMetrics uses.
+Result<global::AggOutput> ExecuteInProcess(WireProtocol kind,
+                                           TestFleet* fleet) {
+  std::vector<std::string> domain;
+  for (int i = 0; i < 5; ++i) domain.push_back("city-" + std::to_string(i));
+  switch (kind) {
+    case WireProtocol::kSecureAgg:
+      return global::SecureAggProtocol({16}).Execute(fleet->participants,
+                                                     AggFunc::kSum);
+    case WireProtocol::kWhiteNoise:
+      return global::WhiteNoiseProtocol({0.5, 7})
+          .Execute(fleet->participants, AggFunc::kSum);
+    case WireProtocol::kDomainNoise: {
+      global::DomainNoiseProtocol::Config cfg;
+      cfg.domain = domain;
+      cfg.fakes_per_value = 2;
+      return global::DomainNoiseProtocol(cfg).Execute(fleet->participants,
+                                                      AggFunc::kSum);
+    }
+    case WireProtocol::kHistogram:
+      return global::HistogramProtocol({4}).Execute(fleet->participants,
+                                                    AggFunc::kSum);
+    case WireProtocol::kPacked: {
+      global::PackedPaillierProtocol::Config cfg;
+      cfg.domain = domain;
+      cfg.max_slot_value = 4096;
+      cfg.paillier_bits = 256;
+      cfg.key_seed = 42;
+      return global::PackedPaillierProtocol(cfg).Execute(fleet->participants,
+                                                         AggFunc::kSum);
+    }
   }
-  pcfg.max_slot_value = 4096;
-  pcfg.paillier_bits = 256;
-  pcfg.key_seed = 42;
-  global::PackedPaillierProtocol protocol(pcfg);
-  auto expected = protocol.Execute(inproc.participants, AggFunc::kSum);
-  ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+  return Status::InvalidArgument("unknown protocol");
+}
 
+TEST(NetSecureAggTest, InProcessExecuteReportsThreadedWireMetrics) {
+  // global::*Protocol::Execute drives the SSI and token handlers over a
+  // synchronous DirectTokenLink. On identically seeded fleets it must
+  // report exactly what threaded TokenClients over InProcessTransport
+  // report: every Metrics field (frame bytes with headers, both
+  // directions), the groups, and the SSI's leakage view.
+  for (WireProtocol kind :
+       {WireProtocol::kSecureAgg, WireProtocol::kWhiteNoise,
+        WireProtocol::kDomainNoise, WireProtocol::kHistogram,
+        WireProtocol::kPacked}) {
+    SCOPED_TRACE(WireProtocolName(kind));
+    TestFleet inproc = MakeTestFleet(6);
+    auto expected = ExecuteInProcess(kind, &inproc);
+    ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+
+    TestFleet wired = MakeTestFleet(6);
+    PackedContext packed = MakePackedContext(6);
+    SsiServer::Config scfg;
+    scfg.partition_capacity = 16;
+    scfg.verifier = wired.verifier.get();
+    SsiServer server(scfg);
+    std::vector<std::unique_ptr<TokenClient>> clients;
+    for (size_t i = 0; i < wired.participants.size(); ++i) {
+      auto [server_end, client_end] = InProcessTransport::CreatePair();
+      TokenClient::Config ccfg;
+      ccfg.token = wired.tokens[i].get();
+      ccfg.tuples = wired.participants[i].tuples;
+      ccfg.packed = packed.agg.get();
+      clients.push_back(
+          std::make_unique<TokenClient>(std::move(client_end), ccfg));
+      clients.back()->Start();
+      ASSERT_TRUE(server.AcceptSession(std::move(server_end)).ok());
+    }
+    SsiServer::DetRunConfig det;
+    det.noise_ratio = 0.5;
+    det.noise_seed = 7;
+    det.fakes_per_value = 2;
+    det.domain = packed.domain;
+    det.num_buckets = 4;
+    Result<global::AggOutput> output = Status::Internal("unset");
+    switch (kind) {
+      case WireProtocol::kSecureAgg:
+        output = server.RunSecureAggregation(AggFunc::kSum);
+        break;
+      case WireProtocol::kWhiteNoise:
+        det.variant = DetVariant::kWhiteNoise;
+        output = server.RunDetAggregation(AggFunc::kSum, det);
+        break;
+      case WireProtocol::kDomainNoise:
+        det.variant = DetVariant::kDomainNoise;
+        output = server.RunDetAggregation(AggFunc::kSum, det);
+        break;
+      case WireProtocol::kHistogram:
+        det.variant = DetVariant::kHistogram;
+        output = server.RunDetAggregation(AggFunc::kSum, det);
+        break;
+      case WireProtocol::kPacked:
+        output = server.RunPackedAggregation(AggFunc::kSum, *packed.agg,
+                                             packed.domain);
+        break;
+    }
+    JoinAll(&server, &clients);
+    ASSERT_TRUE(output.ok()) << output.status().ToString();
+
+    const global::Metrics& want = output->metrics;
+    const global::Metrics& got = expected->metrics;
+    EXPECT_EQ(got.messages, want.messages);
+    EXPECT_EQ(got.bytes, want.bytes);
+    EXPECT_EQ(got.rounds, want.rounds);
+    EXPECT_EQ(got.token_crypto_ops, want.token_crypto_ops);
+    EXPECT_EQ(got.ssi_ops, want.ssi_ops);
+    EXPECT_EQ(got.bytes_token_to_ssi, want.bytes_token_to_ssi);
+    EXPECT_EQ(got.bytes_ssi_to_token, want.bytes_ssi_to_token);
+    EXPECT_EQ(got.tokens_missing, want.tokens_missing);
+    EXPECT_EQ(got.bytes, got.bytes_token_to_ssi + got.bytes_ssi_to_token);
+    EXPECT_EQ(expected->groups, output->groups);
+    EXPECT_EQ(expected->leakage.tuples_observed,
+              output->leakage.tuples_observed);
+    EXPECT_EQ(expected->leakage.class_sizes, output->leakage.class_sizes);
+    EXPECT_EQ(expected->groups,
+              global::PlainAggregate(inproc.participants, AggFunc::kSum));
+  }
+}
+
+TEST(NetPackedAggTest, PackedLoopbackMatchesInProcessByteIdentical) {
+  // The packed round over threaded clients equals the plaintext oracle bit
+  // for bit: one ciphertext per token, one fold per extra token, one
+  // querier decrypt.
   TestFleet wired = MakeTestFleet(6);
   PackedContext ctx = MakePackedContext(6);
   SsiServer::Config scfg;
@@ -365,18 +423,13 @@ TEST(NetPackedAggTest, PackedLoopbackMatchesInProcessByteIdentical) {
   JoinAll(&server, &clients);
   ASSERT_TRUE(output.ok()) << output.status().ToString();
 
-  ASSERT_EQ(output->groups.size(), expected->groups.size());
-  for (const auto& [group, value] : expected->groups) {
-    ASSERT_TRUE(output->groups.count(group)) << group;
-    EXPECT_EQ(output->groups[group], value) << group;
-  }
+  EXPECT_EQ(output->groups,
+            global::PlainAggregate(wired.participants, AggFunc::kSum));
   EXPECT_EQ(output->metrics.rounds, 1u);
-  EXPECT_EQ(output->metrics.token_crypto_ops,
-            expected->metrics.token_crypto_ops);
-  EXPECT_EQ(output->leakage.tuples_observed,
-            expected->leakage.tuples_observed);
-  EXPECT_EQ(output->leakage.distinct_classes,
-            expected->leakage.distinct_classes);
+  EXPECT_EQ(output->metrics.token_crypto_ops, 6u + 1u);
+  EXPECT_EQ(output->metrics.ssi_ops, 6u - 1u);
+  EXPECT_EQ(output->leakage.tuples_observed, 6u);
+  EXPECT_EQ(output->leakage.distinct_classes, 6u);
   EXPECT_EQ(output->metrics.tokens_missing, 0u);
   // Directional sum invariant over measured frames.
   EXPECT_EQ(output->metrics.bytes, output->metrics.bytes_token_to_ssi +
@@ -632,6 +685,96 @@ TEST(NetQuorumTest, RetryRecoversFlakyToken) {
 
 // ---------------------------------------------------------------------------
 // Handshake
+
+// ---------------------------------------------------------------------------
+// Hostile round parameters: the token does not trust the SSI's DetParams
+
+/// A token session past its handshake, answered synchronously.
+std::unique_ptr<DirectTokenLink> ServingLink(TestFleet* fleet) {
+  auto link = std::make_unique<DirectTokenLink>(
+      fleet->tokens[0].get(), &fleet->participants[0].tuples, nullptr);
+  EXPECT_TRUE(link->Send(EncodeChallenge(ChallengeMsg{Bytes(16, 7)})).ok());
+  EXPECT_TRUE(DecodeAs<HelloMsg>(link->Recv(0).value()).ok());
+  EXPECT_TRUE(link->Send(EncodeHelloAck(HelloAckMsg{true})).ok());
+  return link;
+}
+
+TEST(NetHostileParamsTest, TokenRefusesSendListsBeyondOneBatch) {
+  // The SSI's parameters must not make the token do undefined or unbounded
+  // work: a NaN or negative ratio cannot become a fake count, and 1e12 or
+  // UINT32_MAX fakes per domain value would loop for hours. Each gets an
+  // error reply, and the session survives.
+  TestFleet fleet = MakeTestFleet(1);
+  auto link = ServingLink(&fleet);
+  std::vector<Bytes> domain;
+  for (int i = 0; i < 5; ++i) {
+    domain.push_back(ByteView(std::string_view("city-" + std::to_string(i)))
+                         .ToBytes());
+  }
+  DetParams nan_ratio, negative_ratio, huge_ratio, huge_fakes;
+  nan_ratio.noise_ratio = std::numeric_limits<double>::quiet_NaN();
+  negative_ratio.noise_ratio = -1.0;
+  huge_ratio.noise_ratio = 1e12;
+  huge_fakes.variant = DetVariant::kDomainNoise;
+  huge_fakes.fakes_per_value = UINT32_MAX;
+  uint32_t round = 1;
+  for (const DetParams& params :
+       {nan_ratio, negative_ratio, huge_ratio, huge_fakes}) {
+    RoundRequestMsg req;
+    req.header.round_id = round++;
+    req.header.kind = RoundKind::kDetCollect;
+    req.batch.push_back(EncodeDetParams(params));
+    if (params.variant == DetVariant::kDomainNoise) {
+      req.batch.insert(req.batch.end(), domain.begin(), domain.end());
+    }
+    ASSERT_TRUE(link->Send(EncodeRoundRequest(req)).ok());
+    auto err = DecodeAs<ErrorMsg>(link->Recv(0).value());
+    ASSERT_TRUE(err.ok()) << "round " << req.header.round_id;
+    EXPECT_EQ(err->code, 3);
+  }
+  // A sane round on the same session is still answered.
+  RoundRequestMsg req;
+  req.header.round_id = round;
+  req.header.kind = RoundKind::kDetCollect;
+  DetParams sane;
+  sane.noise_ratio = 0.5;
+  req.batch.push_back(EncodeDetParams(sane));
+  ASSERT_TRUE(link->Send(EncodeRoundRequest(req)).ok());
+  auto batch = DecodeAs<TupleBatchMsg>(link->Recv(0).value());
+  ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+  const size_t real = fleet.participants[0].tuples.size();
+  EXPECT_EQ(batch->batch.size(), 2 * (real + real / 2));
+}
+
+TEST(NetHostileParamsTest, SsiRejectsUnusableParamsBeforeAnyFrame) {
+  TestFleet fleet = MakeTestFleet(2);
+  SsiServer::Config scfg;
+  scfg.partition_capacity = 0;  // would divide by zero partitioning
+  scfg.verifier = fleet.verifier.get();
+  SsiServer server(scfg);
+  for (Participant& p : fleet.participants) {
+    ASSERT_TRUE(server
+                    .AcceptSession(std::make_unique<DirectTokenLink>(
+                        p.token, &p.tuples, nullptr))
+                    .ok());
+  }
+  obs::Counter* frames_sent =
+      obs::Registry::Global().GetCounter("net.frames_sent", "ops");
+  const uint64_t before = frames_sent->Value();
+  EXPECT_EQ(server.RunSecureAggregation(AggFunc::kSum).status().code(),
+            StatusCode::kInvalidArgument);
+  SsiServer::DetRunConfig det;
+  det.noise_ratio = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_EQ(server.RunDetAggregation(AggFunc::kSum, det).status().code(),
+            StatusCode::kInvalidArgument);
+  det.variant = DetVariant::kDomainNoise;
+  det.noise_ratio = 0;
+  det.domain = {"city-0"};
+  det.fakes_per_value = UINT32_MAX;
+  EXPECT_EQ(server.RunDetAggregation(AggFunc::kSum, det).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(frames_sent->Value(), before);
+}
 
 TEST(NetHandshakeTest, AcceptsFleetMember) {
   TestFleet fleet = MakeTestFleet(1);
