@@ -193,7 +193,9 @@ int main() {
   }
   // The request is buffered by the kernel, so one thread suffices: send,
   // let the server answer, read the reply.
-  if (!(*admin)->Send(pds::net::EncodeStatsRequest()).ok()) {
+  const pds::Bytes stats_request =
+      pds::net::EncodeMessage({pds::net::StatsRequestMsg{}});
+  if (!(*admin)->Send(stats_request).ok()) {
     std::fprintf(stderr, "stats request failed\n");
     return 1;
   }

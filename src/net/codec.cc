@@ -11,10 +11,11 @@ namespace pds::net {
 namespace {
 
 /// Appends payload bytes after an 8-byte header placeholder; Seal() patches
-/// the header once the payload length is known.
+/// the header once the payload length is known and, on a checksummed frame,
+/// appends the trailer over everything written before it.
 class Writer {
  public:
-  explicit Writer(MsgType type) : type_(type) {
+  Writer(MsgType type, uint8_t flags) : type_(type), flags_(flags) {
     out_.resize(kFrameHeaderSize);
   }
 
@@ -32,19 +33,27 @@ class Writer {
   }
 
   [[nodiscard]] Bytes Seal() && {
-    uint32_t payload_len =
-        static_cast<uint32_t>(out_.size() - kFrameHeaderSize);
+    const bool checksummed = (flags_ & kFrameChecksummed) != 0;
+    uint32_t payload_len = static_cast<uint32_t>(
+        out_.size() - kFrameHeaderSize +
+        (checksummed ? kFrameChecksumSize : 0));
     uint8_t* p = out_.data();
     p[0] = static_cast<uint8_t>(kMagic & 0xff);
     p[1] = static_cast<uint8_t>(kMagic >> 8);
-    p[2] = kWireVersion;
+    p[2] = flags_;
     p[3] = static_cast<uint8_t>(type_);
     EncodeU32(p + 4, payload_len);
+    if (checksummed) {
+      // The trailer covers the header too, so a flipped flag, type or
+      // length byte is caught like any other.
+      PutU64(&out_, Fnv1a64(ByteView(out_.data(), out_.size())));
+    }
     return std::move(out_);
   }
 
  private:
   MsgType type_;
+  uint8_t flags_;
   Bytes out_;
 };
 
@@ -254,20 +263,6 @@ class Reader {
   return m;
 }
 
-/// Fixed-size trace block at the head of a version-2 payload. No
-/// allocation; the flags byte must only carry defined bits.
-[[nodiscard]] Result<TraceContext> DecodeTraceContext(Reader* r) {
-  TraceContext ctx;
-  PDS_ASSIGN_OR_RETURN(ctx.trace_id, r->U64());
-  PDS_ASSIGN_OR_RETURN(ctx.parent_span_id, r->U64());
-  PDS_ASSIGN_OR_RETURN(uint8_t flags, r->U8());
-  if ((flags & ~uint8_t{1}) != 0) {
-    return Status::Corruption("undefined trace-context flag bits");
-  }
-  ctx.sampled = (flags & 1) != 0;
-  return ctx;
-}
-
 void PutBatch(Writer* w, const std::vector<Bytes>& batch) {
   w->U32(static_cast<uint32_t>(batch.size()));
   for (const Bytes& ct : batch) {
@@ -275,101 +270,75 @@ void PutBatch(Writer* w, const std::vector<Bytes>& batch) {
   }
 }
 
+void PutBody(Writer* w, const ChallengeMsg& m) { w->Blob(m.nonce); }
+
+void PutBody(Writer* w, const HelloMsg& m) {
+  w->U64(m.token_id);
+  w->Blob(ByteView(m.proof.data(), m.proof.size()));
+}
+
+void PutBody(Writer* w, const HelloAckMsg& m) { w->U8(m.accepted ? 1 : 0); }
+
+void PutBody(Writer* w, const RoundRequestMsg& m) {
+  w->U32(m.header.round_id);
+  w->U8(static_cast<uint8_t>(m.header.kind));
+  w->U8(static_cast<uint8_t>(m.header.func));
+  PutBatch(w, m.batch);
+}
+
+void PutBody(Writer* w, const PartitionMapMsg& m) {
+  w->U32(m.round_id);
+  w->U32(static_cast<uint32_t>(m.parts.size()));
+  for (const PartitionAssignment& a : m.parts) {
+    w->U32(a.partition);
+    w->U32(a.session);
+    w->U32(a.num_items);
+  }
+}
+
+void PutBody(Writer* w, const TupleBatchMsg& m) {
+  w->U32(m.round_id);
+  w->U64(m.token_ops);
+  PutBatch(w, m.batch);
+}
+
+void PutBody(Writer* w, const AggResultMsg& m) {
+  w->U32(m.round_id);
+  w->U64(m.token_ops);
+  w->U32(static_cast<uint32_t>(m.entries.size()));
+  for (const AggResultEntry& e : m.entries) {
+    w->Blob(ByteView(std::string_view(e.group)));
+    w->F64(e.sum);
+    w->U64(e.count);
+  }
+}
+
+void PutBody(Writer* w, const ErrorMsg& m) {
+  w->U8(m.code);
+  w->Blob(ByteView(std::string_view(m.message)));
+}
+
+void PutBody(Writer* /*w*/, const ByeMsg& /*m*/) {}
+
+void PutBody(Writer* /*w*/, const StatsRequestMsg& /*m*/) {}
+
+void PutBody(Writer* w, const StatsReplyMsg& m) {
+  w->Blob(ByteView(std::string_view(m.json)));
+}
+
 }  // namespace
 
-Bytes EncodeChallenge(const ChallengeMsg& m) {
-  Writer w(MsgType::kChallenge);
-  w.Blob(m.nonce);
-  return std::move(w).Seal();
-}
-
-Bytes EncodeHello(const HelloMsg& m) {
-  Writer w(MsgType::kHello);
-  w.U64(m.token_id);
-  w.Blob(ByteView(m.proof.data(), m.proof.size()));
-  return std::move(w).Seal();
-}
-
-Bytes EncodeHelloAck(const HelloAckMsg& m) {
-  Writer w(MsgType::kHelloAck);
-  w.U8(m.accepted ? 1 : 0);
-  return std::move(w).Seal();
-}
-
-Bytes EncodeRoundRequest(const RoundRequestMsg& m) {
-  Writer w(MsgType::kRoundRequest);
-  w.U32(m.header.round_id);
-  w.U8(static_cast<uint8_t>(m.header.kind));
-  w.U8(static_cast<uint8_t>(m.header.func));
-  PutBatch(&w, m.batch);
-  return std::move(w).Seal();
-}
-
-Bytes EncodePartitionMap(const PartitionMapMsg& m) {
-  Writer w(MsgType::kPartitionMap);
-  w.U32(m.round_id);
-  w.U32(static_cast<uint32_t>(m.parts.size()));
-  for (const PartitionAssignment& a : m.parts) {
-    w.U32(a.partition);
-    w.U32(a.session);
-    w.U32(a.num_items);
+Bytes EncodeMessage(const Message& m) {
+  const uint8_t flags =
+      static_cast<uint8_t>((m.trace.has_value() ? kFrameTraced : 0) |
+                           (m.checksummed ? kFrameChecksummed : 0));
+  Writer w(m.type(), flags);
+  if (m.trace.has_value()) {
+    w.U64(m.trace->trace_id);
+    w.U64(m.trace->parent_span_id);
   }
+  std::visit([&w](const auto& body) { PutBody(&w, body); }, m.body);
   return std::move(w).Seal();
-}
-
-Bytes EncodeTupleBatch(const TupleBatchMsg& m) {
-  Writer w(MsgType::kTupleBatch);
-  w.U32(m.round_id);
-  w.U64(m.token_ops);
-  PutBatch(&w, m.batch);
-  return std::move(w).Seal();
-}
-
-Bytes EncodeAggResult(const AggResultMsg& m) {
-  Writer w(MsgType::kAggResult);
-  w.U32(m.round_id);
-  w.U64(m.token_ops);
-  w.U32(static_cast<uint32_t>(m.entries.size()));
-  for (const AggResultEntry& e : m.entries) {
-    w.Blob(ByteView(std::string_view(e.group)));
-    w.F64(e.sum);
-    w.U64(e.count);
-  }
-  return std::move(w).Seal();
-}
-
-Bytes EncodeError(const ErrorMsg& m) {
-  Writer w(MsgType::kError);
-  w.U8(m.code);
-  w.Blob(ByteView(std::string_view(m.message)));
-  return std::move(w).Seal();
-}
-
-Bytes EncodeBye() { return std::move(Writer(MsgType::kBye)).Seal(); }
-
-Bytes EncodeStatsRequest() {
-  return std::move(Writer(MsgType::kStatsRequest)).Seal();
-}
-
-Bytes EncodeStatsReply(const StatsReplyMsg& m) {
-  Writer w(MsgType::kStatsReply);
-  w.Blob(ByteView(std::string_view(m.json)));
-  return std::move(w).Seal();
-}
-
-Bytes AppendFrameChecksum(const Bytes& v1_frame) {
-  Bytes out;
-  out.reserve(v1_frame.size() + kFrameChecksumSize);
-  out = v1_frame;
-  out[2] = kWireVersionChecksummed;
-  EncodeU32(out.data() + 4,
-            static_cast<uint32_t>(out.size() - kFrameHeaderSize +
-                                  kFrameChecksumSize));
-  // Checksum covers the patched header too, so a flipped version or length
-  // byte is also caught.
-  uint64_t sum = Fnv1a64(ByteView(out.data(), out.size()));
-  PutU64(&out, sum);
-  return out;
 }
 
 Bytes EncodeDetParams(const DetParams& p) {
@@ -430,52 +399,6 @@ Result<size_t> DetSendListSize(const DetParams& p, size_t real_count,
   return real_count + static_cast<size_t>(fakes);
 }
 
-Bytes AttachTraceContext(const Bytes& v1_frame, const TraceContext& ctx) {
-  Bytes out;
-  out.reserve(v1_frame.size() + kTraceContextSize);
-  out.insert(out.end(), v1_frame.begin(),
-             v1_frame.begin() + kFrameHeaderSize);
-  out[2] = kWireVersionTraced;
-  PutU64(&out, ctx.trace_id);
-  PutU64(&out, ctx.parent_span_id);
-  out.push_back(ctx.sampled ? uint8_t{1} : uint8_t{0});
-  out.insert(out.end(), v1_frame.begin() + kFrameHeaderSize, v1_frame.end());
-  EncodeU32(out.data() + 4,
-            static_cast<uint32_t>(out.size() - kFrameHeaderSize));
-  return out;
-}
-
-Bytes EncodeMessage(const Message& m) {
-  return std::visit(
-      [](const auto& body) -> Bytes {
-        using T = std::decay_t<decltype(body)>;
-        if constexpr (std::is_same_v<T, ChallengeMsg>) {
-          return EncodeChallenge(body);
-        } else if constexpr (std::is_same_v<T, HelloMsg>) {
-          return EncodeHello(body);
-        } else if constexpr (std::is_same_v<T, HelloAckMsg>) {
-          return EncodeHelloAck(body);
-        } else if constexpr (std::is_same_v<T, RoundRequestMsg>) {
-          return EncodeRoundRequest(body);
-        } else if constexpr (std::is_same_v<T, PartitionMapMsg>) {
-          return EncodePartitionMap(body);
-        } else if constexpr (std::is_same_v<T, TupleBatchMsg>) {
-          return EncodeTupleBatch(body);
-        } else if constexpr (std::is_same_v<T, AggResultMsg>) {
-          return EncodeAggResult(body);
-        } else if constexpr (std::is_same_v<T, ErrorMsg>) {
-          return EncodeError(body);
-        } else if constexpr (std::is_same_v<T, StatsRequestMsg>) {
-          return EncodeStatsRequest();
-        } else if constexpr (std::is_same_v<T, StatsReplyMsg>) {
-          return EncodeStatsReply(body);
-        } else {
-          return EncodeBye();
-        }
-      },
-      m.body);
-}
-
 Result<FrameHeader> DecodeFrameHeader(ByteView bytes) {
   if (bytes.size() < kFrameHeaderSize) {
     return Status::Corruption("frame header truncated");
@@ -484,11 +407,10 @@ Result<FrameHeader> DecodeFrameHeader(ByteView bytes) {
     return Status::Corruption("bad frame magic");
   }
   FrameHeader h;
-  h.version = bytes[2];
-  if (h.version != kWireVersion && h.version != kWireVersionTraced &&
-      h.version != kWireVersionChecksummed) {
-    return Status::Corruption("unsupported wire version " +
-                              std::to_string(h.version));
+  h.flags = bytes[2];
+  if ((h.flags & ~(kFrameTraced | kFrameChecksummed)) != 0) {
+    return Status::Corruption("undefined frame flag bits " +
+                              std::to_string(h.flags));
   }
   uint8_t type = bytes[3];
   if (type < 1 || type > static_cast<uint8_t>(MsgType::kStatsReply)) {
@@ -501,17 +423,15 @@ Result<FrameHeader> DecodeFrameHeader(ByteView bytes) {
                               std::to_string(h.payload_len) +
                               " exceeds kMaxFramePayload");
   }
-  // A traced frame must declare room for the fixed trace block; rejecting
-  // here means a truncated trace header never reaches payload allocation.
-  if (h.version == kWireVersionTraced && h.payload_len < kTraceContextSize) {
+  // The declared payload must hold the trace block and trailer the flags
+  // announce; rejecting here means a truncated block never reaches payload
+  // allocation.
+  const size_t framing =
+      ((h.flags & kFrameTraced) != 0 ? kTraceContextSize : 0) +
+      ((h.flags & kFrameChecksummed) != 0 ? kFrameChecksumSize : 0);
+  if (h.payload_len < framing) {
     return Status::Corruption(
-        "traced frame declares payload shorter than the trace context");
-  }
-  // Likewise a checksummed frame must declare room for its trailer.
-  if (h.version == kWireVersionChecksummed &&
-      h.payload_len < kFrameChecksumSize) {
-    return Status::Corruption(
-        "checksummed frame declares payload shorter than the checksum");
+        "frame declares payload shorter than its trace block and checksum");
   }
   return h;
 }
@@ -523,7 +443,7 @@ Result<Message> DecodeMessage(ByteView frame) {
   }
   size_t body_len = h.payload_len;
   Message m;
-  if (h.version == kWireVersionChecksummed) {
+  if ((h.flags & kFrameChecksummed) != 0) {
     body_len -= kFrameChecksumSize;
     uint64_t claimed = GetU64(frame.data() + kFrameHeaderSize + body_len);
     uint64_t actual =
@@ -534,8 +454,10 @@ Result<Message> DecodeMessage(ByteView frame) {
     m.checksummed = true;
   }
   Reader r(frame.subview(kFrameHeaderSize, body_len));
-  if (h.version == kWireVersionTraced) {
-    PDS_ASSIGN_OR_RETURN(TraceContext ctx, DecodeTraceContext(&r));
+  if ((h.flags & kFrameTraced) != 0) {
+    TraceContext ctx;
+    PDS_ASSIGN_OR_RETURN(ctx.trace_id, r.U64());
+    PDS_ASSIGN_OR_RETURN(ctx.parent_span_id, r.U64());
     m.trace = ctx;
   }
   switch (h.type) {

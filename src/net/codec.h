@@ -13,38 +13,39 @@
 #include "crypto/sha256.h"
 #include "global/common.h"
 
-/// pds::net codec — the versioned, length-prefixed binary wire format of the
+/// pds::net codec — the length-prefixed binary wire format of the
 /// token <-> SSI link.
 ///
 /// Every frame is
 ///
-///   [magic u16][version u8][type u8][payload_len u32][payload bytes]
+///   [magic u16][flags u8][type u8][payload_len u32][payload bytes]
 ///
-/// (little endian, 8-byte header). Deserialization is total: any truncated,
-/// oversized or corrupt input returns a Status — never UB, never a partial
-/// message. Every declared length is checked against a compile-time maximum
-/// (kMax*) *before* any allocation, so a hostile peer cannot make the SSI or
-/// a token allocate from a lying length field.
+/// (little endian, 8-byte header). Two flag bits say what wraps the message
+/// body inside the payload, and they combine freely:
+///
+///   bit 0 (kFrameTraced)       a 16-byte trace block, trace_id u64 and
+///                              parent_span_id u64, opens the payload;
+///   bit 1 (kFrameChecksummed)  an 8-byte FNV-1a64 trailer over the header,
+///                              trace block and body closes it.
+///
+/// Any other bit is Corruption. Both blocks count inside payload_len, so
+/// transports stream every frame alike. Deserialization is total: any
+/// truncated, oversized or corrupt input returns a Status — never UB, never
+/// a partial message. Every declared length is checked against a
+/// compile-time maximum (kMax*) *before* any allocation, so a hostile peer
+/// cannot make the SSI or a token allocate from a lying length field.
 namespace pds::net {
 
 inline constexpr uint16_t kMagic = 0x50D5;
-inline constexpr uint8_t kWireVersion = 1;
-/// Version-2 frame: identical header, but the payload opens with a
-/// fixed-size trace-context block (see TraceContext below) ahead of the
-/// message body. v1 frames stay byte-identical — a peer that never calls
-/// AttachTraceContext emits exactly the old wire format.
-inline constexpr uint8_t kWireVersionTraced = 2;
-/// Version-3 frame: a v1 body followed by an 8-byte FNV-1a64 checksum over
-/// everything before it (header + body), counted inside payload_len so
-/// transports are untouched. The checksum is an *accident* detector for the
-/// fault-injection harness — it is not a MAC and detects no adversary; the
-/// integrity layer (global::IntegrityVerdict) owns tamper detection. v3
-/// frames never carry trace context.
-inline constexpr uint8_t kWireVersionChecksummed = 3;
 inline constexpr size_t kFrameHeaderSize = 8;
-/// trace_id u64 + parent_span_id u64 + flags u8 (bit0 = sampled).
-inline constexpr size_t kTraceContextSize = 17;
-/// FNV-1a64 trailer of a version-3 frame.
+inline constexpr uint8_t kFrameTraced = 1u << 0;
+/// The checksum is an *accident* detector for damaged links — it is not a
+/// MAC and detects no adversary; the integrity layer
+/// (global::IntegrityVerdict) owns tamper detection.
+inline constexpr uint8_t kFrameChecksummed = 1u << 1;
+/// trace_id u64 + parent_span_id u64.
+inline constexpr size_t kTraceContextSize = 16;
+/// FNV-1a64 trailer of a checksummed frame.
 inline constexpr size_t kFrameChecksumSize = 8;
 
 /// Compile-time bounds a decoder must check declared lengths against before
@@ -207,14 +208,14 @@ struct StatsReplyMsg {
   bool operator==(const StatsReplyMsg&) const = default;
 };
 
-/// Distributed-trace context carried by version-2 frames: the sender's
-/// span id that receiver-side spans should parent under, plus the root
-/// sampling decision. Trace ids must come from the *non-secret* RNG — the
-/// block travels in cleartext and is a secret-flow sink like the encoders.
+/// Distributed-trace context carried by traced frames: the sender's span
+/// id that receiver-side spans should parent under. A sender attaches it
+/// only to sampled operations, so its presence is the sampling decision.
+/// Trace ids must come from the *non-secret* RNG — the block travels in
+/// cleartext, and EncodeMessage is a secret-flow sink.
 struct TraceContext {
   uint64_t trace_id = 0;        // one id per distributed operation
   uint64_t parent_span_id = 0;  // sender-side span to parent under
-  bool sampled = false;         // root keep/drop, followed by the receiver
   bool operator==(const TraceContext&) const = default;
 };
 
@@ -226,11 +227,11 @@ using MessageBody =
 
 struct Message {
   MessageBody body;
-  /// Present iff the frame arrived with version-2 trace context.
-  std::optional<TraceContext> trace;
-  /// True iff the frame arrived as version 3 with a valid checksum trailer.
-  /// A peer seeing this knows checksummed frames are in effect and mirrors
-  /// them on its own sends.
+  /// Encoded as the trace block (flag bit 0) when set; DecodeMessage sets
+  /// it iff the frame was traced.
+  std::optional<TraceContext> trace = std::nullopt;
+  /// Encoded with the checksum trailer (flag bit 1) when true;
+  /// DecodeMessage sets it iff the frame carried a trailer that verified.
   bool checksummed = false;
   [[nodiscard]] MsgType type() const {
     return static_cast<MsgType>(body.index() + 1);
@@ -238,48 +239,22 @@ struct Message {
   bool operator==(const Message&) const = default;
 };
 
-/// Parsed frame header (magic already verified).
+/// Parsed frame header (magic and flag bits already verified).
 struct FrameHeader {
-  uint8_t version = 0;
+  uint8_t flags = 0;
   MsgType type = MsgType::kError;
   uint32_t payload_len = 0;
 };
 
-/// Serializes one message into a complete frame (header + payload).
+/// Serializes one message into a complete frame in one pass: the header,
+/// the trace block when `m.trace` is set, the body, and the checksum
+/// trailer when `m.checksummed`.
 ///
-/// Every encoder is a secret-flow sink: bytes handed to them cross the
+/// The one encoder is a secret-flow sink: bytes handed to it cross the
 /// token/SSI trust boundary onto the wire, so anything secret-tagged must
 /// pass through Encrypt*/Hmac first or carry an explicit declassify.
-// pdslint: sink(EncodeChallenge, EncodeHello, EncodeHelloAck,
-//               EncodeRoundRequest, EncodePartitionMap, EncodeTupleBatch,
-//               EncodeAggResult, EncodeError, EncodeBye, EncodeMessage,
-//               EncodeStatsRequest, EncodeStatsReply, AttachTraceContext)
-[[nodiscard]] Bytes EncodeChallenge(const ChallengeMsg& m);
-[[nodiscard]] Bytes EncodeHello(const HelloMsg& m);
-[[nodiscard]] Bytes EncodeHelloAck(const HelloAckMsg& m);
-[[nodiscard]] Bytes EncodeRoundRequest(const RoundRequestMsg& m);
-[[nodiscard]] Bytes EncodePartitionMap(const PartitionMapMsg& m);
-[[nodiscard]] Bytes EncodeTupleBatch(const TupleBatchMsg& m);
-[[nodiscard]] Bytes EncodeAggResult(const AggResultMsg& m);
-[[nodiscard]] Bytes EncodeError(const ErrorMsg& m);
-[[nodiscard]] Bytes EncodeBye();
-[[nodiscard]] Bytes EncodeStatsRequest();
-[[nodiscard]] Bytes EncodeStatsReply(const StatsReplyMsg& m);
+// pdslint: sink(EncodeMessage)
 [[nodiscard]] Bytes EncodeMessage(const Message& m);
-
-/// Rewrites a sealed v1 frame into its version-2 equivalent carrying `ctx`
-/// ahead of the message body (payload_len grows by kTraceContextSize, so
-/// streaming receivers need no change). The trace block is cleartext on the
-/// wire: ctx must never be derived from secret material.
-[[nodiscard]] Bytes AttachTraceContext(const Bytes& v1_frame,
-                                       const TraceContext& ctx);
-
-/// Rewrites a sealed v1 frame into its version-3 equivalent: the FNV-1a64
-/// of the header+body is appended as an 8-byte little-endian trailer and
-/// payload_len grows by kFrameChecksumSize. DecodeMessage verifies the
-/// trailer (Corruption on mismatch) and strips it before body decode.
-/// Checksummed frames cannot also carry trace context.
-[[nodiscard]] Bytes AppendFrameChecksum(const Bytes& v1_frame);
 
 /// Encodes DetParams into its fixed 25-byte blob (batch entry 0 of a
 /// kDetCollect request) — not a frame, carries no header.
@@ -301,15 +276,17 @@ struct FrameHeader {
                                              size_t real_count,
                                              size_t domain_size);
 
-/// Validates magic/version/type and that the declared payload length is
-/// within kMaxFramePayload. `bytes` must hold at least kFrameHeaderSize
-/// bytes; the declared length may exceed what follows (streaming callers use
-/// the header to know how much more to read).
+/// Validates magic, flag bits and type, and that the declared payload
+/// length is within kMaxFramePayload and holds the trace block and trailer
+/// the flags announce. `bytes` must hold at least kFrameHeaderSize bytes;
+/// the declared length may exceed what follows (streaming callers use the
+/// header to know how much more to read).
 [[nodiscard]] Result<FrameHeader> DecodeFrameHeader(ByteView bytes);
 
 /// Decodes one complete frame. The payload must be exactly the declared
-/// length and every contained field must be in bounds; trailing bytes are a
-/// Corruption error.
+/// length, a checksum trailer must verify before the body is parsed, and
+/// every contained field must be in bounds; trailing bytes are a Corruption
+/// error.
 [[nodiscard]] Result<Message> DecodeMessage(ByteView frame);
 
 /// Decodes a frame and requires it to be the given message type, otherwise

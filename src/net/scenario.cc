@@ -143,9 +143,13 @@ Result<ScenarioResult> RunScenarioCell(const ScenarioSpec& spec) {
                spec.faults.swallow_first == 0 &&
                spec.faults.disconnect_after_replies == 0 &&
                spec.adversary.action == AdversaryAction::kNone;
+  // Damaging link faults run over the checksummed wire: a flipped bit can
+  // land in a field like the round kind and still decode as a valid frame,
+  // so framing alone cannot catch it — the FNV trailer can.
+  const bool damaging_link =
+      spec.faults.truncate_rate > 0 || spec.faults.bitflip_rate > 0;
   res.expects_detection = spec.adversary.action != AdversaryAction::kNone ||
-                          spec.faults.truncate_rate > 0 ||
-                          spec.faults.bitflip_rate > 0 ||
+                          damaging_link ||
                           spec.faults.disconnect_after_replies > 0;
 
   const uint32_t deadline =
@@ -161,7 +165,7 @@ Result<ScenarioResult> RunScenarioCell(const ScenarioSpec& spec) {
   scfg.backoff_ms = 1;
   scfg.quorum = spec.quorum;
   scfg.verifier = spec.verifier;
-  scfg.checksum_frames = spec.checksum_frames;
+  scfg.checksum_frames = damaging_link;
   scfg.adversary = spec.adversary;
   SsiServer server(scfg);
 
@@ -392,20 +396,17 @@ std::vector<ScenarioSpec> DefaultMatrix(uint64_t seed, bool use_socket) {
     double FaultPlan::* rate;
     uint64_t max_injections;
     double quorum;
-    bool checksum;
   };
   const LinkCell link_cells[] = {
       // Recoverable faults: retries absorb them, byte-identity must hold.
-      {"drop", &FaultPlan::drop_rate, 1, 1.0, false},
-      {"delay", &FaultPlan::delay_rate, 0, 1.0, false},
-      {"duplicate", &FaultPlan::duplicate_rate, 0, 1.0, false},
-      {"reorder", &FaultPlan::reorder_rate, 1, 1.0, false},
-      // Damage faults: session 0 is lost, the run degrades to quorum. These
-      // run over the checksummed wire (v3): a flipped bit can land in a
-      // field like the round kind and still decode as a valid frame, so
-      // framing alone cannot catch it — the FNV trailer can.
-      {"truncate", &FaultPlan::truncate_rate, 0, 0.6, true},
-      {"bitflip", &FaultPlan::bitflip_rate, 0, 0.6, true},
+      {"drop", &FaultPlan::drop_rate, 1, 1.0},
+      {"delay", &FaultPlan::delay_rate, 0, 1.0},
+      {"duplicate", &FaultPlan::duplicate_rate, 0, 1.0},
+      {"reorder", &FaultPlan::reorder_rate, 1, 1.0},
+      // Damage faults (over the checksummed wire, see RunScenarioCell):
+      // session 0 is lost, the run degrades to quorum.
+      {"truncate", &FaultPlan::truncate_rate, 0, 0.6},
+      {"bitflip", &FaultPlan::bitflip_rate, 0, 0.6},
   };
 
   for (WireProtocol protocol : protocols) {
@@ -424,7 +425,6 @@ std::vector<ScenarioSpec> DefaultMatrix(uint64_t seed, bool use_socket) {
       s.faults.*cell.rate = 1.0;
       s.faults.max_injections = cell.max_injections;
       s.quorum = cell.quorum;
-      s.checksum_frames = cell.checksum;
       out.push_back(s);
     }
   }

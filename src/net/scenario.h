@@ -49,7 +49,6 @@ struct ScenarioSpec {
   /// SSI misbehaviour for this cell (kNone = honest server).
   AdversaryPlan adversary;
   bool use_socket = false;
-  bool checksum_frames = false;
   /// Run a sealed collection round + querier-side audit instead of an
   /// aggregation protocol (the cells for sealed-batch tampering actions).
   bool sealed_round = false;

@@ -145,13 +145,6 @@ SsiServer::SsiServer(const Config& config)
       clock_(config.clock != nullptr ? config.clock : WallClock()),
       trace_rng_(config.nonce_seed ^ 0x7472616365ULL) {}
 
-Bytes SsiServer::MaybeChecksum(Bytes frame) const {
-  if (!config_.checksum_frames) {
-    return frame;
-  }
-  return AppendFrameChecksum(frame);
-}
-
 bool SsiServer::IsStragglerFailure(const Status& s) {
   // A token that timed out, whose transport died, or whose byte stream
   // desynchronized (a truncating/bit-flipping link breaks socket framing)
@@ -176,8 +169,8 @@ Result<size_t> SsiServer::Handshake(std::unique_ptr<Transport> transport,
   challenge.nonce.resize(16);
   nonce_rng.FillBytes(challenge.nonce.data(), challenge.nonce.size());
 
-  Bytes frame = MaybeChecksum(EncodeChallenge(challenge));
-  PDS_RETURN_IF_ERROR(transport->Send(frame));
+  PDS_RETURN_IF_ERROR(transport->Send(
+      EncodeMessage({challenge, {}, config_.checksum_frames})));
   PDS_ASSIGN_OR_RETURN(Bytes reply,
                        transport->Recv(config_.deadline_ms));
   PDS_ASSIGN_OR_RETURN(HelloMsg hello, DecodeAs<HelloMsg>(reply));
@@ -187,7 +180,8 @@ Result<size_t> SsiServer::Handshake(std::unique_ptr<Transport> transport,
       config_.verifier->VerifyAttestation(ByteView(challenge.nonce),
                                           hello.proof));
   HelloAckMsg ack{ok_proof};
-  PDS_RETURN_IF_ERROR(transport->Send(MaybeChecksum(EncodeHelloAck(ack))));
+  PDS_RETURN_IF_ERROR(
+      transport->Send(EncodeMessage({ack, {}, config_.checksum_frames})));
   if (!ok_proof) {
     transport->Close();
     return Status::PermissionDenied(
@@ -234,32 +228,23 @@ Result<size_t> SsiServer::ReadmitSession(
   return Handshake(std::move(transport), /*readmit=*/true);
 }
 
-Result<Message> SsiServer::RoundTrip(Session* s, const Bytes& frame,
-                                     uint32_t round_id, WireCost* cost) {
+Result<Message> SsiServer::RoundTrip(Session* s, RoundRequestMsg request,
+                                     WireCost* cost) {
   const NetObs& hooks = NetHooks();
+  const uint32_t round_id = request.header.round_id;
   // One span per logical round trip (retries included). When recorded, its
   // id rides the wire as the trace-context parent so the token's handler
   // span hangs under it in the merged cross-process trace.
   obs::Span rt_span("net.round-trip", "net");
-  Bytes rewritten;
-  const Bytes* wire_frame = &frame;
-  if (config_.checksum_frames) {
-    // v3 frames carry the checksum trailer instead of trace context (the
-    // two header rewrites are mutually exclusive by design).
-    rewritten = AppendFrameChecksum(frame);
-    wire_frame = &rewritten;
-  } else if (rt_span.id() != 0) {
-    TraceContext ctx;
-    ctx.trace_id = run_trace_id_;
-    ctx.parent_span_id = rt_span.id();
-    ctx.sampled = true;
-    rewritten = AttachTraceContext(frame, ctx);
-    wire_frame = &rewritten;
+  Message msg{std::move(request), std::nullopt, config_.checksum_frames};
+  if (rt_span.id() != 0) {
+    msg.trace = TraceContext{run_trace_id_, rt_span.id()};
   }
+  const Bytes frame = EncodeMessage(msg);
   // Admission-control gauge: bytes of this session's in-flight request.
   SessionStats* stats = s->stats.get();
   if (stats != nullptr) {
-    stats->buffer_bytes.Set(static_cast<double>(wire_frame->size()));
+    stats->buffer_bytes.Set(static_cast<double>(frame.size()));
   }
   for (uint32_t attempt = 0; attempt <= config_.max_retries; ++attempt) {
     if (attempt > 0) {
@@ -271,8 +256,8 @@ Result<Message> SsiServer::RoundTrip(Session* s, const Bytes& frame,
       clock_->SleepMs(config_.backoff_ms * attempt);
     }
     uint64_t attempt_start_ns = clock_->NowNs();
-    PDS_RETURN_IF_ERROR(s->transport->Send(*wire_frame));
-    cost->wire.AddSsiToToken(wire_frame->size());
+    PDS_RETURN_IF_ERROR(s->transport->Send(frame));
+    cost->wire.AddSsiToToken(frame.size());
     hooks.frames_sent->Add(1);
 
     const uint64_t deadline_ns =
@@ -303,11 +288,13 @@ Result<Message> SsiServer::RoundTrip(Session* s, const Bytes& frame,
       cost->wire.AddTokenToSsi(reply.size());
       hooks.frames_received->Add(1);
       auto decoded = DecodeMessage(reply);
-      if (!decoded.ok()) {
+      if (!decoded.ok() ||
+          (config_.checksum_frames && !decoded.value().checksummed)) {
         // A frame the link corrupted in-payload (the stream itself is still
-        // framed, or Recv would have failed): discard it and keep waiting —
-        // the retry budget, not one flipped bit, decides this session's
-        // fate.
+        // framed, or Recv would have failed) or, on a checksummed wire, one
+        // without a verified trailer (such as the token's plain error for a
+        // request it could not decode): discard it and keep waiting — the
+        // retry budget, not one flipped bit, decides this session's fate.
         ++cost->frame_rejects;
         hooks.frame_rejects->Add(1);
         continue;
@@ -406,8 +393,7 @@ Result<SsiServer::Collected> SsiServer::CollectRound(
           Session* s = sessions_[live[li]].get();
           RoundRequestMsg req = request;
           req.header.round_id = s->next_round_id++;
-          auto reply = RoundTrip(s, EncodeRoundRequest(req),
-                                 req.header.round_id, &costs[li]);
+          auto reply = RoundTrip(s, std::move(req), &costs[li]);
           if (!reply.ok()) {
             if (IsStragglerFailure(reply.status())) {
               DropStraggler(s);
@@ -528,7 +514,8 @@ Result<AggOutput> SsiServer::RunSecureAggregation(AggFunc func) {
                 {static_cast<uint32_t>(pi), static_cast<uint32_t>(ai),
                  static_cast<uint32_t>(end - start)});
           }
-          Bytes pm_frame = MaybeChecksum(EncodePartitionMap(pm));
+          Bytes pm_frame =
+              EncodeMessage({std::move(pm), {}, config_.checksum_frames});
           PDS_RETURN_IF_ERROR(s->transport->Send(pm_frame));
           map_cost[ai].wire.AddSsiToToken(pm_frame.size());
           NetHooks().frames_sent->Add(1);
@@ -545,10 +532,8 @@ Result<AggOutput> SsiServer::RunSecureAggregation(AggFunc func) {
             for (size_t i = start; i < end; ++i) {
               req.batch.push_back(items[i]);
             }
-            Bytes frame = EncodeRoundRequest(req);
-            PDS_ASSIGN_OR_RETURN(
-                Message reply,
-                RoundTrip(s, frame, req.header.round_id, &po.cost));
+            PDS_ASSIGN_OR_RETURN(Message reply,
+                                 RoundTrip(s, std::move(req), &po.cost));
             TupleBatchMsg* batch = std::get_if<TupleBatchMsg>(&reply.body);
             if (batch == nullptr) {
               return Status::FailedPrecondition(
@@ -591,10 +576,8 @@ Result<AggOutput> SsiServer::RunSecureAggregation(AggFunc func) {
   fin.header.kind = RoundKind::kFinalize;
   fin.header.func = func;
   fin.batch = std::move(items);
-  Bytes fin_frame = EncodeRoundRequest(fin);
-  PDS_ASSIGN_OR_RETURN(
-      Message reply, RoundTrip(s0, fin_frame, fin.header.round_id,
-                               &final_cost));
+  PDS_ASSIGN_OR_RETURN(Message reply,
+                       RoundTrip(s0, std::move(fin), &final_cost));
   AggResultMsg* result = std::get_if<AggResultMsg>(&reply.body);
   if (result == nullptr) {
     return Status::FailedPrecondition("finalize round expected an agg result");
@@ -807,10 +790,8 @@ Result<AggOutput> SsiServer::RunDetAggregation(AggFunc func,
     req.header.kind = units[ui].kind;
     req.header.func = func;
     req.batch = units[ui].batch;
-    Bytes frame = EncodeRoundRequest(req);
-    PDS_ASSIGN_OR_RETURN(
-        Message reply, RoundTrip(s, frame, req.header.round_id,
-                                 &unit_cost[ui]));
+    PDS_ASSIGN_OR_RETURN(Message reply,
+                         RoundTrip(s, std::move(req), &unit_cost[ui]));
     AggResultMsg* result = std::get_if<AggResultMsg>(&reply.body);
     if (result == nullptr) {
       return Status::FailedPrecondition(
@@ -955,7 +936,7 @@ Result<std::string> SsiServer::InjectStaleRound(size_t idx) {
   req.header.kind = RoundKind::kCollect;
   req.header.func = global::AggFunc::kSum;
   PDS_RETURN_IF_ERROR(
-      s->transport->Send(MaybeChecksum(EncodeRoundRequest(req))));
+      s->transport->Send(EncodeMessage({req, {}, config_.checksum_frames})));
   PDS_ASSIGN_OR_RETURN(Bytes reply, s->transport->Recv(config_.deadline_ms));
   PDS_ASSIGN_OR_RETURN(Message m, DecodeMessage(reply));
   const ErrorMsg* err = std::get_if<ErrorMsg>(&m.body);
@@ -976,10 +957,9 @@ Result<std::string> SsiServer::InjectOversizedFrame(size_t idx) {
   // transport the token either sees the header-only frame (in-process) and
   // rejects it, or its socket layer refuses the header before allocation
   // and the session dies cleanly — both are the defence working.
-  Bytes frame(kFrameHeaderSize, 0);
+  Bytes frame(kFrameHeaderSize, 0);  // flags byte 0: a plain frame
   frame[0] = static_cast<uint8_t>(kMagic & 0xff);
   frame[1] = static_cast<uint8_t>(kMagic >> 8);
-  frame[2] = kWireVersion;
   frame[3] = static_cast<uint8_t>(MsgType::kRoundRequest);
   EncodeU32(frame.data() + 4, static_cast<uint32_t>(kMaxFramePayload) + 1);
   PDS_RETURN_IF_ERROR(s->transport->Send(frame));
@@ -1012,7 +992,7 @@ Result<std::string> SsiServer::InjectMalformedFrame(size_t idx) {
   Bytes frame(kFrameHeaderSize + kGarbage, 0xFF);
   frame[0] = static_cast<uint8_t>(kMagic & 0xff);
   frame[1] = static_cast<uint8_t>(kMagic >> 8);
-  frame[2] = kWireVersion;
+  frame[2] = 0;  // no flags: a plain frame
   frame[3] = static_cast<uint8_t>(MsgType::kRoundRequest);
   EncodeU32(frame.data() + 4, kGarbage);
   PDS_RETURN_IF_ERROR(s->transport->Send(frame));
@@ -1105,8 +1085,8 @@ Status SsiServer::ServeStats(Transport* transport) {
   PDS_ASSIGN_OR_RETURN(Bytes frame, transport->Recv(config_.deadline_ms));
   PDS_ASSIGN_OR_RETURN(Message m, DecodeMessage(frame));
   if (!std::holds_alternative<StatsRequestMsg>(m.body)) {
-    (void)transport->Send(
-        EncodeError(ErrorMsg{1, "stats channel accepts only kStatsRequest"}));
+    (void)transport->Send(EncodeMessage(
+        {ErrorMsg{1, "stats channel accepts only kStatsRequest"}}));
     return Status::FailedPrecondition(
         "stats channel received a non-stats message");
   }
@@ -1117,14 +1097,15 @@ Status SsiServer::ServeStats(Transport* transport) {
     // surfacing over silently truncated JSON.
     json = "{\"error\": \"stats snapshot exceeds kMaxStatsJsonBytes\"}";
   }
-  return transport->Send(EncodeStatsReply(StatsReplyMsg{std::move(json)}));
+  return transport->Send(EncodeMessage({StatsReplyMsg{std::move(json)}}));
 }
 
 void SsiServer::Shutdown() {
   for (auto& s : sessions_) {
     if (s->alive && !s->transport->closed()) {
       // Best-effort farewell; the transport may already be gone.
-      (void)s->transport->Send(MaybeChecksum(EncodeBye()));
+      (void)s->transport->Send(
+          EncodeMessage({ByeMsg{}, {}, config_.checksum_frames}));
     }
     s->transport->Close();
     s->alive = false;

@@ -51,10 +51,11 @@ class SsiServer {
     mcu::SecureToken* verifier = nullptr;
     /// Seed for handshake challenge nonces (deterministic tests).
     uint64_t nonce_seed = 42;
-    /// Append an FNV-1a64 checksum trailer to every outgoing frame (wire
-    /// version 3); tokens mirror it once they see a checksummed frame.
-    /// Detects *accidental* corruption early — adversarial detection stays
-    /// with the integrity layer. Mutually exclusive with trace context.
+    /// Close every session frame with an FNV-1a64 checksum trailer (flag
+    /// bit 1, alongside any trace context). Tokens answer each frame with
+    /// its own checksum bit, and a reply without a verified trailer counts
+    /// as a frame reject. Detects *accidental* corruption early —
+    /// adversarial detection stays with the integrity layer.
     bool checksum_frames = false;
     /// Weakly-malicious misbehaviour this server performs during runs (the
     /// scenario harness turns this on to prove querier-side detection).
@@ -226,21 +227,19 @@ class SsiServer {
   };
   struct WireCost;  // per-work-unit wire accounting (defined in the .cc)
 
-  /// Sends `frame` on the session and waits for the reply carrying
-  /// `round_id`, retrying per config on timeouts. Stale replies (a lower
-  /// round id, e.g. a late answer to an earlier retry) and undecodable
-  /// frames are discarded in place — a lossy or bit-flipping link must not
-  /// kill the session while the stream itself stays framed.
+  /// Sends `request` on the session, encoded once with this round trip's
+  /// trace context and Config::checksum_frames, and waits for the reply
+  /// carrying its round id, retrying per config on timeouts. Stale replies
+  /// (a lower round id, e.g. a late answer to an earlier retry) and
+  /// undecodable frames are discarded in place — a lossy or bit-flipping
+  /// link must not kill the session while the stream itself stays framed.
   /// `cost` accumulates the measured frame bytes both ways.
-  [[nodiscard]] Result<Message> RoundTrip(Session* s, const Bytes& frame,
-                                          uint32_t round_id, WireCost* cost);
+  [[nodiscard]] Result<Message> RoundTrip(Session* s, RoundRequestMsg request,
+                                          WireCost* cost);
 
   /// Shared handshake body of AcceptSession/ReadmitSession.
   [[nodiscard]] Result<size_t> Handshake(std::unique_ptr<Transport> transport,
                                          bool readmit);
-
-  /// Applies Config::checksum_frames to an outgoing sealed v1 frame.
-  [[nodiscard]] Bytes MaybeChecksum(Bytes frame) const;
 
   /// True when `s` should be dropped from the run as a straggler for this
   /// failure (timeout, dead transport, or a desynchronized byte stream).
@@ -275,7 +274,7 @@ class SsiServer {
   obs::SnapshotRing stats_ring_{8};
   /// Trace ids for outgoing trace-context blocks. Seeded from the public
   /// nonce seed — deliberately the *non-secret* RNG: trace ids travel in
-  /// cleartext (the codec treats AttachTraceContext as a secret-flow sink).
+  /// cleartext (EncodeMessage is a secret-flow sink).
   Rng trace_rng_;
   uint64_t run_trace_id_ = 0;
 };

@@ -66,13 +66,12 @@ Result<TokenSession::Outcome> TokenSession::OnFrame(ByteView frame) {
       return Status::Corruption("too many malformed frames from the SSI");
     }
     Outcome out;
-    out.reply = Seal(EncodeError(ErrorMsg{3, "malformed frame"}));
+    out.reply = EncodeMessage({ErrorMsg{3, "malformed frame"}});
     return out;
   }
+  // Every reply carries the checksum bit of the frame it answers (an
+  // undecodable frame has none, so its error reply above is plain).
   const Message& m = decoded.value();
-  if (m.checksummed) {
-    peer_checksummed_ = true;  // mirror the trailer from now on
-  }
   return state_ == State::kServing ? OnServingFrame(m) : OnHandshakeFrame(m);
 }
 
@@ -91,7 +90,7 @@ Result<TokenSession::Outcome> TokenSession::OnHandshakeFrame(
     hello.token_id = token_->id();
     PDS_ASSIGN_OR_RETURN(hello.proof,
                          token_->Attest(ByteView(challenge->nonce)));
-    out.reply = Seal(EncodeHello(hello));
+    out.reply = EncodeMessage({hello, {}, m.checksummed});
     state_ = State::kAwaitAck;
     return out;
   }
@@ -117,13 +116,15 @@ Result<TokenSession::Outcome> TokenSession::OnServingFrame(const Message& m) {
   }
   const RoundRequestMsg* req = std::get_if<RoundRequestMsg>(&m.body);
   if (req == nullptr) {
-    out.reply = Seal(EncodeError(ErrorMsg{1, "unexpected message type"}));
+    out.reply = EncodeMessage(
+        {ErrorMsg{1, "unexpected message type"}, {}, m.checksummed});
     return out;
   }
   if (req->header.round_id < highest_round_) {
     // Replay of an already-answered round (an equal id is the SSI's
     // legitimate retry of a request we never answered).
-    out.reply = Seal(EncodeError(ErrorMsg{4, "stale round replay rejected"}));
+    out.reply = EncodeMessage(
+        {ErrorMsg{4, "stale round replay rejected"}, {}, m.checksummed});
     return out;
   }
   highest_round_ = req->header.round_id;
@@ -133,53 +134,55 @@ Result<TokenSession::Outcome> TokenSession::OnServingFrame(const Message& m) {
     return out;
   }
   if (req->header.kind == RoundKind::kPackedCollect && packed_ == nullptr) {
-    out.reply =
-        Seal(EncodeError(ErrorMsg{2, "token has no packed-Paillier context"}));
+    out.reply = EncodeMessage(
+        {ErrorMsg{2, "token has no packed-Paillier context"}, {},
+         m.checksummed});
     return out;
   }
   // Parent this round's handler span under the SSI's round-trip span
-  // when the frame carried trace context; the merged Chrome trace then
-  // shows one cross-process timeline per round.
+  // when the frame carried trace context (the SSI traces only sampled
+  // rounds); the merged Chrome trace then shows one cross-process timeline
+  // per round.
   obs::RemoteParent remote;
   if (m.trace.has_value()) {
     remote.span_id = m.trace->parent_span_id;
-    remote.sampled = m.trace->sampled;
+    remote.sampled = true;
   }
   Result<Bytes> handled = Status::Ok();
   switch (req->header.kind) {
     case RoundKind::kCollect: {
       obs::Span span("net.round.collect", "net", remote);
-      handled = HandleCollect(*req);
+      handled = HandleCollect(*req, m.checksummed);
       break;
     }
     case RoundKind::kAggregate: {
       obs::Span span("net.round.aggregate", "net", remote);
-      handled = HandleAggregate(*req);
+      handled = HandleAggregate(*req, m.checksummed);
       break;
     }
     case RoundKind::kFinalize: {
       obs::Span span("net.round.finalize", "net", remote);
-      handled = HandleFinalize(*req);
+      handled = HandleFinalize(*req, m.checksummed);
       break;
     }
     case RoundKind::kPackedCollect: {
       obs::Span span("net.round.packed-collect", "net", remote);
-      handled = HandlePackedCollect(*req);
+      handled = HandlePackedCollect(*req, m.checksummed);
       break;
     }
     case RoundKind::kSealedCollect: {
       obs::Span span("net.round.sealed-collect", "net", remote);
-      handled = HandleSealedCollect(*req);
+      handled = HandleSealedCollect(*req, m.checksummed);
       break;
     }
     case RoundKind::kDetCollect: {
       obs::Span span("net.round.det-collect", "net", remote);
-      handled = HandleDetCollect(*req);
+      handled = HandleDetCollect(*req, m.checksummed);
       break;
     }
     case RoundKind::kClassAggregate: {
       obs::Span span("net.round.class-aggregate", "net", remote);
-      handled = HandleClassAggregate(*req);
+      handled = HandleClassAggregate(*req, m.checksummed);
       break;
     }
   }
@@ -190,7 +193,8 @@ Result<TokenSession::Outcome> TokenSession::OnServingFrame(const Message& m) {
     if (++malformed_seen_ > kMaxMalformedFrames) {
       return Status::Corruption("too many malformed rounds from the SSI");
     }
-    out.reply = Seal(EncodeError(ErrorMsg{3, "malformed round request"}));
+    out.reply = EncodeMessage(
+        {ErrorMsg{3, "malformed round request"}, {}, m.checksummed});
     return out;
   }
   out.reply = std::move(handled).value();
@@ -198,19 +202,16 @@ Result<TokenSession::Outcome> TokenSession::OnServingFrame(const Message& m) {
   return out;
 }
 
-Bytes TokenSession::Seal(Bytes frame) const {
-  return peer_checksummed_ ? AppendFrameChecksum(frame) : frame;
-}
-
 // pdslint: secret(reply)
-Bytes TokenSession::SealAggResult(const AggResultMsg& reply) const {
+Bytes TokenSession::SealAggResult(AggResultMsg reply, bool checksummed) const {
   // Finalize/class rounds return the decrypted per-group aggregate to the
   // querier by design -- the [TNP14] protocols' output step; only sums and
   // counts leave the token, never the tuples they were folded from.
-  return Seal(EncodeAggResult(reply));  // pdslint: declassify([TNP14] aggregate output step)
+  return EncodeMessage({std::move(reply), {}, checksummed});  // pdslint: declassify([TNP14] aggregate output step)
 }
 
-Result<Bytes> TokenSession::HandleCollect(const RoundRequestMsg& req) {
+Result<Bytes> TokenSession::HandleCollect(const RoundRequestMsg& req,
+                                          bool checksummed) {
   mcu::SecureToken* tok = token_;
   TupleBatchMsg reply;
   reply.round_id = req.header.round_id;
@@ -221,10 +222,11 @@ Result<Bytes> TokenSession::HandleCollect(const RoundRequestMsg& req) {
     ++reply.token_ops;
     reply.batch.push_back(std::move(ct));
   }
-  return Seal(EncodeTupleBatch(reply));
+  return EncodeMessage({std::move(reply), {}, checksummed});
 }
 
-Result<Bytes> TokenSession::HandlePackedCollect(const RoundRequestMsg& req) {
+Result<Bytes> TokenSession::HandlePackedCollect(const RoundRequestMsg& req,
+                                                bool checksummed) {
   mcu::SecureToken* tok = token_;
   // The request's batch is the public group domain in slot order; fold
   // this token's tuples into per-domain (sum, count) counters.
@@ -252,10 +254,11 @@ Result<Bytes> TokenSession::HandlePackedCollect(const RoundRequestMsg& req) {
   reply.round_id = req.header.round_id;
   reply.token_ops = 1;  // one packed encryption, whatever the domain size
   reply.batch.push_back(ct.ToBytes());
-  return Seal(EncodeTupleBatch(reply));
+  return EncodeMessage({std::move(reply), {}, checksummed});
 }
 
-Result<Bytes> TokenSession::HandleAggregate(const RoundRequestMsg& req) {
+Result<Bytes> TokenSession::HandleAggregate(const RoundRequestMsg& req,
+                                            bool checksummed) {
   mcu::SecureToken* tok = token_;
   TupleBatchMsg reply;
   reply.round_id = req.header.round_id;
@@ -269,10 +272,11 @@ Result<Bytes> TokenSession::HandleAggregate(const RoundRequestMsg& req) {
     ++reply.token_ops;
     reply.batch.push_back(std::move(ct));
   }
-  return Seal(EncodeTupleBatch(reply));
+  return EncodeMessage({std::move(reply), {}, checksummed});
 }
 
-Result<Bytes> TokenSession::HandleFinalize(const RoundRequestMsg& req) {
+Result<Bytes> TokenSession::HandleFinalize(const RoundRequestMsg& req,
+                                           bool checksummed) {
   mcu::SecureToken* tok = token_;
   AggResultMsg reply;
   reply.round_id = req.header.round_id;
@@ -282,10 +286,11 @@ Result<Bytes> TokenSession::HandleFinalize(const RoundRequestMsg& req) {
   for (const auto& [group, state] : final_state) {
     reply.entries.push_back({group, state.sum, state.count});
   }
-  return SealAggResult(reply);
+  return SealAggResult(std::move(reply), checksummed);
 }
 
-Result<Bytes> TokenSession::HandleDetCollect(const RoundRequestMsg& req) {
+Result<Bytes> TokenSession::HandleDetCollect(const RoundRequestMsg& req,
+                                             bool checksummed) {
   mcu::SecureToken* tok = token_;
   if (req.batch.empty()) {
     return Status::InvalidArgument("det collect carries no parameter blob");
@@ -319,7 +324,7 @@ Result<Bytes> TokenSession::HandleDetCollect(const RoundRequestMsg& req) {
       reply.batch.push_back(std::move(key));
       reply.batch.push_back(std::move(ct));
     }
-    return Seal(EncodeTupleBatch(reply));
+    return EncodeMessage({std::move(reply), {}, checksummed});
   }
 
   // White/domain noise: real tuples first, then this token's fakes.
@@ -372,10 +377,11 @@ Result<Bytes> TokenSession::HandleDetCollect(const RoundRequestMsg& req) {
     reply.batch.push_back(std::move(key));
     reply.batch.push_back(std::move(ct));
   }
-  return Seal(EncodeTupleBatch(reply));
+  return EncodeMessage({std::move(reply), {}, checksummed});
 }
 
-Result<Bytes> TokenSession::HandleClassAggregate(const RoundRequestMsg& req) {
+Result<Bytes> TokenSession::HandleClassAggregate(const RoundRequestMsg& req,
+                                                 bool checksummed) {
   mcu::SecureToken* tok = token_;
   if (req.batch.empty()) {
     return Status::InvalidArgument("class aggregate carries no class key");
@@ -391,7 +397,7 @@ Result<Bytes> TokenSession::HandleClassAggregate(const RoundRequestMsg& req) {
     // Whole class is noise; discard inside the token, charging one
     // decrypt-and-drop op per noise tuple.
     reply.token_ops += n;
-    return SealAggResult(reply);
+    return SealAggResult(std::move(reply), checksummed);
   }
   GroupState gs;
   for (size_t i = 1; i < req.batch.size(); ++i) {
@@ -406,10 +412,11 @@ Result<Bytes> TokenSession::HandleClassAggregate(const RoundRequestMsg& req) {
     }
   }
   reply.entries.push_back({group, gs.sum, gs.count});
-  return SealAggResult(reply);
+  return SealAggResult(std::move(reply), checksummed);
 }
 
-Result<Bytes> TokenSession::HandleSealedCollect(const RoundRequestMsg& req) {
+Result<Bytes> TokenSession::HandleSealedCollect(const RoundRequestMsg& req,
+                                                bool checksummed) {
   mcu::SecureToken* tok = token_;
   TupleBatchMsg reply;
   reply.round_id = req.header.round_id;
@@ -433,7 +440,7 @@ Result<Bytes> TokenSession::HandleSealedCollect(const RoundRequestMsg& req) {
   for (const global::SealedTuple& t : sealed) {
     reply.batch.push_back(global::EncodeSealedTuple(t));
   }
-  return Seal(EncodeTupleBatch(reply));
+  return EncodeMessage({std::move(reply), {}, checksummed});
 }
 
 // ---------------------------------------------------------------------------

@@ -65,31 +65,35 @@ class TokenSession {
   /// True once the handshake completed.
   [[nodiscard]] bool serving() const { return state_ == State::kServing; }
 
-  /// A new connection: the next frame must be a fresh challenge, and the
-  /// peer's checksum framing is forgotten. The highest answered round
-  /// survives, so a replay from before the reconnect is still refused.
-  void Reconnect() {
-    state_ = State::kAwaitChallenge;
-    peer_checksummed_ = false;
-  }
+  /// A new connection: the next frame must be a fresh challenge. The
+  /// highest answered round survives, so a replay from before the
+  /// reconnect is still refused.
+  void Reconnect() { state_ = State::kAwaitChallenge; }
 
  private:
   enum class State : uint8_t { kAwaitChallenge, kAwaitAck, kServing };
 
   [[nodiscard]] Result<Outcome> OnHandshakeFrame(const Message& m);
   [[nodiscard]] Result<Outcome> OnServingFrame(const Message& m);
-  /// Every reply leaves through here: mirrors the SSI's checksum trailer
-  /// once one has been seen on the inbound side.
-  [[nodiscard]] Bytes Seal(Bytes frame) const;
   /// Single egress point for decrypted per-group aggregates.
-  [[nodiscard]] Bytes SealAggResult(const AggResultMsg& reply) const;
-  [[nodiscard]] Result<Bytes> HandleCollect(const RoundRequestMsg& req);
-  [[nodiscard]] Result<Bytes> HandleAggregate(const RoundRequestMsg& req);
-  [[nodiscard]] Result<Bytes> HandleFinalize(const RoundRequestMsg& req);
-  [[nodiscard]] Result<Bytes> HandlePackedCollect(const RoundRequestMsg& req);
-  [[nodiscard]] Result<Bytes> HandleDetCollect(const RoundRequestMsg& req);
-  [[nodiscard]] Result<Bytes> HandleClassAggregate(const RoundRequestMsg& req);
-  [[nodiscard]] Result<Bytes> HandleSealedCollect(const RoundRequestMsg& req);
+  [[nodiscard]] Bytes SealAggResult(AggResultMsg reply,
+                                    bool checksummed) const;
+  /// The round handlers. Each encodes its reply with `checksummed`, the
+  /// checksum bit of the request it answers.
+  [[nodiscard]] Result<Bytes> HandleCollect(const RoundRequestMsg& req,
+                                            bool checksummed);
+  [[nodiscard]] Result<Bytes> HandleAggregate(const RoundRequestMsg& req,
+                                              bool checksummed);
+  [[nodiscard]] Result<Bytes> HandleFinalize(const RoundRequestMsg& req,
+                                             bool checksummed);
+  [[nodiscard]] Result<Bytes> HandlePackedCollect(const RoundRequestMsg& req,
+                                                  bool checksummed);
+  [[nodiscard]] Result<Bytes> HandleDetCollect(const RoundRequestMsg& req,
+                                               bool checksummed);
+  [[nodiscard]] Result<Bytes> HandleClassAggregate(const RoundRequestMsg& req,
+                                                   bool checksummed);
+  [[nodiscard]] Result<Bytes> HandleSealedCollect(const RoundRequestMsg& req,
+                                                  bool checksummed);
 
   mcu::SecureToken* token_;
   const std::vector<global::SourceTuple>* tuples_;
@@ -101,9 +105,6 @@ class TokenSession {
   uint32_t highest_round_ = 0;
   uint32_t malformed_seen_ = 0;
   State state_ = State::kAwaitChallenge;
-  /// Set once an inbound frame carried a checksum trailer; all replies
-  /// mirror it afterwards.
-  bool peer_checksummed_ = false;
 };
 
 /// Runs a TokenSession over a transport: connects to the SSI, proves fleet

@@ -44,7 +44,6 @@ Status SimFleet::Build() {
   scfg.quorum = config_.quorum;
   scfg.executor = nullptr;  // the event loop is single-threaded by design
   scfg.verifier = verifier_.get();
-  scfg.checksum_frames = config_.checksum_frames;
   scfg.clock = clock_.get();
   scfg.lean_sessions = config_.lean_sessions;
   server_ = std::make_unique<net::SsiServer>(scfg);

@@ -42,7 +42,6 @@ struct SimFleetConfig {
   uint32_t backoff_ms = 5;
   /// Drop per-session server telemetry (a must at 10^6 sessions).
   bool lean_sessions = true;
-  bool checksum_frames = false;
   /// Every Nth token (0 disables) swallows all round requests forever —
   /// the deterministic straggler population for quorum-sensitivity runs.
   size_t dropout_every = 0;

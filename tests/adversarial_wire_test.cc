@@ -149,7 +149,6 @@ TEST(AdversarialMatrixTest, SameSeedRealizesSameInjectionLog) {
     spec.faults.bitflip_rate = 1.0;
     spec.faults.max_injections = 2;
     spec.faults.skip_first = 2;
-    spec.checksum_frames = true;
     spec.quorum = 0.6;
     FillSpec(&spec, &fleet);
     auto cell = RunScenarioCell(spec);
@@ -235,7 +234,7 @@ TEST(HandshakeReverificationTest, StaleProofIsRejected) {
     HelloMsg hello;
     hello.token_id = 1;
     hello.proof = *proof;
-    ASSERT_TRUE(client1->Send(EncodeHello(hello)).ok());
+    ASSERT_TRUE(client1->Send(EncodeMessage({hello})).ok());
     auto ack = client1->Recv(ScaledMs(2000));
     ASSERT_TRUE(ack.ok());
   });
@@ -251,7 +250,7 @@ TEST(HandshakeReverificationTest, StaleProofIsRejected) {
     HelloMsg hello;
     hello.token_id = 1;
     hello.proof = stale_proof;  // replayed, not recomputed
-    ASSERT_TRUE(client2->Send(EncodeHello(hello)).ok());
+    ASSERT_TRUE(client2->Send(EncodeMessage({hello})).ok());
     auto ack = client2->Recv(ScaledMs(2000));
     ASSERT_TRUE(ack.ok());
     auto decoded = DecodeAs<HelloAckMsg>(ByteView(*ack));

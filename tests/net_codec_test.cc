@@ -1,12 +1,15 @@
-// pds::net codec: round-trips for every message type, and the totality
-// guarantee — truncated, mutated, oversized or trailing-garbage frames
-// return Status errors without crashes or partial state (exercised under
-// ASan by the sanitizer CI job).
+// pds::net codec: round-trips for every message type under every flag
+// combination (plain, traced, checksummed, both), the checksum's exact
+// single-bit-flip detection, and the totality guarantee — truncated,
+// mutated, oversized or trailing-garbage frames return Status errors
+// without crashes or partial state (exercised under ASan by the sanitizer
+// CI job).
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <limits>
+#include <string>
 
 #include "net/codec.h"
 
@@ -56,18 +59,114 @@ std::vector<Message> AllMessageTypes() {
   return msgs;
 }
 
-TEST(NetCodecTest, RoundTripEveryMessageType) {
+constexpr TraceContext kTrace{0x1122334455667788ULL, 0xAABBCCDDEEFF0011ULL};
+
+/// `m` with or without the trace block and the checksum trailer.
+Message Framed(Message m, bool traced, bool checksummed) {
+  if (traced) {
+    m.trace = kTrace;
+  }
+  m.checksummed = checksummed;
+  return m;
+}
+
+/// Every message type, checksummed and not, all traced or all untraced.
+std::vector<Message> AllFrames(bool traced) {
+  std::vector<Message> out;
   for (const Message& m : AllMessageTypes()) {
-    Bytes frame = EncodeMessage(m);
-    ASSERT_GE(frame.size(), kFrameHeaderSize);
-    auto header = DecodeFrameHeader(frame);
-    ASSERT_TRUE(header.ok()) << header.status().ToString();
-    EXPECT_EQ(header->type, m.type());
-    EXPECT_EQ(header->payload_len, frame.size() - kFrameHeaderSize);
-    auto decoded = DecodeMessage(frame);
-    ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-    EXPECT_TRUE(*decoded == m) << "type "
-                               << static_cast<int>(m.type());
+    for (bool checksummed : {false, true}) {
+      out.push_back(Framed(m, traced, checksummed));
+    }
+  }
+  return out;
+}
+
+/// Every message type under all four flag combinations.
+std::vector<Message> AllFrames() {
+  std::vector<Message> out = AllFrames(/*traced=*/false);
+  for (Message& m : AllFrames(/*traced=*/true)) {
+    out.push_back(std::move(m));
+  }
+  return out;
+}
+
+std::string Label(const Message& m) {
+  return "type " + std::to_string(static_cast<int>(m.type())) +
+         (m.trace.has_value() ? " traced" : "") +
+         (m.checksummed ? " checksummed" : "");
+}
+
+/// The header's flag bits announce the trace block and trailer, each adds
+/// exactly its own size to the plain frame, and the decoded message carries
+/// the trace context and checksum bit it was encoded with.
+void ExpectRoundTrip(const Message& m) {
+  SCOPED_TRACE(Label(m));
+  Bytes frame = EncodeMessage(m);
+  ASSERT_GE(frame.size(), kFrameHeaderSize);
+  auto header = DecodeFrameHeader(frame);
+  ASSERT_TRUE(header.ok()) << header.status().ToString();
+  EXPECT_EQ(header->type, m.type());
+  EXPECT_EQ(header->flags, (m.trace.has_value() ? kFrameTraced : 0) |
+                               (m.checksummed ? kFrameChecksummed : 0));
+  EXPECT_EQ(header->payload_len, frame.size() - kFrameHeaderSize);
+  EXPECT_EQ(frame.size(), EncodeMessage({m.body}).size() +
+                              (m.trace.has_value() ? kTraceContextSize : 0) +
+                              (m.checksummed ? kFrameChecksumSize : 0));
+  auto decoded = DecodeMessage(frame);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  EXPECT_TRUE(*decoded == m);
+}
+
+/// No proper prefix of any frame decodes.
+void ExpectTruncationsFail(const Message& m) {
+  Bytes frame = EncodeMessage(m);
+  for (size_t len = 0; len < frame.size(); ++len) {
+    auto decoded = DecodeMessage(ByteView(frame.data(), len));
+    EXPECT_FALSE(decoded.ok()) << Label(m) << " prefix " << len;
+  }
+}
+
+TEST(NetCodecTest, RoundTripEveryMessageType) {
+  // Plain and checksummed; the traced combinations are below.
+  for (const Message& m : AllFrames(/*traced=*/false)) {
+    ExpectRoundTrip(m);
+  }
+}
+
+TEST(NetCodecTest, TraceContextRoundTripsOnEveryMessageType) {
+  // Traced, with and without the checksum trailer.
+  for (const Message& m : AllFrames(/*traced=*/true)) {
+    ExpectRoundTrip(m);
+  }
+}
+
+TEST(NetCodecTest, UntracedFramesStillDecodeWithoutTraceContext) {
+  // Only the header's trace bit announces a trace block, so a frame without
+  // it decodes with no trace context. The block is purely additive: cutting
+  // it out of a traced frame and clearing the bit gives the untraced frame
+  // byte for byte — unless a trailer covers it, which then fails to verify.
+  for (const Message& m : AllMessageTypes()) {
+    for (bool checksummed : {false, true}) {
+      const Message untraced = Framed(m, /*traced=*/false, checksummed);
+      const Bytes frame = EncodeMessage(untraced);
+      auto decoded = DecodeMessage(frame);
+      ASSERT_TRUE(decoded.ok()) << Label(untraced) << ": "
+                                << decoded.status().ToString();
+      EXPECT_FALSE(decoded->trace.has_value()) << Label(untraced);
+
+      Bytes cut = EncodeMessage(Framed(m, /*traced=*/true, checksummed));
+      cut.erase(cut.begin() + kFrameHeaderSize,
+                cut.begin() + kFrameHeaderSize + kTraceContextSize);
+      cut[2] &= static_cast<uint8_t>(~kFrameTraced);
+      EncodeU32(cut.data() + 4,
+                static_cast<uint32_t>(cut.size() - kFrameHeaderSize));
+      if (checksummed) {
+        EXPECT_EQ(DecodeMessage(cut).status().code(), StatusCode::kCorruption)
+            << Label(untraced);
+      } else {
+        EXPECT_EQ(cut, frame) << Label(untraced);
+      }
+    }
   }
 }
 
@@ -76,7 +175,7 @@ TEST(NetCodecTest, PackedCollectRoundKindRoundTrips) {
   req.header = {11, RoundKind::kPackedCollect, global::AggFunc::kSum};
   // The batch carries the public domain labels in slot order.
   req.batch = {SomeCiphertext(5, 6), SomeCiphertext(6, 6)};
-  Bytes frame = EncodeRoundRequest(req);
+  Bytes frame = EncodeMessage({req});
   auto decoded = DecodeAs<RoundRequestMsg>(ByteView(frame));
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
   EXPECT_TRUE(*decoded == req);
@@ -95,89 +194,130 @@ TEST(NetCodecTest, PackedDomainRejectsOversizedSlotCount) {
   for (size_t i = 0; i <= kMaxPackedSlots; ++i) {
     req.batch.push_back(SomeCiphertext(static_cast<uint8_t>(i), 4));
   }
-  Bytes frame = EncodeRoundRequest(req);
+  Bytes frame = EncodeMessage({req});
   EXPECT_EQ(DecodeMessage(frame).status().code(), StatusCode::kCorruption);
 
   // The same count is fine on the ordinary aggregate path, which is bounded
   // by kMaxBatchTuples rather than the packed slot layout.
   req.header.kind = RoundKind::kAggregate;
-  Bytes ok_frame = EncodeRoundRequest(req);
+  Bytes ok_frame = EncodeMessage({req});
   auto decoded = DecodeMessage(ok_frame);
   EXPECT_TRUE(decoded.ok()) << decoded.status().ToString();
 }
 
 TEST(NetCodecTest, HeaderRejectsBadMagic) {
-  Bytes frame = EncodeBye();
+  Bytes frame = EncodeMessage({ByeMsg{}});
   frame[0] ^= 0xFF;
   EXPECT_EQ(DecodeMessage(frame).status().code(), StatusCode::kCorruption);
 }
 
 TEST(NetCodecTest, HeaderRejectsWrongVersion) {
-  Bytes frame = EncodeBye();
-  frame[2] = kWireVersionTraced + 1;
-  EXPECT_EQ(DecodeMessage(frame).status().code(), StatusCode::kCorruption);
-}
-
-TEST(NetCodecTest, UntracedFramesStillDecodeWithoutTraceContext) {
-  // Back-compat: every v1 frame decodes exactly as before, with no trace
-  // context attached.
-  for (const Message& m : AllMessageTypes()) {
-    Bytes frame = EncodeMessage(m);
-    EXPECT_EQ(frame[2], kWireVersion);
-    auto decoded = DecodeMessage(frame);
-    ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-    EXPECT_FALSE(decoded->trace.has_value());
+  // The byte that held the wire version is the flags byte, and only bit 0
+  // (trace block) and bit 1 (checksum trailer) are defined: every other
+  // value — what another format revision would write there — makes an
+  // otherwise valid untraced frame Corruption from the header alone.
+  TupleBatchMsg tb;
+  tb.round_id = 3;
+  tb.batch = {SomeCiphertext(7, 12)};
+  constexpr uint8_t kDefined = kFrameTraced | kFrameChecksummed;
+  for (bool checksummed : {false, true}) {
+    const Message m = Framed({tb}, /*traced=*/false, checksummed);
+    const Bytes frame = EncodeMessage(m);
+    ASSERT_TRUE(DecodeMessage(frame).ok()) << Label(m);
+    for (int value = 0; value < 256; ++value) {
+      if ((value & ~kDefined) == 0) {
+        continue;
+      }
+      Bytes other = frame;
+      other[2] = static_cast<uint8_t>(value);
+      EXPECT_EQ(DecodeFrameHeader(other).status().code(),
+                StatusCode::kCorruption)
+          << Label(m) << " flags " << value;
+      EXPECT_EQ(DecodeMessage(other).status().code(), StatusCode::kCorruption)
+          << Label(m) << " flags " << value;
+    }
   }
-}
-
-TEST(NetCodecTest, TraceContextRoundTripsOnEveryMessageType) {
-  const TraceContext ctx{0x1122334455667788ULL, 0xAABBCCDDEEFF0011ULL, true};
-  for (const Message& m : AllMessageTypes()) {
-    Bytes traced = AttachTraceContext(EncodeMessage(m), ctx);
-    auto header = DecodeFrameHeader(traced);
-    ASSERT_TRUE(header.ok()) << header.status().ToString();
-    EXPECT_EQ(header->version, kWireVersionTraced);
-    auto decoded = DecodeMessage(traced);
-    ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-    ASSERT_TRUE(decoded->trace.has_value());
-    EXPECT_EQ(*decoded->trace, ctx);
-    EXPECT_TRUE(decoded->body == m.body)
-        << "type " << static_cast<int>(m.type());
-  }
-}
-
-TEST(NetCodecTest, TracedHeaderRejectsTruncatedTraceBlock) {
-  // A v2 frame whose declared payload cannot even hold the trace block is
-  // rejected from the header alone, before any allocation.
-  Bytes frame = EncodeBye();  // payload_len = 0
-  frame[2] = kWireVersionTraced;
-  EXPECT_EQ(DecodeFrameHeader(frame).status().code(),
-            StatusCode::kCorruption);
-
-  // One byte short of a full trace block: still a header-level reject.
-  Bytes traced = AttachTraceContext(EncodeBye(), TraceContext{1, 2, true});
-  traced.pop_back();
-  EncodeU32(traced.data() + 4,
-            static_cast<uint32_t>(traced.size() - kFrameHeaderSize));
-  EXPECT_EQ(DecodeFrameHeader(traced).status().code(),
-            StatusCode::kCorruption);
 }
 
 TEST(NetCodecTest, TraceContextRejectsUndefinedFlagBits) {
-  Bytes traced = AttachTraceContext(EncodeBye(), TraceContext{1, 2, false});
-  // The flags byte is the last byte of the 17-byte trace block.
-  traced[kFrameHeaderSize + kTraceContextSize - 1] = 0x02;
-  EXPECT_EQ(DecodeMessage(traced).status().code(), StatusCode::kCorruption);
+  // The trace block has no flags byte of its own; its frame's undefined
+  // header bits are rejected like any other frame's, traced and checksummed
+  // or not.
+  TupleBatchMsg tb;
+  tb.round_id = 3;
+  tb.batch = {SomeCiphertext(7, 12)};
+  for (bool checksummed : {false, true}) {
+    const Message m = Framed({tb}, /*traced=*/true, checksummed);
+    const Bytes frame = EncodeMessage(m);
+    ASSERT_TRUE(DecodeMessage(frame).ok()) << Label(m);
+    for (int bit = 2; bit < 8; ++bit) {
+      Bytes flagged = frame;
+      flagged[2] |= static_cast<uint8_t>(1u << bit);
+      EXPECT_EQ(DecodeFrameHeader(flagged).status().code(),
+                StatusCode::kCorruption)
+          << Label(m) << " bit " << bit;
+      EXPECT_EQ(DecodeMessage(flagged).status().code(),
+                StatusCode::kCorruption)
+          << Label(m) << " bit " << bit;
+    }
+  }
 }
 
-TEST(NetCodecTest, TraceContextTruncationSweepNeverSucceeds) {
-  Bytes traced = AttachTraceContext(
-      EncodeStatsReply(StatsReplyMsg{"{\"fleet\": {}}"}),
-      TraceContext{3, 4, true});
-  for (size_t len = 0; len < traced.size(); ++len) {
-    EXPECT_FALSE(DecodeMessage(ByteView(traced.data(), len)).ok())
-        << "prefix " << len;
+TEST(NetCodecTest, HeaderRejectsPayloadTooShortForFlaggedBlocks) {
+  // A traced or checksummed frame whose declared payload cannot hold its
+  // trace block and trailer is rejected from the header alone, before any
+  // allocation; one that can passes the header check.
+  const Bytes bye = EncodeMessage({ByeMsg{}});  // payload_len = 0
+  for (uint8_t flags : {kFrameTraced, kFrameChecksummed,
+                        static_cast<uint8_t>(kFrameTraced |
+                                             kFrameChecksummed)}) {
+    const size_t need =
+        ((flags & kFrameTraced) != 0 ? kTraceContextSize : 0) +
+        ((flags & kFrameChecksummed) != 0 ? kFrameChecksumSize : 0);
+    Bytes frame = bye;
+    frame[2] = flags;
+    for (size_t len = 0; len < need; ++len) {
+      EncodeU32(frame.data() + 4, static_cast<uint32_t>(len));
+      EXPECT_EQ(DecodeFrameHeader(frame).status().code(),
+                StatusCode::kCorruption)
+          << "flags " << int{flags} << " payload_len " << len;
+    }
+    EncodeU32(frame.data() + 4, static_cast<uint32_t>(need));
+    EXPECT_TRUE(DecodeFrameHeader(frame).ok()) << "flags " << int{flags};
   }
+}
+
+TEST(NetCodecTest, ChecksumRejectsEverySingleBitFlip) {
+  // The trailer covers header, trace block and body, and each FNV-1a64 step
+  // is a bijection, so every single-bit flip of a checksummed frame —
+  // traced or not, in any field, the trailer included — is rejected, even
+  // one that leaves a plain frame decodable (a round-kind or counter bit).
+  size_t checked = 0;
+  for (const Message& m : AllFrames()) {
+    if (!m.checksummed) {
+      continue;
+    }
+    const Bytes frame = EncodeMessage(m);
+    for (size_t i = 0; i < frame.size(); ++i) {
+      for (int bit = 0; bit < 8; ++bit) {
+        Bytes flipped = frame;
+        flipped[i] ^= static_cast<uint8_t>(1u << bit);
+        EXPECT_FALSE(DecodeMessage(flipped).ok())
+            << Label(m) << " byte " << i << " bit " << bit;
+        ++checked;
+      }
+    }
+  }
+  EXPECT_GT(checked, 0u);
+
+  // Header coverage: Bye and StatsRequest both have empty bodies, so a
+  // retyped frame is caught by the trailer alone.
+  Bytes retyped = EncodeMessage({ByeMsg{}, {}, true});
+  retyped[3] = static_cast<uint8_t>(MsgType::kStatsRequest);
+  EXPECT_EQ(DecodeMessage(retyped).status().code(), StatusCode::kCorruption);
+  retyped = EncodeMessage({ByeMsg{}});
+  retyped[3] = static_cast<uint8_t>(MsgType::kStatsRequest);
+  EXPECT_TRUE(DecodeMessage(retyped).ok());  // a plain frame cannot tell
 }
 
 TEST(NetCodecTest, StatsReplyRejectsOversizedDeclaredJson) {
@@ -185,7 +325,7 @@ TEST(NetCodecTest, StatsReplyRejectsOversizedDeclaredJson) {
   // decoder sizes the string.
   Bytes frame;
   PutU16(&frame, kMagic);
-  frame.push_back(kWireVersion);
+  frame.push_back(0);  // flags: a plain frame
   frame.push_back(static_cast<uint8_t>(MsgType::kStatsReply));
   PutU32(&frame, 4);  // payload: just the string length
   PutU32(&frame, static_cast<uint32_t>(kMaxStatsJsonBytes + 1));
@@ -194,7 +334,7 @@ TEST(NetCodecTest, StatsReplyRejectsOversizedDeclaredJson) {
 }
 
 TEST(NetCodecTest, HeaderRejectsUnknownType) {
-  Bytes frame = EncodeBye();
+  Bytes frame = EncodeMessage({ByeMsg{}});
   frame[3] = 200;
   EXPECT_EQ(DecodeMessage(frame).status().code(), StatusCode::kCorruption);
 }
@@ -202,7 +342,7 @@ TEST(NetCodecTest, HeaderRejectsUnknownType) {
 TEST(NetCodecTest, HeaderRejectsOversizedDeclaredLength) {
   // A lying length field must be rejected from the 8 header bytes alone,
   // before any payload allocation.
-  Bytes frame = EncodeBye();
+  Bytes frame = EncodeMessage({ByeMsg{}});
   EncodeU32(frame.data() + 4, static_cast<uint32_t>(kMaxFramePayload + 1));
   EXPECT_EQ(DecodeFrameHeader(frame).status().code(),
             StatusCode::kCorruption);
@@ -212,14 +352,14 @@ TEST(NetCodecTest, RejectsLengthMismatch) {
   TupleBatchMsg tb;
   tb.round_id = 1;
   tb.batch = {SomeCiphertext(1, 10)};
-  Bytes frame = EncodeTupleBatch(tb);
+  Bytes frame = EncodeMessage({tb});
   frame.push_back(0);  // trailing junk beyond the declared payload
   EXPECT_EQ(DecodeMessage(frame).status().code(), StatusCode::kCorruption);
 }
 
 TEST(NetCodecTest, RejectsTrailingBytesInsidePayload) {
   // Junk *inside* the declared payload (decoder finishes early).
-  Bytes frame = EncodeHelloAck(HelloAckMsg{true});
+  Bytes frame = EncodeMessage({HelloAckMsg{true}});
   frame.push_back(0xAB);
   EncodeU32(frame.data() + 4,
             static_cast<uint32_t>(frame.size() - kFrameHeaderSize));
@@ -231,7 +371,7 @@ TEST(NetCodecTest, RejectsBatchCountAboveBound) {
   // kMaxBatchTuples while the frame itself stays tiny.
   Bytes frame;
   PutU16(&frame, kMagic);
-  frame.push_back(kWireVersion);
+  frame.push_back(0);  // flags: a plain frame
   frame.push_back(static_cast<uint8_t>(MsgType::kTupleBatch));
   PutU32(&frame, 4 + 8 + 4);  // round_id + token_ops + count
   PutU32(&frame, 1);          // round_id
@@ -244,13 +384,16 @@ TEST(NetCodecTest, RejectsBatchCountAboveBound) {
 }
 
 TEST(NetCodecTest, TruncationSweepNeverSucceeds) {
-  for (const Message& m : AllMessageTypes()) {
-    Bytes frame = EncodeMessage(m);
-    for (size_t len = 0; len < frame.size(); ++len) {
-      auto decoded = DecodeMessage(ByteView(frame.data(), len));
-      EXPECT_FALSE(decoded.ok())
-          << "type " << static_cast<int>(m.type()) << " prefix " << len;
-    }
+  // Every proper prefix of every untraced frame, checksummed or not.
+  for (const Message& m : AllFrames(/*traced=*/false)) {
+    ExpectTruncationsFail(m);
+  }
+}
+
+TEST(NetCodecTest, TraceContextTruncationSweepNeverSucceeds) {
+  // Every proper prefix of every traced frame, checksummed or not.
+  for (const Message& m : AllFrames(/*traced=*/true)) {
+    ExpectTruncationsFail(m);
   }
 }
 
@@ -259,7 +402,7 @@ TEST(NetCodecTest, MutationSweepIsErrorClean) {
   // decode (e.g. a flipped bit inside a counter value) but must never
   // crash, read out of bounds, or leave a half-built message — and
   // whatever decodes must re-encode cleanly.
-  for (const Message& m : AllMessageTypes()) {
+  for (const Message& m : AllFrames()) {
     Bytes frame = EncodeMessage(m);
     for (size_t i = 0; i < frame.size(); ++i) {
       for (uint8_t flip : {uint8_t{0x01}, uint8_t{0xFF}}) {
@@ -276,7 +419,7 @@ TEST(NetCodecTest, MutationSweepIsErrorClean) {
 }
 
 TEST(NetCodecTest, DecodeAsEnforcesType) {
-  Bytes frame = EncodeHelloAck(HelloAckMsg{true});
+  Bytes frame = EncodeMessage({HelloAckMsg{true}});
   auto wrong = DecodeAs<TupleBatchMsg>(frame);
   EXPECT_EQ(wrong.status().code(), StatusCode::kFailedPrecondition);
   auto right = DecodeAs<HelloAckMsg>(frame);
@@ -285,7 +428,7 @@ TEST(NetCodecTest, DecodeAsEnforcesType) {
 }
 
 TEST(NetCodecTest, DecodeAsSurfacesPeerError) {
-  Bytes frame = EncodeError(ErrorMsg{1, "token on fire"});
+  Bytes frame = EncodeMessage({ErrorMsg{1, "token on fire"}});
   auto got = DecodeAs<TupleBatchMsg>(frame);
   EXPECT_EQ(got.status().code(), StatusCode::kFailedPrecondition);
   EXPECT_NE(got.status().message().find("token on fire"), std::string::npos);
@@ -294,13 +437,13 @@ TEST(NetCodecTest, DecodeAsSurfacesPeerError) {
 TEST(NetCodecTest, EmptyBatchAndEmptyEntriesRoundTrip) {
   RoundRequestMsg req;
   req.header = {1, RoundKind::kCollect, global::AggFunc::kSum};
-  auto decoded = DecodeMessage(EncodeRoundRequest(req));
+  auto decoded = DecodeMessage(EncodeMessage({req}));
   ASSERT_TRUE(decoded.ok());
   EXPECT_TRUE(std::get<RoundRequestMsg>(decoded->body).batch.empty());
 
   AggResultMsg ar;
   ar.round_id = 2;
-  auto decoded2 = DecodeMessage(EncodeAggResult(ar));
+  auto decoded2 = DecodeMessage(EncodeMessage({ar}));
   ASSERT_TRUE(decoded2.ok());
   EXPECT_TRUE(std::get<AggResultMsg>(decoded2->body).entries.empty());
 }

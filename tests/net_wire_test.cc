@@ -37,7 +37,7 @@ using global::SourceTuple;
 
 TEST(NetTransportTest, InProcessPairDelivers) {
   auto [a, b] = InProcessTransport::CreatePair();
-  Bytes frame = EncodeBye();
+  Bytes frame = EncodeMessage({ByeMsg{}});
   ASSERT_TRUE(a->Send(frame).ok());
   auto got = b->Recv(1000);
   ASSERT_TRUE(got.ok());
@@ -58,12 +58,12 @@ TEST(NetTransportTest, InProcessCloseUnblocksAndFailsSends) {
   auto [a, b] = InProcessTransport::CreatePair();
   a->Close();
   EXPECT_EQ(b->Recv(1000).status().code(), StatusCode::kIoError);
-  EXPECT_EQ(b->Send(EncodeBye()).code(), StatusCode::kIoError);
+  EXPECT_EQ(b->Send(EncodeMessage({ByeMsg{}})).code(), StatusCode::kIoError);
 }
 
 TEST(NetTransportTest, InProcessQueueBackpressure) {
   auto [a, b] = InProcessTransport::CreatePair(/*max_queued=*/2);
-  Bytes frame = EncodeBye();
+  Bytes frame = EncodeMessage({ByeMsg{}});
   ASSERT_TRUE(a->Send(frame).ok());
   ASSERT_TRUE(a->Send(frame).ok());
   EXPECT_EQ(a->Send(frame).code(), StatusCode::kResourceExhausted);
@@ -82,9 +82,9 @@ TEST(NetTransportTest, UnixPairReassemblesFrames) {
   for (int i = 0; i < 100; ++i) {
     big.batch.push_back(Bytes(1000, static_cast<uint8_t>(i)));
   }
-  Bytes big_frame = EncodeTupleBatch(big);
+  Bytes big_frame = EncodeMessage({big});
   ASSERT_GT(big_frame.size(), 64u * 1024);
-  Bytes small_frame = EncodeBye();
+  Bytes small_frame = EncodeMessage({ByeMsg{}});
   ASSERT_TRUE(a->Send(big_frame).ok());
   ASSERT_TRUE(a->Send(small_frame).ok());
 
@@ -116,7 +116,7 @@ TEST(NetTransportTest, TcpLoopbackConnectAndExchange) {
   auto server = listener.Accept(2000);
   ASSERT_TRUE(server.ok()) << server.status().ToString();
 
-  Bytes frame = EncodeHelloAck(HelloAckMsg{true});
+  Bytes frame = EncodeMessage({HelloAckMsg{true}});
   ASSERT_TRUE((*client)->Send(frame).ok());
   auto got = (*server)->Recv(2000);
   ASSERT_TRUE(got.ok());
@@ -693,9 +693,9 @@ TEST(NetQuorumTest, RetryRecoversFlakyToken) {
 std::unique_ptr<DirectTokenLink> ServingLink(TestFleet* fleet) {
   auto link = std::make_unique<DirectTokenLink>(
       fleet->tokens[0].get(), &fleet->participants[0].tuples, nullptr);
-  EXPECT_TRUE(link->Send(EncodeChallenge(ChallengeMsg{Bytes(16, 7)})).ok());
+  EXPECT_TRUE(link->Send(EncodeMessage({ChallengeMsg{Bytes(16, 7)}})).ok());
   EXPECT_TRUE(DecodeAs<HelloMsg>(link->Recv(0).value()).ok());
-  EXPECT_TRUE(link->Send(EncodeHelloAck(HelloAckMsg{true})).ok());
+  EXPECT_TRUE(link->Send(EncodeMessage({HelloAckMsg{true}})).ok());
   return link;
 }
 
@@ -727,7 +727,7 @@ TEST(NetHostileParamsTest, TokenRefusesSendListsBeyondOneBatch) {
     if (params.variant == DetVariant::kDomainNoise) {
       req.batch.insert(req.batch.end(), domain.begin(), domain.end());
     }
-    ASSERT_TRUE(link->Send(EncodeRoundRequest(req)).ok());
+    ASSERT_TRUE(link->Send(EncodeMessage({req})).ok());
     auto err = DecodeAs<ErrorMsg>(link->Recv(0).value());
     ASSERT_TRUE(err.ok()) << "round " << req.header.round_id;
     EXPECT_EQ(err->code, 3);
@@ -739,7 +739,7 @@ TEST(NetHostileParamsTest, TokenRefusesSendListsBeyondOneBatch) {
   DetParams sane;
   sane.noise_ratio = 0.5;
   req.batch.push_back(EncodeDetParams(sane));
-  ASSERT_TRUE(link->Send(EncodeRoundRequest(req)).ok());
+  ASSERT_TRUE(link->Send(EncodeMessage({req})).ok());
   auto batch = DecodeAs<TupleBatchMsg>(link->Recv(0).value());
   ASSERT_TRUE(batch.ok()) << batch.status().ToString();
   const size_t real = fleet.participants[0].tuples.size();
@@ -774,6 +774,96 @@ TEST(NetHostileParamsTest, SsiRejectsUnusableParamsBeforeAnyFrame) {
   EXPECT_EQ(server.RunDetAggregation(AggFunc::kSum, det).status().code(),
             StatusCode::kInvalidArgument);
   EXPECT_EQ(frames_sent->Value(), before);
+}
+
+// ---------------------------------------------------------------------------
+// Checksummed frames: no negotiation, every reply carries its request's bit
+
+TEST(NetChecksumTest, TokenSessionAnswersEachFrameWithItsChecksumBit) {
+  // No session state decides the framing: one session answers a
+  // checksummed request checksummed and a plain one plain, in any order,
+  // and a frame it cannot decode (so has no trusted bit) gets a plain error.
+  TestFleet fleet = MakeTestFleet(1);
+  auto link = ServingLink(&fleet);
+  uint32_t round = 1;
+  for (bool checksummed : {true, false, false, true}) {
+    RoundRequestMsg req;
+    req.header.round_id = round++;
+    req.header.kind = RoundKind::kCollect;
+    ASSERT_TRUE(link->Send(EncodeMessage({req, {}, checksummed})).ok());
+    auto reply = DecodeMessage(link->Recv(0).value());
+    ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+    EXPECT_TRUE(std::holds_alternative<TupleBatchMsg>(reply->body));
+    EXPECT_EQ(reply->checksummed, checksummed) << "round " << round - 1;
+  }
+  RoundRequestMsg req;
+  req.header.round_id = round;
+  Bytes damaged = EncodeMessage({req, {}, true});
+  damaged[kFrameHeaderSize] ^= 0x01;  // round id bit: the trailer fails
+  ASSERT_TRUE(link->Send(damaged).ok());
+  auto reply = DecodeMessage(link->Recv(0).value());
+  ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+  ASSERT_TRUE(std::holds_alternative<ErrorMsg>(reply->body));
+  EXPECT_EQ(std::get<ErrorMsg>(reply->body).code, 3);
+  EXPECT_FALSE(reply->checksummed);
+}
+
+/// Test-only link damage a trailer cannot flag by itself: every frame the
+/// token sends arrives re-encoded plain (same body and trace context), as
+/// from a peer that dropped the checksum.
+class StripChecksumTransport : public Transport {
+ public:
+  explicit StripChecksumTransport(std::unique_ptr<Transport> inner)
+      : inner_(std::move(inner)) {}
+
+  Status Send(ByteView frame) override { return inner_->Send(frame); }
+  Result<Bytes> Recv(uint32_t deadline_ms) override {
+    PDS_ASSIGN_OR_RETURN(Bytes frame, inner_->Recv(deadline_ms));
+    auto m = DecodeMessage(frame);
+    if (!m.ok()) {
+      return frame;
+    }
+    m->checksummed = false;
+    return EncodeMessage(*m);
+  }
+  void Close() override { inner_->Close(); }
+  bool closed() const override { return inner_->closed(); }
+
+ private:
+  std::unique_ptr<Transport> inner_;
+};
+
+TEST(NetChecksumTest, ChecksummedSsiNeverAcceptsStrippedReplies) {
+  // Session 0's replies all arrive without their trailer. A checksummed SSI
+  // counts each one as a frame reject, so the session times out as a
+  // straggler and the run completes at quorum on the other two tokens.
+  TestFleet fleet = MakeTestFleet(3);
+  SsiServer::Config scfg;
+  scfg.partition_capacity = 16;
+  scfg.verifier = fleet.verifier.get();
+  scfg.checksum_frames = true;
+  scfg.quorum = 0.6;
+  scfg.max_retries = 1;
+  scfg.backoff_ms = 1;
+  SsiServer server(scfg);
+  for (size_t i = 0; i < fleet.participants.size(); ++i) {
+    Participant& p = fleet.participants[i];
+    std::unique_ptr<Transport> link =
+        std::make_unique<DirectTokenLink>(p.token, &p.tuples, nullptr);
+    if (i == 0) {
+      link = std::make_unique<StripChecksumTransport>(std::move(link));
+    }
+    ASSERT_TRUE(server.AcceptSession(std::move(link)).ok());
+  }
+  auto output = server.RunSecureAggregation(AggFunc::kSum);
+  ASSERT_TRUE(output.ok()) << output.status().ToString();
+  EXPECT_GT(server.last_report().frame_rejects, 0u);
+  EXPECT_EQ(server.last_report().missing_tokens, 1u);
+  EXPECT_EQ(server.last_report().responders, 2u);
+  const std::vector<Participant> answered(fleet.participants.begin() + 1,
+                                          fleet.participants.end());
+  EXPECT_EQ(output->groups, global::PlainAggregate(answered, AggFunc::kSum));
+  server.Shutdown();
 }
 
 TEST(NetHandshakeTest, AcceptsFleetMember) {
@@ -815,11 +905,11 @@ TEST(NetHandshakeTest, RejectsTokenOutsideFleet) {
 // Distributed tracing and the live stats surface
 
 #if PDS_OBS_ENABLED
-TEST(NetTracingTest, TokenRoundSpansParentUnderSsiRoundTrips) {
-  // The acceptance walk for the merged cross-process trace: after a
-  // loopback run with tracing on, every token-side round handler span must
-  // be a child of one of the SSI's round-trip spans — one timeline per
-  // round, stitched across the process boundary by the wire trace context.
+/// The acceptance walk for the merged cross-process trace: after a loopback
+/// run with tracing on, every token-side round handler span must be a child
+/// of one of the SSI's round-trip spans — one timeline per round, stitched
+/// across the process boundary by the wire trace context.
+void ExpectTokenSpansParentUnderSsiRoundTrips(bool checksum_frames) {
   obs::Tracer& tracer = obs::Tracer::Global();
   tracer.SetEnabled(false);
   tracer.SetSampleEveryN(1);
@@ -830,6 +920,7 @@ TEST(NetTracingTest, TokenRoundSpansParentUnderSsiRoundTrips) {
   SsiServer::Config scfg;
   scfg.partition_capacity = 16;  // forces aggregate + finalize rounds
   scfg.verifier = fleet.verifier.get();
+  scfg.checksum_frames = checksum_frames;
   SsiServer server(scfg);
   auto clients = ConnectClients(&server, &fleet);
   auto output = server.RunSecureAggregation(AggFunc::kSum);
@@ -837,6 +928,7 @@ TEST(NetTracingTest, TokenRoundSpansParentUnderSsiRoundTrips) {
   tracer.SetEnabled(false);
   ASSERT_TRUE(output.ok()) << output.status().ToString();
   ASSERT_EQ(tracer.dropped(), 0u);
+  EXPECT_EQ(server.last_report().frame_rejects, 0u);
 
   std::set<uint64_t> round_trip_ids;
   for (const obs::SpanEvent& e : tracer.Events()) {
@@ -874,6 +966,17 @@ TEST(NetTracingTest, TokenRoundSpansParentUnderSsiRoundTrips) {
   std::string trace = trace_out.str();
   EXPECT_NE(trace.find("net.round-trip"), std::string::npos);
   EXPECT_NE(trace.find("net.round.collect"), std::string::npos);
+}
+
+TEST(NetTracingTest, TokenRoundSpansParentUnderSsiRoundTrips) {
+  ExpectTokenSpansParentUnderSsiRoundTrips(/*checksum_frames=*/false);
+}
+
+TEST(NetTracingTest, ChecksummedRunKeepsTokenSpansUnderSsiRoundTrips) {
+  // Trace context and checksum trailer share one frame: a checksummed run
+  // stays traced end to end. (The run itself shows the token answered
+  // checksummed — a checksummed SSI rejects every plain reply.)
+  ExpectTokenSpansParentUnderSsiRoundTrips(/*checksum_frames=*/true);
 }
 #endif  // PDS_OBS_ENABLED
 
@@ -917,7 +1020,7 @@ TEST(NetStatsTest, StatsRequestReturnsLiveJsonSnapshot) {
   std::thread serving([&server, transport = stats_end.get()] {
     EXPECT_TRUE(server.ServeStats(transport).ok());
   });
-  ASSERT_TRUE(admin_end->Send(EncodeStatsRequest()).ok());
+  ASSERT_TRUE(admin_end->Send(EncodeMessage({StatsRequestMsg{}})).ok());
   auto reply_frame = admin_end->Recv(2000);
   ASSERT_TRUE(reply_frame.ok()) << reply_frame.status().ToString();
   auto reply = DecodeAs<StatsReplyMsg>(*reply_frame);
@@ -943,7 +1046,7 @@ TEST(NetStatsTest, StatsChannelRejectsNonStatsFrames) {
   SsiServer server(scfg);
 
   auto [admin_end, stats_end] = InProcessTransport::CreatePair();
-  ASSERT_TRUE(admin_end->Send(EncodeBye()).ok());
+  ASSERT_TRUE(admin_end->Send(EncodeMessage({ByeMsg{}})).ok());
   EXPECT_EQ(server.ServeStats(stats_end.get()).code(),
             StatusCode::kFailedPrecondition);
   // The peer gets a protocol error frame rather than silence.

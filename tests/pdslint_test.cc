@@ -289,15 +289,15 @@ TEST(PdslintSecretFlow, CatchesCiphertextCopiedIntoDiagnosticLog) {
 
 TEST(PdslintSecretFlow, CatchesKeyMaterialFoldedIntoTraceId) {
   // The distributed-tracing leak: fleet-key bytes folded into a trace_id
-  // that flows into the trace-context attacher. Trace ids travel cleartext
-  // on every traced frame, so AttachTraceContext is a sink like the payload
-  // encoders — the real codepath seeds trace ids from the non-secret RNG.
+  // that reaches the frame encoder through Message::trace. Trace ids travel
+  // cleartext on every traced frame, so the taint must follow the member
+  // assignment into EncodeMessage — the real codepath seeds trace ids from
+  // the non-secret RNG.
   Report r = Lint("net/leak_trace_id.cc");
   std::vector<int> lines = LinesFor(r, Rule::kSecretFlow);
   ASSERT_EQ(lines.size(), 1u);
-  EXPECT_EQ(lines[0], 38);
-  EXPECT_NE(r.findings[0].message.find("AttachTraceContext"),
-            std::string::npos);
+  EXPECT_EQ(lines[0], 47);
+  EXPECT_NE(r.findings[0].message.find("EncodeMessage"), std::string::npos);
 }
 
 TEST(PdslintSecretFlow, CatchesCiphertextInSimEventRecord) {
