@@ -7,16 +7,15 @@
 //   3. Paillier homomorphic   — untrusted-server-only cryptography.
 //
 // Paper shape: each rung costs orders of magnitude more than the previous;
-// the token approach sits far below public-key homomorphic crypto.
+// the token approach sits far below public-key homomorphic crypto. The
+// kernel-vs-scalar rungs under Paillier are timed by crypto_round_bench.
 
 #include <benchmark/benchmark.h>
 
 #include "common/rng.h"
 
-#include <map>
 #include <memory>
 
-#include "crypto/montgomery.h"
 #include "crypto/paillier.h"
 #include "global/agg_protocols.h"
 #include "global/toolkit.h"
@@ -130,138 +129,6 @@ void BM_OnePaillierEncryption(benchmark::State& state) {
   state.counters["modulus_bits"] = static_cast<double>(bits);
 }
 BENCHMARK(BM_OnePaillierEncryption)->Arg(256)->Arg(512)->Arg(1024);
-
-// --- Kernel-layer speedups: scalar (schoolbook) vs Montgomery/CRT/cache.
-// run_benches.sh pairs these up into BENCH_crypto.json speedup entries.
-// Each rung warms up before measuring and runs N repetitions; the JSON
-// distiller reads the _median aggregate so one noisy rep cannot skew a
-// reported speedup.
-
-const pds::crypto::Paillier& CachedPaillier(size_t bits) {
-  static std::map<size_t, pds::crypto::Paillier> cache;
-  auto it = cache.find(bits);
-  if (it == cache.end()) {
-    pds::Rng rng(77);
-    auto paillier = pds::crypto::Paillier::Generate(bits, &rng);
-    it = cache.emplace(bits, std::move(*paillier)).first;
-  }
-  return it->second;
-}
-
-void BM_PaillierEncryptScalar(benchmark::State& state) {
-  const size_t bits = static_cast<size_t>(state.range(0));
-  const auto& paillier = CachedPaillier(bits);
-  pds::Rng rng(79);
-  pds::crypto::BigInt m(12345);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(paillier.EncryptScalar(m, &rng));
-  }
-  state.counters["modulus_bits"] = static_cast<double>(bits);
-}
-BENCHMARK(BM_PaillierEncryptScalar)
-    ->Arg(256)
-    ->Arg(512)
-    ->Arg(1024)
-    ->MinWarmUpTime(0.05)
-    ->Repetitions(5);
-
-void BM_PaillierEncryptCached(benchmark::State& state) {
-  const size_t bits = static_cast<size_t>(state.range(0));
-  const auto& paillier = CachedPaillier(bits);
-  pds::Rng rng(79);
-  pds::crypto::BigInt m(12345);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(paillier.Encrypt(m, &rng));
-  }
-  state.counters["modulus_bits"] = static_cast<double>(bits);
-}
-BENCHMARK(BM_PaillierEncryptCached)
-    ->Arg(256)
-    ->Arg(512)
-    ->Arg(1024)
-    ->MinWarmUpTime(0.05)
-    ->Repetitions(5);
-
-void BM_PaillierDecryptScalar(benchmark::State& state) {
-  const size_t bits = static_cast<size_t>(state.range(0));
-  const auto& paillier = CachedPaillier(bits);
-  pds::Rng rng(81);
-  auto ct = paillier.EncryptU64(67890, &rng);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(paillier.DecryptScalar(*ct));
-  }
-  state.counters["modulus_bits"] = static_cast<double>(bits);
-}
-BENCHMARK(BM_PaillierDecryptScalar)
-    ->Arg(256)
-    ->Arg(512)
-    ->Arg(1024)
-    ->MinWarmUpTime(0.05)
-    ->Repetitions(5);
-
-void BM_PaillierDecryptCRT(benchmark::State& state) {
-  const size_t bits = static_cast<size_t>(state.range(0));
-  const auto& paillier = CachedPaillier(bits);
-  pds::Rng rng(81);
-  auto ct = paillier.EncryptU64(67890, &rng);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(paillier.Decrypt(*ct));
-  }
-  state.counters["modulus_bits"] = static_cast<double>(bits);
-}
-BENCHMARK(BM_PaillierDecryptCRT)
-    ->Arg(256)
-    ->Arg(512)
-    ->Arg(1024)
-    ->MinWarmUpTime(0.05)
-    ->Repetitions(5);
-
-// ModExp micro: full-width exponent over a modulus of `bits` bits, the
-// primitive under every Paillier operation.
-struct ModExpInputs {
-  pds::crypto::BigInt m, a, e;
-};
-
-ModExpInputs MakeModExpInputs(size_t bits) {
-  pds::Rng rng(83);
-  ModExpInputs in;
-  in.m = pds::crypto::BigInt::GeneratePrime(bits, &rng);
-  in.a = pds::crypto::BigInt::RandomBelow(in.m, &rng);
-  in.e = pds::crypto::BigInt::RandomBits(bits, &rng);
-  return in;
-}
-
-void BM_ModExpSchoolbook(benchmark::State& state) {
-  auto in = MakeModExpInputs(static_cast<size_t>(state.range(0)));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        pds::crypto::BigInt::ModExpSchoolbook(in.a, in.e, in.m));
-  }
-  state.counters["modulus_bits"] = static_cast<double>(state.range(0));
-}
-BENCHMARK(BM_ModExpSchoolbook)
-    ->Arg(256)
-    ->Arg(512)
-    ->Arg(1024)
-    ->Arg(2048)
-    ->MinWarmUpTime(0.05)
-    ->Repetitions(3);
-
-void BM_ModExpMontgomery(benchmark::State& state) {
-  auto in = MakeModExpInputs(static_cast<size_t>(state.range(0)));
-  pds::crypto::MontgomeryCtx ctx(in.m);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(ctx.ModExp(in.a, in.e));
-  }
-  state.counters["modulus_bits"] = static_cast<double>(state.range(0));
-}
-BENCHMARK(BM_ModExpMontgomery)
-    ->Arg(256)
-    ->Arg(512)
-    ->Arg(1024)
-    ->Arg(2048)
-    ->MinWarmUpTime(0.05)
-    ->Repetitions(3);
 
 }  // namespace
 

@@ -1,10 +1,15 @@
-// crypto_round_bench — the documented driver for the batched/packed crypto
-// hot-path numbers:
+// crypto_round_bench — the documented driver for BENCH_crypto.json:
 //
-//   build/bench/crypto_round_bench --out rounds.json
+//   build/bench/crypto_round_bench --out BENCH_crypto.json
 //
-// It times one [TNP14] fleet aggregation round at fleet size 64 with 8
-// counters per site, two ways:
+// It first times the kernel-layer rungs of E6's cost ladder against their
+// scalar baselines: Paillier encrypt (fixed-base cache vs plain ModExp)
+// and decrypt (CRT + Montgomery vs schoolbook) at 256/512/1024-bit keys,
+// and ModExp (Montgomery vs schoolbook) at 256-2048-bit moduli. Each rung
+// batches enough calls per sample to fill kSampleNs.
+//
+// It then times one [TNP14] fleet aggregation round at fleet size 64 with
+// 8 counters per site, two ways:
 //
 //   fleet_round_per_op — the PR 1 baseline: one Paillier encryption per
 //     site per counter, k homomorphic folds, k decryptions
@@ -18,18 +23,20 @@
 // to its scalar fallback to prove the ciphertexts are byte-identical on
 // both dispatch paths. Any mismatch — or a packed speedup below the 3x
 // acceptance floor — exits non-zero, which is what the CI schema check
-// builds on. Each path warms up once untimed, then reports the median of
-// kReps timed rounds.
+// builds on. Every measurement warms up once untimed, then reports the
+// median of kReps timed samples.
 
 #include <algorithm>
 #include <chrono>
 #include <cstring>
 #include <fstream>
+#include <iomanip>
 #include <iostream>
 #include <string>
 #include <vector>
 
 #include "common/rng.h"
+#include "crypto/montgomery.h"
 #include "crypto/montgomery_simd.h"
 #include "crypto/paillier.h"
 #include "global/toolkit.h"
@@ -47,6 +54,7 @@ constexpr size_t kCounters = 8;
 constexpr uint64_t kMaxValue = 255;
 constexpr size_t kKeyBits = 512;
 constexpr int kReps = 5;
+constexpr double kSampleNs = 50e6;  // one kernel-rung sample: ~50 ms of calls
 
 int Fail(const std::string& what) {
   std::cerr << "crypto_round_bench: FAILED: " << what << "\n";
@@ -76,18 +84,59 @@ std::vector<uint64_t> PlainTotals(
   return totals;
 }
 
-double MedianNs(std::vector<double> ns) {
+/// Runs `sample` once untimed (warmup), then kReps timed samples. Returns
+/// the median sample time in ns, or a negative value as soon as a sample
+/// reports failure.
+template <typename SampleFn>
+double MedianOfReps(SampleFn sample) {
+  if (!sample()) {
+    return -1.0;
+  }
+  std::vector<double> ns;
+  for (int rep = 0; rep < kReps; ++rep) {
+    auto t0 = std::chrono::steady_clock::now();
+    const bool ok = sample();
+    auto t1 = std::chrono::steady_clock::now();
+    if (!ok) {
+      return -1.0;
+    }
+    ns.push_back(std::chrono::duration<double, std::nano>(t1 - t0).count());
+  }
   std::sort(ns.begin(), ns.end());
   return ns[ns.size() / 2];
 }
 
-/// Runs `round` once untimed (warmup), then kReps timed rounds, verifying
-/// every round's totals against the plaintext sums. Returns the median
-/// round time in ns, or a negative value on failure.
+/// Median ns per call of `op`, a kernel call that reports success. One
+/// sample is a batch of calls filling about kSampleNs, so microsecond
+/// kernels are not timed at clock resolution. Negative if a call fails.
+template <typename Op>
+double NsPerOp(Op op) {
+  auto t0 = std::chrono::steady_clock::now();
+  if (!op()) {
+    return -1.0;
+  }
+  const double one_ns = std::chrono::duration<double, std::nano>(
+                            std::chrono::steady_clock::now() - t0)
+                            .count();
+  const int batch =
+      std::max(1, static_cast<int>(kSampleNs / std::max(one_ns, 1.0)));
+  const double ns = MedianOfReps([&] {
+    bool ok = true;
+    for (int i = 0; i < batch; ++i) {
+      ok = op() && ok;
+    }
+    return ok;
+  });
+  return ns < 0 ? ns : ns / batch;
+}
+
+/// Median round time in ns of `round` (see MedianOfReps), verifying every
+/// round's totals against the plaintext sums; negative on failure.
 template <typename RoundFn>
 double TimeRounds(const char* what, const std::vector<uint64_t>& expected,
                   RoundFn round) {
-  auto check = [&](const pds::Result<PackedRoundOutput>& out) {
+  return MedianOfReps([&] {
+    auto out = round();
     if (!out.ok()) {
       std::cerr << "crypto_round_bench: " << what << ": "
                 << out.status().ToString() << "\n";
@@ -99,27 +148,75 @@ double TimeRounds(const char* what, const std::vector<uint64_t>& expected,
       return false;
     }
     return true;
-  };
-  if (!check(round())) {
-    return -1.0;
-  }
-  std::vector<double> ns;
-  for (int rep = 0; rep < kReps; ++rep) {
-    auto t0 = std::chrono::steady_clock::now();
-    auto out = round();
-    auto t1 = std::chrono::steady_clock::now();
-    if (!check(out)) {
-      return -1.0;
+  });
+}
+
+/// One kernel-layer rung: the same operation on its scalar baseline and on
+/// its kernel path.
+struct KernelRung {
+  const char* op;
+  size_t key_bits;
+  double scalar_ns;
+  double kernel_ns;
+};
+
+/// Times every kernel rung BENCH_crypto.json holds, in file order.
+int TimeKernelRungs(std::vector<KernelRung>* rungs) {
+  constexpr size_t kPaillierBits[] = {256, 512, 1024};
+  std::vector<Paillier> keys;
+  for (size_t bits : kPaillierBits) {
+    Rng key_rng(77);
+    auto paillier = Paillier::Generate(bits, &key_rng);
+    if (!paillier.ok()) {
+      return Fail("Paillier::Generate: " + paillier.status().ToString());
     }
-    ns.push_back(std::chrono::duration<double, std::nano>(t1 - t0).count());
+    keys.push_back(std::move(paillier).value());
   }
-  return MedianNs(std::move(ns));
+  const BigInt m(12345);
+  for (size_t i = 0; i < keys.size(); ++i) {
+    const Paillier& key = keys[i];
+    Rng rng(79);
+    rungs->push_back(
+        {"paillier_encrypt", kPaillierBits[i],
+         NsPerOp([&] { return key.EncryptScalar(m, &rng).ok(); }),
+         NsPerOp([&] { return key.Encrypt(m, &rng).ok(); })});
+  }
+  for (size_t i = 0; i < keys.size(); ++i) {
+    const Paillier& key = keys[i];
+    Rng rng(81);
+    auto ct = key.EncryptU64(67890, &rng);
+    if (!ct.ok()) {
+      return Fail("EncryptU64: " + ct.status().ToString());
+    }
+    rungs->push_back(
+        {"paillier_decrypt", kPaillierBits[i],
+         NsPerOp([&] { return key.DecryptScalar(*ct).ok(); }),
+         NsPerOp([&] { return key.Decrypt(*ct).ok(); })});
+  }
+  for (size_t bits : {256, 512, 1024, 2048}) {
+    Rng rng(83);
+    const BigInt mod = BigInt::GeneratePrime(bits, &rng);
+    const BigInt base = BigInt::RandomBelow(mod, &rng);
+    const BigInt exp = BigInt::RandomBits(bits, &rng);
+    const pds::crypto::MontgomeryCtx ctx(mod);
+    rungs->push_back(
+        {"modexp", bits, NsPerOp([&] {
+           return !BigInt::ModExpSchoolbook(base, exp, mod).IsZero();
+         }),
+         NsPerOp([&] { return !ctx.ModExp(base, exp).IsZero(); })});
+  }
+  for (const KernelRung& r : *rungs) {
+    if (r.scalar_ns < 0 || r.kernel_ns < 0) {
+      return Fail(std::string(r.op) + " rung failed");
+    }
+  }
+  return 0;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string out_path = "rounds.json";
+  std::string out_path = "BENCH_crypto.json";
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
       out_path = argv[++i];
@@ -127,6 +224,11 @@ int main(int argc, char** argv) {
       std::cerr << "usage: crypto_round_bench [--out FILE]\n";
       return 1;
     }
+  }
+
+  std::vector<KernelRung> rungs;
+  if (TimeKernelRungs(&rungs) != 0) {
+    return 1;
   }
 
   Rng key_rng(42);
@@ -185,27 +287,33 @@ int main(int argc, char** argv) {
                 "x is below the 3x acceptance floor");
   }
 
-  const double per_op_rps = 1e9 / per_op_ns;
-  const double packed_rps = 1e9 / packed_ns;
+  // Fixed notation: ns to 0.1, ratios to 3 decimals.
   std::ofstream out(out_path, std::ios::binary);
-  out << "{\n  \"records\": [\n";
-  out << "    {\"op\": \"fleet_round_per_op\""
+  out << std::fixed << "{\n  \"records\": [\n";
+  for (const KernelRung& r : rungs) {
+    out << std::setprecision(1) << "    {\"op\": \"" << r.op << "\""
+        << ", \"key_bits\": " << r.key_bits
+        << ", \"scalar_ns_per_op\": " << r.scalar_ns
+        << ", \"kernel_ns_per_op\": " << r.kernel_ns << std::setprecision(3)
+        << ", \"speedup_vs_scalar\": " << r.scalar_ns / r.kernel_ns << "},\n";
+  }
+  out << std::setprecision(1) << "    {\"op\": \"fleet_round_per_op\""
       << ", \"fleet_size\": " << kFleet
       << ", \"num_counters\": " << kCounters
       << ", \"key_bits\": " << kKeyBits
       << ", \"reps\": " << kReps
       << ", \"cipher_ops_per_round\": " << (kFleet * kCounters + kCounters)
-      << ", \"ns_per_round\": " << per_op_ns
-      << ", \"rounds_per_sec\": " << per_op_rps
+      << ", \"ns_per_round\": " << per_op_ns << std::setprecision(3)
+      << ", \"rounds_per_sec\": " << 1e9 / per_op_ns
       << ", \"verified\": true},\n";
-  out << "    {\"op\": \"fleet_round_packed\""
+  out << std::setprecision(1) << "    {\"op\": \"fleet_round_packed\""
       << ", \"fleet_size\": " << kFleet
       << ", \"num_counters\": " << kCounters
       << ", \"key_bits\": " << kKeyBits
       << ", \"reps\": " << kReps
       << ", \"cipher_ops_per_round\": " << (kFleet + 1)
-      << ", \"ns_per_round\": " << packed_ns
-      << ", \"rounds_per_sec\": " << packed_rps
+      << ", \"ns_per_round\": " << packed_ns << std::setprecision(3)
+      << ", \"rounds_per_sec\": " << 1e9 / packed_ns
       << ", \"speedup_vs_per_op\": " << speedup
       << ", \"simd_kernel\": \"" << (had_avx2 ? "avx2" : "scalar") << "\""
       << ", \"scalar_fallback_identical\": true"

@@ -33,6 +33,8 @@
 #include "net/transport.h"
 #include "obs/obs.h"
 
+#include "fleet_record.h"
+
 namespace {
 
 using pds::Rng;
@@ -83,37 +85,10 @@ BenchFleet MakeFleet(size_t n) {
   return fleet;
 }
 
+/// A wire run: the shared fleet-run fields plus the transport it ran on.
 struct RunRecord {
-  std::string section;
+  pds::bench::FleetRecord run;
   std::string transport;
-  size_t fleet_size = 0;
-  double quorum = 1.0;
-  size_t dropped_tokens = 0;
-  bool ok = false;
-  size_t groups = 0;
-  size_t responders = 0;
-  uint64_t missing_tokens = 0;
-  uint64_t rounds = 0;
-  uint64_t retries = 0;
-  uint64_t deadline_hits = 0;
-  uint64_t bytes = 0;
-  uint64_t bytes_token_to_ssi = 0;
-  uint64_t bytes_ssi_to_token = 0;
-  uint64_t frames = 0;
-  uint64_t tuples = 0;
-  double wall_ms = 0;
-  double tuples_per_sec = 0;
-  // Round-trip latency percentiles (µs) over every answered attempt in the
-  // run, from the SSI's log-bucketed histogram.
-  double rtt_p50_us = 0;
-  double rtt_p90_us = 0;
-  double rtt_p99_us = 0;
-  double rtt_p999_us = 0;
-  // Samples behind the percentiles: loopback runs at small fleet sizes
-  // answer few round trips, and percentile tails from a handful of samples
-  // collapse onto each other. The validator only demands distinct tails
-  // above a sample-count threshold.
-  uint64_t rtt_samples = 0;
 };
 
 struct Scenario {
@@ -183,79 +158,37 @@ int RunScenario(const Scenario& sc, RunRecord* rec) {
   auto output = server.RunSecureAggregation(AggFunc::kSum);
   auto t1 = std::chrono::steady_clock::now();
 
-  server.Shutdown();
+  // Join the clients and count their frames before Shutdown. A client
+  // counts a reply only after the SSI can read it, and whether it reads the
+  // farewell Bye is a race, so any other count moves by one between runs.
   for (auto& c : clients) {
     c->Stop();
-    (void)c->Join();  // dropped clients exit via transport close; fine here
   }
+  pds::bench::FleetRecord& run = rec->run;
+  for (auto& c : clients) {
+    (void)c->Join();  // a stopped serve loop exits within its poll interval
+    run.frames += c->transport().frames_sent();
+    run.frames += c->transport().frames_received();
+  }
+  server.Shutdown();
 
-  rec->section = sc.section;
   rec->transport = sc.transport;
-  rec->fleet_size = sc.fleet_size;
-  rec->quorum = sc.quorum;
-  rec->dropped_tokens = sc.drop_first;
-  rec->ok = output.ok();
-  rec->tuples = fleet.total_tuples;
-  rec->wall_ms =
-      std::chrono::duration<double, std::milli>(t1 - t0).count();
-  const SsiServer::RoundReport& report = server.last_report();
-  rec->responders = report.responders;
-  rec->missing_tokens = report.missing_tokens;
-  rec->deadline_hits = report.deadline_hits;
-  rec->retries = report.retries;
-  const pds::obs::Histogram& rtt = server.rtt_histogram();
-  rec->rtt_p50_us = rtt.Percentile(50);
-  rec->rtt_p90_us = rtt.Percentile(90);
-  rec->rtt_p99_us = rtt.Percentile(99);
-  rec->rtt_p999_us = rtt.Percentile(99.9);
-  rec->rtt_samples = rtt.count();
-  for (const auto& c : clients) {
-    rec->frames += c->transport().frames_sent();
-    rec->frames += c->transport().frames_received();
-  }
-  if (output.ok()) {
-    rec->groups = output->groups.size();
-    rec->rounds = output->metrics.rounds;
-    rec->bytes = output->metrics.bytes;
-    rec->bytes_token_to_ssi = output->metrics.bytes_token_to_ssi;
-    rec->bytes_ssi_to_token = output->metrics.bytes_ssi_to_token;
-    if (rec->bytes !=
-        rec->bytes_token_to_ssi + rec->bytes_ssi_to_token) {
-      return Fail("directional wire bytes do not sum to total bytes");
-    }
-    double secs = rec->wall_ms / 1000.0;
-    if (secs > 0) {
-      rec->tuples_per_sec = static_cast<double>(rec->tuples) / secs;
-    }
+  run.section = sc.section;
+  run.fleet_size = sc.fleet_size;
+  run.quorum = sc.quorum;
+  run.dropped_tokens = sc.drop_first;
+  if (!run.Distill(server, output, fleet.total_tuples,
+                   std::chrono::duration<double, std::milli>(t1 - t0)
+                       .count())) {
+    return Fail("directional wire bytes do not sum to total bytes");
   }
   return 0;
 }
 
 void WriteRecord(std::ostream& out, const RunRecord& r, bool last) {
-  out << "    {\"section\": \"" << r.section << "\""
-      << ", \"transport\": \"" << r.transport << "\""
-      << ", \"fleet_size\": " << r.fleet_size
-      << ", \"quorum\": " << r.quorum
-      << ", \"dropped_tokens\": " << r.dropped_tokens
-      << ", \"ok\": " << (r.ok ? "true" : "false")
-      << ", \"groups\": " << r.groups
-      << ", \"responders\": " << r.responders
-      << ", \"missing_tokens\": " << r.missing_tokens
-      << ", \"rounds\": " << r.rounds
-      << ", \"retries\": " << r.retries
-      << ", \"deadline_hits\": " << r.deadline_hits
-      << ", \"bytes\": " << r.bytes
-      << ", \"bytes_token_to_ssi\": " << r.bytes_token_to_ssi
-      << ", \"bytes_ssi_to_token\": " << r.bytes_ssi_to_token
-      << ", \"frames\": " << r.frames
-      << ", \"tuples\": " << r.tuples
-      << ", \"wall_ms\": " << r.wall_ms
-      << ", \"tuples_per_sec\": " << r.tuples_per_sec
-      << ", \"rtt_p50_us\": " << r.rtt_p50_us
-      << ", \"rtt_p90_us\": " << r.rtt_p90_us
-      << ", \"rtt_p99_us\": " << r.rtt_p99_us
-      << ", \"rtt_p999_us\": " << r.rtt_p999_us
-      << ", \"rtt_samples\": " << r.rtt_samples << "}"
+  out << "    {";
+  r.run.WriteFields(out);
+  out << ", \"transport\": \"" << r.transport << "\"}"
       << (last ? "\n" : ",\n");
 }
 
@@ -369,7 +302,7 @@ int main(int argc, char** argv) {
     if (RunScenario(sc, &records[i]) != 0) {
       return 1;
     }
-    const RunRecord& r = records[i];
+    const pds::bench::FleetRecord& r = records[i].run;
     std::cout << sc.section << " " << sc.transport << " n=" << sc.fleet_size
               << " quorum=" << sc.quorum << ": "
               << (r.ok ? "ok" : "failed (expected for full quorum + drop)")

@@ -1,130 +1,37 @@
 #!/usr/bin/env bash
-# Runs the crypto-kernel and fleet-executor benchmarks and distills them
-# into BENCH_crypto.json at the repo root (op, key bits, ns/op, speedup of
-# each kernel path over its scalar baseline; thread sweep at 100 PDSs).
+# Builds the four bench drivers, writes every BENCH file at the repo root,
+# and checks them all with one bench/validate_bench.py call:
 #
-# With --obs, instead runs the obs end-to-end driver (one secure-aggregation
-# round + one profiled SPJ query) and leaves BENCH_obs.json plus
-# trace_obs.json (Chrome trace_event format) at the repo root.
+#   crypto_round_bench  BENCH_crypto.json  kernel-vs-scalar rungs (median
+#                       of N after warmup) + the per-op vs packed fleet-64
+#                       Paillier round
+#   obs_profile         BENCH_obs.json     one secure-aggregation round +
+#                       trace_obs.json     one profiled SPJ query
+#   net_bench           BENCH_net.json     wire sweep on in-process and
+#                       trace_net.json     socket transports, quorum
+#                                          scenarios, fault matrix
+#   sim_bench           BENCH_sim.json     simulated fleet sweep 1k -> 1M
+#                                          (~32 s, ~3.6 GB peak RSS) +
+#                                          quorum/churn/determinism
 #
-# With --net, instead runs the real-wire driver (secure aggregation over
-# framed transports: fleet-size sweep on in-process and Unix-socket
-# loopback, plus the dropped-token quorum scenarios) and leaves
-# BENCH_net.json — now with per-sweep round-trip latency percentiles —
-# plus trace_net.json (the merged cross-process Chrome trace: token round
-# spans parented under SSI round-trip spans) at the repo root.
-#
-# With --sim, instead runs the simulated-fleet driver (secure aggregation
-# over SimTransport links on virtual time: the fleet-size sweep 1k -> 1M in
-# one process, quorum-sensitivity and churn-tolerance scenarios, and the
-# seed-determinism probe) and leaves BENCH_sim.json at the repo root.
-#
-# With --crypto, runs only the crypto hot path: the kernel-vs-scalar
-# ladder rungs (median of N repetitions after warmup) plus the
-# crypto_round_bench driver (per-op vs slot-packed Paillier fleet round at
-# fleet size 64, plaintext- and scalar-fallback-verified), merges both
-# into BENCH_crypto.json and validates it against bench/crypto_schema.json.
-# The default (flagless) run produces the same file plus the fleet-executor
-# thread sweep.
-#
-# Usage: bench/run_benches.sh [--obs|--net|--sim|--crypto] [build_dir]
-#                             (default build_dir: build)
+# Usage: bench/run_benches.sh [build_dir]   (default build_dir: build)
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
-
-OBS_MODE=0
-NET_MODE=0
-SIM_MODE=0
-CRYPTO_MODE=0
-if [[ "${1:-}" == "--obs" ]]; then
-  OBS_MODE=1
-  shift
-elif [[ "${1:-}" == "--net" ]]; then
-  NET_MODE=1
-  shift
-elif [[ "${1:-}" == "--sim" ]]; then
-  SIM_MODE=1
-  shift
-elif [[ "${1:-}" == "--crypto" ]]; then
-  CRYPTO_MODE=1
-  shift
-fi
 BUILD_DIR="${1:-build}"
+BIN="$BUILD_DIR/bench"
 
-if [[ "$SIM_MODE" == 1 ]]; then
-  if [[ ! -x "$BUILD_DIR/bench/sim_bench" ]]; then
-    echo "building sim_bench in $BUILD_DIR ..."
-    cmake --build "$BUILD_DIR" --target sim_bench
-  fi
-  echo "== sim_bench (simulated fleet sweep 1k -> 1M + quorum/churn/determinism) =="
-  "$BUILD_DIR/bench/sim_bench" --out BENCH_sim.json
-  if command -v python3 >/dev/null; then
-    python3 bench/validate_sim_json.py BENCH_sim.json bench/sim_schema.json
-  fi
-  exit 0
-fi
+cmake --build "$BUILD_DIR" \
+  --target crypto_round_bench obs_profile net_bench sim_bench
 
-if [[ "$NET_MODE" == 1 ]]; then
-  if [[ ! -x "$BUILD_DIR/bench/net_bench" ]]; then
-    echo "building net_bench in $BUILD_DIR ..."
-    cmake --build "$BUILD_DIR" --target net_bench
-  fi
-  echo "== net_bench (wire sweep + quorum + adversarial scenario matrix) =="
-  "$BUILD_DIR/bench/net_bench" --out BENCH_net.json --trace trace_net.json
-  if command -v python3 >/dev/null; then
-    python3 bench/validate_net_json.py BENCH_net.json bench/net_schema.json
-  fi
-  exit 0
-fi
+echo "== crypto_round_bench =="
+"$BIN/crypto_round_bench" --out BENCH_crypto.json
+echo "== obs_profile =="
+"$BIN/obs_profile" --trace trace_obs.json --metrics BENCH_obs.json
+echo "== net_bench =="
+"$BIN/net_bench" --out BENCH_net.json --trace trace_net.json
+echo "== sim_bench =="
+"$BIN/sim_bench" --out BENCH_sim.json
 
-if [[ "$OBS_MODE" == 1 ]]; then
-  if [[ ! -x "$BUILD_DIR/bench/obs_profile" ]]; then
-    echo "building obs_profile in $BUILD_DIR ..."
-    cmake --build "$BUILD_DIR" --target obs_profile
-  fi
-  echo "== obs_profile (protocol round + SPJ query profile) =="
-  "$BUILD_DIR/bench/obs_profile" --trace trace_obs.json --metrics BENCH_obs.json
-  if command -v python3 >/dev/null; then
-    python3 bench/validate_obs_json.py BENCH_obs.json trace_obs.json \
-      bench/obs_schema.json
-  fi
-  exit 0
-fi
-
-if [[ ! -x "$BUILD_DIR/bench/bench_crypto_ladder" || \
-      ! -x "$BUILD_DIR/bench/crypto_round_bench" ]]; then
-  echo "building benchmarks in $BUILD_DIR ..."
-  cmake --build "$BUILD_DIR" \
-    --target bench_crypto_ladder bench_agg_protocols crypto_round_bench
-fi
-
-TMP="$(mktemp -d)"
-trap 'rm -rf "$TMP"' EXIT
-
-echo "== bench_crypto_ladder (kernel vs scalar, median of N reps) =="
-"$BUILD_DIR/bench/bench_crypto_ladder" \
-  --benchmark_filter='BM_(Paillier(Encrypt|Decrypt)(Scalar|Cached|CRT)|ModExp(Schoolbook|Montgomery))/' \
-  --benchmark_out="$TMP/ladder.json" --benchmark_out_format=json
-
-echo "== crypto_round_bench (per-op vs slot-packed fleet round) =="
-"$BUILD_DIR/bench/crypto_round_bench" --out "$TMP/rounds.json"
-
-AGG_JSON="-"
-if [[ "$CRYPTO_MODE" == 0 ]]; then
-  echo "== bench_agg_protocols (fleet-executor thread sweep) =="
-  "$BUILD_DIR/bench/bench_agg_protocols" \
-    --benchmark_filter='BM_(SecureAgg|WhiteNoise|Histogram)Threads/' \
-    --benchmark_out="$TMP/agg.json" --benchmark_out_format=json
-  AGG_JSON="$TMP/agg.json"
-fi
-
-if command -v python3 >/dev/null; then
-  python3 bench/make_bench_crypto_json.py "$TMP/ladder.json" "$AGG_JSON" \
-    BENCH_crypto.json --rounds "$TMP/rounds.json"
-  python3 bench/validate_crypto_json.py BENCH_crypto.json \
-    bench/crypto_schema.json
-else
-  echo "python3 not found: keeping raw google-benchmark JSON instead" >&2
-  cp "$TMP/ladder.json" BENCH_crypto.json
-fi
+python3 bench/validate_bench.py BENCH_crypto.json BENCH_obs.json \
+  trace_obs.json BENCH_net.json BENCH_sim.json

@@ -6,7 +6,8 @@
 // and TokenClient state machines over SimTransport links on virtual time —
 // for fleet sizes 1k / 10k / 100k / 1M in ONE process, recording
 // rounds-to-convergence, measured wire bytes, virtual round-trip latency
-// percentiles, event counts, and aggregate-memory accounting per run. It
+// percentiles, event counts, and memory per run (the sizeof estimate next
+// to the run's own measured peak RSS). It
 // then runs the quorum-sensitivity scenarios (every 10th token dropped:
 // quorum 1.0 must fail, quorum 0.85 must complete with the shortfall
 // recorded), the churn-tolerance scenario (run, churn and re-admit every
@@ -16,6 +17,8 @@
 //
 // --max-tokens caps the sweep (CI smoke uses 10000); the committed
 // BENCH_sim.json comes from the full million-token sweep.
+
+#include <malloc.h>
 
 #include <chrono>
 #include <cstring>
@@ -27,6 +30,8 @@
 
 #include "sim/sim_fleet.h"
 
+#include "fleet_record.h"
+
 namespace {
 
 using pds::global::AggFunc;
@@ -34,36 +39,19 @@ using pds::sim::LinkModel;
 using pds::sim::SimFleet;
 using pds::sim::SimFleetConfig;
 
+/// A simulated run: the shared fleet-run fields plus virtual time, event
+/// count and memory.
 struct RunRecord {
-  std::string section;
-  size_t fleet_size = 0;
-  double quorum = 1.0;
-  size_t dropped_tokens = 0;
+  pds::bench::FleetRecord run;
   size_t churned_tokens = 0;
-  bool ok = false;
-  size_t groups = 0;
-  size_t responders = 0;
-  uint64_t missing_tokens = 0;
-  uint64_t rounds = 0;
-  uint64_t retries = 0;
-  uint64_t deadline_hits = 0;
-  uint64_t bytes = 0;
-  uint64_t bytes_token_to_ssi = 0;
-  uint64_t bytes_ssi_to_token = 0;
-  uint64_t frames = 0;
-  uint64_t tuples = 0;
-  uint64_t events = 0;       // discrete events executed
-  double sim_ms = 0;         // virtual time consumed
-  double wall_ms = 0;        // real time consumed
-  double tuples_per_sec = 0; // real-time protocol throughput
-  double rtt_p50_us = 0;     // modeled (virtual-time) round-trip latency
-  double rtt_p90_us = 0;
-  double rtt_p99_us = 0;
-  double rtt_p999_us = 0;
-  uint64_t rtt_samples = 0;
+  uint64_t events = 0;  // discrete events executed
+  double sim_ms = 0;    // virtual time consumed
   uint64_t mem_bytes_estimate = 0;
-  uint64_t mem_vm_hwm_kb = 0;
-  uint64_t mem_bytes_per_token = 0;
+  uint64_t mem_vm_hwm_kb = 0;        // this run's peak RSS
+  uint64_t mem_bytes_per_token = 0;  // sizeof estimate per token
+  // Measured: this run's peak RSS growth over the RSS it started from,
+  // per token (allocator slack and event queue included).
+  uint64_t mem_rss_bytes_per_token = 0;
 };
 
 int Fail(const std::string& what) {
@@ -80,49 +68,65 @@ LinkModel SweepLink() {
   return link;
 }
 
-void Distill(SimFleet* fleet, const pds::Result<pds::global::AggOutput>& out,
-             double wall_ms, RunRecord* rec) {
-  rec->fleet_size = fleet->config().num_tokens;
-  rec->quorum = fleet->config().quorum;
-  rec->dropped_tokens = fleet->dropped_tokens();
+/// Reads one kB field of /proc/self/status (VmRSS, VmHWM); 0 if absent.
+uint64_t ProcStatusKb(const std::string& field) {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind(field + ":", 0) == 0) {
+      return std::stoull(line.substr(field.size() + 1));
+    }
+  }
+  return 0;
+}
+
+/// Restarts the kernel's peak-RSS count (VmHWM) at the current RSS, so the
+/// VmHWM read after the next run is that run's own peak, not the
+/// process-lifetime one the largest sweep size leaves behind. Freed heap
+/// goes back to the kernel first, or the next run would reuse the last
+/// one's pages and show no growth. Returns the RSS it restarted from in
+/// kB, or 0 if the count cannot be reset.
+uint64_t ResetPeakRss() {
+  malloc_trim(0);
+  std::ofstream clear_refs("/proc/self/clear_refs");
+  clear_refs << "5";
+  clear_refs.close();
+  return clear_refs ? ProcStatusKb("VmRSS") : 0;
+}
+
+/// Distills a finished run on `fleet` into `rec`. `rss_start_kb` is the RSS
+/// ResetPeakRss restarted the peak count from before the fleet was built.
+int Distill(SimFleet* fleet, const pds::Result<pds::global::AggOutput>& out,
+            double wall_ms, uint64_t rss_start_kb, RunRecord* rec) {
+  pds::bench::FleetRecord& run = rec->run;
+  run.fleet_size = fleet->config().num_tokens;
+  run.quorum = fleet->config().quorum;
+  run.dropped_tokens = fleet->dropped_tokens();
+  run.frames = fleet->net().stats().frames_delivered;
+  if (!run.Distill(fleet->server(), out, fleet->total_tuples(), wall_ms)) {
+    return Fail("directional wire bytes do not sum to total bytes");
+  }
   rec->churned_tokens = fleet->churned_tokens();
-  rec->ok = out.ok();
-  rec->tuples = fleet->total_tuples();
-  rec->wall_ms = wall_ms;
   rec->sim_ms = static_cast<double>(fleet->clock().NowNs()) / 1e6;
   rec->events = fleet->clock().events_run();
-  rec->frames = fleet->net().stats().frames_delivered;
-  const auto& report = fleet->server().last_report();
-  rec->responders = report.responders;
-  rec->missing_tokens = report.missing_tokens;
-  rec->retries = report.retries;
-  rec->deadline_hits = report.deadline_hits;
-  const pds::obs::Histogram& rtt = fleet->server().rtt_histogram();
-  rec->rtt_p50_us = rtt.Percentile(50);
-  rec->rtt_p90_us = rtt.Percentile(90);
-  rec->rtt_p99_us = rtt.Percentile(99);
-  rec->rtt_p999_us = rtt.Percentile(99.9);
-  rec->rtt_samples = rtt.count();
   SimFleet::MemoryStats mem = fleet->Memory();
   rec->mem_bytes_estimate = mem.bytes_estimate;
   rec->mem_vm_hwm_kb = mem.vm_hwm_kb;
   rec->mem_bytes_per_token = mem.bytes_per_token;
-  if (out.ok()) {
-    rec->groups = out->groups.size();
-    rec->rounds = out->metrics.rounds;
-    rec->bytes = out->metrics.bytes;
-    rec->bytes_token_to_ssi = out->metrics.bytes_token_to_ssi;
-    rec->bytes_ssi_to_token = out->metrics.bytes_ssi_to_token;
-    if (wall_ms > 0) {
-      rec->tuples_per_sec =
-          static_cast<double>(rec->tuples) / (wall_ms / 1000.0);
-    }
+  if (mem.vm_hwm_kb > rss_start_kb && run.fleet_size > 0) {
+    rec->mem_rss_bytes_per_token =
+        (mem.vm_hwm_kb - rss_start_kb) * 1024 / run.fleet_size;
   }
+  return 0;
 }
 
 /// Build + one protocol run under `cfg`, distilled into `rec`.
 int RunOnce(const SimFleetConfig& cfg, const std::string& what,
             RunRecord* rec, bool expect_ok) {
+  const uint64_t rss_start_kb = ResetPeakRss();
+  if (rss_start_kb == 0) {
+    return Fail(what + ": cannot reset the peak RSS count");
+  }
   SimFleet fleet(cfg);
   auto t0 = std::chrono::steady_clock::now();
   auto built = fleet.Build();
@@ -135,8 +139,11 @@ int RunOnce(const SimFleetConfig& cfg, const std::string& what,
     return Fail(what + ": " + std::to_string(fleet.pump_errors()) +
                 " fatal pump errors");
   }
-  Distill(&fleet, out,
-          std::chrono::duration<double, std::milli>(t1 - t0).count(), rec);
+  if (Distill(&fleet, out,
+              std::chrono::duration<double, std::milli>(t1 - t0).count(),
+              rss_start_kb, rec) != 0) {
+    return 1;
+  }
   if (expect_ok && !out.ok()) {
     return Fail(what + ": " + out.status().ToString());
   }
@@ -147,48 +154,29 @@ int RunOnce(const SimFleetConfig& cfg, const std::string& what,
 }
 
 void WriteRecord(std::ostream& out, const RunRecord& r, bool last) {
-  out << "    {\"section\": \"" << r.section << "\""
-      << ", \"fleet_size\": " << r.fleet_size
-      << ", \"quorum\": " << r.quorum
-      << ", \"dropped_tokens\": " << r.dropped_tokens
-      << ", \"churned_tokens\": " << r.churned_tokens
-      << ", \"ok\": " << (r.ok ? "true" : "false")
-      << ", \"groups\": " << r.groups
-      << ", \"responders\": " << r.responders
-      << ", \"missing_tokens\": " << r.missing_tokens
-      << ", \"rounds\": " << r.rounds
-      << ", \"retries\": " << r.retries
-      << ", \"deadline_hits\": " << r.deadline_hits
-      << ", \"bytes\": " << r.bytes
-      << ", \"bytes_token_to_ssi\": " << r.bytes_token_to_ssi
-      << ", \"bytes_ssi_to_token\": " << r.bytes_ssi_to_token
-      << ", \"frames\": " << r.frames
-      << ", \"tuples\": " << r.tuples
+  out << "    {";
+  r.run.WriteFields(out);
+  out << ", \"churned_tokens\": " << r.churned_tokens
       << ", \"events\": " << r.events
       << ", \"sim_ms\": " << r.sim_ms
-      << ", \"wall_ms\": " << r.wall_ms
-      << ", \"tuples_per_sec\": " << r.tuples_per_sec
-      << ", \"rtt_p50_us\": " << r.rtt_p50_us
-      << ", \"rtt_p90_us\": " << r.rtt_p90_us
-      << ", \"rtt_p99_us\": " << r.rtt_p99_us
-      << ", \"rtt_p999_us\": " << r.rtt_p999_us
-      << ", \"rtt_samples\": " << r.rtt_samples
       << ", \"mem_bytes_estimate\": " << r.mem_bytes_estimate
       << ", \"mem_vm_hwm_kb\": " << r.mem_vm_hwm_kb
-      << ", \"mem_bytes_per_token\": " << r.mem_bytes_per_token << "}"
-      << (last ? "\n" : ",\n");
+      << ", \"mem_bytes_per_token\": " << r.mem_bytes_per_token
+      << ", \"mem_rss_bytes_per_token\": " << r.mem_rss_bytes_per_token
+      << "}" << (last ? "\n" : ",\n");
 }
 
 /// A record's identity for the determinism probe: everything except the
-/// real-time fields (wall_ms, throughput, VmHWM), which may legitimately
+/// real-time fields (wall_ms, throughput, memory), which may legitimately
 /// differ between two runs of the same virtual scenario.
-std::string DeterministicKey(const RunRecord& r) {
+std::string DeterministicKey(const RunRecord& rec) {
+  const pds::bench::FleetRecord& r = rec.run;
   std::ostringstream key;
   key << r.ok << '|' << r.groups << '|' << r.responders << '|'
       << r.missing_tokens << '|' << r.rounds << '|' << r.retries << '|'
       << r.deadline_hits << '|' << r.bytes << '|' << r.bytes_token_to_ssi
       << '|' << r.bytes_ssi_to_token << '|' << r.frames << '|' << r.tuples
-      << '|' << r.events << '|' << r.sim_ms << '|' << r.rtt_p50_us << '|'
+      << '|' << rec.events << '|' << rec.sim_ms << '|' << r.rtt_p50_us << '|'
       << r.rtt_p90_us << '|' << r.rtt_p99_us << '|' << r.rtt_p999_us << '|'
       << r.rtt_samples;
   return key.str();
@@ -222,16 +210,13 @@ int main(int argc, char** argv) {
     cfg.num_tokens = n;
     cfg.link = SweepLink();
     RunRecord rec;
-    rec.section = "sweep";
+    rec.run.section = "sweep";
     std::cerr << "sim_bench: sweep fleet_size=" << n << " ...\n";
     if (RunOnce(cfg, "sweep n=" + std::to_string(n), &rec,
                 /*expect_ok=*/true) != 0) {
       return 1;
     }
-    if (rec.bytes != rec.bytes_token_to_ssi + rec.bytes_ssi_to_token) {
-      return Fail("directional wire bytes do not sum to total bytes");
-    }
-    if (rec.responders != n) {
+    if (rec.run.responders != n) {
       return Fail("sweep run lost responders on a lossless link");
     }
     records.push_back(rec);
@@ -250,13 +235,13 @@ int main(int argc, char** argv) {
     cfg.deadline_ms = 50;  // virtual: timeouts cost nothing real
     cfg.max_retries = 1;
     RunRecord rec;
-    rec.section = "quorum";
+    rec.run.section = "quorum";
     std::cerr << "sim_bench: quorum=" << quorum << " ...\n";
     if (RunOnce(cfg, "quorum " + std::to_string(quorum), &rec,
                 /*expect_ok=*/quorum < 1.0) != 0) {
       return 1;
     }
-    if (quorum < 1.0 && rec.missing_tokens != 100) {
+    if (quorum < 1.0 && rec.run.missing_tokens != 100) {
       return Fail("quorum run did not record the expected 100 dropouts");
     }
     records.push_back(rec);
@@ -267,6 +252,10 @@ int main(int argc, char** argv) {
     SimFleetConfig cfg;
     cfg.num_tokens = 1000;
     cfg.link = SweepLink();
+    const uint64_t rss_start_kb = ResetPeakRss();
+    if (rss_start_kb == 0) {
+      return Fail("churn: cannot reset the peak RSS count");
+    }
     SimFleet fleet(cfg);
     std::cerr << "sim_bench: churn ...\n";
     auto built = fleet.Build();
@@ -288,14 +277,16 @@ int main(int argc, char** argv) {
       return Fail("churn round 2: " + second.status().ToString());
     }
     RunRecord rec;
-    rec.section = "churn";
-    Distill(&fleet, second,
-            std::chrono::duration<double, std::milli>(t1 - t0).count(),
-            &rec);
+    rec.run.section = "churn";
+    if (Distill(&fleet, second,
+                std::chrono::duration<double, std::milli>(t1 - t0).count(),
+                rss_start_kb, &rec) != 0) {
+      return 1;
+    }
     if (rec.churned_tokens != 100) {
       return Fail("churn did not re-admit the expected 100 tokens");
     }
-    if (rec.responders != 1000) {
+    if (rec.run.responders != 1000) {
       return Fail("post-churn round did not run at full strength");
     }
     if (first->groups != second->groups) {
@@ -330,15 +321,13 @@ int main(int argc, char** argv) {
       if (!out.ok()) {
         return Fail(what + ": " + out.status().ToString());
       }
-      Distill(&fleet, out,
-              std::chrono::duration<double, std::milli>(t1 - t0).count(),
-              rec);
-      return 0;
+      return Distill(
+          &fleet, out,
+          std::chrono::duration<double, std::milli>(t1 - t0).count(),
+          /*rss_start_kb=*/0, rec);
     };
     RunRecord a;
-    a.section = "determinism";
     RunRecord b;
-    b.section = "determinism";
     std::cerr << "sim_bench: determinism probe ...\n";
     if (run("determinism run A", &a) != 0 ||
         run("determinism run B", &b) != 0) {

@@ -119,7 +119,7 @@ struct ScenarioResult {
 [[nodiscard]] std::vector<ScenarioSpec> DefaultMatrix(uint64_t seed,
                                                       bool use_socket);
 
-/// The `fault_scenarios` record consumed by bench/validate_net_json.py:
+/// The `fault_scenarios` record consumed by bench/validate_bench.py:
 /// per-cell verdicts plus the aggregate detection_rate (over cells that
 /// expect detection) and benign_byte_identical flag.
 [[nodiscard]] std::string MatrixJson(

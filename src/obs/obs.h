@@ -24,7 +24,7 @@
 ///    aggregates registered once at setup and bumped with single atomic
 ///    operations on the hot path. Flash page ops, token↔SSI wire bytes,
 ///    and RAM high-water marks are metrics. Exported as flat JSON
-///    (name → value → unit) consumable by bench/run_benches.sh.
+///    (name → value → unit) checked by bench/validate_bench.py.
 ///
 /// Cost discipline:
 ///  - Compile out entirely with -DPDS_OBS_ENABLED=0 (CMake: -DPDS_OBS=OFF).
