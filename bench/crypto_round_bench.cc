@@ -5,8 +5,11 @@
 // It first times the kernel-layer rungs of E6's cost ladder against their
 // scalar baselines: Paillier encrypt (fixed-base cache vs plain ModExp)
 // and decrypt (CRT + Montgomery vs schoolbook) at 256/512/1024-bit keys,
-// and ModExp (Montgomery vs schoolbook) at 256-2048-bit moduli. Each rung
-// batches enough calls per sample to fill kSampleNs.
+// ModExp (Montgomery vs schoolbook) at 256-2048-bit moduli, and the token's
+// symmetric rung: NonDetCipher encrypt and decrypt of the fleet workload's
+// 24-byte tuple (AES-128-CTR + HMAC-SHA256) on the AES-NI/SHA-NI path vs
+// the forced-portable path, whose ciphertexts must be byte-identical. Each
+// rung batches enough calls per sample to fill kSampleNs.
 //
 // It then times one [TNP14] fleet aggregation round at fleet size 64 with
 // 8 counters per site, two ways:
@@ -36,9 +39,11 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "crypto/cipher.h"
 #include "crypto/montgomery.h"
 #include "crypto/montgomery_simd.h"
 #include "crypto/paillier.h"
+#include "global/common.h"
 #include "global/toolkit.h"
 
 namespace {
@@ -160,6 +165,44 @@ struct KernelRung {
   double kernel_ns;
 };
 
+/// The symmetric rungs: NonDetCipher encrypt and decrypt of the fleet
+/// workload's 24-byte tuple with AES-128 (key_bits 128), timed with the
+/// portable path forced ("scalar") and on the dispatched AES-NI/SHA-NI
+/// path ("kernel"). The same nonce stream must yield byte-identical
+/// ciphertexts on both paths.
+int TimeSymmetricRungs(std::vector<KernelRung>* rungs) {
+  using pds::crypto::NonDetCipher;
+  const pds::Bytes tuple =
+      pds::global::EncodeAggPayload(false, 42, 1, "city-17");
+  const NonDetCipher cipher(pds::crypto::KeyFromString("sim-fleet"));
+  std::vector<pds::Bytes> cts[2];  // [0] portable, [1] dispatched
+  double encrypt_ns[2];
+  double decrypt_ns[2];
+  for (int path : {0, 1}) {
+    pds::crypto::simd::SetForceScalar(path == 0);
+    Rng nonces(89);
+    for (int i = 0; i < 64; ++i) {
+      cts[path].push_back(cipher.Encrypt(pds::ByteView(tuple), &nonces));
+    }
+    const pds::Bytes& ct = cts[path].front();
+    encrypt_ns[path] = NsPerOp([&] {
+      return cipher.Encrypt(pds::ByteView(tuple), &nonces).size() ==
+             tuple.size() + NonDetCipher::kOverhead;
+    });
+    decrypt_ns[path] = NsPerOp([&] {
+      auto plain = cipher.Decrypt(pds::ByteView(ct));
+      return plain.ok() && *plain == tuple;
+    });
+  }
+  pds::crypto::simd::SetForceScalar(false);
+  if (cts[0] != cts[1]) {
+    return Fail("hardware and forced-portable ciphertexts differ");
+  }
+  rungs->push_back({"nondet_encrypt", 128, encrypt_ns[0], encrypt_ns[1]});
+  rungs->push_back({"nondet_decrypt", 128, decrypt_ns[0], decrypt_ns[1]});
+  return 0;
+}
+
 /// Times every kernel rung BENCH_crypto.json holds, in file order.
 int TimeKernelRungs(std::vector<KernelRung>* rungs) {
   constexpr size_t kPaillierBits[] = {256, 512, 1024};
@@ -204,6 +247,9 @@ int TimeKernelRungs(std::vector<KernelRung>* rungs) {
            return !BigInt::ModExpSchoolbook(base, exp, mod).IsZero();
          }),
          NsPerOp([&] { return !ctx.ModExp(base, exp).IsZero(); })});
+  }
+  if (TimeSymmetricRungs(rungs) != 0) {
+    return 1;
   }
   for (const KernelRung& r : *rungs) {
     if (r.scalar_ns < 0 || r.kernel_ns < 0) {

@@ -7,8 +7,9 @@ Each file's checks are picked from its basename. Every record must carry
 its schema fields, numeric unless the schema's non_numeric_fields names
 them (fault_scenarios fields need only be present), and every records
 list must be non-empty.
-  BENCH_crypto.json  every op is a known kernel or round op; kernel
-      speedups are > 0; both round records are present at the schema's
+  BENCH_crypto.json  every op is a known kernel or round op; every
+      kernel op has a rung; kernel speedups are > 0; both round records
+      are present at the schema's
       fleet size, verified against plaintext sums, and the packed one has
       a byte-identical scalar fallback and a speedup >= the 3x floor.
   BENCH_obs.json     known metric kinds with their numeric extras, every
@@ -86,12 +87,12 @@ def check_crypto(doc, schema, problems):
     for where, rec in records(doc, "records", problems):
         op = rec.get("op")
         where = f"{where} ({op})"
+        seen.add(op)
         if op in spec["kernel_ops"]:
             require(rec, spec["kernel_fields"], where, schema, problems)
             if num(rec, "speedup_vs_scalar") <= 0:
                 problems.append(f"{where}: non-positive speedup_vs_scalar")
         elif op in spec["round_ops"]:
-            seen.add(op)
             require(rec, spec["round_fields"], where, schema, problems)
             if rec.get("fleet_size") != spec["round_fleet_size"]:
                 problems.append(
@@ -111,6 +112,9 @@ def check_crypto(doc, schema, problems):
                     f"acceptance floor")
         else:
             problems.append(f"{where}: unknown op {op!r}")
+    for op in spec["kernel_ops"]:
+        if op not in seen:
+            problems.append(f"kernel rung '{op}' is missing")
     for op in spec["round_ops"]:
         if op not in seen:
             problems.append(f"round record '{op}' is missing")

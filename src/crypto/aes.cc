@@ -2,6 +2,15 @@
 
 #include <cstring>
 
+#include "crypto/montgomery_simd.h"
+
+#if defined(__x86_64__) && defined(__GNUC__)
+#define PDS_AES_HAVE_AESNI_BUILD 1
+#include <immintrin.h>
+#else
+#define PDS_AES_HAVE_AESNI_BUILD 0
+#endif
+
 namespace pds::crypto {
 
 namespace {
@@ -37,38 +46,52 @@ uint8_t XTime(uint8_t x) {
   return static_cast<uint8_t>((x << 1) ^ ((x >> 7) * 0x1b));
 }
 
-}  // namespace
+/// Constant-time SubBytes on the first `n` (<= 16) bytes: every S-box entry
+/// is read for every byte and kept only where it matches, so no load address
+/// depends on the bytes.
+// pdslint: secret(bytes)
+void SubBytesMasked(uint8_t* bytes, size_t n) {
+  uint8_t out[Aes128::kBlockSize] = {};
+  for (uint32_t v = 0; v < 256; ++v) {
+    const uint8_t entry = kSbox[v];
+    for (size_t j = 0; j < n; ++j) {
+      // (x - 1) >> 8 has its low byte set exactly when x == 0.
+      const uint32_t x = bytes[j] ^ v;
+      out[j] |= static_cast<uint8_t>(entry & ((x - 1) >> 8));
+    }
+  }
+  std::memcpy(bytes, out, n);
+}
 
-Aes128::Aes128(const Key& key) {
-  std::memcpy(round_keys_, key.data(), 16);
+/// FIPS-197 key expansion into 11 round keys of 16 bytes.
+// pdslint: secret(key, rk)
+void ExpandKeyPortable(const uint8_t* key, uint8_t* rk) {
+  std::memcpy(rk, key, Aes128::kKeySize);
   for (int i = 4; i < 44; ++i) {
     uint8_t temp[4];
-    std::memcpy(temp, round_keys_ + 4 * (i - 1), 4);
+    std::memcpy(temp, rk + 4 * (i - 1), 4);
     if (i % 4 == 0) {
       // RotWord + SubWord + Rcon.
-      uint8_t t = temp[0];
-      temp[0] = static_cast<uint8_t>(kSbox[temp[1]] ^ kRcon[i / 4 - 1]);
-      temp[1] = kSbox[temp[2]];
-      temp[2] = kSbox[temp[3]];
-      temp[3] = kSbox[t];
+      const uint8_t first = temp[0];
+      temp[0] = temp[1];
+      temp[1] = temp[2];
+      temp[2] = temp[3];
+      temp[3] = first;
+      SubBytesMasked(temp, 4);
+      temp[0] ^= kRcon[i / 4 - 1];
     }
     for (int b = 0; b < 4; ++b) {
-      round_keys_[4 * i + b] =
-          static_cast<uint8_t>(round_keys_[4 * (i - 4) + b] ^ temp[b]);
+      rk[4 * i + b] = static_cast<uint8_t>(rk[4 * (i - 4) + b] ^ temp[b]);
     }
   }
 }
 
-void Aes128::EncryptBlock(uint8_t s[kBlockSize]) const {
+// pdslint: secret(rk, s)
+void EncryptBlockPortable(const uint8_t* rk, uint8_t* s) {
   auto add_round_key = [&](int round) {
-    const uint8_t* rk = round_keys_ + 16 * round;
+    const uint8_t* round_key = rk + 16 * round;
     for (int i = 0; i < 16; ++i) {
-      s[i] ^= rk[i];
-    }
-  };
-  auto sub_bytes = [&]() {
-    for (int i = 0; i < 16; ++i) {
-      s[i] = kSbox[s[i]];
+      s[i] ^= round_key[i];
     }
   };
   auto shift_rows = [&]() {
@@ -95,14 +118,103 @@ void Aes128::EncryptBlock(uint8_t s[kBlockSize]) const {
 
   add_round_key(0);
   for (int round = 1; round <= 9; ++round) {
-    sub_bytes();
+    SubBytesMasked(s, Aes128::kBlockSize);
     shift_rows();
     mix_columns();
     add_round_key(round);
   }
-  sub_bytes();
+  SubBytesMasked(s, Aes128::kBlockSize);
   shift_rows();
   add_round_key(10);
+}
+
+#if PDS_AES_HAVE_AESNI_BUILD
+
+/// One key-expansion step: prefix-XOR the previous round key's words, then
+/// XOR in aeskeygenassist's RotWord(SubWord(w3)) ^ Rcon.
+template <int kRoundConstant>
+__attribute__((target("aes"))) __m128i ExpandStep(__m128i prev) {
+  const __m128i assist = _mm_shuffle_epi32(
+      _mm_aeskeygenassist_si128(prev, kRoundConstant), 0xFF);
+  prev = _mm_xor_si128(prev, _mm_slli_si128(prev, 4));
+  prev = _mm_xor_si128(prev, _mm_slli_si128(prev, 4));
+  prev = _mm_xor_si128(prev, _mm_slli_si128(prev, 4));
+  return _mm_xor_si128(prev, assist);
+}
+
+// pdslint: secret(key, rk)
+__attribute__((target("aes"))) void ExpandKeyAesNi(const uint8_t* key,
+                                                   uint8_t* rk) {
+  __m128i* out = reinterpret_cast<__m128i*>(rk);
+  __m128i round = _mm_loadu_si128(reinterpret_cast<const __m128i*>(key));
+  _mm_storeu_si128(out, round);
+  round = ExpandStep<0x01>(round);
+  _mm_storeu_si128(out + 1, round);
+  round = ExpandStep<0x02>(round);
+  _mm_storeu_si128(out + 2, round);
+  round = ExpandStep<0x04>(round);
+  _mm_storeu_si128(out + 3, round);
+  round = ExpandStep<0x08>(round);
+  _mm_storeu_si128(out + 4, round);
+  round = ExpandStep<0x10>(round);
+  _mm_storeu_si128(out + 5, round);
+  round = ExpandStep<0x20>(round);
+  _mm_storeu_si128(out + 6, round);
+  round = ExpandStep<0x40>(round);
+  _mm_storeu_si128(out + 7, round);
+  round = ExpandStep<0x80>(round);
+  _mm_storeu_si128(out + 8, round);
+  round = ExpandStep<0x1b>(round);
+  _mm_storeu_si128(out + 9, round);
+  round = ExpandStep<0x36>(round);
+  _mm_storeu_si128(out + 10, round);
+}
+
+// pdslint: secret(rk, block)
+__attribute__((target("aes"))) void EncryptBlockAesNi(const uint8_t* rk,
+                                                      uint8_t* block) {
+  const __m128i* keys = reinterpret_cast<const __m128i*>(rk);
+  __m128i state = _mm_xor_si128(
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(block)),
+      _mm_loadu_si128(keys));
+  for (int round = 1; round < 10; ++round) {
+    state = _mm_aesenc_si128(state, _mm_loadu_si128(keys + round));
+  }
+  state = _mm_aesenclast_si128(state, _mm_loadu_si128(keys + 10));
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(block), state);
+}
+
+/// True when the CPU has AES-NI and the test hook does not force the
+/// portable path.
+bool UseAesNi() {
+  static const bool supported = __builtin_cpu_supports("aes");
+  return supported && !simd::force_scalar();
+}
+
+#endif  // PDS_AES_HAVE_AESNI_BUILD
+
+}  // namespace
+
+Aes128::Aes128(const Key& key) {
+#if PDS_AES_HAVE_AESNI_BUILD
+  if (UseAesNi()) {
+    ExpandKeyAesNi(key.data(), round_keys_);
+    return;
+  }
+#endif
+  ExpandKeyPortable(key.data(), round_keys_);
+}
+
+Aes128::~Aes128() { explicit_bzero(round_keys_, sizeof(round_keys_)); }
+
+void Aes128::EncryptBlock(uint8_t block[kBlockSize]) const {
+#if PDS_AES_HAVE_AESNI_BUILD
+  if (UseAesNi()) {
+    EncryptBlockAesNi(round_keys_, block);
+    return;
+  }
+#endif
+  EncryptBlockPortable(round_keys_, block);
 }
 
 void AesCtrXor(const Aes128& aes, const Aes128::Block& nonce, uint8_t* data,

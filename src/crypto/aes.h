@@ -11,6 +11,14 @@ namespace pds::crypto {
 /// AES-128 block cipher (FIPS 197), encryption direction only — every mode
 /// used in the library (CTR, SIV-style deterministic encryption, CMAC-free
 /// HMAC tags) needs only the forward permutation.
+///
+/// Dispatch: an AES-NI path (aeskeygenassist key schedule, aesenc /
+/// aesenclast blocks) is compiled behind a function-level target attribute
+/// and selected at runtime from CPU detection, like simd::MontMul4's AVX2
+/// path; simd::SetForceScalar forces the portable path. The portable path
+/// reads the S-box by a masked scan of all 256 entries, so no load address
+/// depends on the key or the state. Both paths store the same FIPS-197 round
+/// keys and produce the same ciphertext. The destructor wipes the round keys.
 class Aes128 {
  public:
   static constexpr size_t kBlockSize = 16;
@@ -19,6 +27,7 @@ class Aes128 {
   using Key = std::array<uint8_t, kKeySize>;
 
   explicit Aes128(const Key& key);
+  ~Aes128();
 
   /// Encrypts one 16-byte block in place.
   void EncryptBlock(uint8_t block[kBlockSize]) const;
@@ -30,8 +39,8 @@ class Aes128 {
   }
 
  private:
-  // 11 round keys of 16 bytes.
-  uint8_t round_keys_[176];
+  // 11 round keys of 16 bytes, in FIPS-197 byte order on both paths.
+  uint8_t round_keys_[176];  // pdslint: secret
 };
 
 /// AES-128-CTR keystream applied to `data` in place. Encryption and

@@ -1,5 +1,6 @@
 #include "crypto/cipher.h"
 
+#include <algorithm>
 #include <cstring>
 
 #include "crypto/hmac.h"
@@ -16,8 +17,19 @@ Aes128::Key AesKeyFrom(const SymmetricKey& key, std::string_view label) {
   return out;
 }
 
-SymmetricKey MacKeyFrom(const SymmetricKey& key, std::string_view label) {
-  return DeriveKey(ByteView(key.data(), key.size()), ByteView(label));
+HmacKey MacKeyFrom(const SymmetricKey& key, std::string_view label) {
+  const Sha256::Digest derived =
+      DeriveKey(ByteView(key.data(), key.size()), ByteView(label));
+  return HmacKey(ByteView(derived.data(), derived.size()));
+}
+
+/// Writes `iv` and then `plaintext` AES-CTR-encrypted under it into `out`,
+/// which holds iv.size() + plaintext.size() bytes.
+void WriteIvAndBody(const Aes128& aes, const Aes128::Block& iv,
+                    ByteView plaintext, uint8_t* out) {
+  std::copy(iv.begin(), iv.end(), out);
+  std::copy_n(plaintext.data(), plaintext.size(), out + iv.size());
+  AesCtrXor(aes, iv, out + iv.size(), plaintext.size());
 }
 
 }  // namespace
@@ -30,15 +42,12 @@ DetCipher::DetCipher(const SymmetricKey& key)
     : mac_key_(MacKeyFrom(key, "det-mac")), aes_(AesKeyFrom(key, "det-enc")) {}
 
 Bytes DetCipher::Encrypt(ByteView plaintext) const {
-  Sha256::Digest mac =
-      HmacSha256(ByteView(mac_key_.data(), mac_key_.size()), plaintext);
+  const Sha256::Digest mac = mac_key_.Mac(plaintext);
   Aes128::Block iv;
   std::memcpy(iv.data(), mac.data(), iv.size());
 
-  Bytes out(iv.begin(), iv.end());
-  size_t body_start = out.size();
-  out.insert(out.end(), plaintext.data(), plaintext.data() + plaintext.size());
-  AesCtrXor(aes_, iv, out.data() + body_start, plaintext.size());
+  Bytes out(kOverhead + plaintext.size());
+  WriteIvAndBody(aes_, iv, plaintext, out.data());
   return out;
 }
 
@@ -53,8 +62,7 @@ Result<Bytes> DetCipher::Decrypt(ByteView ciphertext) const {
   AesCtrXor(aes_, iv, plaintext.data(), plaintext.size());
 
   // Recompute the SIV and compare with the IV that was used.
-  Sha256::Digest mac = HmacSha256(ByteView(mac_key_.data(), mac_key_.size()),
-                                  ByteView(plaintext));
+  const Sha256::Digest mac = mac_key_.Mac(ByteView(plaintext));
   uint8_t diff = 0;
   for (size_t i = 0; i < iv.size(); ++i) {
     diff |= static_cast<uint8_t>(iv[i] ^ mac[i]);
@@ -72,15 +80,13 @@ NonDetCipher::NonDetCipher(const SymmetricKey& key)
 Bytes NonDetCipher::Encrypt(ByteView plaintext, Rng* rng) const {
   Aes128::Block nonce;
   rng->FillBytes(nonce.data(), nonce.size());
+  // nonce (16) | body | tag (16), sized once.
+  Bytes out(kOverhead + plaintext.size());
+  WriteIvAndBody(aes_, nonce, plaintext, out.data());
 
-  Bytes out(nonce.begin(), nonce.end());
-  size_t body_start = out.size();
-  out.insert(out.end(), plaintext.data(), plaintext.data() + plaintext.size());
-  AesCtrXor(aes_, nonce, out.data() + body_start, plaintext.size());
-
-  Sha256::Digest tag =
-      HmacSha256(ByteView(mac_key_.data(), mac_key_.size()), ByteView(out));
-  out.insert(out.end(), tag.begin(), tag.begin() + 16);
+  const size_t authed = nonce.size() + plaintext.size();
+  const Sha256::Digest tag = mac_key_.Mac(ByteView(out.data(), authed));
+  std::memcpy(out.data() + authed, tag.data(), kOverhead - nonce.size());
   return out;
 }
 
@@ -90,8 +96,7 @@ Result<Bytes> NonDetCipher::Decrypt(ByteView ciphertext) const {
   }
   size_t body_len = ciphertext.size() - kOverhead;
   ByteView authed = ciphertext.subview(0, 16 + body_len);
-  Sha256::Digest tag =
-      HmacSha256(ByteView(mac_key_.data(), mac_key_.size()), authed);
+  const Sha256::Digest tag = mac_key_.Mac(authed);
   uint8_t diff = 0;
   const uint8_t* stored_tag = ciphertext.data() + 16 + body_len;
   for (size_t i = 0; i < 16; ++i) {

@@ -5,6 +5,7 @@
 #include "common/result.h"
 #include "common/rng.h"
 #include "crypto/aes.h"
+#include "crypto/hmac.h"
 #include "crypto/sha256.h"
 
 namespace pds::crypto {
@@ -34,7 +35,7 @@ class DetCipher {
   static constexpr size_t kOverhead = 16;
 
  private:
-  SymmetricKey mac_key_;
+  HmacKey mac_key_;
   Aes128 aes_;
 };
 
@@ -53,7 +54,7 @@ class NonDetCipher {
   static constexpr size_t kOverhead = 32;
 
  private:
-  SymmetricKey mac_key_;
+  HmacKey mac_key_;
   Aes128 aes_;
 };
 

@@ -6,6 +6,25 @@
 
 namespace pds::crypto {
 
+/// HMAC-SHA256 key (RFC 2104) with its ipad and opad blocks hashed once:
+/// the two chaining states are cached, and Mac() resumes from them, so a
+/// message of up to 55 bytes costs two compressions instead of four. The
+/// destructor wipes both states.
+class HmacKey {
+ public:
+  explicit HmacKey(ByteView key);
+  ~HmacKey();
+
+  Sha256::Digest Mac(ByteView message) const;
+
+  /// Overwrites both chaining states with zeros (token zeroization).
+  void Wipe();
+
+ private:
+  Sha256::State inner_;  // pdslint: secret
+  Sha256::State outer_;  // pdslint: secret
+};
+
 /// HMAC-SHA256 (RFC 2104). Used for message authentication in the global
 /// protocols (integrity against a weakly-malicious SSI) and for key
 /// derivation inside tokens.

@@ -1,7 +1,5 @@
 #include "mcu/secure_token.h"
 
-#include <cstring>
-
 #include "obs/obs.h"
 
 namespace pds::mcu {
@@ -39,14 +37,19 @@ struct TokenObs {
 /// gauge — reflects real on-chip usage instead of staying at zero.
 constexpr size_t kCryptoScratchBytes = 96;
 
+/// The token's own MAC key, derived from the fleet key.
+crypto::HmacKey TokenMacKey(const crypto::SymmetricKey& fleet_key) {
+  const crypto::Sha256::Digest derived =
+      crypto::DeriveKey(ByteView(fleet_key.data(), fleet_key.size()),
+                        ByteView(std::string_view("token-mac")));
+  return crypto::HmacKey(ByteView(derived.data(), derived.size()));
+}
+
 }  // namespace
 
 SecureToken::SecureToken(const Config& config)
     : id_(config.token_id),
-      fleet_key_(config.fleet_key),
-      mac_key_(crypto::DeriveKey(
-          ByteView(config.fleet_key.data(), config.fleet_key.size()),
-          ByteView(std::string_view("token-mac")))),
+      mac_key_(TokenMacKey(config.fleet_key)),
       det_(std::make_unique<crypto::DetCipher>(config.fleet_key)),
       nondet_(std::make_unique<crypto::NonDetCipher>(config.fleet_key)),
       ram_(config.ram_budget_bytes),
@@ -137,8 +140,7 @@ Result<crypto::Sha256::Digest> SecureToken::Mac(ByteView message) {
       RamCharge charge,
       RamCharge::Make(&ram_, message.size() + kCryptoScratchBytes));
   hooks.ram_high_water->Set(static_cast<double>(ram_.high_water()));
-  return crypto::HmacSha256(ByteView(mac_key_.data(), mac_key_.size()),
-                            message);
+  return mac_key_.Mac(message);
 }
 
 Result<crypto::Sha256::Digest> SecureToken::Attest(ByteView challenge) {
@@ -153,9 +155,9 @@ Result<bool> SecureToken::VerifyAttestation(
 
 void SecureToken::Tamper() {
   tampered_ = true;
-  // Zeroize: the tamper-resistant hardware destroys its secrets.
-  std::memset(fleet_key_.data(), 0, fleet_key_.size());
-  std::memset(mac_key_.data(), 0, mac_key_.size());
+  // Zeroize: the tamper-resistant hardware destroys its secrets. The
+  // ciphers' destructors wipe their AES round keys and MAC midstates.
+  mac_key_.Wipe();
   det_.reset();
   nondet_.reset();
 }

@@ -97,8 +97,7 @@ class SecureToken {
 
   uint64_t id_;
   bool tampered_ = false;
-  crypto::SymmetricKey fleet_key_;
-  crypto::SymmetricKey mac_key_;
+  crypto::HmacKey mac_key_;
   std::unique_ptr<crypto::DetCipher> det_;
   std::unique_ptr<crypto::NonDetCipher> nondet_;
   RamGauge ram_;

@@ -270,6 +270,17 @@ TEST(PdslintSecretFlow, CatchesPlantedFleetKeyFrameLeak) {
   EXPECT_NE(r.findings[0].message.find("EncodeHello"), std::string::npos);
 }
 
+TEST(PdslintSecretFlow, CatchesHmacKeyMidstatesInFrame) {
+  // A token's MAC key is an HmacKey (cached HMAC midstates), a built-in
+  // seed like SymmetricKey: its bytes reaching the frame encoder must be
+  // flagged with no annotation.
+  Report r = Lint("net/leak_hmac_key_frame.cc");
+  std::vector<int> lines = LinesFor(r, Rule::kSecretFlow);
+  ASSERT_EQ(lines.size(), 1u);
+  EXPECT_EQ(lines[0], 32);
+  EXPECT_NE(r.findings[0].message.find("EncodeMessage"), std::string::npos);
+}
+
 TEST(PdslintSecretFlow, CatchesCiphertextCopiedIntoDiagnosticLog) {
   // The adversarial-reply leak: a tampering-diagnosis helper folds a
   // secret-annotated ciphertext into the diagnostic string it prints.
@@ -422,17 +433,43 @@ TEST(PdslintConstTime, CatchesPlantedLeakyLadder) {
             std::string::npos);
 }
 
+TEST(PdslintConstTime, CatchesPlantedByteWiseSbox) {
+  // The pre-masked-scan portable AES: SubBytes and the key schedule's
+  // SubWord index kSbox by secret state. The nested subscript and the
+  // memcpy into the key-schedule word must both carry the taint.
+  Report r = Lint("crypto/aes_leak.cc");
+  std::vector<int> lines = LinesFor(r, Rule::kConstTime);
+  std::vector<int> expected{21, 22, 23, 24, 36};
+  ASSERT_EQ(lines, expected) << "SubWord's four loads and SubBytes' load";
+  for (const Finding& f : r.findings) {
+    EXPECT_NE(f.message.find("secret-indexed table load"), std::string::npos)
+        << pdslint::FormatFinding(f);
+  }
+}
+
 TEST(PdslintConstTime, ScopedToKernelFiles) {
-  // The same leaky shapes outside montgomery*/bigint* files are not under
-  // the rule (general crypto code may branch on secrets it then discards).
+  // The rule covers the Paillier kernels (montgomery*/bigint*) and the
+  // token's symmetric primitives (aes*/sha256*/hmac*). The same leaky
+  // shapes elsewhere are not under it (general crypto code may branch on
+  // secrets it then discards).
   std::ifstream in(FixturePath("crypto/montgomery_bad.cc"),
                    std::ios::binary);
   std::ostringstream buf;
   buf << in.rdbuf();
-  Report report;
-  AnalyzeFile("src/crypto/paillier_extras.cc", buf.str(), Options(),
-              &report);
-  EXPECT_TRUE(LinesFor(report, Rule::kConstTime).empty());
+  for (const char* path : {"src/crypto/paillier_extras.cc",
+                           "src/crypto/cipher.cc", "src/mcu/secure_token.cc"}) {
+    Report report;
+    AnalyzeFile(path, buf.str(), Options(), &report);
+    EXPECT_TRUE(LinesFor(report, Rule::kConstTime).empty()) << path;
+  }
+  const size_t all = LinesFor(Lint("crypto/montgomery_bad.cc"),
+                              Rule::kConstTime).size();
+  for (const char* path : {"src/crypto/aes.cc", "src/crypto/sha256.cc",
+                           "src/crypto/hmac.cc", "src/crypto/bigint.cc"}) {
+    Report report;
+    AnalyzeFile(path, buf.str(), Options(), &report);
+    EXPECT_EQ(LinesFor(report, Rule::kConstTime).size(), all) << path;
+  }
 }
 
 // ---------------------------------------------------------------------------

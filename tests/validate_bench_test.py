@@ -193,6 +193,11 @@ CASES = [
      "'key_bits' is not numeric"),
     ("BENCH_crypto.json", lambda d: drop(d, op="fleet_round_per_op"),
      "round record 'fleet_round_per_op' is missing"),
+    ("BENCH_crypto.json", lambda d: drop(d, op="nondet_encrypt"),
+     "kernel rung 'nondet_encrypt' is missing"),
+    ("BENCH_crypto.json",
+     at({"op": "nondet_decrypt"}, setf(speedup_vs_scalar=-1.0)),
+     "non-positive speedup_vs_scalar"),
     ("BENCH_crypto.json",
      lambda d: d["records"].append({"op": "fleet_secure_agg_100pds"}),
      "unknown op 'fleet_secure_agg_100pds'"),

@@ -715,16 +715,20 @@ void CheckGlobalVar(const Scrubbed& s, const Structure& st, Emitter* em) {
 //                                   AND stops taint through them
 //
 // Built-in seeds (no annotation needed): declarations of SymmetricKey /
-// PrivateKey values, and any call to a function named Decrypt* (decrypt
-// outputs in crypto::/mcu:: are secret by construction). Sanitizers — calls
-// that legitimately consume a secret — are Encrypt*/Hmac*/Mac/Attest.
+// PrivateKey / HmacKey values, and any call to a function named Decrypt*
+// (decrypt outputs in crypto::/mcu:: are secret by construction).
+// Sanitizers — calls that legitimately consume a secret — are
+// Encrypt*/Hmac*/Mac/Attest.
 // ---------------------------------------------------------------------------
 
 const std::regex kAnnSecretParams(R"(pdslint:\s*secret\(([^)]*)\))");
 const std::regex kAnnSecretBare(R"(pdslint:\s*secret\b)");
 const std::regex kAnnSinkList(R"(pdslint:\s*sink\(([^)]*)\))");
 const std::regex kAnnSinkBare(R"(pdslint:\s*sink\b)");
-const std::regex kSecretTypeDecl(R"(\b(SymmetricKey|PrivateKey)\b)");
+// A key type followed by '(', '{' or '::' is a constructor, a temporary or
+// a qualifier, not a declaration of a key value.
+const std::regex kSecretTypeDecl(
+    R"(\b(SymmetricKey|PrivateKey|HmacKey)\b(?!\s*(?:\(|\{|::)))");
 const std::regex kIdent(R"([A-Za-z_]\w*)");
 const std::regex kCallName(R"(([A-Za-z_]\w*)\s*\()");
 const std::regex kSanitizerCall(R"(\b(Encrypt\w*|Hmac\w*|Mac|Attest)\s*\()");
@@ -738,10 +742,28 @@ const std::regex kAssignMacro(R"((?:PDS_)?ASSIGN_OR_RETURN\s*\(\s*([^,]*),)");
 // Growth into a container taints the container.
 const std::regex kContainerPut(
     R"(([A-Za-z_]\w*)((?:\.[A-Za-z_]\w*|->[A-Za-z_]\w*|\[[^\][]*\])*)\s*(?:\.|->)\s*(push_back|emplace_back|emplace|insert|append|assign|push|push_front)\s*\()");
+// A byte copy taints its destination: `memcpy(temp, rk + 4, 4)`.
+const std::regex kMemCopy(
+    R"(\b(?:std\s*::\s*)?mem(?:cpy|move)\s*\(\s*&?\s*([A-Za-z_]\w*))");
 const std::regex kCtBranchHead(
     R"(^\s*(?:\}\s*)?(?:else\s+)?(if|while|for|switch)\s*\()");
-const std::regex kSubscript(R"(\[([^\][]+)\])");
 const std::regex kReturnStmt(R"(^\s*(?:co_)?return\b)");
+
+// Index expression of every subscript in `text`, nested ones included:
+// `kSbox[s[i]]` yields "i" and "s[i]".
+std::vector<std::string> SubscriptIndexes(const std::string& text) {
+  std::vector<std::string> out;
+  std::vector<size_t> open;
+  for (size_t i = 0; i < text.size(); ++i) {
+    if (text[i] == '[') {
+      open.push_back(i);
+    } else if (text[i] == ']' && !open.empty()) {
+      out.push_back(text.substr(open.back() + 1, i - open.back() - 1));
+      open.pop_back();
+    }
+  }
+  return out;
+}
 
 bool IsKeywordIdent(const std::string& id) {
   static const std::set<std::string> kw = {
@@ -913,7 +935,8 @@ FileAnnotations CollectAnnotations(const Scrubbed& s, const Structure& st) {
       }
     }
   }
-  // Built-in seed: a SymmetricKey / PrivateKey declaration names a secret.
+  // Built-in seed: a SymmetricKey / PrivateKey / HmacKey declaration names
+  // a secret.
   for (size_t ln = 0; ln < s.code.size(); ++ln) {
     const std::string& code = s.code[ln];
     std::string t = Trim(code);
@@ -1120,6 +1143,9 @@ bool PropagateFunction(const TaintFile& tf, int fi, const SourceIndex& index,
         if (std::regex_search(stmt.text, m, kContainerPut)) {
           TaintName(&tainted, m[1], why, line1);
         }
+        if (std::regex_search(stmt.text, m, kMemCopy)) {
+          TaintName(&tainted, m[1], why, line1);
+        }
         TaintRangeForBindings(&tainted, stmt.text, why, line1);
         if (std::regex_search(stmt.text, kReturnStmt)) {
           returns_secret = true;
@@ -1203,10 +1229,7 @@ bool PropagateFunction(const TaintFile& tf, int fi, const SourceIndex& index,
           }
         }
         if (!ct_flagged.count(stmt.line0)) {
-          auto sb = std::sregex_iterator(stmt.text.begin(), stmt.text.end(),
-                                         kSubscript);
-          for (auto it = sb; it != std::sregex_iterator(); ++it) {
-            std::string idx = (*it)[1];
+          for (const std::string& idx : SubscriptIndexes(stmt.text)) {
             std::string twhy;
             if (!FirstTaintIn(idx, tainted, msecrets, index, tf.module,
                               &twhy)

@@ -38,7 +38,8 @@ enum class Rule {
                      // obs name/label, SSI-compiled code, print) without a
                      // sanitizer (Encrypt*/Hmac/Mac/Attest) or declassify
   kConstTime,        // secret-dependent branch / secret-indexed table load in
-                     // a crypto kernel file (montgomery*/bigint*)
+                     // a crypto kernel file (montgomery*/bigint*/aes*/
+                     // sha256*/hmac*)
 };
 
 /// Stable rule name used in diagnostics, waivers, and baselines.
@@ -87,8 +88,10 @@ struct Options {
   /// the same rule.
   std::vector<std::string> framed_modules{"net", "sim"};
   /// Basename prefixes of the crypto kernel files under the const-time rule
-  /// (secret-dependent branches and secret-indexed loads are findings).
-  std::vector<std::string> const_time_files{"montgomery", "bigint"};
+  /// (secret-dependent branches and secret-indexed loads are findings): the
+  /// Paillier arithmetic and the token's symmetric primitives.
+  std::vector<std::string> const_time_files{"montgomery", "bigint", "aes",
+                                            "sha256", "hmac"};
   /// Basename prefixes of files compiled into the SSI: any secret-tagged
   /// value or decrypt output appearing there is a secret-flow finding (the
   /// SSI must see ciphertext only).
@@ -99,8 +102,8 @@ struct Options {
 
 /// Cross-file symbol table for the secret-flow rule, built in two passes:
 /// pass one collects `// pdslint: secret` / `// pdslint: sink` annotations
-/// and the built-in seeds (SymmetricKey/PrivateKey declarations, Decrypt*
-/// functions), pass two iterates per-function taint propagation to a
+/// and the built-in seeds (SymmetricKey/PrivateKey/HmacKey declarations,
+/// Decrypt* functions), pass two iterates per-function taint propagation to a
 /// fixpoint so functions *returning* secrets taint their call sites across
 /// files.
 struct SourceIndex {
