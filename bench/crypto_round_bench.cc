@@ -12,22 +12,26 @@
 // rung batches enough calls per sample to fill kSampleNs.
 //
 // It then times one [TNP14] fleet aggregation round at fleet size 64 with
-// 8 counters per site, two ways:
+// 8 counters per site, two ways, both on one fixed 512-bit key so keygen
+// is on neither side:
 //
 //   fleet_round_per_op — the PR 1 baseline: one Paillier encryption per
 //     site per counter, k homomorphic folds, k decryptions
 //     (fleet * k + k asymmetric ops per round);
-//   fleet_round_packed — slot packing + the lockstep batch-window ladder
-//     over the multi-lane Montgomery kernel: one ciphertext per site, one
-//     fold, ONE decrypt-unpack (fleet + 1 asymmetric ops per round).
+//   fleet_round_packed — the protocol's own round: SsiServer::
+//     RunPackedAggregation over 64 TokenSessions behind DirectTokenLinks,
+//     each token packing its 4 groups' (sum, count) counters into one
+//     ciphertext, the SSI's fold, ONE decrypt-unpack (fleet + 1
+//     asymmetric ops per round).
 //
 // Every timed round's totals are cross-checked against the plaintext sums,
-// and the packed path is additionally re-run with the SIMD kernel forced
-// to its scalar fallback to prove the ciphertexts are byte-identical on
-// both dispatch paths. Any mismatch — or a packed speedup below the 3x
-// acceptance floor — exits non-zero, which is what the CI schema check
-// builds on. Every measurement warms up once untimed, then reports the
-// median of kReps timed samples.
+// and the packed round is additionally re-run on fresh tokens with the
+// same seeds and the lane-split kernel forced to its scalar ladder, to
+// prove every ciphertext and the fold are byte-identical on both dispatch
+// paths. Any mismatch — or a packed speedup below the 3x acceptance floor
+// — exits non-zero, which is what the CI schema check builds on. Every
+// measurement warms up once untimed, then reports the median of kReps
+// timed samples.
 
 #include <algorithm>
 #include <chrono>
@@ -35,9 +39,12 @@
 #include <fstream>
 #include <iomanip>
 #include <iostream>
+#include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
+#include "common/result.h"
 #include "common/rng.h"
 #include "crypto/cipher.h"
 #include "crypto/montgomery.h"
@@ -45,17 +52,29 @@
 #include "crypto/paillier.h"
 #include "global/common.h"
 #include "global/toolkit.h"
+#include "mcu/secure_token.h"
+#include "net/codec.h"
+#include "net/direct_link.h"
+#include "net/ssi_server.h"
+#include "net/transport.h"
 
 namespace {
 
+using pds::Bytes;
+using pds::ByteView;
 using pds::Rng;
 using pds::crypto::BigInt;
 using pds::crypto::PackedAggregate;
 using pds::crypto::Paillier;
+using pds::global::AggFunc;
+using pds::global::AggOutput;
 using pds::global::PackedRoundOutput;
+using pds::global::Participant;
 
 constexpr size_t kFleet = 64;
 constexpr size_t kCounters = 8;
+constexpr size_t kDomain = kCounters / 2;  // a (sum, count) pair per group
+constexpr size_t kTuplesPerSite = 4;
 constexpr uint64_t kMaxValue = 255;
 constexpr size_t kKeyBits = 512;
 constexpr int kReps = 5;
@@ -136,10 +155,10 @@ double NsPerOp(Op op) {
 }
 
 /// Median round time in ns of `round` (see MedianOfReps), verifying every
-/// round's totals against the plaintext sums; negative on failure.
-template <typename RoundFn>
-double TimeRounds(const char* what, const std::vector<uint64_t>& expected,
-                  RoundFn round) {
+/// round's answer with `matches` (true when it equals the plaintext sums);
+/// negative on failure.
+template <typename RoundFn, typename MatchFn>
+double TimeRounds(const char* what, RoundFn round, MatchFn matches) {
   return MedianOfReps([&] {
     auto out = round();
     if (!out.ok()) {
@@ -147,13 +166,122 @@ double TimeRounds(const char* what, const std::vector<uint64_t>& expected,
                 << out.status().ToString() << "\n";
       return false;
     }
-    if (out->totals != expected) {
+    if (!matches(*out)) {
       std::cerr << "crypto_round_bench: " << what
                 << ": totals do not match plaintext sums\n";
       return false;
     }
     return true;
   });
+}
+
+/// The packed round's fleet: kFleet tokens with fixed seeds, each holding
+/// kTuplesPerSite tuples over a kDomain-group domain, admitted to one
+/// SsiServer over DirectTokenLinks. Two fleets built alike produce the same
+/// ciphertexts round for round.
+struct PackedFleet {
+  std::vector<std::string> domain;
+  std::vector<std::unique_ptr<pds::mcu::SecureToken>> tokens;
+  std::vector<Participant> participants;
+  std::unique_ptr<pds::net::SsiServer> server;
+  std::vector<Bytes> replies;  // frames the tokens sent, when recording
+};
+
+/// A DirectTokenLink that also keeps every frame its token sends back.
+class RecordingLink : public pds::net::Transport {
+ public:
+  RecordingLink(pds::mcu::SecureToken* token,
+                const std::vector<pds::global::SourceTuple>* tuples,
+                const PackedAggregate* agg, std::vector<Bytes>* replies)
+      : link_(token, tuples, agg), replies_(replies) {}
+
+  pds::Status Send(ByteView frame) override { return link_.Send(frame); }
+  pds::Result<Bytes> Recv(uint32_t deadline_ms) override {
+    pds::Result<Bytes> frame = link_.Recv(deadline_ms);
+    if (frame.ok()) {
+      replies_->push_back(*frame);
+    }
+    return frame;
+  }
+  void Close() override { link_.Close(); }
+  bool closed() const override { return link_.closed(); }
+
+ private:
+  pds::net::DirectTokenLink link_;
+  std::vector<Bytes>* replies_;
+};
+
+/// Builds the fleet and admits every token with the in-process protocols'
+/// server settings (serial, quorum 1.0, no retries, lean sessions). With
+/// `record`, every link keeps the frames its token sends.
+pds::Result<std::unique_ptr<PackedFleet>> MakePackedFleet(
+    const PackedAggregate& agg, bool record) {
+  auto fleet = std::make_unique<PackedFleet>();
+  for (size_t g = 0; g < kDomain; ++g) {
+    fleet->domain.push_back("g" + std::to_string(g));
+  }
+  const auto fleet_key = pds::crypto::KeyFromString("round-bench-fleet");
+  Rng data(91);
+  fleet->participants.resize(kFleet);
+  for (size_t i = 0; i < kFleet; ++i) {
+    pds::mcu::SecureToken::Config tcfg;
+    tcfg.token_id = 100 + i;
+    tcfg.fleet_key = fleet_key;
+    tcfg.rng_seed = 917 + i;
+    fleet->tokens.push_back(std::make_unique<pds::mcu::SecureToken>(tcfg));
+    Participant& p = fleet->participants[i];
+    p.token = fleet->tokens.back().get();
+    for (size_t t = 0; t < kTuplesPerSite; ++t) {
+      // Values below 64 keep every per-group sum under kMaxValue.
+      p.tuples.push_back({fleet->domain[data.Uniform(kDomain)],
+                          static_cast<double>(data.Uniform(64))});
+    }
+  }
+  pds::net::SsiServer::Config cfg;
+  cfg.quorum = 1.0;
+  cfg.max_retries = 0;
+  cfg.lean_sessions = true;
+  cfg.verifier = fleet->tokens.front().get();
+  fleet->server = std::make_unique<pds::net::SsiServer>(cfg);
+  for (Participant& p : fleet->participants) {
+    std::unique_ptr<pds::net::Transport> link;
+    if (record) {
+      link = std::make_unique<RecordingLink>(p.token, &p.tuples, &agg,
+                                             &fleet->replies);
+    } else {
+      link = std::make_unique<pds::net::DirectTokenLink>(p.token, &p.tuples,
+                                                         &agg);
+    }
+    PDS_RETURN_IF_ERROR(fleet->server->AcceptSession(std::move(link)).status());
+  }
+  return fleet;
+}
+
+/// One packed round on a fresh recording fleet: every ciphertext the SSI
+/// read, then their fold — the bytes both dispatch paths must produce.
+pds::Result<std::vector<Bytes>> RoundCiphertextsAndFold(
+    const PackedAggregate& agg) {
+  PDS_ASSIGN_OR_RETURN(std::unique_ptr<PackedFleet> fleet,
+                       MakePackedFleet(agg, /*record=*/true));
+  fleet->replies.clear();  // the handshakes' frames
+  PDS_RETURN_IF_ERROR(fleet->server
+                          ->RunPackedAggregation(AggFunc::kSum, agg,
+                                                 fleet->domain)
+                          .status());
+  std::vector<Bytes> out;
+  BigInt fold;
+  for (const Bytes& frame : fleet->replies) {
+    PDS_ASSIGN_OR_RETURN(
+        pds::net::TupleBatchMsg reply,
+        pds::net::DecodeAs<pds::net::TupleBatchMsg>(ByteView(frame)));
+    for (const Bytes& ct : reply.batch) {
+      const BigInt c = BigInt::FromBytes(ByteView(ct));
+      fold = out.empty() ? c : agg.Add(fold, c);
+      out.push_back(ct);
+    }
+  }
+  out.push_back(fold.ToBytes());
+  return out;
 }
 
 /// One kernel-layer rung: the same operation on its scalar baseline and on
@@ -290,41 +418,49 @@ int main(int argc, char** argv) {
   const auto expected = PlainTotals(rows);
 
   Rng rng(73);
-  double per_op_ns = TimeRounds("per-op round", expected, [&] {
-    return pds::global::PaillierPerOpFleetRound(*paillier, rows, &rng);
-  });
+  double per_op_ns = TimeRounds(
+      "per-op round",
+      [&] {
+        return pds::global::PaillierPerOpFleetRound(*paillier, rows, &rng);
+      },
+      [&](const PackedRoundOutput& out) { return out.totals == expected; });
   if (per_op_ns < 0) {
     return Fail("per-op round did not verify");
   }
-  double packed_ns = TimeRounds("packed round", expected, [&] {
-    return pds::global::PaillierPackedFleetRound(*agg, rows, &rng);
-  });
+  auto fleet = MakePackedFleet(*agg, /*record=*/false);
+  if (!fleet.ok()) {
+    return Fail("packed fleet: " + fleet.status().ToString());
+  }
+  const std::map<std::string, double> expected_groups =
+      pds::global::PlainAggregate((*fleet)->participants, AggFunc::kSum);
+  double packed_ns = TimeRounds(
+      "packed round",
+      [&] {
+        return (*fleet)->server->RunPackedAggregation(AggFunc::kSum, *agg,
+                                                      (*fleet)->domain);
+      },
+      [&](const AggOutput& out) { return out.groups == expected_groups; });
   if (packed_ns < 0) {
     return Fail("packed round did not verify");
   }
 
-  // Dispatch cross-check: identical RNG seed, SIMD vs forced-scalar
-  // kernel, ciphertexts must match bit for bit.
+  // Dispatch cross-check: fresh tokens with the same seeds, lane split vs
+  // forced-scalar ladder; every ciphertext and the fold must match.
   const bool had_avx2 =
       std::string(pds::crypto::simd::KernelName()) == "avx2";
-  std::vector<pds::Bytes> simd_cts;
-  std::vector<pds::Bytes> scalar_cts;
+  std::vector<Bytes> round_bytes[2];
   for (bool force : {false, true}) {
     pds::crypto::simd::SetForceScalar(force);
-    Rng enc_rng(7);
-    auto cts = agg->EncryptPackedBatch(rows, &enc_rng);
-    if (!cts.ok()) {
-      pds::crypto::simd::SetForceScalar(false);
-      return Fail("EncryptPackedBatch: " + cts.status().ToString());
+    auto got = RoundCiphertextsAndFold(*agg);
+    pds::crypto::simd::SetForceScalar(false);
+    if (!got.ok()) {
+      return Fail("packed round: " + got.status().ToString());
     }
-    auto& dst = force ? scalar_cts : simd_cts;
-    for (const BigInt& ct : *cts) {
-      dst.push_back(ct.ToBytes());
-    }
+    round_bytes[force] = std::move(got).value();
   }
-  pds::crypto::simd::SetForceScalar(false);
-  if (simd_cts != scalar_cts) {
-    return Fail("SIMD and forced-scalar ciphertexts differ");
+  if (round_bytes[0].size() != kFleet + 1 ||
+      round_bytes[0] != round_bytes[1]) {
+    return Fail("SIMD and forced-scalar ciphertexts or fold differ");
   }
 
   const double speedup = per_op_ns / packed_ns;

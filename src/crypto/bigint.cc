@@ -386,21 +386,6 @@ BigInt BigInt::ModExp(const BigInt& a, const BigInt& e, const BigInt& m) {
   return ModExpSchoolbook(a, e, m);
 }
 
-std::vector<BigInt> BigInt::ModExpMany(const std::vector<BigInt>& bases,
-                                       const BigInt& e, const BigInt& m) {
-  if (m.IsOne() || m.IsZero()) {
-    return std::vector<BigInt>(bases.size());
-  }
-  if (MontgomeryCtx::Usable(m)) {
-    return MontgomeryCtx(m).ModExpMany(bases, e);
-  }
-  std::vector<BigInt> out(bases.size());
-  for (size_t i = 0; i < bases.size(); ++i) {
-    out[i] = ModExpSchoolbook(bases[i], e, m);
-  }
-  return out;
-}
-
 BigInt BigInt::ModExpSchoolbook(const BigInt& a, const BigInt& e,
                                 const BigInt& m) {
   if (m.IsOne() || m.IsZero()) {
@@ -517,15 +502,16 @@ bool BigInt::IsProbablePrime(const BigInt& n, int rounds, Rng* rng) {
 
   BigInt two(2);
   BigInt n_minus_3 = Sub(n, BigInt(3));
+  const MontgomeryCtx ctx(n);  // n is odd and > 97 here
   for (int round = 0; round < rounds; ++round) {
     BigInt a = Add(RandomBelow(n_minus_3, rng), two);  // a in [2, n-2]
-    BigInt x = ModExp(a, d, n);
+    BigInt x = ctx.ModExp(a, d);
     if (x.IsOne() || Compare(x, n_minus_1) == 0) {
       continue;
     }
     bool witness = true;
     for (size_t i = 1; i < s; ++i) {
-      x = ModMul(x, x, n);
+      x = ctx.ModMul(x, x);
       if (Compare(x, n_minus_1) == 0) {
         witness = false;
         break;

@@ -64,12 +64,6 @@ class BigInt {
   /// a^e mod m. Odd moduli dispatch to the Montgomery fixed-window kernel
   /// (crypto/montgomery.h); even moduli fall back to square-and-multiply.
   static BigInt ModExp(const BigInt& a, const BigInt& e, const BigInt& m);
-  /// bases[i]^e mod m for every base with one shared window decode. Odd
-  /// moduli run the batch lockstep ladder over the multi-lane Montgomery
-  /// kernel; even moduli fall back to per-base square-and-multiply.
-  /// Results equal per-base ModExp bit for bit.
-  static std::vector<BigInt> ModExpMany(const std::vector<BigInt>& bases,
-                                        const BigInt& e, const BigInt& m);
   /// Reference square-and-multiply ladder over schoolbook ModMul. Kept as
   /// the even-modulus fallback and as the cross-check/bench baseline for
   /// the Montgomery kernel.

@@ -1,6 +1,5 @@
 #include "crypto/montgomery.h"
 
-#include <algorithm>
 #include <cstdlib>
 
 #include "crypto/montgomery_simd.h"
@@ -9,54 +8,78 @@ namespace pds::crypto {
 
 namespace {
 
-/// Lane-interleaved residue quartet for the multi-lane kernel: element
-/// [4*j + l] is limb j of lane l (value < 2^32 in a 64-bit slot).
-using Quad = std::vector<uint64_t>;
+using Limbs = MontgomeryCtx::Limbs;
+using u128 = unsigned __int128;
 
-Quad PackQuad(size_t k, const MontgomeryCtx::Limbs* lanes[4]) {
-  Quad q(4 * k, 0);
-  for (size_t l = 0; l < 4; ++l) {
-    const MontgomeryCtx::Limbs& src = *lanes[l];
-    for (size_t j = 0; j < k; ++j) {
-      q[4 * j + l] = src[j];
-    }
-  }
-  return q;
-}
-
-void UnpackLane(const Quad& q, size_t k, size_t lane,
-                MontgomeryCtx::Limbs* out) {
-  out->assign(k, 0);
-  for (size_t j = 0; j < k; ++j) {
-    (*out)[j] = static_cast<uint32_t>(q[4 * j + lane]);
-  }
-}
-
-/// 4-bit window digits of `e`, least-significant window first. Window w
-/// holds bits [4w, 4w+4).
-std::vector<uint8_t> WindowDigits(const BigInt& e) {
-  size_t windows = (e.BitLength() + 3) / 4;
-  std::vector<uint8_t> digits(windows, 0);
-  for (size_t w = 0; w < windows; ++w) {
-    uint8_t digit = 0;
-    for (size_t b = 0; b < 4; ++b) {
-      // Branchless: Bit() is 0/1, fold it in without testing it.
-      digit |= static_cast<uint8_t>(static_cast<uint8_t>(e.Bit(4 * w + b))
-                                    << b);
-    }
-    digits[w] = digit;
-  }
-  return digits;
-}
-
-/// Inverse of odd `x` mod 2^32 by Newton iteration (5 steps double the
-/// correct low bits from 5 to >32).
-uint32_t InverseMod32(uint32_t x) {
-  uint32_t inv = x;  // correct to 5 bits for odd x
+/// Inverse of odd `x` mod 2^64 by Newton iteration: x*x = 1 mod 8 for odd
+/// x, so x is its own inverse to 3 bits, and each step doubles the correct
+/// low bits (3, 6, 12, 24, 48, 96).
+uint64_t InverseMod64(uint64_t x) {
+  uint64_t inv = x;
   for (int i = 0; i < 5; ++i) {
-    inv *= 2u - x * inv;
+    inv *= 2 - x * inv;
   }
   return inv;
+}
+
+/// The low k little-endian 64-bit limbs of v.
+Limbs LimbsOf(const BigInt& v, size_t k) {
+  Limbs out(k, 0);
+  const Bytes be = v.ToBytes();
+  const size_t len = be.size();
+  for (size_t i = 0; i < len; ++i) {
+    const size_t byte_index = len - 1 - i;  // position from the LSB
+    if (byte_index / 8 < k) {
+      out[byte_index / 8] |= static_cast<uint64_t>(be[i])
+                             << (8 * (byte_index % 8));
+    }
+  }
+  return out;
+}
+
+BigInt BigIntOf(const Limbs& x) {
+  const size_t n = 8 * x.size();
+  Bytes be(n, 0);
+  for (size_t byte_index = 0; byte_index < n; ++byte_index) {
+    be[n - 1 - byte_index] =
+        static_cast<uint8_t>(x[byte_index / 8] >> (8 * (byte_index % 8)));
+  }
+  return BigInt::FromBytes(ByteView(be));
+}
+
+/// 4-bit window digit w of e: bits [4w, 4w+4), 0 past e's top bit.
+// pdslint: secret(e)
+uint32_t WindowDigit(const BigInt& e, size_t w) {
+  uint32_t digit = 0;
+  for (size_t b = 0; b < 4; ++b) {
+    // Branchless: Bit() is 0/1, fold it in without testing it.
+    digit |= static_cast<uint32_t>(e.Bit(4 * w + b)) << b;
+  }
+  return digit;
+}
+
+/// Writes `x` into lane `lane` of a simd::MontMul4 operand: 64-bit limb j
+/// becomes 32-bit limbs 2j and 2j+1, at [4*(2j) + lane] and [4*(2j+1) +
+/// lane].
+void PackLane(const Limbs& x, size_t lane, uint64_t* quad) {
+  for (size_t j = 0; j < x.size(); ++j) {
+    quad[8 * j + lane] = x[j] & 0xFFFFFFFFu;
+    quad[8 * j + 4 + lane] = x[j] >> 32;
+  }
+}
+
+/// Inverse of PackLane: `out` (k limbs) receives lane `lane` of `quad`.
+void UnpackLane(const uint64_t* quad, size_t lane, Limbs* out) {
+  for (size_t j = 0; j < out->size(); ++j) {
+    (*out)[j] = quad[8 * j + lane] | (quad[8 * j + 4 + lane] << 32);
+  }
+}
+
+/// The (k+2)-limb CIOS accumulator, reused across calls on the same thread
+/// so MontMul allocates nothing after warm-up.
+std::vector<uint64_t>& Scratch() {
+  thread_local std::vector<uint64_t> t;
+  return t;
 }
 
 }  // namespace
@@ -65,111 +88,78 @@ MontgomeryCtx::MontgomeryCtx(const BigInt& modulus) : modulus_(modulus) {
   if (!Usable(modulus)) {
     std::abort();  // programming error: callers must gate on Usable()
   }
-  Bytes be = modulus.ToBytes();
-  k_ = (modulus.BitLength() + 31) / 32;
-  m_limbs_.assign(k_, 0);
-  // Big-endian bytes -> little-endian limbs.
-  size_t n = be.size();
-  for (size_t i = 0; i < n; ++i) {
-    size_t byte_index = n - 1 - i;
-    m_limbs_[byte_index / 4] |= static_cast<uint32_t>(be[i])
-                                << (8 * (byte_index % 4));
-  }
-  n0_inv_ = 0u - InverseMod32(m_limbs_[0]);
-
+  k_ = (modulus.BitLength() + 63) / 64;
+  m_limbs_ = LimbsOf(modulus, k_);
+  n0_inv_ = 0 - InverseMod64(m_limbs_[0]);
   // R mod m and R^2 mod m via one-time BigInt divisions.
-  BigInt r_mod = BigInt::Mod(BigInt::ShiftLeft(BigInt::One(), 32 * k_),
-                             modulus_);
-  BigInt r2_mod = BigInt::Mod(BigInt::ShiftLeft(BigInt::One(), 64 * k_),
-                              modulus_);
-  auto to_limbs = [this](const BigInt& v) {
-    Limbs out(k_, 0);
-    Bytes b = v.ToBytes();
-    size_t len = b.size();
-    for (size_t i = 0; i < len; ++i) {
-      size_t byte_index = len - 1 - i;
-      if (byte_index / 4 < k_) {
-        out[byte_index / 4] |= static_cast<uint32_t>(b[i])
-                               << (8 * (byte_index % 4));
-      }
-    }
-    return out;
-  };
-  one_mont_ = to_limbs(r_mod);
-  r2_ = to_limbs(r2_mod);
+  one_mont_ = LimbsOf(
+      BigInt::Mod(BigInt::ShiftLeft(BigInt::One(), 64 * k_), modulus_), k_);
+  r2_ = LimbsOf(
+      BigInt::Mod(BigInt::ShiftLeft(BigInt::One(), 128 * k_), modulus_), k_);
 }
 
 // pdslint: secret(a, b)
 void MontgomeryCtx::MontMul(const Limbs& a, const Limbs& b,
                             Limbs* out) const {
   const size_t k = k_;
+  const uint64_t* m = m_limbs_.data();
   // CIOS: t accumulates a*b while folding in multiples of m so the low
-  // limb stays divisible by 2^32 each round.
-  std::vector<uint32_t> t(k + 2, 0);
+  // limb stays divisible by 2^64 each round. With a < m, t < 2m after
+  // every round, so t[k] <= 1 and t fits k+2 limbs mid-round.
+  std::vector<uint64_t>& scratch = Scratch();
+  scratch.assign(k + 2, 0);
+  uint64_t* t = scratch.data();
   for (size_t i = 0; i < k; ++i) {
     // t += a * b[i]
-    uint64_t carry = 0;
     const uint64_t bi = b[i];
+    uint64_t carry = 0;
     for (size_t j = 0; j < k; ++j) {
-      uint64_t cur = t[j] + static_cast<uint64_t>(a[j]) * bi + carry;
-      t[j] = static_cast<uint32_t>(cur);
-      carry = cur >> 32;
+      const u128 cur = static_cast<u128>(a[j]) * bi + t[j] + carry;
+      t[j] = static_cast<uint64_t>(cur);
+      carry = static_cast<uint64_t>(cur >> 64);
     }
-    uint64_t cur = t[k] + carry;
-    t[k] = static_cast<uint32_t>(cur);
-    t[k + 1] = static_cast<uint32_t>(cur >> 32);
+    u128 cur = static_cast<u128>(t[k]) + carry;
+    t[k] = static_cast<uint64_t>(cur);
+    t[k + 1] = static_cast<uint64_t>(cur >> 64);
 
-    // t = (t + mw*m) / 2^32
-    const uint64_t mw = static_cast<uint32_t>(t[0] * n0_inv_);
-    cur = t[0] + mw * m_limbs_[0];
-    carry = cur >> 32;  // low limb is now zero by construction
+    // t = (t + mw*m) / 2^64
+    const uint64_t mw = t[0] * n0_inv_;
+    cur = static_cast<u128>(mw) * m[0] + t[0];
+    carry = static_cast<uint64_t>(cur >> 64);  // low limb is now zero
     for (size_t j = 1; j < k; ++j) {
-      cur = t[j] + mw * m_limbs_[j] + carry;
-      t[j - 1] = static_cast<uint32_t>(cur);
-      carry = cur >> 32;
+      cur = static_cast<u128>(mw) * m[j] + t[j] + carry;
+      t[j - 1] = static_cast<uint64_t>(cur);
+      carry = static_cast<uint64_t>(cur >> 64);
     }
-    cur = t[k] + carry;
-    t[k - 1] = static_cast<uint32_t>(cur);
-    t[k] = t[k + 1] + static_cast<uint32_t>(cur >> 32);
-    t[k + 1] = 0;
+    cur = static_cast<u128>(t[k]) + carry;
+    t[k - 1] = static_cast<uint64_t>(cur);
+    t[k] = t[k + 1] + static_cast<uint64_t>(cur >> 64);
   }
 
   // Result is in t[0..k], strictly below 2m: subtract m once if needed.
   // The reduction runs on secret-derived limbs, so it must not branch or
   // early-exit on them: compute t - m unconditionally (borrow chain), then
   // select t or t - m with a mask derived from (t >= m).
-  out->assign(k, 0);
+  out->resize(k);
+  uint64_t* o = out->data();
   uint64_t borrow = 0;
   for (size_t i = 0; i < k; ++i) {
-    uint64_t diff = static_cast<uint64_t>(t[i]) -
-                    static_cast<uint64_t>(m_limbs_[i]) - borrow;
-    (*out)[i] = static_cast<uint32_t>(diff);
-    borrow = (diff >> 63) & 1;
+    const u128 diff = static_cast<u128>(t[i]) - m[i] - borrow;
+    o[i] = static_cast<uint64_t>(diff);
+    borrow = static_cast<uint64_t>(diff >> 64) & 1;
   }
   // t >= m iff the carry limb is nonzero or the subtraction did not borrow.
   const uint64_t tk = t[k];
-  const uint32_t ge =
-      static_cast<uint32_t>(((tk | (0 - tk)) >> 63) | (borrow ^ 1));
-  const uint32_t mask = 0u - ge;  // all-ones when t >= m
+  const uint64_t ge = ((tk | (0 - tk)) >> 63) | (borrow ^ 1);
+  const uint64_t mask = 0 - ge;  // all-ones when t >= m
   for (size_t i = 0; i < k; ++i) {
-    (*out)[i] = ((*out)[i] & mask) | (t[i] & ~mask);
+    o[i] = (o[i] & mask) | (t[i] & ~mask);
   }
 }
 
 MontgomeryCtx::Limbs MontgomeryCtx::ToMont(const BigInt& x) const {
-  BigInt r = BigInt::Mod(x, modulus_);
-  Limbs xl(k_, 0);
-  Bytes b = r.ToBytes();
-  size_t len = b.size();
-  for (size_t i = 0; i < len; ++i) {
-    size_t byte_index = len - 1 - i;
-    if (byte_index / 4 < k_) {
-      xl[byte_index / 4] |= static_cast<uint32_t>(b[i])
-                            << (8 * (byte_index % 4));
-    }
-  }
   Limbs out;
-  MontMul(xl, r2_, &out);
+  MontMul(LimbsOf(BigInt::Mod(x, modulus_), k_), r2_, &out);
   return out;
 }
 
@@ -178,24 +168,16 @@ BigInt MontgomeryCtx::FromMont(const Limbs& x) const {
   one[0] = 1;
   Limbs plain;
   MontMul(x, one, &plain);
-  // Little-endian limbs -> big-endian bytes -> BigInt.
-  Bytes be(k_ * 4, 0);
-  for (size_t i = 0; i < k_; ++i) {
-    uint32_t v = plain[i];
-    be[k_ * 4 - 1 - 4 * i] = static_cast<uint8_t>(v);
-    be[k_ * 4 - 2 - 4 * i] = static_cast<uint8_t>(v >> 8);
-    be[k_ * 4 - 3 - 4 * i] = static_cast<uint8_t>(v >> 16);
-    be[k_ * 4 - 4 - 4 * i] = static_cast<uint8_t>(v >> 24);
-  }
-  return BigInt::FromBytes(ByteView(be));
+  return BigIntOf(plain);
 }
 
 BigInt MontgomeryCtx::ModMul(const BigInt& a, const BigInt& b) const {
-  Limbs am = ToMont(a);
-  Limbs bm = ToMont(b);
+  // MontMul(a, b) = a*b*R^-1; a second MontMul by R^2 cancels the R^-1.
   Limbs prod;
-  MontMul(am, bm, &prod);
-  return FromMont(prod);
+  MontMul(LimbsOf(BigInt::Mod(a, modulus_), k_),
+          LimbsOf(BigInt::Mod(b, modulus_), k_), &prod);
+  MontMul(prod, r2_, &prod);
+  return BigIntOf(prod);
 }
 
 // pdslint: secret(a, e)
@@ -217,117 +199,22 @@ BigInt MontgomeryCtx::ModExp(const BigInt& a, const BigInt& e) const {
     MontMul(table[d - 1], base, &table[d]);
   }
 
-  size_t bits = e.BitLength();
-  size_t windows = (bits + 3) / 4;
+  const size_t windows = (e.BitLength() + 3) / 4;
   Limbs result;
-  Limbs tmp;
   for (size_t w = windows; w-- > 0;) {
-    uint32_t digit = 0;
-    for (size_t b = 0; b < 4; ++b) {
-      digit |= static_cast<uint32_t>(e.Bit(4 * w + b)) << b;
-    }
+    const uint32_t digit = WindowDigit(e, w);
     if (result.empty()) {
       result = table[digit];
       continue;
     }
     for (int s = 0; s < 4; ++s) {
-      MontMul(result, result, &tmp);
-      result.swap(tmp);
+      MontMul(result, result, &result);
     }
     if (digit != 0) {
-      MontMul(result, table[digit], &tmp);
-      result.swap(tmp);
+      MontMul(result, table[digit], &result);
     }
   }
   return FromMont(result);
-}
-
-// pdslint: secret(a, b)
-void MontgomeryCtx::MontMulQuad(const Limbs a[4], const Limbs b[4],
-                                Limbs out[4]) const {
-  const Limbs* alanes[4] = {&a[0], &a[1], &a[2], &a[3]};
-  const Limbs* blanes[4] = {&b[0], &b[1], &b[2], &b[3]};
-  Quad qa = PackQuad(k_, alanes);
-  Quad qb = PackQuad(k_, blanes);
-  Quad qo(4 * k_, 0);
-  simd::MontMul4(k_, m_limbs_.data(), n0_inv_, qa.data(), qb.data(),
-                 qo.data());
-  for (size_t l = 0; l < 4; ++l) {
-    UnpackLane(qo, k_, l, &out[l]);
-  }
-}
-
-// pdslint: secret(e)
-// pdslint: const-time-exempt(shared-exponent ladder: the digit-0 skip and
-// IsZero gate leak only the shared exponent's window pattern, identical
-// across all four lanes by construction; table entries are gathered for
-// every window regardless of lane values)
-std::vector<BigInt> MontgomeryCtx::ModExpMany(const std::vector<BigInt>& bases,
-                                              const BigInt& e) const {
-  const size_t n = bases.size();
-  std::vector<BigInt> out(n);
-  if (n == 0) {
-    return out;
-  }
-  if (e.IsZero()) {
-    BigInt one = BigInt::Mod(BigInt::One(), modulus_);
-    std::fill(out.begin(), out.end(), one);
-    return out;
-  }
-  const std::vector<uint8_t> digits = WindowDigits(e);  // decoded once
-
-  const size_t k = k_;
-  for (size_t g = 0; g < n; g += 4) {
-    const size_t lanes = std::min<size_t>(4, n - g);
-    // Idle lanes ladder over base 1; their results are discarded.
-    Limbs mont_bases[4];
-    for (size_t l = 0; l < 4; ++l) {
-      mont_bases[l] = l < lanes ? ToMont(bases[g + l]) : one_mont_;
-    }
-    const Limbs* base_lanes[4] = {&mont_bases[0], &mont_bases[1],
-                                  &mont_bases[2], &mont_bases[3]};
-    const Limbs* one_lanes[4] = {&one_mont_, &one_mont_, &one_mont_,
-                                 &one_mont_};
-
-    // Shared-digit window table: table[d] holds base_l^d in lane l, built
-    // with one lockstep kernel call per entry.
-    Quad table[16];
-    table[0] = PackQuad(k, one_lanes);
-    table[1] = PackQuad(k, base_lanes);
-    for (int d = 2; d < 16; ++d) {
-      table[d].assign(4 * k, 0);
-      simd::MontMul4(k, m_limbs_.data(), n0_inv_, table[d - 1].data(),
-                     table[1].data(), table[d].data());
-    }
-
-    // One ladder drives all four lanes: the digit index is shared because
-    // the exponent is, so squarings and table multiplies stay in lockstep.
-    Quad result;
-    Quad tmp(4 * k, 0);
-    for (size_t w = digits.size(); w-- > 0;) {
-      const uint8_t digit = digits[w];
-      if (result.empty()) {
-        result = table[digit];
-        continue;
-      }
-      for (int s = 0; s < 4; ++s) {
-        simd::MontMul4(k, m_limbs_.data(), n0_inv_, result.data(),
-                       result.data(), tmp.data());
-        result.swap(tmp);
-      }
-      if (digit != 0) {
-        simd::MontMul4(k, m_limbs_.data(), n0_inv_, result.data(),
-                       table[digit].data(), tmp.data());
-        result.swap(tmp);
-      }
-    }
-    Limbs lane_out;
-    for (size_t l = 0; l < lanes; ++l) {
-      UnpackLane(result, k, l, &lane_out);
-      out[g + l] = FromMont(lane_out);
-    }
-  }
-  return out;
 }
 
 FixedBaseTable::FixedBaseTable(const MontgomeryCtx* ctx, const BigInt& base,
@@ -336,7 +223,6 @@ FixedBaseTable::FixedBaseTable(const MontgomeryCtx* ctx, const BigInt& base,
   size_t rows = (max_exp_bits + 3) / 4;
   rows_.resize(rows);
   MontgomeryCtx::Limbs row_base = ctx_->ToMont(base);
-  MontgomeryCtx::Limbs tmp;
   for (size_t i = 0; i < rows; ++i) {
     auto& row = rows_[i];
     row.resize(16);
@@ -347,101 +233,72 @@ FixedBaseTable::FixedBaseTable(const MontgomeryCtx* ctx, const BigInt& base,
     }
     if (i + 1 < rows) {
       // next row base = row_base^16 = (row_base^8)^2
-      ctx_->MontMul(row[8], row[8], &tmp);
-      row_base = tmp;
+      ctx_->MontMul(row[8], row[8], &row_base);
     }
   }
+  for (uint64_t limb : ctx_->mod_limbs()) {
+    m32_.push_back(static_cast<uint32_t>(limb));
+    m32_.push_back(static_cast<uint32_t>(limb >> 32));
+  }
+  // -m^-1 mod 2^64 reduced mod 2^32 is -m^-1 mod 2^32.
+  n0_inv32_ = static_cast<uint32_t>(ctx_->n0_inv());
 }
 
 // pdslint: secret(e)
-// pdslint: const-time-exempt(fixed-base windowing skips digit-0 rows and
-// bounds the loop by BitLength; leaks the exponent's length and zero-window
+// pdslint: const-time-exempt(fixed-base windowing: the scalar ladder skips
+// digit-0 rows, and both paths bound the loop by BitLength and load the
+// row entry a digit selects; leaks the exponent's length and zero-window
 // pattern only -- the BitLength abort guard is a public precomputation
 // bound, not data-dependent control flow an attacker can drive)
 MontgomeryCtx::Limbs FixedBaseTable::PowMont(const BigInt& e) const {
   if (e.BitLength() > max_exp_bits_) {
     std::abort();  // exponent exceeds the precomputed range
   }
-  MontgomeryCtx::Limbs result = ctx_->OneMont();
-  MontgomeryCtx::Limbs tmp;
-  size_t windows = (e.BitLength() + 3) / 4;
-  for (size_t w = 0; w < windows; ++w) {
-    uint32_t digit = 0;
-    for (size_t b = 0; b < 4; ++b) {
-      digit |= static_cast<uint32_t>(e.Bit(4 * w + b)) << b;
+  const MontgomeryCtx::Limbs& one = ctx_->OneMont();
+  const size_t windows = (e.BitLength() + 3) / 4;
+  if (!simd::Active()) {
+    MontgomeryCtx::Limbs result = one;
+    for (size_t w = 0; w < windows; ++w) {
+      const uint32_t digit = WindowDigit(e, w);
+      if (digit != 0) {
+        ctx_->MontMul(result, rows_[w][digit], &result);
+      }
     }
-    if (digit != 0) {
-      ctx_->MontMul(result, rows_[w][digit], &tmp);
-      result.swap(tmp);
+    return result;
+  }
+
+  // Lane split: lane l multiplies the entries of windows w = l (mod 4), a
+  // 0 digit by its row's stored 1 and a window past the top by 1. Lane l
+  // starts at window l's entry, and each MontMul4 call multiplies in the
+  // next four windows' entries, packed from the one table.
+  const size_t k = ctx_->limbs();
+  std::vector<uint64_t> acc(8 * k);
+  std::vector<uint64_t> operand(8 * k);
+  auto pack = [&](size_t w0, uint64_t* quad) {
+    for (size_t l = 0; l < 4; ++l) {
+      const size_t w = w0 + l;
+      PackLane(w < windows ? rows_[w][WindowDigit(e, w)] : one, l, quad);
     }
+  };
+  pack(0, acc.data());
+  for (size_t w0 = 4; w0 < windows; w0 += 4) {
+    pack(w0, operand.data());
+    simd::MontMul4(2 * k, m32_.data(), n0_inv32_, acc.data(), operand.data(),
+                   acc.data());
+  }
+  // Combine the lanes: three scalar MontMuls.
+  MontgomeryCtx::Limbs result(k);
+  MontgomeryCtx::Limbs lane(k);
+  UnpackLane(acc.data(), 0, &result);
+  for (size_t l = 1; l < 4; ++l) {
+    UnpackLane(acc.data(), l, &lane);
+    ctx_->MontMul(result, lane, &result);
   }
   return result;
 }
 
 BigInt FixedBaseTable::Pow(const BigInt& e) const {
   return ctx_->FromMont(PowMont(e));
-}
-
-// pdslint: secret(es)
-// pdslint: const-time-exempt(4-lane fixed-base ladder: the all-lanes-zero
-// window skip and per-lane digit gathers leak window Hamming structure,
-// accepted for the batch 3x floor; digit extraction itself is branchless
-// and every non-skipped window multiplies all four lanes in lockstep)
-std::vector<MontgomeryCtx::Limbs> FixedBaseTable::PowMontMany(
-    const std::vector<BigInt>& es) const {
-  const size_t n = es.size();
-  std::vector<MontgomeryCtx::Limbs> out(n);
-  if (n == 0) {
-    return out;
-  }
-  for (const BigInt& e : es) {
-    if (e.BitLength() > max_exp_bits_) {
-      std::abort();  // exponent exceeds the precomputed range
-    }
-  }
-  const size_t k = ctx_->limbs();
-  const MontgomeryCtx::Limbs& one = ctx_->OneMont();
-  for (size_t g = 0; g < n; g += 4) {
-    const size_t lanes = std::min<size_t>(4, n - g);
-    // Per-lane digits over the shared table rows; idle lanes ride along
-    // with exponent 0 (every digit 0 -> identity multiplies only).
-    size_t windows = 0;
-    for (size_t l = 0; l < lanes; ++l) {
-      windows = std::max(windows, (es[g + l].BitLength() + 3) / 4);
-    }
-    const MontgomeryCtx::Limbs* one_lanes[4] = {&one, &one, &one, &one};
-    Quad result = PackQuad(k, one_lanes);
-    Quad tmp(4 * k, 0);
-    for (size_t w = 0; w < windows; ++w) {
-      uint8_t digits[4] = {0, 0, 0, 0};
-      uint8_t any = 0;
-      for (size_t l = 0; l < lanes; ++l) {
-        uint8_t digit = 0;
-        for (size_t b = 0; b < 4; ++b) {
-          digit |= static_cast<uint8_t>(
-              static_cast<uint8_t>(es[g + l].Bit(4 * w + b)) << b);
-        }
-        digits[l] = digit;
-        any |= digit;
-      }
-      if (!any) {
-        continue;
-      }
-      // Gather this row's table entry per lane (digit 0 -> identity).
-      const MontgomeryCtx::Limbs* row_lanes[4];
-      for (size_t l = 0; l < 4; ++l) {
-        row_lanes[l] = &rows_[w][digits[l]];
-      }
-      Quad operand = PackQuad(k, row_lanes);
-      simd::MontMul4(k, ctx_->mod_limbs().data(), ctx_->n0_inv(),
-                     result.data(), operand.data(), tmp.data());
-      result.swap(tmp);
-    }
-    for (size_t l = 0; l < lanes; ++l) {
-      UnpackLane(result, k, l, &out[g + l]);
-    }
-  }
-  return out;
 }
 
 }  // namespace pds::crypto

@@ -10,20 +10,21 @@ namespace pds::crypto {
 
 /// Montgomery-form modular arithmetic for a fixed odd modulus.
 ///
-/// This is the kernel layer under BigInt::ModExp: operands are mapped into
-/// the Montgomery domain (x -> x * R mod m with R = 2^(32k)) once, where a
-/// modular multiplication costs one CIOS pass (two k^2 word-multiply loops,
-/// no division), instead of a schoolbook multiply followed by a Knuth-D
-/// division per step.
+/// This is the kernel layer under BigInt::ModExp and every Paillier
+/// operation: operands are mapped into the Montgomery domain (x -> x * R
+/// mod m with R = 2^(64k), k the modulus's 64-bit limb count) once, where a
+/// modular multiplication costs one CIOS pass (two k^2 loops of 64x64->128
+/// bit multiplies, no division), instead of a schoolbook multiply followed
+/// by a Knuth-D division per step.
 ///
 /// A context is immutable after construction and safe to share across
 /// threads; Paillier caches one per keypair modulus (n^2, p^2, q^2).
 class MontgomeryCtx {
  public:
-  /// Limb vector of exactly `limbs()` little-endian 32-bit words: the raw
+  /// Limb vector of exactly `limbs()` little-endian 64-bit words: the raw
   /// Montgomery-domain representation used by the hot loops and by
   /// FixedBaseTable. Values are always < modulus.
-  using Limbs = std::vector<uint32_t>;
+  using Limbs = std::vector<uint64_t>;
 
   /// `modulus` must be odd and > 1 (checked: aborts otherwise — callers
   /// gate on Usable()).
@@ -34,18 +35,11 @@ class MontgomeryCtx {
   const BigInt& modulus() const { return modulus_; }
   size_t limbs() const { return k_; }
 
-  /// a * b mod m for operands in the ordinary domain.
+  /// a * b mod m for operands in the ordinary domain (any size: both are
+  /// reduced mod m first). Two MontMuls: (a*b*R^-1) * R^2 * R^-1.
   BigInt ModMul(const BigInt& a, const BigInt& b) const;
   /// a^e mod m with a 4-bit fixed-window ladder (e == 0 yields 1 mod m).
   BigInt ModExp(const BigInt& a, const BigInt& e) const;
-
-  /// Batch-window exponentiation: bases[i]^e mod m for every base. The
-  /// exponent's window digits are decoded once and shared, and the ladders
-  /// of four bases advance in lockstep so every multiply step is one
-  /// 4-lane kernel call (crypto/montgomery_simd.h; scalar fallback when
-  /// AVX2 is unavailable). Results equal per-base ModExp bit for bit.
-  std::vector<BigInt> ModExpMany(const std::vector<BigInt>& bases,
-                                 const BigInt& e) const;
 
   // --- Montgomery-domain plumbing (used by FixedBaseTable and tests) ---
 
@@ -53,33 +47,34 @@ class MontgomeryCtx {
   Limbs ToMont(const BigInt& x) const;
   /// x*R -> x.
   BigInt FromMont(const Limbs& x) const;
-  /// out = a * b * R^-1 mod m (CIOS). `out` may alias a or b.
+  /// out = a * b * R^-1 mod m (CIOS). Needs a < m (b may be any k-limb
+  /// value); the result is < m. `out` may alias a or b.
   void MontMul(const Limbs& a, const Limbs& b, Limbs* out) const;
-  /// Four independent MontMuls over the shared modulus through one
-  /// lockstep multi-lane kernel call. Lane l computes a[l]*b[l]*R^-1 mod m;
-  /// out[l] may alias its inputs. Used by the batch ladders and by the
-  /// SIMD/scalar cross-check tests.
-  void MontMulQuad(const Limbs a[4], const Limbs b[4], Limbs out[4]) const;
   /// 1 in the Montgomery domain (R mod m).
   const Limbs& OneMont() const { return one_mont_; }
 
-  /// Raw kernel parameters, consumed by the 4-lane SIMD path.
-  const std::vector<uint32_t>& mod_limbs() const { return m_limbs_; }
-  uint32_t n0_inv() const { return n0_inv_; }
+  /// Raw kernel parameters, read by FixedBaseTable's 4-lane path.
+  const Limbs& mod_limbs() const { return m_limbs_; }
+  uint64_t n0_inv() const { return n0_inv_; }
 
  private:
   BigInt modulus_;
-  size_t k_ = 0;                  // limb count of the modulus
-  uint32_t n0_inv_ = 0;           // -m^-1 mod 2^32
-  std::vector<uint32_t> m_limbs_; // modulus, padded to k limbs
-  Limbs r2_;                      // R^2 mod m (Montgomery form of R)
-  Limbs one_mont_;                // R mod m
+  size_t k_ = 0;         // 64-bit limb count of the modulus
+  uint64_t n0_inv_ = 0;  // -m^-1 mod 2^64
+  Limbs m_limbs_;        // modulus, k limbs
+  Limbs r2_;             // R^2 mod m (Montgomery form of R)
+  Limbs one_mont_;       // R mod m
 };
 
 /// Fixed-base exponentiation table over a MontgomeryCtx: for a base g fixed
 /// per keypair, precomputes T[i][d] = g^(d * 16^i) in Montgomery form so
-/// that g^e costs one MontMul per nonzero 4-bit digit of e — no squarings.
+/// that g^e costs one MontMul per 4-bit digit of e — no squarings.
 /// Paillier uses this for the r^n = (h^n)^alpha part of encryption.
+///
+/// When simd::Active(), PowMont splits one exponentiation across the four
+/// lanes of simd::MontMul4: window w goes to lane w mod 4, so each kernel
+/// call advances four windows, and three scalar MontMuls combine the lanes.
+/// Otherwise it runs the scalar ladder. Both return the same limbs.
 class FixedBaseTable {
  public:
   /// Covers exponents up to `max_exp_bits` bits.
@@ -90,11 +85,6 @@ class FixedBaseTable {
   BigInt Pow(const BigInt& e) const;
   /// Montgomery-domain variant for callers that keep composing products.
   MontgomeryCtx::Limbs PowMont(const BigInt& e) const;
-  /// Batch variant: base^es[i] for every exponent, four ladders advanced
-  /// in lockstep over the shared window table (one multi-lane kernel call
-  /// per window row). Results equal per-exponent PowMont bit for bit.
-  std::vector<MontgomeryCtx::Limbs> PowMontMany(
-      const std::vector<BigInt>& es) const;
 
   size_t max_exp_bits() const { return max_exp_bits_; }
 
@@ -103,6 +93,9 @@ class FixedBaseTable {
   size_t max_exp_bits_;
   // rows_[i][d], d in [0,16): base^(d * 16^i) in Montgomery form.
   std::vector<std::vector<MontgomeryCtx::Limbs>> rows_;
+  // The modulus and -m^-1 in the 32-bit limbs simd::MontMul4 takes.
+  std::vector<uint32_t> m32_;
+  uint32_t n0_inv32_ = 0;
 };
 
 }  // namespace pds::crypto

@@ -1,6 +1,7 @@
 #include "crypto/montgomery_simd.h"
 
 #include <atomic>
+#include <cstdlib>
 #include <vector>
 
 #if defined(__x86_64__) && defined(__GNUC__)
@@ -16,19 +17,20 @@ namespace {
 
 std::atomic<bool> g_force_scalar{false};
 
-/// Scratch for the (k+2)-limb CIOS accumulator, reused across calls on the
-/// same thread so the hot loop never allocates after warm-up.
+#if PDS_SIMD_HAVE_AVX2_BUILD
+
+/// Scratch for the (k+1)-limb accumulator, reused across calls on the same
+/// thread so the hot loop never allocates after warm-up.
 std::vector<uint64_t>& Scratch() {
   thread_local std::vector<uint64_t> buf;
   return buf;
 }
 
-/// Per-lane final step shared by both kernels: the CIOS accumulator `t`
-/// (lane-interleaved, k+1 limbs live) is < 2m; subtract m once iff t >= m.
-/// Branchless like the scalar MontgomeryCtx kernel — compute t - m
-/// unconditionally, then mask-select t or t - m — so no lane's control flow
-/// or early exit depends on the secret-derived accumulator, and results
-/// agree with the scalar path bit for bit.
+/// Per-lane final step: the accumulator `t` (lane-interleaved, k+1 limbs)
+/// is < 2m; subtract m once iff t >= m. Branchless like the scalar
+/// MontgomeryCtx kernel — compute t - m unconditionally, then mask-select
+/// t or t - m — so no lane's control flow or early exit depends on the
+/// secret-derived accumulator, and every lane is canonical.
 // pdslint: secret(t)
 void ConditionalSubtract(size_t k, const uint32_t* m_limbs,
                          const uint64_t* t, uint64_t* out) {
@@ -51,113 +53,63 @@ void ConditionalSubtract(size_t k, const uint32_t* m_limbs,
   }
 }
 
-/// Portable 4-lane CIOS: the same recurrence as MontgomeryCtx::MontMul,
-/// with the lane index innermost. Compilers vectorize some of it, but its
-/// real job is to be the bit-exact reference the AVX2 path must match.
-// pdslint: secret(a, b)
-void MontMul4Scalar(size_t k, const uint32_t* m_limbs, uint32_t n0_inv,
-                    const uint64_t* a, const uint64_t* b, uint64_t* out) {
-  std::vector<uint64_t>& t = Scratch();
-  t.assign(4 * (k + 2), 0);
-  for (size_t i = 0; i < k; ++i) {
-    for (size_t lane = 0; lane < 4; ++lane) {
-      const uint64_t bi = b[4 * i + lane];
-      uint64_t carry = 0;
-      for (size_t j = 0; j < k; ++j) {
-        uint64_t cur = t[4 * j + lane] + a[4 * j + lane] * bi + carry;
-        t[4 * j + lane] = cur & 0xFFFFFFFFu;
-        carry = cur >> 32;
-      }
-      uint64_t cur = t[4 * k + lane] + carry;
-      t[4 * k + lane] = cur & 0xFFFFFFFFu;
-      t[4 * (k + 1) + lane] = cur >> 32;
-
-      const uint64_t mw = (t[lane] * n0_inv) & 0xFFFFFFFFu;
-      cur = t[lane] + mw * m_limbs[0];
-      carry = cur >> 32;
-      for (size_t j = 1; j < k; ++j) {
-        cur = t[4 * j + lane] + mw * m_limbs[j] + carry;
-        t[4 * (j - 1) + lane] = cur & 0xFFFFFFFFu;
-        carry = cur >> 32;
-      }
-      cur = t[4 * k + lane] + carry;
-      t[4 * (k - 1) + lane] = cur & 0xFFFFFFFFu;
-      t[4 * k + lane] = t[4 * (k + 1) + lane] + (cur >> 32);
-      t[4 * (k + 1) + lane] = 0;
-    }
-  }
-  ConditionalSubtract(k, m_limbs, t.data(), out);
+__attribute__((target("avx2"))) inline __m256i Load4(const uint64_t* p) {
+  return _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p));
 }
 
-#if PDS_SIMD_HAVE_AVX2_BUILD
+__attribute__((target("avx2"))) inline void Store4(uint64_t* p, __m256i v) {
+  _mm256_storeu_si256(reinterpret_cast<__m256i*>(p), v);
+}
 
-/// AVX2 4-lane CIOS: one vpmuludq per limb step multiplies all four lanes.
-/// Accumulator limbs live in 64-bit lanes (payload < 2^32), so
-/// t[j] + a[j]*b[i] + carry <= (2^32-1)^2 + 2*(2^32-1) < 2^64 never wraps.
+/// `v` in every lane. vpmuludq reads the low 32 bits of each 64-bit lane,
+/// so a 32-bit broadcast serves as a 64-bit one.
+__attribute__((target("avx2"))) inline __m256i Broadcast(uint32_t v) {
+  return _mm256_set1_epi32(static_cast<int>(v));
+}
+
+/// AVX2 4-lane Montgomery multiply, one vpmuludq per lane product. Each
+/// round (one 32-bit limb b[i]) walks the accumulator once: step j adds
+/// a[j]*b[i] into limb j, then mw*m[j], each sum with its own carry, and
+/// stores the result one limb down (the round's division by 2^32). Every
+/// sum stays below 2^64: a 32-bit limb plus a 32x32-bit product plus a
+/// 32-bit carry is at most 2^64 - 1. Given a < m, t < 2m after each round.
 // pdslint: secret(a, b)
 __attribute__((target("avx2"))) void MontMul4Avx2(
     size_t k, const uint32_t* m_limbs, uint32_t n0_inv, const uint64_t* a,
     const uint64_t* b, uint64_t* out) {
   std::vector<uint64_t>& tbuf = Scratch();
-  tbuf.assign(4 * (k + 2), 0);
+  tbuf.assign(4 * (k + 1), 0);
   uint64_t* t = tbuf.data();
-
   const __m256i mask = _mm256_set1_epi64x(0xFFFFFFFFll);
-  const __m256i vninv =
-      _mm256_set1_epi64x(static_cast<long long>(n0_inv));
+  const __m256i vninv = Broadcast(n0_inv);
   for (size_t i = 0; i < k; ++i) {
-    const __m256i bi =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + 4 * i));
-    __m256i carry = _mm256_setzero_si256();
-    for (size_t j = 0; j < k; ++j) {
-      __m256i aj =
-          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + 4 * j));
-      __m256i tj =
-          _mm256_loadu_si256(reinterpret_cast<__m256i*>(t + 4 * j));
-      __m256i cur = _mm256_add_epi64(
-          _mm256_add_epi64(tj, _mm256_mul_epu32(aj, bi)), carry);
-      _mm256_storeu_si256(reinterpret_cast<__m256i*>(t + 4 * j),
-                          _mm256_and_si256(cur, mask));
-      carry = _mm256_srli_epi64(cur, 32);
-    }
-    __m256i tk =
-        _mm256_loadu_si256(reinterpret_cast<__m256i*>(t + 4 * k));
-    __m256i cur = _mm256_add_epi64(tk, carry);
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(t + 4 * k),
-                        _mm256_and_si256(cur, mask));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(t + 4 * (k + 1)),
-                        _mm256_srli_epi64(cur, 32));
-
-    __m256i t0 = _mm256_loadu_si256(reinterpret_cast<__m256i*>(t));
-    const __m256i mw =
-        _mm256_and_si256(_mm256_mul_epu32(t0, vninv), mask);
-    cur = _mm256_add_epi64(
-        t0, _mm256_mul_epu32(
-                mw, _mm256_set1_epi64x(
-                        static_cast<long long>(m_limbs[0]))));
-    carry = _mm256_srli_epi64(cur, 32);
+    const __m256i bi = Load4(b + 4 * i);
+    // Step 0 picks mw so that limb 0 of t + a*b[i] + mw*m is zero.
+    __m256i cur = _mm256_add_epi64(Load4(t), _mm256_mul_epu32(Load4(a), bi));
+    const __m256i mw = _mm256_and_si256(_mm256_mul_epu32(cur, vninv), mask);
+    __m256i red =
+        _mm256_add_epi64(_mm256_and_si256(cur, mask),
+                         _mm256_mul_epu32(mw, Broadcast(m_limbs[0])));
+    __m256i carry = _mm256_srli_epi64(cur, 32);
+    __m256i red_carry = _mm256_srli_epi64(red, 32);
     for (size_t j = 1; j < k; ++j) {
-      __m256i mj =
-          _mm256_set1_epi64x(static_cast<long long>(m_limbs[j]));
-      __m256i tj =
-          _mm256_loadu_si256(reinterpret_cast<__m256i*>(t + 4 * j));
       cur = _mm256_add_epi64(
-          _mm256_add_epi64(tj, _mm256_mul_epu32(mw, mj)), carry);
-      _mm256_storeu_si256(reinterpret_cast<__m256i*>(t + 4 * (j - 1)),
-                          _mm256_and_si256(cur, mask));
+          _mm256_add_epi64(Load4(t + 4 * j),
+                           _mm256_mul_epu32(Load4(a + 4 * j), bi)),
+          carry);
+      red = _mm256_add_epi64(
+          _mm256_add_epi64(_mm256_and_si256(cur, mask),
+                           _mm256_mul_epu32(mw, Broadcast(m_limbs[j]))),
+          red_carry);
+      Store4(t + 4 * (j - 1), _mm256_and_si256(red, mask));
       carry = _mm256_srli_epi64(cur, 32);
+      red_carry = _mm256_srli_epi64(red, 32);
     }
-    tk = _mm256_loadu_si256(reinterpret_cast<__m256i*>(t + 4 * k));
-    cur = _mm256_add_epi64(tk, carry);
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(t + 4 * (k - 1)),
-                        _mm256_and_si256(cur, mask));
-    __m256i tk1 =
-        _mm256_loadu_si256(reinterpret_cast<__m256i*>(t + 4 * (k + 1)));
-    _mm256_storeu_si256(
-        reinterpret_cast<__m256i*>(t + 4 * k),
-        _mm256_add_epi64(tk1, _mm256_srli_epi64(cur, 32)));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(t + 4 * (k + 1)),
-                        _mm256_setzero_si256());
+    cur = _mm256_add_epi64(Load4(t + 4 * k), carry);
+    red = _mm256_add_epi64(_mm256_and_si256(cur, mask), red_carry);
+    Store4(t + 4 * (k - 1), _mm256_and_si256(red, mask));
+    Store4(t + 4 * k, _mm256_add_epi64(_mm256_srli_epi64(cur, 32),
+                                       _mm256_srli_epi64(red, 32)));
   }
   ConditionalSubtract(k, m_limbs, t, out);
 }
@@ -193,12 +145,12 @@ const char* KernelName() { return Active() ? "avx2" : "scalar"; }
 void MontMul4(size_t k, const uint32_t* m_limbs, uint32_t n0_inv,
               const uint64_t* a, const uint64_t* b, uint64_t* out) {
 #if PDS_SIMD_HAVE_AVX2_BUILD
-  if (Active()) {
+  if (Avx2Supported()) {
     MontMul4Avx2(k, m_limbs, n0_inv, a, b, out);
     return;
   }
 #endif
-  MontMul4Scalar(k, m_limbs, n0_inv, a, b, out);
+  std::abort();  // programming error: callers gate on Active()
 }
 
 }  // namespace pds::crypto::simd

@@ -11,8 +11,8 @@ BigInt LFunc(const BigInt& x, const BigInt& d) {
   return BigInt::Div(BigInt::Sub(x, BigInt::One()), d);
 }
 
-/// Garner CRT recombination shared by Decrypt and DecryptBatch:
-/// cp = c^(p-1) mod p^2 and cq = c^(q-1) mod q^2 -> plaintext.
+/// Garner CRT recombination for Decrypt: cp = c^(p-1) mod p^2 and
+/// cq = c^(q-1) mod q^2 -> plaintext.
 BigInt CrtCombine(const Paillier::PrivateKey& sk, const BigInt& cp,
                   const BigInt& cq) {
   BigInt mp = BigInt::ModMul(BigInt::Mod(LFunc(cp, sk.p), sk.p), sk.hp, sk.p);
@@ -163,34 +163,6 @@ Result<BigInt> Paillier::EncryptU64(uint64_t m, Rng* rng) const {
   return Encrypt(BigInt(m), rng);
 }
 
-Result<std::vector<BigInt>> Paillier::EncryptBatch(
-    const std::vector<BigInt>& ms, Rng* rng) const {
-  const BigInt& n = public_key_.n;
-  const BigInt& n2 = public_key_.n_squared;
-  for (const BigInt& m : ms) {
-    if (BigInt::Compare(m, n) >= 0) {
-      return Status::InvalidArgument("plaintext not less than modulus");
-    }
-  }
-  // Alphas are drawn in argument order, exactly as a serial Encrypt loop
-  // would, so batch and serial ciphertexts match bit for bit.
-  std::vector<BigInt> alphas(ms.size());
-  for (size_t i = 0; i < ms.size(); ++i) {
-    alphas[i] = BigInt::RandomBits(alpha_bits_, rng);
-  }
-  std::vector<MontgomeryCtx::Limbs> r_ns = enc_table_->PowMontMany(alphas);
-  std::vector<BigInt> out(ms.size());
-  for (size_t i = 0; i < ms.size(); ++i) {
-    BigInt g_m =
-        BigInt::Mod(BigInt::Add(BigInt::One(), BigInt::Mul(ms[i], n)), n2);
-    MontgomeryCtx::Limbs g_m_mont = ctx_n2_->ToMont(g_m);
-    MontgomeryCtx::Limbs ct;
-    ctx_n2_->MontMul(g_m_mont, r_ns[i], &ct);
-    out[i] = ctx_n2_->FromMont(ct);
-  }
-  return out;
-}
-
 Result<BigInt> Paillier::Decrypt(const BigInt& c) const {
   const BigInt& n2 = public_key_.n_squared;
   if (c.IsZero() || BigInt::Compare(c, n2) >= 0) {
@@ -203,32 +175,6 @@ Result<BigInt> Paillier::Decrypt(const BigInt& c) const {
   BigInt cp = ctx_p2_->ModExp(BigInt::Mod(c, sk.p_squared), p1);
   BigInt cq = ctx_q2_->ModExp(BigInt::Mod(c, sk.q_squared), q1);
   return CrtCombine(sk, cp, cq);
-}
-
-Result<std::vector<BigInt>> Paillier::DecryptBatch(
-    const std::vector<BigInt>& cs) const {
-  const BigInt& n2 = public_key_.n_squared;
-  const PrivateKey& sk = private_key_;
-  std::vector<BigInt> cps_in(cs.size()), cqs_in(cs.size());
-  for (size_t i = 0; i < cs.size(); ++i) {
-    if (cs[i].IsZero() || BigInt::Compare(cs[i], n2) >= 0) {
-      return Status::InvalidArgument("ciphertext out of range");
-    }
-    cps_in[i] = BigInt::Mod(cs[i], sk.p_squared);
-    cqs_in[i] = BigInt::Mod(cs[i], sk.q_squared);
-  }
-  // The two CRT exponents are shared by every ciphertext of the round, so
-  // the batch ladder decodes each window sequence once and runs four
-  // reductions per step through the multi-lane kernel.
-  BigInt p1 = BigInt::Sub(sk.p, BigInt::One());
-  BigInt q1 = BigInt::Sub(sk.q, BigInt::One());
-  std::vector<BigInt> cps = ctx_p2_->ModExpMany(cps_in, p1);
-  std::vector<BigInt> cqs = ctx_q2_->ModExpMany(cqs_in, q1);
-  std::vector<BigInt> out(cs.size());
-  for (size_t i = 0; i < cs.size(); ++i) {
-    out[i] = CrtCombine(sk, cps[i], cqs[i]);
-  }
-  return out;
 }
 
 Result<BigInt> Paillier::DecryptScalar(const BigInt& c) const {
@@ -249,14 +195,14 @@ Result<uint64_t> Paillier::DecryptU64(const BigInt& c) const {
 }
 
 BigInt Paillier::AddCiphertexts(const BigInt& c1, const BigInt& c2) const {
-  return BigInt::ModMul(c1, c2, public_key_.n_squared);
+  return ctx_n2_->ModMul(c1, c2);
 }
 
 BigInt Paillier::AddPlaintext(const BigInt& c, const BigInt& k) const {
   const BigInt& n = public_key_.n;
   const BigInt& n2 = public_key_.n_squared;
   BigInt g_k = BigInt::Mod(BigInt::Add(BigInt::One(), BigInt::Mul(k, n)), n2);
-  return BigInt::ModMul(c, g_k, n2);
+  return ctx_n2_->ModMul(c, g_k);
 }
 
 BigInt Paillier::MulPlaintext(const BigInt& c, const BigInt& k) const {
@@ -346,15 +292,6 @@ Result<BigInt> PackedAggregate::EncryptPacked(
     const std::vector<uint64_t>& values, Rng* rng) const {
   PDS_ASSIGN_OR_RETURN(BigInt packed, PackSlots(layout_, values));
   return paillier_.Encrypt(packed, rng);
-}
-
-Result<std::vector<BigInt>> PackedAggregate::EncryptPackedBatch(
-    const std::vector<std::vector<uint64_t>>& rows, Rng* rng) const {
-  std::vector<BigInt> packed(rows.size());
-  for (size_t i = 0; i < rows.size(); ++i) {
-    PDS_ASSIGN_OR_RETURN(packed[i], PackSlots(layout_, rows[i]));
-  }
-  return paillier_.EncryptBatch(packed, rng);
 }
 
 Status PackedAggregate::CheckAddBudget(size_t addends) const {

@@ -30,7 +30,10 @@ namespace pds::crypto {
 ///    algorithmic win on top of the Montgomery ladder.
 ///  - Encrypt draws r = h^alpha for a fixed random h, so r^n = (h^n)^alpha
 ///    is a fixed-base exponentiation served from a precomputed 4-bit
-///    window table (one MontMul per nonzero digit, no squarings).
+///    window table (one MontMul per nonzero digit, no squarings; its
+///    windows split across the lanes of simd::MontMul4 when AVX2 is on).
+///  - AddCiphertexts and AddPlaintext multiply mod n^2 through the cached
+///    n^2 context: two MontMuls, no division.
 /// The pre-kernel code paths are kept as EncryptScalar/DecryptScalar for
 /// cross-check tests and the bench_crypto_ladder speedup baseline.
 class Paillier {
@@ -68,22 +71,9 @@ class Paillier {
   /// Pre-kernel encryption: uniform r in [1,n), r^n by schoolbook ladder.
   [[nodiscard]] Result<BigInt> EncryptScalar(const BigInt& m, Rng* rng) const;
 
-  /// Round-oriented encryption: all of a round's plaintexts at once. The
-  /// random exponents are drawn from `rng` in argument order and the r^n
-  /// ladders of four ciphertexts advance in lockstep through the
-  /// multi-lane Montgomery kernel, so ciphertexts equal a serial Encrypt
-  /// loop over the same rng bit for bit.
-  [[nodiscard]] Result<std::vector<BigInt>> EncryptBatch(
-      const std::vector<BigInt>& ms, Rng* rng) const;
-
   /// Decrypts a ciphertext via CRT (mod p^2 and q^2) + Montgomery.
   [[nodiscard]] Result<BigInt> Decrypt(const BigInt& c) const;
   [[nodiscard]] Result<uint64_t> DecryptU64(const BigInt& c) const;
-  /// Round-oriented decryption: the shared CRT exponents (p-1, q-1) are
-  /// window-decoded once and four ciphertexts reduce in lockstep.
-  /// Plaintexts equal per-ciphertext Decrypt bit for bit.
-  [[nodiscard]] Result<std::vector<BigInt>> DecryptBatch(
-      const std::vector<BigInt>& cs) const;
   /// Pre-kernel decryption: c^lambda mod n^2 by schoolbook ladder.
   [[nodiscard]] Result<BigInt> DecryptScalar(const BigInt& c) const;
 
@@ -178,11 +168,6 @@ class PackedAggregate {
   /// Packs and encrypts one participant's counters.
   [[nodiscard]] Result<BigInt> EncryptPacked(const std::vector<uint64_t>& values,
                                              Rng* rng) const;
-  /// Packs and encrypts many participants' counters with the batched
-  /// (lockstep-ladder) Paillier path. rows[i] must each hold num_slots
-  /// counters. Ciphertexts equal a serial EncryptPacked loop bit for bit.
-  [[nodiscard]] Result<std::vector<BigInt>> EncryptPackedBatch(
-      const std::vector<std::vector<uint64_t>>& rows, Rng* rng) const;
 
   /// Homomorphic slot-wise addition of two packed ciphertexts.
   BigInt Add(const BigInt& c1, const BigInt& c2) const {

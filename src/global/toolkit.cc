@@ -317,21 +317,17 @@ Status CheckCounterMatrix(const std::vector<std::vector<uint64_t>>& rows) {
   return Status::Ok();
 }
 
-/// Fleet-wide accumulators for the round benches: how many asymmetric
-/// cipher operations each gear spent per aggregation round.
+/// Fleet-wide accumulators for the per-op round bench: how many
+/// asymmetric cipher operations it spent per aggregation round.
 struct RoundObs {
   obs::Counter* perop_rounds;
   obs::Counter* perop_cipher_ops;
-  obs::Counter* packed_rounds;
-  obs::Counter* packed_cipher_ops;
 
   static const RoundObs& Get() {
     static const RoundObs hooks = [] {
       obs::Registry& reg = obs::Registry::Global();
       return RoundObs{reg.GetCounter("round.perop.rounds", "ops"),
-                      reg.GetCounter("round.perop.cipher_ops", "ops"),
-                      reg.GetCounter("round.packed.rounds", "ops"),
-                      reg.GetCounter("round.packed.cipher_ops", "ops")};
+                      reg.GetCounter("round.perop.cipher_ops", "ops")};
     }();
     return hooks;
   }
@@ -371,40 +367,6 @@ Result<PackedRoundOutput> PaillierPerOpFleetRound(
   const RoundObs& hooks = RoundObs::Get();
   hooks.perop_rounds->Add(1);
   hooks.perop_cipher_ops->Add(out.metrics.token_crypto_ops);
-  if (metrics != nullptr) {
-    *metrics = out.metrics;
-  }
-  return out;
-}
-
-Result<PackedRoundOutput> PaillierPackedFleetRound(
-    const crypto::PackedAggregate& agg,
-    const std::vector<std::vector<uint64_t>>& site_counters, Rng* rng,
-    Metrics* metrics) {
-  PDS_RETURN_IF_ERROR(CheckCounterMatrix(site_counters));
-  const size_t fleet = site_counters.size();
-  PDS_RETURN_IF_ERROR(agg.CheckAddBudget(fleet));
-  PackedRoundOutput out;
-  // One lockstep batch over the whole fleet: the window tables and digit
-  // decodes are shared and four r^n ladders advance per kernel call.
-  PDS_ASSIGN_OR_RETURN(std::vector<crypto::BigInt> cts,
-                       agg.EncryptPackedBatch(site_counters, rng));
-  crypto::BigInt acc = std::move(cts[0]);
-  for (size_t i = 1; i < cts.size(); ++i) {
-    acc = agg.Add(acc, cts[i]);
-    ++out.metrics.ssi_ops;
-  }
-  PDS_ASSIGN_OR_RETURN(out.totals, agg.DecryptUnpack(acc));
-  const size_t ct_bytes =
-      agg.paillier().public_key().n_squared.ToBytes().size();
-  out.metrics.token_crypto_ops += fleet + 1;
-  out.metrics.bytes_token_to_ssi += fleet * ct_bytes;
-  out.metrics.messages += fleet;
-  out.metrics.bytes += fleet * ct_bytes;
-  ++out.metrics.rounds;
-  const RoundObs& hooks = RoundObs::Get();
-  hooks.packed_rounds->Add(1);
-  hooks.packed_cipher_ops->Add(out.metrics.token_crypto_ops);
   if (metrics != nullptr) {
     *metrics = out.metrics;
   }

@@ -67,9 +67,9 @@ Result<uint64_t> PaillierFleetSum(const std::vector<uint64_t>& site_values,
                                   Metrics* metrics,
                                   FleetExecutor* exec = nullptr);
 
-/// One fleet aggregation round over per-site counter vectors, in the two
-/// crypto gears bench_crypto_round compares. Each site contributes
-/// site_counters[i] (all the same length k); the output is the slot-wise
+/// One fleet aggregation round over per-site counter vectors, the baseline
+/// crypto_round_bench times against the packed protocol round. Each site
+/// contributes site_counters[i] (all the same length k); the output is the
 /// fleet total per counter.
 struct PackedRoundOutput {
   std::vector<uint64_t> totals;
@@ -83,16 +83,6 @@ Result<PackedRoundOutput> PaillierPerOpFleetRound(
     const crypto::Paillier& paillier,
     const std::vector<std::vector<uint64_t>>& site_counters, Rng* rng,
     Metrics* metrics = nullptr, FleetExecutor* exec = nullptr);
-
-/// Packed + batched hot path: each site's counters pack into one plaintext
-/// (crypto::PackedAggregate), the fleet's encryptions run the lockstep
-/// batch-window ladder over the multi-lane Montgomery kernel, the SSI folds
-/// fleet ciphertexts, and ONE decrypt-unpack yields every total —
-/// fleet + 1 asymmetric operations per round.
-Result<PackedRoundOutput> PaillierPackedFleetRound(
-    const crypto::PackedAggregate& agg,
-    const std::vector<std::vector<uint64_t>>& site_counters, Rng* rng,
-    Metrics* metrics = nullptr);
 
 }  // namespace pds::global
 

@@ -1,8 +1,10 @@
 // Edge-case and randomized cross-check tests for the Montgomery kernel
-// layer under BigInt::ModExp (crypto/montgomery.h). The schoolbook ladder
-// is the reference implementation; the kernel must agree with it bit for
-// bit on every input, including the limb-boundary carry chains that 32-bit
-// limb arithmetic is most likely to get wrong.
+// layer under BigInt::ModExp and Paillier (crypto/montgomery.h). The
+// schoolbook ladder and BigInt::ModMul are the reference implementations;
+// the 64-bit-limb kernel and the 4-lane AVX2 kernel under FixedBaseTable's
+// lane split must agree with them bit for bit on every input, including
+// the limb-boundary carry chains limb arithmetic is most likely to get
+// wrong.
 
 #include <gtest/gtest.h>
 
@@ -25,6 +27,95 @@ void ForEachKernel(Fn fn) {
   simd::SetForceScalar(true);
   fn("forced-scalar");
   simd::SetForceScalar(was_forced);
+}
+
+/// The value of little-endian 64-bit limbs.
+BigInt FromLimbs(const MontgomeryCtx::Limbs& x) {
+  BigInt v;
+  for (size_t j = x.size(); j-- > 0;) {
+    v = BigInt::Add(BigInt::ShiftLeft(v, 64), BigInt(x[j]));
+  }
+  return v;
+}
+
+/// The low k little-endian 64-bit limbs of v.
+MontgomeryCtx::Limbs ToLimbs(const BigInt& v, size_t k) {
+  MontgomeryCtx::Limbs out(k);
+  BigInt rest = v;
+  for (uint64_t& limb : out) {
+    limb = rest.ToU64();
+    rest = BigInt::ShiftRight(rest, 64);
+  }
+  return out;
+}
+
+/// R = 2^(64k) for the context's limb count k.
+BigInt MontgomeryR(const MontgomeryCtx& ctx) {
+  return BigInt::ShiftLeft(BigInt::One(), 64 * ctx.limbs());
+}
+
+/// Reference MontMul for `ctx`: (a, b) -> a * b * R^-1 mod m by schoolbook
+/// BigInt arithmetic.
+auto MontMulReference(const MontgomeryCtx& ctx) {
+  const BigInt& m = ctx.modulus();
+  const BigInt r_inv = BigInt::ModInverse(BigInt::Mod(MontgomeryR(ctx), m), m);
+  return [&ctx, &m, r_inv](const MontgomeryCtx::Limbs& a,
+                           const MontgomeryCtx::Limbs& b) {
+    return ToLimbs(BigInt::ModMul(BigInt::ModMul(FromLimbs(a), FromLimbs(b), m),
+                                  r_inv, m),
+                   ctx.limbs());
+  };
+}
+
+/// A random odd modulus of exactly `bits` bits.
+BigInt RandomOddModulus(size_t bits, Rng* rng) {
+  BigInt m = BigInt::RandomBits(bits, rng);
+  return m.IsOdd() ? m : BigInt::Add(m, BigInt::One());
+}
+
+/// Four MontMuls through one simd::MontMul4 call (requires AVX2): lane l
+/// computes a[l]*b[l]*R^-1 mod m, with each 64-bit limb split into the
+/// kernel's two 32-bit lane limbs.
+void MontMulQuad(const MontgomeryCtx& ctx, const MontgomeryCtx::Limbs a[4],
+                 const MontgomeryCtx::Limbs b[4],
+                 MontgomeryCtx::Limbs out[4]) {
+  const size_t k = ctx.limbs();
+  std::vector<uint32_t> m32;
+  for (uint64_t limb : ctx.mod_limbs()) {
+    m32.push_back(static_cast<uint32_t>(limb));
+    m32.push_back(static_cast<uint32_t>(limb >> 32));
+  }
+  std::vector<uint64_t> qa(8 * k), qb(8 * k), qo(8 * k);
+  for (size_t l = 0; l < 4; ++l) {
+    for (size_t j = 0; j < k; ++j) {
+      qa[4 * (2 * j) + l] = a[l][j] & 0xFFFFFFFFu;
+      qa[4 * (2 * j + 1) + l] = a[l][j] >> 32;
+      qb[4 * (2 * j) + l] = b[l][j] & 0xFFFFFFFFu;
+      qb[4 * (2 * j + 1) + l] = b[l][j] >> 32;
+    }
+  }
+  simd::MontMul4(2 * k, m32.data(), static_cast<uint32_t>(ctx.n0_inv()),
+                 qa.data(), qb.data(), qo.data());
+  for (size_t l = 0; l < 4; ++l) {
+    out[l].assign(k, 0);
+    for (size_t j = 0; j < k; ++j) {
+      out[l][j] = qo[4 * (2 * j) + l] | (qo[4 * (2 * j + 1) + l] << 32);
+    }
+  }
+}
+
+/// Odd moduli next to limb boundaries: 2^(64j) - c and 2^(64j) + c for
+/// small odd c, where the CIOS carry limbs are live on nearly every round.
+std::vector<BigInt> NearPowerOfTwoModuli(size_t max_limbs) {
+  std::vector<BigInt> moduli;
+  for (size_t j = 1; j <= max_limbs; ++j) {
+    const BigInt r = BigInt::ShiftLeft(BigInt::One(), 64 * j);
+    for (uint64_t c : {1u, 3u, 0x2Bu}) {
+      moduli.push_back(BigInt::Sub(r, BigInt(c)));
+      moduli.push_back(BigInt::Add(r, BigInt(c)));
+    }
+  }
+  return moduli;
 }
 
 BigInt FromDecimal(const std::string& s) {
@@ -70,6 +161,24 @@ TEST(MontgomeryCtxTest, OperandsLargerThanModulusAreReduced) {
                            BigInt::Mod(big, BigInt(97)), BigInt(97)));
   EXPECT_EQ(ctx.ModExp(big, BigInt(65537)),
             BigInt::ModExpSchoolbook(big, BigInt(65537), BigInt(97)));
+  // At the fold's sizes too: 0, m itself and values >= m^2 give
+  // BigInt::ModMul's bytes.
+  Rng rng(6403);
+  for (size_t bits : {61u, 1024u, 2048u}) {
+    MontgomeryCtx wide(RandomOddModulus(bits, &rng));
+    const BigInt& m = wide.modulus();
+    const std::vector<BigInt> inputs = {
+        BigInt::Zero(), BigInt::One(), m, BigInt::Add(m, BigInt::One()),
+        BigInt::Mul(m, m), BigInt::Add(BigInt::Mul(m, m), BigInt(7)),
+        BigInt::RandomBits(3 * bits, &rng), BigInt::RandomBelow(m, &rng)};
+    for (const BigInt& a : inputs) {
+      for (const BigInt& b : inputs) {
+        EXPECT_EQ(wide.ModMul(a, b), BigInt::ModMul(a, b, m))
+            << "bits=" << bits << " a=" << a.ToDecimalString()
+            << " b=" << b.ToDecimalString();
+      }
+    }
+  }
 }
 
 TEST(MontgomeryCtxTest, LimbBoundaryCarryChains) {
@@ -113,10 +222,72 @@ TEST(MontgomeryCtxTest, ToMontFromMontRoundTrip) {
   EXPECT_EQ(ctx.FromMont(ctx.OneMont()), BigInt::One());
 }
 
+TEST(MontgomeryCtxTest, OddThirtyTwoBitLimbCountModuli) {
+  // Moduli whose 32-bit limb count is odd: R = 2^(64 * ceil(bits / 64))
+  // is not 2^(32 * limbs32), so Montgomery forms differ from a 32-bit
+  // kernel's while every ordinary-domain result must not.
+  Rng rng(6401);
+  for (size_t bits : {17u, 96u, 150u, 521u, 1056u, 2049u}) {
+    MontgomeryCtx ctx(RandomOddModulus(bits, &rng));
+    const BigInt& m = ctx.modulus();
+    ASSERT_EQ(ctx.limbs(), (bits + 63) / 64) << "bits=" << bits;
+    EXPECT_EQ(FromLimbs(ctx.OneMont()), BigInt::Mod(MontgomeryR(ctx), m))
+        << "bits=" << bits;
+    auto reference = MontMulReference(ctx);
+    for (int i = 0; i < 8; ++i) {
+      const BigInt a = BigInt::RandomBelow(m, &rng);
+      const BigInt b = BigInt::RandomBelow(m, &rng);
+      const MontgomeryCtx::Limbs al = ToLimbs(a, ctx.limbs());
+      const MontgomeryCtx::Limbs bl = ToLimbs(b, ctx.limbs());
+      MontgomeryCtx::Limbs got;
+      ctx.MontMul(al, bl, &got);
+      EXPECT_EQ(got, reference(al, bl)) << "bits=" << bits;
+      EXPECT_EQ(ctx.ModMul(a, b), BigInt::ModMul(a, b, m)) << "bits=" << bits;
+      const BigInt e = BigInt::RandomBits(64, &rng);
+      EXPECT_EQ(ctx.ModExp(a, e), BigInt::ModExpSchoolbook(a, e, m))
+          << "bits=" << bits;
+    }
+  }
+}
+
+TEST(MontgomeryCtxTest, NearPowerOfTwoModuliCarryLimbs) {
+  // m = 2^(64j) +- c with all-ones operands: the accumulator reaches
+  // 2^(64(k+1)) mid-round, so the CIOS carry limbs are live. Raw MontMul
+  // against the reference, and ModMul against schoolbook ModMul.
+  Rng rng(6402);
+  std::vector<BigInt> moduli = NearPowerOfTwoModuli(8);
+  for (size_t j : {16u, 32u, 33u}) {
+    moduli.push_back(BigInt::Sub(BigInt::ShiftLeft(BigInt::One(), 64 * j),
+                                 BigInt(0x2B)));
+  }
+  for (const BigInt& m : moduli) {
+    MontgomeryCtx ctx(m);
+    auto reference = MontMulReference(ctx);
+    const std::vector<BigInt> operands = {
+        BigInt::Zero(), BigInt::One(), BigInt::Sub(m, BigInt::One()),
+        BigInt::Sub(m, BigInt(2)), FromLimbs(ctx.OneMont()),
+        BigInt::RandomBelow(m, &rng)};
+    for (const BigInt& a : operands) {
+      for (const BigInt& b : operands) {
+        const MontgomeryCtx::Limbs al = ToLimbs(a, ctx.limbs());
+        const MontgomeryCtx::Limbs bl = ToLimbs(b, ctx.limbs());
+        MontgomeryCtx::Limbs got;
+        ctx.MontMul(al, bl, &got);
+        EXPECT_EQ(got, reference(al, bl))
+            << "m=" << m.ToDecimalString() << " a=" << a.ToDecimalString()
+            << " b=" << b.ToDecimalString();
+        EXPECT_EQ(ctx.ModMul(a, b), BigInt::ModMul(a, b, m))
+            << "m=" << m.ToDecimalString();
+      }
+    }
+  }
+}
+
 TEST(BigIntModExpTest, EvenModulusFallsBackToSchoolbook) {
   // Montgomery requires an odd modulus; ModExp must still be correct for
   // even ones via the schoolbook path.
-  std::vector<BigInt> moduli = {BigInt(2), BigInt(4096),
+  // m = 1 takes neither path: every result is 0.
+  std::vector<BigInt> moduli = {BigInt::One(), BigInt(2), BigInt(4096),
                                 BigInt(0x100000000ull),
                                 BigInt(2 * 3 * 5 * 7 * 11 * 13)};
   Rng rng(5);
@@ -131,12 +302,16 @@ TEST(BigIntModExpTest, EvenModulusFallsBackToSchoolbook) {
 }
 
 TEST(BigIntModExpTest, RandomizedMontgomeryVsSchoolbookCrossCheck) {
-  // Seeded randomized sweep: 1000 (modulus, a, b, e) draws across limb
-  // counts 1..16, each checked ModMul and ModExp against the schoolbook
-  // reference. Any kernel carry bug shows up here with a reproducible seed.
+  // Seeded randomized sweep: (modulus, a, b, e) draws, each checking
+  // ModMul and ModExp against the schoolbook reference. 1000 draws below
+  // 512 bits, then 120 from 512 to 4096 bits, where the workload's p^2,
+  // q^2 (1024) and n^2 (2048) live: 64-bit limb counts 1..64 within a
+  // fixed budget. Any kernel carry bug shows up here with a reproducible
+  // seed.
   Rng rng(20260805);
-  for (int iter = 0; iter < 1000; ++iter) {
-    size_t bits = 8 + rng.Uniform(504);  // 8..511-bit moduli
+  for (int iter = 0; iter < 1120; ++iter) {
+    const size_t bits = iter < 1000 ? 8 + rng.Uniform(504)      // 8..511
+                                    : 512 + rng.Uniform(3585);  // ..4096
     BigInt m = BigInt::RandomBits(bits, &rng);
     if (!m.IsOdd()) {
       m = BigInt::Add(m, BigInt::One());
@@ -156,9 +331,9 @@ TEST(BigIntModExpTest, RandomizedMontgomeryVsSchoolbookCrossCheck) {
 }
 
 TEST(MontgomerySimdTest, ForceScalarFlipsDispatch) {
-  // The dispatch test the packing/batching paths rely on: forcing the
-  // fallback must actually change the selected kernel when AVX2 exists,
-  // and must be a no-op (already scalar) when it does not.
+  // The dispatch PowMont's lane split relies on: forcing the fallback must
+  // actually change the selected kernel when AVX2 exists, and must be a
+  // no-op (already scalar) when it does not.
   const bool was_forced = simd::force_scalar();
   simd::SetForceScalar(false);
   if (simd::Avx2Supported()) {
@@ -175,139 +350,68 @@ TEST(MontgomerySimdTest, ForceScalarFlipsDispatch) {
 }
 
 TEST(MontgomerySimdTest, MontMulQuadMatchesScalarKernel) {
-  // Four independent lanes through the lockstep kernel must equal four
-  // scalar MontMuls bit for bit, on both dispatch paths, across limb
-  // counts that exercise partial registers and long carry chains.
+  // Four independent lanes through one MontMul4 call must equal four
+  // scalar MontMuls bit for bit, across limb counts that exercise partial
+  // registers, odd 32-bit limb counts (a zero top limb in the kernel's
+  // modulus) and long carry chains.
+  if (!simd::Avx2Supported()) {
+    GTEST_SKIP() << "no AVX2: MontMul4 is unreachable on this CPU";
+  }
   Rng rng(424243);
-  for (size_t bits : {32u, 64u, 96u, 160u, 256u, 521u, 1024u}) {
-    BigInt m = BigInt::RandomBits(bits, &rng);
-    if (!m.IsOdd()) {
-      m = BigInt::Add(m, BigInt::One());
-    }
-    ASSERT_TRUE(MontgomeryCtx::Usable(m));
-    MontgomeryCtx ctx(m);
+  for (size_t bits : {32u, 64u, 96u, 160u, 256u, 521u, 1024u, 2048u, 4096u}) {
+    MontgomeryCtx ctx(RandomOddModulus(bits, &rng));
     MontgomeryCtx::Limbs a[4], b[4], expected[4], got[4];
     for (size_t l = 0; l < 4; ++l) {
-      a[l] = ctx.ToMont(BigInt::RandomBelow(m, &rng));
-      b[l] = ctx.ToMont(BigInt::RandomBelow(m, &rng));
+      a[l] = ctx.ToMont(BigInt::RandomBelow(ctx.modulus(), &rng));
+      b[l] = ctx.ToMont(BigInt::RandomBelow(ctx.modulus(), &rng));
       ctx.MontMul(a[l], b[l], &expected[l]);
     }
-    ForEachKernel([&](const char* kernel) {
-      ctx.MontMulQuad(a, b, got);
-      for (size_t l = 0; l < 4; ++l) {
-        EXPECT_EQ(got[l], expected[l])
-            << "kernel=" << kernel << " bits=" << bits << " lane=" << l;
-      }
-    });
+    MontMulQuad(ctx, a, b, got);
+    for (size_t l = 0; l < 4; ++l) {
+      EXPECT_EQ(got[l], expected[l]) << "bits=" << bits << " lane=" << l;
+    }
   }
 }
 
 TEST(MontgomerySimdTest, MontMulQuadEdgeOperands) {
-  // Zero, one, and m-1 lanes mixed in one quartet: the conditional
-  // subtract must be decided independently per lane.
-  BigInt m = BigInt::Sub(BigInt::ShiftLeft(BigInt::One(), 127), BigInt::One());
-  MontgomeryCtx ctx(m);
-  MontgomeryCtx::Limbs a[4] = {
-      ctx.ToMont(BigInt::Zero()), ctx.ToMont(BigInt::One()),
-      ctx.ToMont(BigInt::Sub(m, BigInt::One())),
-      ctx.ToMont(BigInt(0xDEADBEEFu))};
-  MontgomeryCtx::Limbs b[4] = {
-      ctx.ToMont(BigInt::Sub(m, BigInt::One())), ctx.ToMont(BigInt::Zero()),
-      ctx.ToMont(BigInt::Sub(m, BigInt::One())), ctx.ToMont(BigInt::One())};
-  MontgomeryCtx::Limbs expected[4], got[4];
-  for (size_t l = 0; l < 4; ++l) {
-    ctx.MontMul(a[l], b[l], &expected[l]);
+  // Every lane against scalar MontMul on the operands 0, 1, m-1 and
+  // R mod m: the 16 rotations put every operand pair in every lane, so the
+  // conditional subtract is decided per lane and no lane is skipped.
+  if (!simd::Avx2Supported()) {
+    GTEST_SKIP() << "no AVX2: MontMul4 is unreachable on this CPU";
   }
-  ForEachKernel([&](const char* kernel) {
-    ctx.MontMulQuad(a, b, got);
-    for (size_t l = 0; l < 4; ++l) {
-      EXPECT_EQ(got[l], expected[l]) << "kernel=" << kernel << " lane=" << l;
-    }
-  });
-}
-
-TEST(MontgomeryBatchTest, ModExpManyMatchesPerBaseModExp) {
-  // Batch sizes around the 4-lane group boundary, including the padded
-  // remainder group, against per-base ModExp on both kernels.
-  Rng rng(889901);
-  BigInt m = BigInt::GeneratePrime(192, &rng);
-  MontgomeryCtx ctx(m);
-  BigInt e = BigInt::RandomBits(160, &rng);
-  for (size_t count : {0u, 1u, 2u, 3u, 4u, 5u, 7u, 8u, 9u, 13u}) {
-    std::vector<BigInt> bases(count);
-    for (BigInt& base : bases) {
-      base = BigInt::RandomBelow(m, &rng);
-    }
-    ForEachKernel([&](const char* kernel) {
-      std::vector<BigInt> got = ctx.ModExpMany(bases, e);
-      ASSERT_EQ(got.size(), count);
-      for (size_t i = 0; i < count; ++i) {
-        EXPECT_EQ(got[i], ctx.ModExp(bases[i], e))
-            << "kernel=" << kernel << " count=" << count << " i=" << i;
+  Rng rng(4711);
+  std::vector<BigInt> moduli = {
+      BigInt::Sub(BigInt::ShiftLeft(BigInt::One(), 127), BigInt::One()),
+      RandomOddModulus(96, &rng), RandomOddModulus(1056, &rng),
+      RandomOddModulus(2048, &rng)};
+  for (const BigInt& m : NearPowerOfTwoModuli(4)) {
+    moduli.push_back(m);
+  }
+  for (const BigInt& m : moduli) {
+    MontgomeryCtx ctx(m);
+    const size_t k = ctx.limbs();
+    const MontgomeryCtx::Limbs ops[4] = {
+        ToLimbs(BigInt::Zero(), k), ToLimbs(BigInt::One(), k),
+        ToLimbs(BigInt::Sub(m, BigInt::One()), k), ctx.OneMont()};
+    for (size_t r = 0; r < 4; ++r) {
+      for (size_t q = 0; q < 4; ++q) {
+        MontgomeryCtx::Limbs a[4], b[4], got[4];
+        for (size_t l = 0; l < 4; ++l) {
+          a[l] = ops[(l + r) % 4];
+          b[l] = ops[(l + q) % 4];
+        }
+        MontMulQuad(ctx, a, b, got);
+        for (size_t l = 0; l < 4; ++l) {
+          MontgomeryCtx::Limbs expected;
+          ctx.MontMul(a[l], b[l], &expected);
+          EXPECT_EQ(got[l], expected)
+              << "m=" << m.ToDecimalString() << " lane=" << l
+              << " a=op" << (l + r) % 4 << " b=op" << (l + q) % 4;
+        }
       }
-    });
-  }
-}
-
-TEST(MontgomeryBatchTest, ModExpManyEdgeExponentsAndBases) {
-  Rng rng(31337);
-  BigInt m = BigInt::GeneratePrime(160, &rng);
-  MontgomeryCtx ctx(m);
-  std::vector<BigInt> bases = {BigInt::Zero(), BigInt::One(),
-                               BigInt::Sub(m, BigInt::One()),
-                               BigInt::RandomBelow(m, &rng),
-                               BigInt::Mul(m, BigInt(3))};  // reduced first
-  for (const BigInt& e :
-       {BigInt::Zero(), BigInt::One(), BigInt(16), BigInt(0x10001),
-        BigInt::RandomBits(128, &rng)}) {
-    std::vector<BigInt> got = ctx.ModExpMany(bases, e);
-    for (size_t i = 0; i < bases.size(); ++i) {
-      EXPECT_EQ(got[i], ctx.ModExp(bases[i], e))
-          << "e=" << e.ToDecimalString() << " i=" << i;
     }
   }
-}
-
-TEST(MontgomeryBatchTest, BigIntModExpManyDispatchesBothModulusParities) {
-  Rng rng(777);
-  std::vector<BigInt> bases;
-  for (int i = 0; i < 6; ++i) {
-    bases.push_back(BigInt::RandomBits(64, &rng));
-  }
-  BigInt e(65537);
-  for (const BigInt& m : {BigInt::GeneratePrime(96, &rng),  // odd: kernel
-                          BigInt(4096), BigInt::One()}) {   // even/one: fallback
-    std::vector<BigInt> got = BigInt::ModExpMany(bases, e, m);
-    for (size_t i = 0; i < bases.size(); ++i) {
-      EXPECT_EQ(got[i], BigInt::ModExp(bases[i], e, m))
-          << "m=" << m.ToDecimalString() << " i=" << i;
-    }
-  }
-}
-
-TEST(FixedBaseTableTest, PowMontManyMatchesPerExponentPowMont) {
-  Rng rng(5150);
-  BigInt m = BigInt::GeneratePrime(192, &rng);
-  MontgomeryCtx ctx(m);
-  BigInt g = BigInt::RandomBelow(m, &rng);
-  FixedBaseTable table(&ctx, g, /*max_exp_bits=*/128);
-  // Mixed widths in one batch: zero, tiny, and full-width exponents land
-  // in the same 4-lane group so idle-lane identity multiplies are hit.
-  std::vector<BigInt> es = {
-      BigInt::Zero(), BigInt::One(), BigInt(15), BigInt(16),
-      BigInt::RandomBits(128, &rng), BigInt::RandomBits(7, &rng),
-      BigInt::RandomBits(128, &rng)};
-  for (int i = 0; i < 20; ++i) {
-    es.push_back(BigInt::RandomBits(1 + rng.Uniform(128), &rng));
-  }
-  ForEachKernel([&](const char* kernel) {
-    std::vector<MontgomeryCtx::Limbs> got = table.PowMontMany(es);
-    ASSERT_EQ(got.size(), es.size());
-    for (size_t i = 0; i < es.size(); ++i) {
-      EXPECT_EQ(got[i], table.PowMont(es[i]))
-          << "kernel=" << kernel << " i=" << i;
-    }
-  });
 }
 
 TEST(FixedBaseTableTest, MatchesModExpAcrossExponentRange) {
@@ -327,6 +431,52 @@ TEST(FixedBaseTableTest, MatchesModExpAcrossExponentRange) {
   }
   for (const BigInt& e : exps) {
     EXPECT_EQ(table.Pow(e), ctx.ModExp(g, e)) << "e=" << e.ToDecimalString();
+  }
+}
+
+TEST(FixedBaseTableTest, LaneSplitMatchesScalarLadder) {
+  // With AVX2 active, PowMont sends window w to lane w mod 4 and pads past
+  // the top window with 1. Every window count 0..33 (most not a multiple
+  // of 4), exponents with one nonzero window, a whole lane of zero windows
+  // or all-15 digits, at moduli with odd and even 32-bit limb counts up to
+  // n^2's size: both dispatch paths give ModExp's Montgomery form.
+  constexpr size_t kWindows = 33;
+  auto from_digits = [](const std::vector<uint32_t>& digits) {
+    BigInt e;
+    for (size_t w = digits.size(); w-- > 0;) {
+      e = BigInt::Add(BigInt::ShiftLeft(e, 4), BigInt(digits[w]));
+    }
+    return e;
+  };
+  Rng rng(5150);
+  for (size_t bits : {96u, 521u, 1024u, 2048u}) {
+    MontgomeryCtx ctx(RandomOddModulus(bits, &rng));
+    const BigInt g = BigInt::RandomBelow(ctx.modulus(), &rng);
+    FixedBaseTable table(&ctx, g, 4 * kWindows);
+    std::vector<BigInt> exps;
+    for (size_t e_bits = 0; e_bits <= 4 * kWindows; e_bits += 3) {
+      exps.push_back(BigInt::RandomBits(e_bits, &rng));
+    }
+    for (size_t w = 0; w < kWindows; ++w) {
+      exps.push_back(
+          BigInt::ShiftLeft(BigInt(1 + rng.Uniform(15)), 4 * w));
+    }
+    for (size_t lane = 0; lane < 4; ++lane) {
+      std::vector<uint32_t> digits(kWindows);
+      for (size_t w = 0; w < kWindows; ++w) {
+        digits[w] = w % 4 == lane ? 0 : 1 + rng.Uniform(15);
+      }
+      exps.push_back(from_digits(digits));
+    }
+    exps.push_back(from_digits(std::vector<uint32_t>(kWindows, 15)));
+    for (const BigInt& e : exps) {
+      const MontgomeryCtx::Limbs expected = ctx.ToMont(ctx.ModExp(g, e));
+      ForEachKernel([&](const char* kernel) {
+        EXPECT_EQ(table.PowMont(e), expected)
+            << "kernel=" << kernel << " bits=" << bits
+            << " e=" << e.ToDecimalString();
+      });
+    }
   }
 }
 

@@ -3,8 +3,11 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/bytes.h"
 #include "common/rng.h"
+#include "crypto/montgomery_simd.h"
 #include "crypto/paillier.h"
+#include "crypto/sha256.h"
 #include "mcu/secure_token.h"
 
 namespace pds::crypto {
@@ -203,47 +206,6 @@ TEST_F(PackedAggregateTest, CheckAddBudgetEnforcesGuardCapacity) {
   EXPECT_FALSE(agg->CheckAddBudget(129).ok());
 }
 
-TEST_F(PackedAggregateTest, BatchEncryptMatchesSerialBitForBit) {
-  auto agg = PackedAggregate::Create(*paillier_, 64, 255, 8);
-  ASSERT_TRUE(agg.ok());
-  // Odd row count exercises the partial final quad of the batch ladder.
-  std::vector<std::vector<uint64_t>> rows;
-  Rng data_rng(11);
-  for (size_t t = 0; t < 7; ++t) {
-    std::vector<uint64_t> values(8);
-    for (auto& v : values) v = data_rng.Next() % 256;
-    rows.push_back(values);
-  }
-  Rng rng_batch(99), rng_serial(99);
-  auto batch = agg->EncryptPackedBatch(rows, &rng_batch);
-  ASSERT_TRUE(batch.ok());
-  ASSERT_EQ(batch->size(), rows.size());
-  for (size_t i = 0; i < rows.size(); ++i) {
-    auto serial = agg->EncryptPacked(rows[i], &rng_serial);
-    ASSERT_TRUE(serial.ok());
-    EXPECT_EQ((*batch)[i], *serial) << "row " << i;
-  }
-}
-
-TEST_F(PackedAggregateTest, DecryptBatchMatchesSerialDecrypt) {
-  std::vector<BigInt> cts, ms;
-  for (uint64_t m : {0ULL, 1ULL, 42ULL, 1000000ULL, 0xFFFFFFFFULL}) {
-    auto ct = paillier_->EncryptU64(m, rng_.get());
-    ASSERT_TRUE(ct.ok());
-    cts.push_back(*ct);
-    ms.push_back(BigInt(m));
-  }
-  auto batch = paillier_->DecryptBatch(cts);
-  ASSERT_TRUE(batch.ok());
-  ASSERT_EQ(batch->size(), cts.size());
-  for (size_t i = 0; i < cts.size(); ++i) {
-    auto serial = paillier_->Decrypt(cts[i]);
-    ASSERT_TRUE(serial.ok());
-    EXPECT_EQ((*batch)[i], *serial);
-    EXPECT_EQ((*batch)[i], ms[i]);
-  }
-}
-
 TEST_F(PackedAggregateTest, PropertyFleetSumsAcrossSlotWidths) {
   // Randomized fleets at several slot widths: decrypt-unpack of the
   // homomorphic sum must equal the plaintext slot-wise sums.
@@ -293,6 +255,61 @@ TEST_F(PackedAggregateTest, SecureTokenEncryptPackedCountsSlots) {
 
   token.Tamper();
   EXPECT_FALSE(token.EncryptPacked(*agg, values).ok());
+}
+
+// ---------------------------------------------------------------------------
+// Byte identity of the packed path on both dispatch paths.
+// ---------------------------------------------------------------------------
+
+TEST(PackedPaillierDigestTest, KeysCiphertextsFoldAndTotalsArePinned) {
+  // For three 1024-bit keys: n, 64 EncryptPacked ciphertexts from a fixed
+  // RNG, their Add fold and the DecryptUnpack totals, hashed in that order.
+  // The digest was computed with the 32-bit-limb Montgomery kernel and no
+  // lane split; the lane-split encrypt (AVX2) and the scalar ladder (forced)
+  // must both reproduce it.
+  constexpr size_t kFleet = 64;
+  constexpr size_t kCounters = 8;
+  constexpr uint64_t kMaxValue = 255;
+  const bool was_forced = simd::force_scalar();
+  for (bool force : {false, true}) {
+    simd::SetForceScalar(force);
+    Sha256 all;
+    for (uint64_t seed : {1, 2, 3}) {
+      Rng key_rng(seed);
+      auto key = Paillier::Generate(1024, &key_rng);
+      ASSERT_TRUE(key.ok()) << key.status().ToString();
+      all.Update(ByteView(key->public_key().n.ToBytes()));
+      auto agg = PackedAggregate::Create(*key, kFleet, kMaxValue, kCounters);
+      ASSERT_TRUE(agg.ok()) << agg.status().ToString();
+      Rng rng(100 + seed);
+      std::vector<uint64_t> expected(kCounters, 0);
+      BigInt sum;
+      for (size_t t = 0; t < kFleet; ++t) {
+        std::vector<uint64_t> values(kCounters);
+        for (size_t j = 0; j < kCounters; ++j) {
+          values[j] = rng.Uniform(kMaxValue + 1);
+          expected[j] += values[j];
+        }
+        auto ct = agg->EncryptPacked(values, &rng);
+        ASSERT_TRUE(ct.ok()) << ct.status().ToString();
+        all.Update(ByteView(ct->ToBytes()));
+        sum = t == 0 ? *ct : agg->Add(sum, *ct);
+      }
+      all.Update(ByteView(sum.ToBytes()));
+      auto totals = agg->DecryptUnpack(sum);
+      ASSERT_TRUE(totals.ok()) << totals.status().ToString();
+      EXPECT_EQ(*totals, expected) << "seed=" << seed << " forced=" << force;
+      for (uint64_t total : *totals) {
+        all.Update(ByteView(BigInt(total).ToBytes()));
+      }
+    }
+    const Sha256::Digest digest = all.Finish();
+    EXPECT_EQ(
+        ToHex(ByteView(digest.data(), digest.size())),
+        "5f296a5f2270a4746fb4bc0cdb43f75dc9f8969e9df76bb07528e4e35f78afd7")
+        << "forced_scalar=" << force;
+  }
+  simd::SetForceScalar(was_forced);
 }
 
 }  // namespace
