@@ -33,8 +33,6 @@
 // measurement warms up once untimed, then reports the median of kReps
 // timed samples.
 
-#include <algorithm>
-#include <chrono>
 #include <cstring>
 #include <fstream>
 #include <iomanip>
@@ -58,11 +56,16 @@
 #include "net/ssi_server.h"
 #include "net/transport.h"
 
+#include "timing.h"
+
 namespace {
 
 using pds::Bytes;
 using pds::ByteView;
 using pds::Rng;
+using pds::bench::kReps;
+using pds::bench::MedianOfReps;
+using pds::bench::NsPerOp;
 using pds::crypto::BigInt;
 using pds::crypto::PackedAggregate;
 using pds::crypto::Paillier;
@@ -77,8 +80,6 @@ constexpr size_t kDomain = kCounters / 2;  // a (sum, count) pair per group
 constexpr size_t kTuplesPerSite = 4;
 constexpr uint64_t kMaxValue = 255;
 constexpr size_t kKeyBits = 512;
-constexpr int kReps = 5;
-constexpr double kSampleNs = 50e6;  // one kernel-rung sample: ~50 ms of calls
 
 int Fail(const std::string& what) {
   std::cerr << "crypto_round_bench: FAILED: " << what << "\n";
@@ -106,52 +107,6 @@ std::vector<uint64_t> PlainTotals(
     }
   }
   return totals;
-}
-
-/// Runs `sample` once untimed (warmup), then kReps timed samples. Returns
-/// the median sample time in ns, or a negative value as soon as a sample
-/// reports failure.
-template <typename SampleFn>
-double MedianOfReps(SampleFn sample) {
-  if (!sample()) {
-    return -1.0;
-  }
-  std::vector<double> ns;
-  for (int rep = 0; rep < kReps; ++rep) {
-    auto t0 = std::chrono::steady_clock::now();
-    const bool ok = sample();
-    auto t1 = std::chrono::steady_clock::now();
-    if (!ok) {
-      return -1.0;
-    }
-    ns.push_back(std::chrono::duration<double, std::nano>(t1 - t0).count());
-  }
-  std::sort(ns.begin(), ns.end());
-  return ns[ns.size() / 2];
-}
-
-/// Median ns per call of `op`, a kernel call that reports success. One
-/// sample is a batch of calls filling about kSampleNs, so microsecond
-/// kernels are not timed at clock resolution. Negative if a call fails.
-template <typename Op>
-double NsPerOp(Op op) {
-  auto t0 = std::chrono::steady_clock::now();
-  if (!op()) {
-    return -1.0;
-  }
-  const double one_ns = std::chrono::duration<double, std::nano>(
-                            std::chrono::steady_clock::now() - t0)
-                            .count();
-  const int batch =
-      std::max(1, static_cast<int>(kSampleNs / std::max(one_ns, 1.0)));
-  const double ns = MedianOfReps([&] {
-    bool ok = true;
-    for (int i = 0; i < batch; ++i) {
-      ok = op() && ok;
-    }
-    return ok;
-  });
-  return ns < 0 ? ns : ns / batch;
 }
 
 /// Median round time in ns of `round` (see MedianOfReps), verifying every

@@ -1,7 +1,10 @@
 #!/usr/bin/env bash
-# Builds the four bench drivers, writes every BENCH file at the repo root,
+# Builds the five bench drivers, writes every BENCH file at the repo root,
 # and checks them all with one bench/validate_bench.py call:
 #
+#   paper_bench         BENCH_paper.json   the paper's experiments E1-E12
+#                                          + the RAM-budget ablation, one
+#                                          record per parameter point
 #   crypto_round_bench  BENCH_crypto.json  kernel-vs-scalar rungs (median
 #                       of N after warmup) + the per-op vs packed fleet-64
 #                       Paillier round
@@ -22,8 +25,10 @@ BUILD_DIR="${1:-build}"
 BIN="$BUILD_DIR/bench"
 
 cmake --build "$BUILD_DIR" \
-  --target crypto_round_bench obs_profile net_bench sim_bench
+  --target paper_bench crypto_round_bench obs_profile net_bench sim_bench
 
+echo "== paper_bench =="
+"$BIN/paper_bench" --out BENCH_paper.json
 echo "== crypto_round_bench =="
 "$BIN/crypto_round_bench" --out BENCH_crypto.json
 echo "== obs_profile =="
@@ -33,5 +38,5 @@ echo "== net_bench =="
 echo "== sim_bench =="
 "$BIN/sim_bench" --out BENCH_sim.json
 
-python3 bench/validate_bench.py BENCH_crypto.json BENCH_obs.json \
-  trace_obs.json BENCH_net.json BENCH_sim.json
+python3 bench/validate_bench.py BENCH_paper.json BENCH_crypto.json \
+  BENCH_obs.json trace_obs.json BENCH_net.json BENCH_sim.json

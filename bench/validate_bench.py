@@ -32,11 +32,16 @@ list must be non-empty.
   adversarial_verdicts.json  fault_scenarios alone: cells with their
       fields, every expects_detection cell detected, detection_rate
       exactly 1.0, benign cells byte-identical and the flag true.
+  BENCH_paper.json   every record belongs to a known '<exp>/<series>' and
+      carries its fields, every series is present, then each experiment's
+      shape claim as EXPERIMENTS.md states it (check_e1 ... check_ram_budget
+      below; each names its claim).
 
 Stdlib only. Exits 0 when every file passes, 1 with its problems otherwise.
 """
 
 import json
+import math
 import os
 import sys
 
@@ -314,6 +319,303 @@ def check_sim(doc, schema, problems):
         problems.append("determinism: needs at least 2 runs")
 
 
+def ordered(recs, field):
+    return sorted(recs, key=lambda r: num(r, field))
+
+
+def check_e1(g, problems):
+    """Each lookup reads |Log2| + hit pages and matches the scan; the scan
+    costs >= 10x the index on a selective key; Bloom false positives fall
+    with bits/key and vanish at 24."""
+    for r in g["E1/lookup"]:
+        at = (f"E1 lookup ({r.get('rows')} rows, {r.get('cities')} cities, "
+              f"{r.get('key')})")
+        if num(r, "index_reads") != (num(r, "summary_pages")
+                                     + num(r, "key_pages")):
+            problems.append(f"{at}: index reads {r.get('index_reads')} != "
+                            f"summary pages + key pages")
+        if r.get("scan_matches") != r.get("matches"):
+            problems.append(f"{at}: scan and index disagree on matches")
+    selective = [r for r in g["E1/lookup"]
+                 if r.get("rows") == 20000 and r.get("cities") == 1000]
+    if not selective or any(num(r, "scan_reads") < 10 * num(r, "index_reads")
+                            for r in selective):
+        problems.append("E1: at 20000 rows and 1000 cities the scan does not "
+                        "read 10x the index's pages")
+    fp = [num(r, "false_pos_pages_per_probe")
+          for r in ordered(g["E1/bloom_bits"], "bits_per_key")]
+    if any(b >= a for a, b in zip(fp, fp[1:])):
+        problems.append(f"E1: false-positive pages per probe do not fall as "
+                        f"bits/key rise: {fp}")
+    if not any(r.get("bits_per_key") == 24
+               and r.get("false_pos_pages_per_probe") == 0
+               for r in g["E1/bloom_bits"]):
+        problems.append("E1: false-positive pages per probe are not 0 at 24 "
+                        "bits/key")
+
+
+def check_e2(g, problems):
+    """Sequential and out-of-place writes erase nothing; a random in-place
+    update costs >= 10x their device time per write."""
+    cheap = g["E2/sequential_write"] + g["E2/out_of_place"]
+    for r in cheap:
+        if num(r, "erases") != 0:
+            problems.append(f"E2: {r.get('series')} of {r.get('writes')} "
+                            f"pages erased {r.get('erases')} blocks")
+    worst = max((num(r, "us_per_write") for r in cheap), default=0)
+    for r in g["E2/random_in_place"]:
+        if num(r, "us_per_write") < 10 * worst:
+            problems.append(f"E2: a random in-place update costs "
+                            f"{r.get('us_per_write')} us per write, under "
+                            f"10x a sequential write's {worst}")
+
+
+def check_e3(g, problems):
+    """The 3-keyword pipeline query's RAM is corpus-independent; the naive
+    evaluator's grows and bursts 64 KB from 5k documents on."""
+    ram = {num(r, "ram_high_water") for r in g["E3/pipeline"]
+           if r.get("keywords") == 3}
+    if len(ram) != 1:
+        problems.append(f"E3: 3-keyword pipeline RAM varies with corpus "
+                        f"size: {sorted(ram)}")
+    naive = ordered(g["E3/naive"], "docs")
+    rams = [num(r, "ram_high_water") for r in naive]
+    if any(b <= a for a, b in zip(rams, rams[1:])):
+        problems.append(f"E3: naive RAM does not grow with the corpus: {rams}")
+    for r in naive:
+        if num(r, "docs") >= 5000 and num(r, "ram_high_water") <= 65536:
+            problems.append(f"E3: naive RAM fits 64 KB at {r.get('docs')} "
+                            f"docs")
+
+
+def check_e4(g, problems):
+    """Key-log lookups degrade linearly (>= 3x per step of 10k/50k/200k);
+    reorganized-tree lookups stay <= 5 reads and flat."""
+    rows = ordered(g["E4/lookup"], "entries")
+    for a, b in zip(rows, rows[1:]):
+        if num(b, "key_log_reads_per_lookup") < 3 * num(
+                a, "key_log_reads_per_lookup"):
+            problems.append(f"E4: key-log reads per lookup grow less than 3x "
+                            f"from {a.get('entries')} to {b.get('entries')} "
+                            f"entries")
+    base = num(rows[0], "tree_reads_per_lookup") if rows else 0
+    for r in rows:
+        tree = num(r, "tree_reads_per_lookup")
+        if tree > 5:
+            problems.append(f"E4: tree reads per lookup {tree} exceed 5 at "
+                            f"{r.get('entries')} entries")
+        if abs(tree - base) > 1.5:
+            problems.append(f"E4: tree reads per lookup {tree} at "
+                            f"{r.get('entries')} entries drift more than 1.5 "
+                            f"from the smallest index's {base}")
+
+
+def check_e5(g, problems):
+    """Both plans return the same rows; the hash join bursts 64 KB at scales
+    4 and 16, where the pipeline still fits at 16."""
+    naive = {num(r, "scale"): r for r in g["E5/naive"]}
+    for r in g["E5/pipeline"]:
+        if naive.get(num(r, "scale"), {}).get("result_rows") != r.get(
+                "result_rows"):
+            problems.append(f"E5: plans disagree on rows at scale "
+                            f"{r.get('scale')}")
+    for scale in (4, 16):
+        r = naive.get(scale, {})
+        if r.get("fits_64k") is not False or num(r, "ram_high_water") <= 65536:
+            problems.append(f"E5: the naive plan does not exceed 64 KB at "
+                            f"scale {scale}")
+    if not any(r.get("scale") == 16 and r.get("fits_64k") is True
+               for r in g["E5/pipeline"]):
+        problems.append("E5: the pipeline plan does not fit 64 KB at scale 16")
+
+
+def check_e6(g, problems):
+    """At every N two rungs share, plaintext < token secure-agg < Paillier;
+    per op, AES < kernel Paillier < schoolbook Paillier >= 20x AES."""
+    ladder = ("plaintext_sum", "token_secure_agg_sum", "paillier_sum")
+    by_n = {}
+    for rung in ladder:
+        for r in g[f"E6/{rung}"]:
+            by_n.setdefault(num(r, "n"), {}).setdefault(rung, []).append(
+                num(r, "ns_per_sum"))
+    for n, rungs in sorted(by_n.items()):
+        present = [rung for rung in ladder if rung in rungs]
+        for lo, hi in zip(present, present[1:]):
+            if max(rungs[lo]) >= min(rungs[hi]):
+                problems.append(f"E6: at N={n} {lo} is not cheaper than {hi}")
+    aes = max((num(r, "ns_per_op") for r in g["E6/one_aes_encryption"]),
+              default=0)
+    for r in g["E6/one_paillier_encryption"]:
+        bits = r.get("modulus_bits")
+        kernel = num(r, "kernel_ns_per_op")
+        schoolbook = num(r, "schoolbook_ns_per_op")
+        if not aes < kernel:
+            problems.append(f"E6: at {bits} bits AES ({aes} ns) is not "
+                            f"cheaper than the kernel Paillier encrypt "
+                            f"({kernel} ns)")
+        if not kernel < schoolbook:
+            problems.append(f"E6: at {bits} bits the kernel Paillier encrypt "
+                            f"is not cheaper than the schoolbook one")
+        if schoolbook < 20 * aes:
+            problems.append(f"E6: at {bits} bits the schoolbook Paillier "
+                            f"encrypt ({schoolbook} ns) is under 20x AES")
+
+
+def check_e7(g, problems):
+    """Secure sum sends sites + 1 messages; set union costs more crypto ops
+    than intersection size at every site count."""
+    for r in g["E7/secure_sum"]:
+        if num(r, "messages") != num(r, "parties") + 1:
+            problems.append(f"E7: secure sum over {r.get('parties')} sites "
+                            f"sent {r.get('messages')} messages, not sites "
+                            f"+ 1")
+    inter = {num(r, "parties"): num(r, "crypto_ops")
+             for r in g["E7/intersection_size"]}
+    for r in g["E7/set_union"]:
+        if num(r, "crypto_ops") <= inter.get(num(r, "parties"), math.inf):
+            problems.append(f"E7: union crypto ops do not exceed "
+                            f"intersection's at {r.get('parties')} sites")
+
+
+E8_COUNTERS = ("token_ops", "frames", "bytes", "rounds", "ssi_classes",
+               "max_class_pct", "entropy_bits")
+
+
+def check_e8(g, problems):
+    """Every run returns the plaintext aggregate; at 10 tuples/token the SSI
+    classes order secure-agg > white-noise > domain-noise > histogram; the
+    thread sweep changes no counter."""
+    for key, recs in g.items():
+        for r in recs:
+            if key.startswith("E8/") and r.get("exact") is not True:
+                problems.append(f"E8: a {key} run's groups differ from the "
+                                f"plaintext aggregate")
+    classes = {r.get("protocol"): num(r, "ssi_classes")
+               for r in g["E8/protocol"] if r.get("tuples_per_token") == 10}
+    order = [classes.get(p, 0) for p in
+             ("secure-agg", "white-noise", "domain-noise", "histogram")]
+    if any(b >= a for a, b in zip(order, order[1:])):
+        problems.append(f"E8: SSI classes at 10 tuples/token do not order "
+                        f"secure-agg > white-noise > domain-noise > "
+                        f"histogram: {order}")
+    first = {}
+    for r in ordered(g["E8/threads"], "threads"):
+        counters = [r.get(f) for f in E8_COUNTERS]
+        if first.setdefault(r.get("protocol"), counters) != counters:
+            problems.append(f"E8: {r.get('protocol')} counters differ at "
+                            f"{r.get('threads')} threads")
+
+
+def check_e9(g, problems):
+    """Every tampered sealed round is caught; every honest one passes the
+    audit with the plaintext groups."""
+    rounds = sum(num(r, "rounds") for r in g["E9/tampered"])
+    caught = sum(num(r, "detected") for r in g["E9/tampered"])
+    if rounds == 0 or caught != rounds:
+        problems.append(f"E9: detection rate {caught}/{rounds}, must be "
+                        f"exactly 1.0")
+    for r in g["E9/honest"]:
+        if num(r, "rounds") == 0 or r.get("audit_passed") != r.get("rounds"):
+            problems.append(f"E9: {r.get('audit_passed')} of "
+                            f"{r.get('rounds')} honest sealed rounds passed "
+                            f"the audit")
+
+
+def check_e10(g, problems):
+    """MetaP loses exactly the centralized information at every (n, k); at
+    1k records the loss never falls as k grows."""
+    central = {(num(r, "records"), num(r, "k")): r.get("info_loss")
+               for r in g["E10/centralized"]}
+    for r in g["E10/metap"]:
+        n, k = num(r, "records"), num(r, "k")
+        if r.get("info_loss") != central.get((n, k)):
+            problems.append(f"E10: MetaP loss {r.get('info_loss')} != "
+                            f"centralized {central.get((n, k))} at n={n}, "
+                            f"k={k}")
+    loss = [num(r, "info_loss") for r in ordered(
+        [r for r in g["E10/centralized"] if r.get("records") == 1000], "k")]
+    if any(b < a for a, b in zip(loss, loss[1:])):
+        problems.append(f"E10: centralized loss falls as k grows at 1000 "
+                        f"records: {loss}")
+
+
+def check_e11(g, problems):
+    """Delta sync moves the same bytes whatever the folder size; epidemic
+    delivery delay falls strictly with every ferry added."""
+    delta = {num(r, "bytes_carried") for r in g["E11/badge_sync_delta"]}
+    if len(delta) != 1:
+        problems.append(f"E11: delta-sync bytes vary with folder size: "
+                        f"{sorted(delta)}")
+    delay = [num(r, "mean_delay_steps") for r in ordered(
+        [r for r in g["E11/folkis"] if r.get("epidemic") is True], "ferries")]
+    if any(b >= a for a, b in zip(delay, delay[1:])):
+        problems.append(f"E11: epidemic delay does not fall strictly as "
+                        f"ferries are added: {delay}")
+
+
+def check_e12(g, problems):
+    """KV resident RAM is independent of the key population; a narrow
+    time-series range reads <= 2 data pages."""
+    ram = {num(r, "resident_ram") for r in g["E12/kv_get"]}
+    if len(ram) != 1:
+        problems.append(f"E12: KV resident RAM varies with key population: "
+                        f"{sorted(ram)}")
+    for r in g["E12/ts_narrow_range"]:
+        if num(r, "data_pages") > 2:
+            problems.append(f"E12: a narrow range over {r.get('points')} "
+                            f"points reads {r.get('data_pages')} data pages")
+
+
+def check_ram_budget(g, problems):
+    """Sort merge reads never rise with the budget and are one value past
+    the single-pass need; a search is feasible exactly when the budget
+    covers its need; max groups are proportional to the budget (1 %)."""
+    sort = ordered(g["ram_budget/sort"], "budget_kb")
+    reads = [num(r, "merge_reads") for r in sort]
+    if any(b > a for a, b in zip(reads, reads[1:])):
+        problems.append(f"ram_budget: sort merge reads rise as the budget "
+                        f"grows: {reads}")
+    single = {num(r, "merge_reads") for r in sort
+              if num(r, "budget_kb") >= num(r, "single_pass_needs_kb")}
+    if len(single) != 1:
+        problems.append(f"ram_budget: merge reads are not one value at every "
+                        f"budget past single_pass_needs: {sorted(single)}")
+    for r in g["ram_budget/search"]:
+        fits = num(r, "budget_kb") * 1024 >= num(r, "needed_bytes")
+        if r.get("feasible") is not fits:
+            problems.append(f"ram_budget: a {r.get('keywords')}-keyword "
+                            f"search at {r.get('budget_kb')} KB has feasible "
+                            f"{r.get('feasible')} but needs "
+                            f"{r.get('needed_bytes')} B")
+    per_kb = [num(r, "max_groups") / num(r, "budget_kb")
+              for r in g["ram_budget/group_capacity"] if num(r, "budget_kb")]
+    if per_kb and max(per_kb) > 1.01 * min(per_kb):
+        problems.append(f"ram_budget: max groups per KB not proportional to "
+                        f"the budget within 1 %: {per_kb}")
+
+
+PAPER_CHECKS = (check_e1, check_e2, check_e3, check_e4, check_e5, check_e6,
+                check_e7, check_e8, check_e9, check_e10, check_e11, check_e12,
+                check_ram_budget)
+
+
+def check_paper(doc, schema, problems):
+    spec = schema["paper"]["series"]
+    groups = {key: [] for key in spec}
+    for where, rec in records(doc, "records", problems):
+        key = f"{rec.get('exp')}/{rec.get('series')}"
+        if key not in spec:
+            problems.append(f"{where}: unknown series {key!r}")
+            continue
+        require(rec, spec[key], f"{where} ({key})", schema, problems)
+        groups[key].append(rec)
+    for key, recs in groups.items():
+        if not recs:
+            problems.append(f"series '{key}' is missing")
+    for check in PAPER_CHECKS:
+        check(groups, problems)
+
+
 CHECKS = {
     "BENCH_crypto.json": check_crypto,
     "BENCH_obs.json": check_obs_metrics,
@@ -321,6 +623,7 @@ CHECKS = {
     "BENCH_net.json": check_net,
     "BENCH_sim.json": check_sim,
     "adversarial_verdicts.json": check_fault_scenarios,
+    "BENCH_paper.json": check_paper,
 }
 
 

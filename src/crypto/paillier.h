@@ -17,8 +17,8 @@ namespace pds::crypto {
 /// The tutorial (Part III) uses homomorphic encryption as the
 /// "untrusted-server-only" point of the solution spectrum: the SSI can add
 /// encrypted values without learning them, at a crypto cost that the
-/// tutorial calls "(incredibly) high". bench_crypto_ladder reproduces that
-/// cost ladder against plaintext and secure-aggregation.
+/// tutorial calls "(incredibly) high". paper_bench's E6 records reproduce
+/// that cost ladder against plaintext and secure-aggregation.
 ///
 /// Standard scheme with the g = n+1 optimization:
 ///   Enc(m; r) = (1 + m*n) * r^n mod n^2
@@ -35,7 +35,8 @@ namespace pds::crypto {
 ///  - AddCiphertexts and AddPlaintext multiply mod n^2 through the cached
 ///    n^2 context: two MontMuls, no division.
 /// The pre-kernel code paths are kept as EncryptScalar/DecryptScalar for
-/// cross-check tests and the bench_crypto_ladder speedup baseline.
+/// cross-check tests and as the schoolbook baseline that crypto_round_bench
+/// and paper_bench time the kernels against.
 class Paillier {
  public:
   struct PublicKey {

@@ -26,7 +26,8 @@ namespace pds::embdb {
 /// Lookup scans Log2 (cheap: |Log2| page reads), then reads only the Keys
 /// pages whose summary is positive: |Log2| IOs + ~1 IO per true hit plus a
 /// tunable false-positive tax — the "Summary Scan (17 IOs)" vs "Table scan
-/// (640 IOs)" figure of the tutorial, reproduced by bench_bloom_index.
+/// (640 IOs)" figure of the tutorial, reproduced by paper_bench's E1
+/// records.
 class KeyLogIndex {
  public:
   struct Options {

@@ -208,32 +208,4 @@ Result<SealedAudit> AuditSealedBatch(mcu::SecureToken* querier,
   return out;
 }
 
-TamperingSsi::Actions TamperingSsi::Tamper(std::vector<SealedTuple>* batch) {
-  Actions actions;
-  std::vector<SealedTuple> result;
-  result.reserve(batch->size());
-  for (SealedTuple& t : *batch) {
-    if (rng_.Bernoulli(config_.drop_rate)) {
-      ++actions.dropped;
-      continue;
-    }
-    if (rng_.Bernoulli(config_.alter_rate)) {
-      ++actions.altered;
-      SealedTuple altered = t;
-      if (!altered.payload_ct.empty()) {
-        altered.payload_ct[rng_.Uniform(altered.payload_ct.size())] ^= 0x01;
-      }
-      result.push_back(std::move(altered));
-      continue;
-    }
-    result.push_back(t);
-    if (rng_.Bernoulli(config_.duplicate_rate)) {
-      ++actions.duplicated;
-      result.push_back(t);
-    }
-  }
-  *batch = std::move(result);
-  return actions;
-}
-
 }  // namespace pds::global

@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "common/result.h"
-#include "common/rng.h"
 #include "crypto/sha256.h"
 #include "global/common.h"
 
@@ -92,35 +91,6 @@ Result<SealedAudit> AuditSealedBatch(mcu::SecureToken* querier,
                                      const std::vector<SealedTuple>& tuples,
                                      const std::vector<Manifest>& manifests,
                                      AggFunc func);
-
-/// The weakly malicious SSI: tampers with a batch according to the
-/// configured action rates. Returns how many tuples were affected.
-class TamperingSsi {
- public:
-  struct Config {
-    double drop_rate = 0.0;
-    double duplicate_rate = 0.0;
-    double alter_rate = 0.0;
-    uint64_t seed = 99;
-  };
-
-  explicit TamperingSsi(const Config& config)
-      : config_(config), rng_(config.seed) {}
-
-  struct Actions {
-    uint64_t dropped = 0;
-    uint64_t duplicated = 0;
-    uint64_t altered = 0;
-
-    uint64_t total() const { return dropped + duplicated + altered; }
-  };
-
-  Actions Tamper(std::vector<SealedTuple>* batch);
-
- private:
-  Config config_;
-  Rng rng_;
-};
 
 }  // namespace pds::global
 

@@ -59,7 +59,7 @@ Result<uint64_t> SecureScalarProduct(const std::vector<uint64_t>& a,
 
 /// Homomorphic SUM over all participants using Paillier — the
 /// "untrusted-server-only" end of the tutorial's solution spectrum, used
-/// by bench_crypto_ladder as the expensive comparison point. The SSI adds
+/// by paper_bench's E6 ladder as the expensive comparison point. The SSI adds
 /// ciphertexts without learning anything; only the querier (key owner)
 /// decrypts. Per-site encryptions fan out across the executor.
 Result<uint64_t> PaillierFleetSum(const std::vector<uint64_t>& site_values,

@@ -9,11 +9,11 @@
 #include "common/rng.h"
 #include "global/integrity.h"
 
-/// Weakly-malicious SSI actions on the real wire. This ports the in-process
-/// global::TamperingSsi action vocabulary onto the SsiServer session loop:
-/// an AdversaryPlan makes the server misbehave in exactly one configured
-/// way per run, and the scenario harness asserts the querier-side
-/// global::IntegrityVerdict (or result comparison) catches it.
+/// Weakly-malicious SSI actions on the real wire, the one tampering
+/// vocabulary of the codebase: an AdversaryPlan makes the SsiServer
+/// misbehave in exactly one configured way per run, and the scenario
+/// harness asserts the querier-side global::IntegrityVerdict (or result
+/// comparison) catches it.
 ///
 /// Nothing in here touches plaintext or keys: the adversary manipulates
 /// ciphertext blobs, MAC'd manifests and frames — precisely the power a
@@ -40,7 +40,7 @@ struct AdversaryPlan {
 };
 
 /// Applies a sealed-batch tampering action (substitute/replay/omit/forge-
-/// manifest) in place, seeded like TamperingSsi. Returns a human-readable
+/// manifest) in place; plan.seed picks the victim. Returns a human-readable
 /// description of what was done ("" when the action does not apply to
 /// sealed batches or the batch is empty).
 std::string ApplySealedTampering(const AdversaryPlan& plan,

@@ -429,8 +429,8 @@ std::vector<ScenarioSpec> DefaultMatrix(uint64_t seed, bool use_socket) {
     }
   }
 
-  // Sealed-batch tampering: one cell per TamperingSsi-style action, plus a
-  // benign sealed round proving the audit passes honest pools.
+  // Sealed-batch tampering: one cell per ApplySealedTampering action, plus
+  // a benign sealed round proving the audit passes honest pools.
   const AdversaryAction sealed_actions[] = {
       AdversaryAction::kNone, AdversaryAction::kSubstituteCiphertext,
       AdversaryAction::kReplayCiphertext, AdversaryAction::kOmitCiphertext,

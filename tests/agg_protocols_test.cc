@@ -7,6 +7,7 @@
 #include "common/rng.h"
 #include "global/agg_protocols.h"
 #include "global/integrity.h"
+#include "net/adversary.h"
 
 namespace pds::global {
 namespace {
@@ -420,33 +421,31 @@ TEST_F(IntegrityTest, DetectsUnknownParticipant) {
   EXPECT_FALSE(verdict->ok);
 }
 
-TEST_F(IntegrityTest, TamperingSsiActsAtConfiguredRates) {
-  auto batch = MakeBatch(7, 1000);
-  ASSERT_TRUE(batch.ok());
-  TamperingSsi ssi({0.1, 0.05, 0.05, 42});
-  auto actions = ssi.Tamper(&*batch);
-  EXPECT_NEAR(static_cast<double>(actions.dropped), 100, 40);
-  EXPECT_NEAR(static_cast<double>(actions.duplicated), 50, 30);
-  EXPECT_NEAR(static_cast<double>(actions.altered), 50, 30);
-}
-
 TEST_F(IntegrityTest, AnyTamperingIsDetected) {
-  // Sweep tamper rates; whenever the SSI acted, verification must fail.
-  for (double rate : {0.001, 0.01, 0.1, 0.5}) {
-    auto batch = MakeBatch(7, 500);
+  // Drops, replays, alterations and forged counts mixed in one batch: bit i
+  // of `mask` applies action i with a seed of its own, so the masks cover
+  // every combination. Verification must fail whenever any action applied.
+  const net::AdversaryAction actions[] = {
+      net::AdversaryAction::kOmitCiphertext,
+      net::AdversaryAction::kReplayCiphertext,
+      net::AdversaryAction::kSubstituteCiphertext,
+      net::AdversaryAction::kForgeManifest};
+  for (uint64_t mask = 0; mask < 16; ++mask) {
+    auto batch = MakeBatch(7, 50);
     ASSERT_TRUE(batch.ok());
-    auto manifest = MakeManifest(producer_.get(), 7, 500);
-    TamperingSsi ssi({rate, rate, rate,
-                      static_cast<uint64_t>(rate * 10000)});
-    auto actions = ssi.Tamper(&*batch);
-    auto verdict = VerifyBatch(verifier_.get(), *batch, {*manifest});
-    ASSERT_TRUE(verdict.ok());
-    if (actions.total() > 0) {
-      EXPECT_FALSE(verdict->ok) << "rate " << rate << " actions "
-                                << actions.total();
-    } else {
-      EXPECT_TRUE(verdict->ok);
+    auto manifest = MakeManifest(producer_.get(), 7, 50);
+    ASSERT_TRUE(manifest.ok());
+    std::vector<Manifest> manifests = {*manifest};
+    for (uint64_t i = 0; i < 4; ++i) {
+      if ((mask >> i) & 1) {
+        EXPECT_FALSE(net::ApplySealedTampering({actions[i], 31 * mask + i},
+                                               &*batch, &manifests)
+                         .empty());
+      }
     }
+    auto verdict = VerifyBatch(verifier_.get(), *batch, manifests);
+    ASSERT_TRUE(verdict.ok());
+    EXPECT_EQ(verdict->ok, mask == 0) << "mask " << mask;
   }
 }
 

@@ -27,7 +27,7 @@ import validate_bench  # noqa: E402
 with open(validate_bench.SCHEMA_PATH) as f:
     SCHEMA = json.load(f)
 COMMITTED = ["BENCH_crypto.json", "BENCH_obs.json", "BENCH_net.json",
-             "BENCH_sim.json"]
+             "BENCH_sim.json", "BENCH_paper.json"]
 
 
 def load(name):
@@ -260,6 +260,100 @@ CASES = [
 CASES += [(name, at(where, mutate), message)
           for name in ("BENCH_net.json", "BENCH_sim.json")
           for where, mutate, message in FLEET_CASES]
+
+def paper(exp, series, **match):
+    return dict(exp=exp, series=series, **match)
+
+
+# (where, mutation, expected message), one per BENCH_paper.json check.
+PAPER_CASES = [
+    (paper("E1", "lookup"), bump("index_reads", 1),
+     "!= summary pages + key pages"),
+    (paper("E1", "lookup"), bump("scan_matches", 1),
+     "scan and index disagree on matches"),
+    (paper("E1", "lookup", cities=1000), setf(scan_reads=100),
+     "the scan does not read 10x the index's pages"),
+    (paper("E1", "bloom_bits", bits_per_key=16),
+     setf(false_pos_pages_per_probe=7), "do not fall as bits/key rise"),
+    (paper("E1", "bloom_bits", bits_per_key=24),
+     setf(false_pos_pages_per_probe=0.1), "are not 0 at 24 bits/key"),
+    (paper("E2", "out_of_place"), setf(erases=1), "pages erased 1 blocks"),
+    (paper("E2", "random_in_place"), setf(us_per_write=2000),
+     "under 10x a sequential write's"),
+    (paper("E3", "pipeline", docs=20000), bump("ram_high_water", 8),
+     "pipeline RAM varies with corpus size"),
+    (paper("E3", "naive", docs=20000), setf(ram_high_water=100000),
+     "naive RAM does not grow with the corpus"),
+    (paper("E3", "naive", docs=5000), setf(ram_high_water=60000),
+     "naive RAM fits 64 KB at 5000 docs"),
+    (paper("E4", "lookup", entries=50000),
+     setf(key_log_reads_per_lookup=20), "grow less than 3x"),
+    (paper("E4", "lookup", entries=200000), setf(tree_reads_per_lookup=5.5),
+     "exceed 5"),
+    (paper("E4", "lookup", entries=200000), setf(tree_reads_per_lookup=4.6),
+     "drift more than 1.5"),
+    (paper("E5", "naive", scale=4), bump("result_rows", 1),
+     "plans disagree on rows at scale 4"),
+    (paper("E5", "naive", scale=16), setf(fits_64k=True),
+     "naive plan does not exceed 64 KB at scale 16"),
+    (paper("E5", "pipeline", scale=16), setf(fits_64k=False),
+     "pipeline plan does not fit 64 KB at scale 16"),
+    (paper("E6", "plaintext_sum", n=100), setf(ns_per_sum=1e9),
+     "plaintext_sum is not cheaper than token_secure_agg_sum"),
+    (paper("E6", "token_secure_agg_sum", n=10), setf(ns_per_sum=1e9),
+     "token_secure_agg_sum is not cheaper than paillier_sum"),
+    (paper("E6", "one_paillier_encryption", modulus_bits=256),
+     setf(kernel_ns_per_op=1), "is not cheaper than the kernel Paillier"),
+    (paper("E6", "one_paillier_encryption", modulus_bits=512),
+     setf(kernel_ns_per_op=1e9), "is not cheaper than the schoolbook one"),
+    (paper("E6", "one_aes_encryption"), setf(ns_per_op=1e5), "under 20x AES"),
+    (paper("E7", "secure_sum", parties=32), bump("messages", 1),
+     "not sites + 1"),
+    (paper("E7", "set_union", parties=4), setf(crypto_ops=100),
+     "union crypto ops do not exceed intersection's at 4 sites"),
+    (paper("E8", "histogram_buckets", buckets=16), setf(exact=False),
+     "groups differ from the plaintext aggregate"),
+    (paper("E8", "protocol", protocol="white-noise", tuples_per_token=10),
+     setf(ssi_classes=5), "do not order secure-agg > white-noise"),
+    (paper("E8", "threads", protocol="white-noise", threads=4),
+     bump("bytes", 1), "white-noise counters differ at 4 threads"),
+    (paper("E9", "tampered", action="omit-ciphertext"), bump("detected", -1),
+     "detection rate 99/100, must be exactly 1.0"),
+    (paper("E9", "honest"), bump("audit_passed", -1),
+     "honest sealed rounds passed the audit"),
+    (paper("E10", "metap", records=1000, k=5), bump("info_loss", 0.01),
+     "MetaP loss"),
+    (paper("E10", "centralized", records=1000, k=20), setf(info_loss=0.41),
+     "centralized loss falls as k grows"),
+    (paper("E11", "badge_sync_delta", folder_size=5000),
+     bump("bytes_carried", 1), "delta-sync bytes vary with folder size"),
+    (paper("E11", "folkis", ferries=32, epidemic=True),
+     setf(mean_delay_steps=50), "epidemic delay does not fall strictly"),
+    (paper("E12", "kv_get", keys=50000), bump("resident_ram", 8),
+     "KV resident RAM varies with key population"),
+    (paper("E12", "ts_narrow_range", points=100000), setf(data_pages=3),
+     "reads 3 data pages"),
+    (paper("ram_budget", "sort", budget_kb=32), setf(merge_reads=10000),
+     "sort merge reads rise as the budget grows"),
+    (paper("ram_budget", "sort", budget_kb=256), setf(merge_reads=1500),
+     "merge reads are not one value at every budget past single_pass_needs"),
+    (paper("ram_budget", "search", budget_kb=4, keywords=3),
+     setf(feasible=True), "has feasible True but needs 7392 B"),
+    (paper("ram_budget", "group_capacity", budget_kb=64),
+     setf(max_groups=850), "max groups per KB not proportional"),
+    (paper("E4", "lookup"), delf("probes"), "missing field 'probes'"),
+    (paper("E1", "lookup"), setf(rows="many"), "'rows' is not numeric"),
+]
+CASES += [("BENCH_paper.json", at(where, mutate), message)
+          for where, mutate, message in PAPER_CASES]
+CASES += [
+    ("BENCH_paper.json", lambda d: drop(d, exp="E9", series="honest"),
+     "series 'E9/honest' is missing"),
+    ("BENCH_paper.json",
+     lambda d: d["records"].append({"exp": "E13", "series": "lookup"}),
+     "unknown series 'E13/lookup'"),
+]
+
 CASES += [(name, mutate, message)
           for name in ("BENCH_net.json", "adversarial_verdicts.json")
           for mutate, message in FAULT_CASES]
