@@ -205,24 +205,6 @@ class Reader {
   return m;
 }
 
-[[nodiscard]] Result<PartitionMapMsg> DecodePartitionMap(Reader* r) {
-  PartitionMapMsg m;
-  PDS_ASSIGN_OR_RETURN(m.round_id, r->U32());
-  PDS_ASSIGN_OR_RETURN(uint32_t n, r->U32());
-  if (n > kMaxPartitions) {
-    return Status::Corruption("partition count exceeds kMaxPartitions");
-  }
-  m.parts.reserve(n);
-  for (uint32_t i = 0; i < n; ++i) {
-    PartitionAssignment a;
-    PDS_ASSIGN_OR_RETURN(a.partition, r->U32());
-    PDS_ASSIGN_OR_RETURN(a.session, r->U32());
-    PDS_ASSIGN_OR_RETURN(a.num_items, r->U32());
-    m.parts.push_back(a);
-  }
-  return m;
-}
-
 [[nodiscard]] Result<TupleBatchMsg> DecodeTupleBatch(Reader* r) {
   TupleBatchMsg m;
   PDS_ASSIGN_OR_RETURN(m.round_id, r->U32());
@@ -284,16 +266,6 @@ void PutBody(Writer* w, const RoundRequestMsg& m) {
   w->U8(static_cast<uint8_t>(m.header.kind));
   w->U8(static_cast<uint8_t>(m.header.func));
   PutBatch(w, m.batch);
-}
-
-void PutBody(Writer* w, const PartitionMapMsg& m) {
-  w->U32(m.round_id);
-  w->U32(static_cast<uint32_t>(m.parts.size()));
-  for (const PartitionAssignment& a : m.parts) {
-    w->U32(a.partition);
-    w->U32(a.session);
-    w->U32(a.num_items);
-  }
 }
 
 void PutBody(Writer* w, const TupleBatchMsg& m) {
@@ -475,10 +447,6 @@ Result<Message> DecodeMessage(ByteView frame) {
     }
     case MsgType::kRoundRequest: {
       PDS_ASSIGN_OR_RETURN(m.body, DecodeRoundRequest(&r));
-      break;
-    }
-    case MsgType::kPartitionMap: {
-      PDS_ASSIGN_OR_RETURN(m.body, DecodePartitionMap(&r));
       break;
     }
     case MsgType::kTupleBatch: {

@@ -54,24 +54,24 @@ inline constexpr size_t kMaxFramePayload = 1u << 20;  // 1 MiB per frame
 inline constexpr size_t kMaxBatchTuples = 1u << 16;   // cts per batch
 inline constexpr size_t kMaxTupleBytes = 1u << 16;    // one ciphertext
 inline constexpr size_t kMaxGroupBytes = 1u << 10;    // one group label
-inline constexpr size_t kMaxPartitions = 1u << 16;    // partition map rows
 inline constexpr size_t kMaxNonceBytes = 64;          // handshake nonce
 inline constexpr size_t kMaxPackedSlots = 256;        // packed-round domain labels
 inline constexpr size_t kMaxPackedCiphertextBytes = 2048;  // one packed ct (n^2)
 inline constexpr size_t kMaxStatsJsonBytes = 1u << 16;     // kStats reply JSON
 
+/// Contiguous from 1: Message::type() is the body's variant index + 1, and
+/// DecodeFrameHeader rejects any type byte outside [1, kStatsReply].
 enum class MsgType : uint8_t {
   kChallenge = 1,     // SSI -> token: prove fleet membership for this nonce
   kHello = 2,         // token -> SSI: token id + attestation proof
   kHelloAck = 3,      // SSI -> token: session accepted or refused
   kRoundRequest = 4,  // SSI -> token: protocol round header (+ batch)
-  kPartitionMap = 5,  // SSI -> token: partition layout of this round
-  kTupleBatch = 6,    // token -> SSI: encrypted tuple/partial-agg batch
-  kAggResult = 7,     // token -> SSI: plaintext final aggregate
-  kError = 8,         // either direction
-  kBye = 9,           // SSI -> token: session over
-  kStatsRequest = 10, // admin -> SSI: ask for the live stats snapshot
-  kStatsReply = 11,   // SSI -> admin: registry + telemetry JSON
+  kTupleBatch = 5,    // token -> SSI: encrypted tuple/partial-agg batch
+  kAggResult = 6,     // token -> SSI: plaintext final aggregate
+  kError = 7,         // either direction
+  kBye = 8,           // SSI -> token: session over
+  kStatsRequest = 9,  // admin -> SSI: ask for the live stats snapshot
+  kStatsReply = 10,   // SSI -> admin: registry + telemetry JSON
 };
 
 enum class RoundKind : uint8_t {
@@ -151,19 +151,6 @@ struct RoundRequestMsg {
   bool operator==(const RoundRequestMsg&) const = default;
 };
 
-struct PartitionAssignment {
-  uint32_t partition = 0;  // partition index within the round
-  uint32_t session = 0;    // session index that aggregates it
-  uint32_t num_items = 0;  // ciphertexts in the partition
-  bool operator==(const PartitionAssignment&) const = default;
-};
-
-struct PartitionMapMsg {
-  uint32_t round_id = 0;
-  std::vector<PartitionAssignment> parts;
-  bool operator==(const PartitionMapMsg&) const = default;
-};
-
 struct TupleBatchMsg {
   uint32_t round_id = 0;
   uint64_t token_ops = 0;  // crypto ops spent producing this batch
@@ -222,8 +209,8 @@ struct TraceContext {
 /// Decoded frame: the variant order matches the MsgType values.
 using MessageBody =
     std::variant<ChallengeMsg, HelloMsg, HelloAckMsg, RoundRequestMsg,
-                 PartitionMapMsg, TupleBatchMsg, AggResultMsg, ErrorMsg,
-                 ByeMsg, StatsRequestMsg, StatsReplyMsg>;
+                 TupleBatchMsg, AggResultMsg, ErrorMsg, ByeMsg,
+                 StatsRequestMsg, StatsReplyMsg>;
 
 struct Message {
   MessageBody body;

@@ -8,6 +8,13 @@
 
 namespace pds::net {
 
+namespace {
+
+/// Sleep applied by a realized delay fault.
+constexpr uint32_t kDelayMs = 10;
+
+}  // namespace
+
 const char* FaultKindName(FaultKind kind) {
   switch (kind) {
     case FaultKind::kDrop:
@@ -118,9 +125,9 @@ FaultInjectingTransport::Verdict FaultInjectingTransport::MutateFrame(
   if (delay && BudgetLeft()) {
     char d[48];
     std::snprintf(d, sizeof(d), "held %u ms",
-                  static_cast<unsigned>(plan_.delay_ms));
+                  static_cast<unsigned>(kDelayMs));
     Log(index, FaultKind::kDelay, direction, d);
-    clock_->SleepMs(plan_.delay_ms);
+    clock_->SleepMs(kDelayMs);
   }
   if (truncate && BudgetLeft() && frame->size() > 1) {
     size_t cut = 1 + static_cast<size_t>(rng_.Uniform(

@@ -27,7 +27,7 @@ namespace pds::net {
 
 enum class FaultKind : uint8_t {
   kDrop = 1,       // frame silently swallowed
-  kDelay = 2,      // frame held for delay_ms before forwarding
+  kDelay = 2,      // frame held 10 ms before forwarding
   kDuplicate = 3,  // frame forwarded twice
   kReorder = 4,    // frame held and released after the next frame
   kTruncate = 5,   // 1..8 tail bytes removed before forwarding
@@ -50,8 +50,6 @@ struct FaultPlan {
   double reorder_rate = 0.0;
   double truncate_rate = 0.0;
   double bitflip_rate = 0.0;
-  /// Sleep applied by a realized delay fault.
-  uint32_t delay_ms = 10;
   /// Cap on realized link injections (0 = unlimited). Lets a scenario
   /// perturb only the opening of a run and then go quiet.
   uint64_t max_injections = 0;

@@ -204,8 +204,6 @@ Result<ScenarioResult> RunScenarioCell(const ScenarioSpec& spec) {
       ccfg.faults.swallow_first = spec.faults.swallow_first;
       ccfg.faults.disconnect_after_replies =
           spec.faults.disconnect_after_replies;
-      ccfg.max_reconnects = 1;
-      ccfg.reconnect_backoff_ms = 1;
       if (churn_cell) {
         ccfg.reconnect =
             [rendezvous]() -> Result<std::unique_ptr<Transport>> {

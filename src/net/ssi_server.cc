@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <iterator>
 #include <map>
 #include <sstream>
 #include <thread>
@@ -20,6 +21,10 @@ namespace {
 using global::AggFunc;
 using global::AggOutput;
 using global::Metrics;
+
+/// Seed of the handshake-challenge nonce stream and of the trace-id stream
+/// (deterministic tests; neither needs to be secret).
+constexpr uint64_t kNonceSeed = 42;
 
 /// Sum/count accumulation per group.
 struct GroupState {
@@ -49,19 +54,38 @@ std::map<std::string, double> Finalize(
   return out;
 }
 
-/// Round-robin unit assignment: unit u goes to token (first + u) %
-/// num_tokens, and each token runs its units in increasing order (so a
-/// token's RNG and op counters advance the same at any executor width).
-std::vector<std::vector<size_t>> RoundRobin(size_t num_units,
-                                            size_t num_tokens, size_t first) {
-  std::vector<std::vector<size_t>> by_token(num_tokens);
-  for (auto& units : by_token) {
-    units.reserve(num_units / num_tokens + 1);
+/// The querier's answer from the tokens' AggResultMsg replies: entries
+/// merged per group, then finalized for `func`. A forging SSI
+/// (AdversaryAction::kForgeAggregate) skews the first group's value;
+/// without a sealed round to audit against, the querier catches this by
+/// re-running the aggregate through AuditSealedBatch and comparing.
+std::map<std::string, double> MergeResults(
+    const std::vector<MessageBody>& replies, AggFunc func, bool forge) {
+  std::map<std::string, GroupState> state;
+  for (const MessageBody& reply : replies) {
+    for (const AggResultEntry& e : std::get<AggResultMsg>(reply).entries) {
+      state[e.group].sum += e.sum;
+      state[e.group].count += e.count;
+    }
   }
-  for (size_t u = 0; u < num_units; ++u) {
-    by_token[(first + u) % num_tokens].push_back(u);
+  std::map<std::string, double> groups = Finalize(state, func);
+  if (forge && !groups.empty()) {
+    groups.begin()->second += 1.0;
   }
-  return by_token;
+  return groups;
+}
+
+/// The name a det variant's runs are recorded under.
+const char* DetRunName(DetVariant variant) {
+  switch (variant) {
+    case DetVariant::kWhiteNoise:
+      return "net-white-noise";
+    case DetVariant::kDomainNoise:
+      return "net-domain-noise";
+    case DetVariant::kHistogram:
+      return "net-histogram";
+  }
+  return "net-det";
 }
 
 /// Fleet-wide wire counters; resolved once, then plain atomic adds
@@ -92,29 +116,38 @@ const NetObs& NetHooks() {
   return hooks;
 }
 
-/// RAII flag for "a protocol run is in flight" (readmission refused).
-class RunGuard {
+/// Holds a session's in-flight gauge at a request's frame size until the
+/// round trip returns, whichever way it returns. A lean session has no
+/// gauge (null) and is left alone.
+class InFlightBytes {
  public:
-  explicit RunGuard(std::atomic<bool>* flag) : flag_(flag) {
-    flag_->store(true);
+  InFlightBytes(obs::Gauge* gauge, size_t bytes) : gauge_(gauge) {
+    if (gauge_ != nullptr) {
+      gauge_->Set(static_cast<double>(bytes));
+    }
   }
-  ~RunGuard() { flag_->store(false); }
-  RunGuard(const RunGuard&) = delete;
-  RunGuard& operator=(const RunGuard&) = delete;
+  ~InFlightBytes() {
+    if (gauge_ != nullptr) {
+      gauge_->Set(0);
+    }
+  }
+  InFlightBytes(const InFlightBytes&) = delete;
+  InFlightBytes& operator=(const InFlightBytes&) = delete;
 
  private:
-  std::atomic<bool>* flag_;
+  obs::Gauge* gauge_;
 };
 
-/// The round id a reply message answers, or nullptr for non-reply types.
-const uint32_t* ReplyRoundId(const Message& m) {
-  if (const TupleBatchMsg* tb = std::get_if<TupleBatchMsg>(&m.body)) {
-    return &tb->round_id;
-  }
-  if (const AggResultMsg* ar = std::get_if<AggResultMsg>(&m.body)) {
-    return &ar->round_id;
-  }
-  return nullptr;
+/// A hand-built plain kRoundRequest frame for the hostile-frame probes: a
+/// header declaring `declared` payload bytes, then `garbage` bytes of 0xFF.
+Bytes RawRoundRequest(uint32_t declared, size_t garbage) {
+  Bytes frame(kFrameHeaderSize + garbage, 0xFF);
+  frame[0] = static_cast<uint8_t>(kMagic & 0xff);
+  frame[1] = static_cast<uint8_t>(kMagic >> 8);
+  frame[2] = 0;  // no flags: a plain frame
+  frame[3] = static_cast<uint8_t>(MsgType::kRoundRequest);
+  EncodeU32(frame.data() + 4, declared);
+  return frame;
 }
 
 }  // namespace
@@ -140,10 +173,40 @@ struct SsiServer::WireCost {
   }
 };
 
+/// The frame every protocol run executes in: readmission is refused while
+/// it lives, the run's span is open, and `observer` records every class key
+/// the SSI sees. Close is the one epilogue of every Run*: the leakage
+/// report, the protocol-run record, and a stats-ring capture. A run that
+/// fails returns before Close and records nothing.
+class SsiServer::RunScope {
+ public:
+  RunScope(SsiServer* server, const char* span_name)
+      : span(span_name, "net"), server_(server) {
+    server_->run_active_.store(true);
+  }
+  ~RunScope() { server_->run_active_.store(false); }
+  RunScope(const RunScope&) = delete;
+  RunScope& operator=(const RunScope&) = delete;
+
+  template <typename Out>
+  [[nodiscard]] Out Close(Out out, const char* run_name) {
+    out.leakage = observer.Report();
+    global::RecordProtocolRun(run_name, out.metrics, out.leakage);
+    server_->stats_ring_.Capture(obs::Registry::Global());
+    return out;
+  }
+
+  obs::Span span;
+  global::HbcObserver observer;
+
+ private:
+  SsiServer* server_;
+};
+
 SsiServer::SsiServer(const Config& config)
     : config_(config),
       clock_(config.clock != nullptr ? config.clock : WallClock()),
-      trace_rng_(config.nonce_seed ^ 0x7472616365ULL) {}
+      trace_rng_(kNonceSeed ^ 0x7472616365ULL) {}
 
 bool SsiServer::IsStragglerFailure(const Status& s) {
   // A token that timed out, whose transport died, or whose byte stream
@@ -164,7 +227,7 @@ Result<size_t> SsiServer::Handshake(std::unique_ptr<Transport> transport,
   // Deterministic nonce stream (tests); entropy is not the point here — the
   // challenge only needs to be fresh per handshake, which the monotonic
   // counter guarantees across readmissions too.
-  Rng nonce_rng(config_.nonce_seed + nonce_counter_++);
+  Rng nonce_rng(kNonceSeed + nonce_counter_++);
   ChallengeMsg challenge;
   challenge.nonce.resize(16);
   nonce_rng.FillBytes(challenge.nonce.data(), challenge.nonce.size());
@@ -232,6 +295,10 @@ Result<Message> SsiServer::RoundTrip(Session* s, RoundRequestMsg request,
                                      WireCost* cost) {
   const NetObs& hooks = NetHooks();
   const uint32_t round_id = request.header.round_id;
+  // Finalize and class rounds are answered with the plaintext aggregate,
+  // every other kind with a tuple batch.
+  const bool wants_result = request.header.kind == RoundKind::kFinalize ||
+                            request.header.kind == RoundKind::kClassAggregate;
   // One span per logical round trip (retries included). When recorded, its
   // id rides the wire as the trace-context parent so the token's handler
   // span hangs under it in the merged cross-process trace.
@@ -241,11 +308,10 @@ Result<Message> SsiServer::RoundTrip(Session* s, RoundRequestMsg request,
     msg.trace = TraceContext{run_trace_id_, rt_span.id()};
   }
   const Bytes frame = EncodeMessage(msg);
-  // Admission-control gauge: bytes of this session's in-flight request.
   SessionStats* stats = s->stats.get();
-  if (stats != nullptr) {
-    stats->buffer_bytes.Set(static_cast<double>(frame.size()));
-  }
+  // Admission-control gauge: bytes of this session's in-flight request.
+  const InFlightBytes in_flight(
+      stats != nullptr ? &stats->buffer_bytes : nullptr, frame.size());
   for (uint32_t attempt = 0; attempt <= config_.max_retries; ++attempt) {
     if (attempt > 0) {
       ++cost->retries;
@@ -279,9 +345,6 @@ Result<Message> SsiServer::RoundTrip(Session* s, RoundRequestMsg request,
           timed_out = true;
           break;
         }
-        if (stats != nullptr) {
-          stats->buffer_bytes.Set(0);
-        }
         return recv.status();
       }
       Bytes reply = std::move(recv).value();
@@ -308,25 +371,18 @@ Result<Message> SsiServer::RoundTrip(Session* s, RoundRequestMsg request,
           hooks.frame_rejects->Add(1);
           continue;
         }
-        if (stats != nullptr) {
-          stats->buffer_bytes.Set(0);
-        }
         return Status::FailedPrecondition("peer error: " + err->message);
       }
-      const uint32_t* got = ReplyRoundId(m);
-      if (got == nullptr) {
-        if (stats != nullptr) {
-          stats->buffer_bytes.Set(0);
-        }
+      const TupleBatchMsg* batch = std::get_if<TupleBatchMsg>(&m.body);
+      const AggResultMsg* result = std::get_if<AggResultMsg>(&m.body);
+      if (batch == nullptr && result == nullptr) {
         return Status::FailedPrecondition("unexpected reply message type");
       }
-      if (*got < round_id) {
+      const uint32_t got = batch != nullptr ? batch->round_id : result->round_id;
+      if (got < round_id) {
         continue;  // stale answer to an earlier attempt/round; discard
       }
-      if (*got > round_id) {
-        if (stats != nullptr) {
-          stats->buffer_bytes.Set(0);
-        }
+      if (got > round_id) {
         return Status::Corruption("reply from a future round");
       }
       double rtt_us =
@@ -337,9 +393,13 @@ Result<Message> SsiServer::RoundTrip(Session* s, RoundRequestMsg request,
       }
       rtt_us_.Record(rtt_us);
       hooks.round_trip_us->Record(rtt_us);
-      if (stats != nullptr) {
-        stats->buffer_bytes.Set(0);
+      if ((result != nullptr) != wants_result) {
+        return Status::FailedPrecondition(
+            wants_result ? "round expected an agg result"
+                         : "round expected a tuple batch");
       }
+      cost->wire.token_crypto_ops +=
+          batch != nullptr ? batch->token_ops : result->token_ops;
       return m;
     }
     ++cost->deadline_hits;
@@ -347,9 +407,6 @@ Result<Message> SsiServer::RoundTrip(Session* s, RoundRequestMsg request,
     if (stats != nullptr) {
       stats->deadline_hits.Add(1);
     }
-  }
-  if (stats != nullptr) {
-    stats->buffer_bytes.Set(0);
   }
   return Status::DeadlineExceeded("token did not answer round " +
                                   std::to_string(round_id) + " after " +
@@ -401,14 +458,8 @@ Result<SsiServer::Collected> SsiServer::CollectRound(
             }
             return reply.status();
           }
-          TupleBatchMsg* batch =
-              std::get_if<TupleBatchMsg>(&reply.value().body);
-          if (batch == nullptr) {
-            return Status::FailedPrecondition(
-                "collect round expected a tuple batch");
-          }
-          costs[li].wire.token_crypto_ops += batch->token_ops;
-          out.batches[li] = std::move(*batch);
+          out.batches[li] =
+              std::get<TupleBatchMsg>(std::move(reply.value().body));
           answered[li] = 1;
           return Status::Ok();
         }));
@@ -449,14 +500,73 @@ Result<SsiServer::Collected> SsiServer::CollectRound(
   return out;
 }
 
+Result<std::vector<MessageBody>> SsiServer::RunUnits(
+    const std::vector<Unit>& units, const std::vector<size_t>& responders,
+    size_t offset, AggFunc func, Metrics* metrics) {
+  const size_t n = responders.size();
+  std::vector<MessageBody> replies(units.size());
+  std::vector<uint8_t> done(units.size(), 0);
+  std::vector<WireCost> costs(units.size());
+  // Runs unit u on session s. A straggler failure drops s for the rest of
+  // the run and leaves u for the failover pass.
+  auto run = [&](Session* s, size_t u) -> Status {
+    RoundRequestMsg req;
+    req.header.round_id = s->next_round_id++;
+    req.header.kind = units[u].kind;
+    req.header.func = func;
+    req.batch = units[u].batch;  // copied: a failover resends it
+    auto reply = RoundTrip(s, std::move(req), &costs[u]);
+    if (!reply.ok()) {
+      if (!IsStragglerFailure(reply.status())) {
+        return reply.status();
+      }
+      DropStraggler(s);
+      return Status::Ok();
+    }
+    replies[u] = std::move(reply.value().body);
+    done[u] = 1;
+    return Status::Ok();
+  };
+
+  // Responder a runs units (a - offset) mod n, then every n-th after it,
+  // until it is dropped (possibly in an earlier round of this run).
+  PDS_RETURN_IF_ERROR(global::FleetExecutor::Run(
+      config_.executor, n, [&](size_t a) -> Status {
+        Session* s = sessions_[responders[a]].get();
+        for (size_t u = (a + n - offset % n) % n;
+             s->alive && u < units.size(); u += n) {
+          PDS_RETURN_IF_ERROR(run(s, u));
+        }
+        return Status::Ok();
+      }));
+
+  // Failover (serial): each unfinished unit, in order, goes to the first
+  // responder that is still alive.
+  for (size_t u = 0; u < units.size(); ++u) {
+    for (size_t a = 0; a < n && done[u] == 0; ++a) {
+      Session* s = sessions_[responders[a]].get();
+      if (s->alive) {
+        PDS_RETURN_IF_ERROR(run(s, u));
+      }
+    }
+    if (done[u] == 0) {
+      return Status::FailedPrecondition(
+          "every responding token vanished before unit " + std::to_string(u) +
+          " could run");
+    }
+  }
+  for (const WireCost& cost : costs) {
+    cost.MergeInto(metrics, &report_);
+  }
+  return replies;
+}
+
 Result<AggOutput> SsiServer::RunSecureAggregation(AggFunc func) {
   if (config_.partition_capacity == 0) {
     return Status::InvalidArgument("partition capacity must be >= 1");
   }
-  RunGuard run_guard(&run_active_);
+  RunScope run(this, "net.secure-agg");
   AggOutput out;
-  global::HbcObserver observer;
-  obs::Span protocol_span("net.secure-agg", "net");
 
   // Phase 1: collect — every live token encrypts and sends its authorized
   // tuples.
@@ -468,141 +578,60 @@ Result<AggOutput> SsiServer::RunSecureAggregation(AggFunc func) {
   std::vector<Bytes> items;
   for (TupleBatchMsg& batch : collected.batches) {
     for (Bytes& ct : batch.batch) {
-      observer.ObserveTuple(ByteView(ct));
+      run.observer.ObserveTuple(ByteView(ct));
       items.push_back(std::move(ct));
     }
   }
 
-  // Phase 2: iterative partition-and-aggregate over the responding tokens,
-  // partitions round-robin in session order. A token that vanishes now
-  // takes its partition's data with it, so this phase has no quorum:
-  // retry, then fail the run.
-  const std::vector<size_t>& active = collected.sessions;
-  const size_t na = active.size();
-  size_t worker = 0;
-  while (items.size() > config_.partition_capacity) {
+  // Phase 2: iterative partition-and-aggregate over the responders. Each
+  // round deals its partitions round-robin from where the last one ended.
+  const size_t cap = config_.partition_capacity;
+  size_t offset = 0;
+  while (items.size() > cap) {
     obs::Span phase_span("net.aggregate-round", "net");
     phase_span.AddArg("items", static_cast<double>(items.size()));
-    size_t before = items.size();
-    const size_t cap = config_.partition_capacity;
-    const size_t num_parts = (items.size() + cap - 1) / cap;
-    std::vector<std::vector<size_t>> parts_by_session =
-        RoundRobin(num_parts, na, worker);
-    worker += num_parts;
-
-    struct PartOut {
-      std::vector<Bytes> cts;
-      WireCost cost;
-    };
-    std::vector<PartOut> parts(num_parts);
-    std::vector<WireCost> map_cost(na);
-    PDS_RETURN_IF_ERROR(global::FleetExecutor::Run(
-        config_.executor, na, [&](size_t ai) -> Status {
-          if (parts_by_session[ai].empty()) {
-            return Status::Ok();
-          }
-          Session* s = sessions_[active[ai]].get();
-          // Announce this session's slice of the layout, then stream its
-          // partitions in increasing order (token RNG order).
-          PartitionMapMsg pm;
-          pm.round_id = s->next_round_id;
-          pm.parts.reserve(parts_by_session[ai].size());
-          for (size_t pi : parts_by_session[ai]) {
-            size_t start = pi * cap;
-            size_t end = std::min(items.size(), start + cap);
-            pm.parts.push_back(
-                {static_cast<uint32_t>(pi), static_cast<uint32_t>(ai),
-                 static_cast<uint32_t>(end - start)});
-          }
-          Bytes pm_frame =
-              EncodeMessage({std::move(pm), {}, config_.checksum_frames});
-          PDS_RETURN_IF_ERROR(s->transport->Send(pm_frame));
-          map_cost[ai].wire.AddSsiToToken(pm_frame.size());
-          NetHooks().frames_sent->Add(1);
-
-          for (size_t pi : parts_by_session[ai]) {
-            PartOut& po = parts[pi];
-            size_t start = pi * cap;
-            size_t end = std::min(items.size(), start + cap);
-            RoundRequestMsg req;
-            req.header.round_id = s->next_round_id++;
-            req.header.kind = RoundKind::kAggregate;
-            req.header.func = func;
-            req.batch.reserve(end - start);
-            for (size_t i = start; i < end; ++i) {
-              req.batch.push_back(items[i]);
-            }
-            PDS_ASSIGN_OR_RETURN(Message reply,
-                                 RoundTrip(s, std::move(req), &po.cost));
-            TupleBatchMsg* batch = std::get_if<TupleBatchMsg>(&reply.body);
-            if (batch == nullptr) {
-              return Status::FailedPrecondition(
-                  "aggregate round expected a tuple batch");
-            }
-            po.cost.wire.token_crypto_ops += batch->token_ops;
-            po.cts = std::move(batch->batch);
-          }
-          return Status::Ok();
-        }));
-
-    std::vector<Bytes> next;
-    next.reserve(items.size());
-    for (size_t ai = 0; ai < na; ++ai) {
-      map_cost[ai].MergeInto(&out.metrics, &report_);
+    const size_t before = items.size();
+    std::vector<Unit> parts;
+    parts.reserve((before + cap - 1) / cap);
+    for (size_t start = 0; start < before; start += cap) {
+      auto first = std::make_move_iterator(items.begin() + start);
+      auto last = std::make_move_iterator(items.begin() +
+                                          std::min(before, start + cap));
+      parts.push_back({RoundKind::kAggregate, {first, last}});
     }
-    for (size_t pi = 0; pi < num_parts; ++pi) {
-      parts[pi].cost.MergeInto(&out.metrics, &report_);
-      for (Bytes& ct : parts[pi].cts) {
-        observer.ObserveTuple(ByteView(ct));
-        next.push_back(std::move(ct));
+    PDS_ASSIGN_OR_RETURN(
+        std::vector<MessageBody> replies,
+        RunUnits(parts, collected.sessions, offset, func, &out.metrics));
+    offset += parts.size();
+    items.clear();
+    for (MessageBody& reply : replies) {
+      for (Bytes& ct : std::get<TupleBatchMsg>(reply).batch) {
+        run.observer.ObserveTuple(ByteView(ct));
+        items.push_back(std::move(ct));
       }
       ++out.metrics.ssi_ops;  // partition bookkeeping
     }
     ++out.metrics.rounds;
-    if (next.size() >= before) {
+    if (items.size() >= before) {
       return Status::InvalidArgument(
           "partition capacity too small for the number of distinct groups");
     }
-    items = std::move(next);
   }
 
-  // Phase 3: final aggregation inside the first responding token.
+  // Phase 3: final aggregation, one unit dealt to the first responder.
   obs::Span final_span("net.finalize", "net");
   final_span.AddArg("items", static_cast<double>(items.size()));
-  Session* s0 = sessions_[active[0]].get();
-  WireCost final_cost;
-  RoundRequestMsg fin;
-  fin.header.round_id = s0->next_round_id++;
-  fin.header.kind = RoundKind::kFinalize;
-  fin.header.func = func;
-  fin.batch = std::move(items);
-  PDS_ASSIGN_OR_RETURN(Message reply,
-                       RoundTrip(s0, std::move(fin), &final_cost));
-  AggResultMsg* result = std::get_if<AggResultMsg>(&reply.body);
-  if (result == nullptr) {
-    return Status::FailedPrecondition("finalize round expected an agg result");
-  }
-  final_cost.wire.token_crypto_ops += result->token_ops;
-  final_cost.MergeInto(&out.metrics, &report_);
+  std::vector<Unit> finalize(1);
+  finalize[0].kind = RoundKind::kFinalize;
+  finalize[0].batch = std::move(items);
+  PDS_ASSIGN_OR_RETURN(
+      std::vector<MessageBody> result,
+      RunUnits(finalize, collected.sessions, 0, func, &out.metrics));
   ++out.metrics.rounds;
-
-  std::map<std::string, GroupState> final_state;
-  for (const AggResultEntry& e : result->entries) {
-    final_state[e.group].sum += e.sum;
-    final_state[e.group].count += e.count;
-  }
-  out.groups = Finalize(final_state, func);
-  if (config_.adversary.action == AdversaryAction::kForgeAggregate &&
-      !out.groups.empty()) {
-    // The weakly-malicious SSI shaves the first group's value. Without a
-    // sealed round to audit against, the querier catches this by
-    // re-running the aggregate through AuditSealedBatch and comparing.
-    out.groups.begin()->second += 1.0;
-  }
-  out.leakage = observer.Report();
-  global::RecordProtocolRun("net-secure-agg", out.metrics, out.leakage);
-  stats_ring_.Capture(obs::Registry::Global());
-  return out;
+  out.groups = MergeResults(
+      result, func,
+      config_.adversary.action == AdversaryAction::kForgeAggregate);
+  return run.Close(std::move(out), "net-secure-agg");
 }
 
 Result<AggOutput> SsiServer::RunPackedAggregation(
@@ -618,11 +647,9 @@ Result<AggOutput> SsiServer::RunPackedAggregation(
     return Status::InvalidArgument(
         "packed layout does not match the domain (need 2 slots per value)");
   }
-  RunGuard run_guard(&run_active_);
+  RunScope run(this, "net.packed-paillier");
+  run.span.AddArg("domain", static_cast<double>(domain.size()));
   AggOutput out;
-  global::HbcObserver observer;
-  obs::Span protocol_span("net.packed-paillier", "net");
-  protocol_span.AddArg("domain", static_cast<double>(domain.size()));
 
   // The single round: every token packs its counters into one ciphertext.
   // The request batch carries the domain labels in slot order. The
@@ -656,7 +683,7 @@ Result<AggOutput> SsiServer::RunPackedAggregation(
         return Status::Corruption(
             "packed ciphertext exceeds kMaxPackedCiphertextBytes");
       }
-      observer.ObserveTuple(ByteView(batch[0]));
+      run.observer.ObserveTuple(ByteView(batch[0]));
       crypto::BigInt ct = crypto::BigInt::FromBytes(ByteView(batch[0]));
       if (i == 0) {
         acc = std::move(ct);
@@ -681,10 +708,7 @@ Result<AggOutput> SsiServer::RunPackedAggregation(
     gs.count = totals[2 * i + 1];
   }
   out.groups = Finalize(state, func);
-  out.leakage = observer.Report();
-  global::RecordProtocolRun("net-packed-paillier", out.metrics, out.leakage);
-  stats_ring_.Capture(obs::Registry::Global());
-  return out;
+  return run.Close(std::move(out), "net-packed-paillier");
 }
 
 Result<AggOutput> SsiServer::RunDetAggregation(AggFunc func,
@@ -699,11 +723,9 @@ Result<AggOutput> SsiServer::RunDetAggregation(AggFunc func,
   // Parameters every token would refuse fail here, before any frame.
   PDS_RETURN_IF_ERROR(DetSendListSize(params, 0, det.domain.size()).status());
 
-  RunGuard run_guard(&run_active_);
+  RunScope run(this, "net.det-agg");
+  run.span.AddArg("variant", static_cast<double>(det.variant));
   AggOutput out;
-  global::HbcObserver observer;
-  obs::Span protocol_span("net.det-agg", "net");
-  protocol_span.AddArg("variant", static_cast<double>(det.variant));
 
   // Phase 1: kDetCollect fan-out. Batch entry 0 carries the public round
   // parameters; domain-noise rounds append the domain labels.
@@ -733,7 +755,7 @@ Result<AggOutput> SsiServer::RunDetAggregation(AggFunc func,
     for (size_t i = 0; i + 1 < batch.size(); i += 2) {
       Bytes& key = batch[i];
       Bytes& payload = batch[i + 1];
-      observer.ObserveTuple(ByteView(key));
+      run.observer.ObserveTuple(ByteView(key));
       ++out.metrics.ssi_ops;
       if (histogram) {
         if (key.size() != 4) {
@@ -741,152 +763,42 @@ Result<AggOutput> SsiServer::RunDetAggregation(AggFunc func,
         }
         buckets[GetU32(key.data())].push_back(std::move(payload));
       } else {
-        classes[key].push_back(std::move(payload));
+        std::vector<Bytes>& unit = classes[key];
+        if (unit.empty()) {
+          unit.push_back(key);  // entry 0: the class key
+        }
+        unit.push_back(std::move(payload));
       }
     }
   }
-  const std::vector<size_t>& active = collected.sessions;
 
-  // Phase 2: one class/bucket aggregation request per equality class,
-  // distributed round-robin over the responding sessions in class order. A
-  // session that vanishes mid-phase fails over: its unfinished classes go
-  // to the next live responder.
-  struct ClassUnit {
-    RoundKind kind = RoundKind::kClassAggregate;
-    std::vector<Bytes> batch;  // [key, payloads...] or [payloads...]
-  };
-  std::vector<ClassUnit> units;
+  // Phase 2: one class/bucket aggregation request per equality class, in
+  // class order, dealt round-robin over the responders.
+  std::vector<Unit> units;
   units.reserve(histogram ? buckets.size() : classes.size());
-  if (histogram) {
-    for (auto& [bucket, payloads] : buckets) {
-      ClassUnit u;
-      u.kind = RoundKind::kFinalize;
-      u.batch = std::move(payloads);
-      units.push_back(std::move(u));
-    }
-  } else {
-    for (auto& [key, payloads] : classes) {
-      ClassUnit u;
-      u.kind = RoundKind::kClassAggregate;
-      u.batch.reserve(payloads.size() + 1);
-      u.batch.push_back(key);
-      for (Bytes& p : payloads) {
-        u.batch.push_back(std::move(p));
-      }
-      units.push_back(std::move(u));
-    }
+  for (auto& [bucket, payloads] : buckets) {
+    units.push_back({RoundKind::kFinalize, std::move(payloads)});
   }
-
-  const size_t na = active.size();
-  const size_t num_units = units.size();
-  std::vector<AggResultMsg> results(num_units);
-  std::vector<uint8_t> done(num_units, 0);
-  std::vector<WireCost> unit_cost(num_units);
-  std::vector<std::vector<size_t>> by_session = RoundRobin(num_units, na, 0);
-
-  auto run_unit = [&](Session* s, size_t ui) -> Status {
-    RoundRequestMsg req;
-    req.header.round_id = s->next_round_id++;
-    req.header.kind = units[ui].kind;
-    req.header.func = func;
-    req.batch = units[ui].batch;
-    PDS_ASSIGN_OR_RETURN(Message reply,
-                         RoundTrip(s, std::move(req), &unit_cost[ui]));
-    AggResultMsg* result = std::get_if<AggResultMsg>(&reply.body);
-    if (result == nullptr) {
-      return Status::FailedPrecondition(
-          "class aggregation expected an agg result");
-    }
-    unit_cost[ui].wire.token_crypto_ops += result->token_ops;
-    results[ui] = std::move(*result);
-    done[ui] = 1;
-    return Status::Ok();
-  };
-
+  for (auto& [key, batch] : classes) {
+    units.push_back({RoundKind::kClassAggregate, std::move(batch)});
+  }
+  std::vector<MessageBody> results;
   {
     obs::Span phase_span("net.class-aggregate", "net");
-    phase_span.AddArg("classes", static_cast<double>(num_units));
-    PDS_RETURN_IF_ERROR(global::FleetExecutor::Run(
-        config_.executor, na, [&](size_t ai) -> Status {
-          Session* s = sessions_[active[ai]].get();
-          for (size_t ui : by_session[ai]) {
-            Status st = run_unit(s, ui);
-            if (!st.ok()) {
-              if (IsStragglerFailure(st)) {
-                DropStraggler(s);  // failover picks up this session's rest
-                return Status::Ok();
-              }
-              return st;
-            }
-          }
-          return Status::Ok();
-        }));
-    // Failover pass (serial): reassign unfinished classes to any session
-    // that is still alive, in active order.
-    for (size_t ui = 0; ui < num_units; ++ui) {
-      if (done[ui] != 0) {
-        continue;
-      }
-      bool recovered = false;
-      for (size_t ai = 0; ai < na && !recovered; ++ai) {
-        Session* s = sessions_[active[ai]].get();
-        if (!s->alive) {
-          continue;
-        }
-        Status st = run_unit(s, ui);
-        if (st.ok()) {
-          recovered = true;
-        } else if (IsStragglerFailure(st)) {
-          DropStraggler(s);
-        } else {
-          return st;
-        }
-      }
-      if (!recovered) {
-        return Status::FailedPrecondition(
-            "every responding token vanished before class " +
-            std::to_string(ui) + " could be aggregated");
-      }
-    }
-  }
-
-  // Merge in class order (map order).
-  std::map<std::string, GroupState> state;
-  for (size_t ui = 0; ui < num_units; ++ui) {
-    unit_cost[ui].MergeInto(&out.metrics, &report_);
-    for (const AggResultEntry& e : results[ui].entries) {
-      state[e.group].sum += e.sum;
-      state[e.group].count += e.count;
-    }
+    phase_span.AddArg("classes", static_cast<double>(units.size()));
+    PDS_ASSIGN_OR_RETURN(
+        results, RunUnits(units, collected.sessions, 0, func, &out.metrics));
   }
   ++out.metrics.rounds;
-
-  out.groups = Finalize(state, func);
-  if (config_.adversary.action == AdversaryAction::kForgeAggregate &&
-      !out.groups.empty()) {
-    out.groups.begin()->second += 1.0;
-  }
-  out.leakage = observer.Report();
-  switch (det.variant) {
-    case DetVariant::kWhiteNoise:
-      global::RecordProtocolRun("net-white-noise", out.metrics, out.leakage);
-      break;
-    case DetVariant::kDomainNoise:
-      global::RecordProtocolRun("net-domain-noise", out.metrics, out.leakage);
-      break;
-    case DetVariant::kHistogram:
-      global::RecordProtocolRun("net-histogram", out.metrics, out.leakage);
-      break;
-  }
-  stats_ring_.Capture(obs::Registry::Global());
-  return out;
+  out.groups = MergeResults(
+      results, func,
+      config_.adversary.action == AdversaryAction::kForgeAggregate);
+  return run.Close(std::move(out), DetRunName(det.variant));
 }
 
 Result<SsiServer::SealedCollect> SsiServer::RunSealedCollect() {
-  RunGuard run_guard(&run_active_);
+  RunScope run(this, "net.sealed-collect");
   SealedCollect out;
-  global::HbcObserver observer;
-  obs::Span protocol_span("net.sealed-collect", "net");
 
   RoundRequestMsg request;
   request.header.kind = RoundKind::kSealedCollect;
@@ -905,7 +817,7 @@ Result<SsiServer::SealedCollect> SsiServer::RunSealedCollect() {
     for (size_t i = 1; i < reply.batch.size(); ++i) {
       PDS_ASSIGN_OR_RETURN(global::SealedTuple t,
                            global::DecodeSealedTuple(ByteView(reply.batch[i])));
-      observer.ObserveTuple(ByteView(t.payload_ct));
+      run.observer.ObserveTuple(ByteView(t.payload_ct));
       ++out.metrics.ssi_ops;
       out.tuples.push_back(std::move(t));
     }
@@ -915,18 +827,39 @@ Result<SsiServer::SealedCollect> SsiServer::RunSealedCollect() {
   // contributions and before the pool reaches the querier.
   out.adversary_note =
       ApplySealedTampering(config_.adversary, &out.tuples, &out.manifests);
-
-  out.leakage = observer.Report();
-  global::RecordProtocolRun("net-sealed-collect", out.metrics, out.leakage);
-  stats_ring_.Capture(obs::Registry::Global());
-  return out;
+  return run.Close(std::move(out), "net-sealed-collect");
 }
 
-Result<std::string> SsiServer::InjectStaleRound(size_t idx) {
+Result<SsiServer::Session*> SsiServer::LiveSession(size_t idx) {
   if (idx >= sessions_.size() || !sessions_[idx]->alive) {
     return Status::InvalidArgument("no live session at this index");
   }
-  Session* s = sessions_[idx].get();
+  return sessions_[idx].get();
+}
+
+Result<std::string> SsiServer::Probe(Session* s, const Bytes& frame,
+                                     uint8_t code, std::string verdict,
+                                     const char* breach,
+                                     const char* closed_verdict) {
+  PDS_RETURN_IF_ERROR(s->transport->Send(frame));
+  auto reply = s->transport->Recv(config_.deadline_ms);
+  if (!reply.ok()) {
+    if (closed_verdict != nullptr && IsStragglerFailure(reply.status())) {
+      s->alive = false;
+      return std::string(closed_verdict);
+    }
+    return reply.status();
+  }
+  PDS_ASSIGN_OR_RETURN(Message m, DecodeMessage(reply.value()));
+  const ErrorMsg* err = std::get_if<ErrorMsg>(&m.body);
+  if (err == nullptr || err->code != code) {
+    return Status::IntegrityViolation(breach);
+  }
+  return verdict + err->message;
+}
+
+Result<std::string> SsiServer::InjectStaleRound(size_t idx) {
+  PDS_ASSIGN_OR_RETURN(Session * s, LiveSession(idx));
   if (s->next_round_id < 2) {
     return Status::FailedPrecondition(
         "session has no completed round to replay");
@@ -935,75 +868,33 @@ Result<std::string> SsiServer::InjectStaleRound(size_t idx) {
   req.header.round_id = s->next_round_id - 2;  // strictly below the latest
   req.header.kind = RoundKind::kCollect;
   req.header.func = global::AggFunc::kSum;
-  PDS_RETURN_IF_ERROR(
-      s->transport->Send(EncodeMessage({req, {}, config_.checksum_frames})));
-  PDS_ASSIGN_OR_RETURN(Bytes reply, s->transport->Recv(config_.deadline_ms));
-  PDS_ASSIGN_OR_RETURN(Message m, DecodeMessage(reply));
-  const ErrorMsg* err = std::get_if<ErrorMsg>(&m.body);
-  if (err == nullptr || err->code != 4) {
-    return Status::IntegrityViolation(
-        "token ANSWERED a replayed stale round instead of rejecting it");
-  }
-  return "stale round " + std::to_string(req.header.round_id) +
-         " rejected: " + err->message;
+  return Probe(s, EncodeMessage({req, {}, config_.checksum_frames}), 4,
+               "stale round " + std::to_string(req.header.round_id) +
+                   " rejected: ",
+               "token ANSWERED a replayed stale round instead of rejecting "
+               "it");
 }
 
 Result<std::string> SsiServer::InjectOversizedFrame(size_t idx) {
-  if (idx >= sessions_.size() || !sessions_[idx]->alive) {
-    return Status::InvalidArgument("no live session at this index");
-  }
-  Session* s = sessions_[idx].get();
+  PDS_ASSIGN_OR_RETURN(Session * s, LiveSession(idx));
   // A bare header declaring an impossible payload. Depending on the
   // transport the token either sees the header-only frame (in-process) and
   // rejects it, or its socket layer refuses the header before allocation
   // and the session dies cleanly — both are the defence working.
-  Bytes frame(kFrameHeaderSize, 0);  // flags byte 0: a plain frame
-  frame[0] = static_cast<uint8_t>(kMagic & 0xff);
-  frame[1] = static_cast<uint8_t>(kMagic >> 8);
-  frame[3] = static_cast<uint8_t>(MsgType::kRoundRequest);
-  EncodeU32(frame.data() + 4, static_cast<uint32_t>(kMaxFramePayload) + 1);
-  PDS_RETURN_IF_ERROR(s->transport->Send(frame));
-  auto reply = s->transport->Recv(config_.deadline_ms);
-  if (!reply.ok()) {
-    if (IsStragglerFailure(reply.status())) {
-      s->alive = false;
-      return std::string(
-          "token refused the oversized frame; session closed cleanly");
-    }
-    return reply.status();
-  }
-  PDS_ASSIGN_OR_RETURN(Message m, DecodeMessage(reply.value()));
-  const ErrorMsg* err = std::get_if<ErrorMsg>(&m.body);
-  if (err == nullptr || err->code != 3) {
-    return Status::IntegrityViolation(
-        "token accepted a frame declaring an oversized payload");
-  }
-  return "oversized frame rejected before allocation: " + err->message;
+  return Probe(s, RawRoundRequest(kMaxFramePayload + 1, 0), 3,
+               "oversized frame rejected before allocation: ",
+               "token accepted a frame declaring an oversized payload",
+               "token refused the oversized frame; session closed cleanly");
 }
 
 Result<std::string> SsiServer::InjectMalformedFrame(size_t idx) {
-  if (idx >= sessions_.size() || !sessions_[idx]->alive) {
-    return Status::InvalidArgument("no live session at this index");
-  }
-  Session* s = sessions_[idx].get();
+  PDS_ASSIGN_OR_RETURN(Session * s, LiveSession(idx));
   // Valid header, garbage payload: must fail structured decode on the
   // token without killing its serve loop.
-  constexpr size_t kGarbage = 16;
-  Bytes frame(kFrameHeaderSize + kGarbage, 0xFF);
-  frame[0] = static_cast<uint8_t>(kMagic & 0xff);
-  frame[1] = static_cast<uint8_t>(kMagic >> 8);
-  frame[2] = 0;  // no flags: a plain frame
-  frame[3] = static_cast<uint8_t>(MsgType::kRoundRequest);
-  EncodeU32(frame.data() + 4, kGarbage);
-  PDS_RETURN_IF_ERROR(s->transport->Send(frame));
-  PDS_ASSIGN_OR_RETURN(Bytes reply, s->transport->Recv(config_.deadline_ms));
-  PDS_ASSIGN_OR_RETURN(Message m, DecodeMessage(reply));
-  const ErrorMsg* err = std::get_if<ErrorMsg>(&m.body);
-  if (err == nullptr || err->code != 3) {
-    return Status::IntegrityViolation(
-        "token did not reject a malformed round request");
-  }
-  return "malformed frame rejected: " + err->message;
+  constexpr uint32_t kGarbage = 16;
+  return Probe(s, RawRoundRequest(kGarbage, kGarbage), 3,
+               "malformed frame rejected: ",
+               "token did not reject a malformed round request");
 }
 
 std::vector<SsiServer::SessionTelemetry> SsiServer::Telemetry() const {

@@ -49,8 +49,6 @@ class SsiServer {
     /// Fleet-provisioned token the SSI hands challenge/proof pairs to for
     /// membership verification (the SSI itself never holds the fleet key).
     mcu::SecureToken* verifier = nullptr;
-    /// Seed for handshake challenge nonces (deterministic tests).
-    uint64_t nonce_seed = 42;
     /// Close every session frame with an FNV-1a64 checksum trailer (flag
     /// bit 1, alongside any trace context). Tokens answer each frame with
     /// its own checksum bit, and a reply without a verified trailer counts
@@ -101,9 +99,11 @@ class SsiServer {
   [[nodiscard]] size_t num_sessions() const { return sessions_.size(); }
 
   /// Executes the secure-aggregation protocol over all live sessions.
-  /// Collect-round stragglers are tolerated down to the configured quorum;
-  /// a token that vanishes mid-aggregation fails the run (its partition's
-  /// data cannot be recovered).
+  /// Collect-round stragglers are tolerated down to the configured quorum.
+  /// The partition and finalize rounds run through RunUnits: the units of
+  /// a token that vanishes after collect fail over to the first live
+  /// responder, since the SSI still holds their ciphertexts and every fleet
+  /// token can aggregate them.
   [[nodiscard]] Result<global::AggOutput> RunSecureAggregation(
       global::AggFunc func);
 
@@ -136,9 +136,8 @@ class SsiServer {
   /// Executes one det-encryption protocol over all live sessions: a
   /// kDetCollect fan-out (stragglers tolerated down to quorum), SSI-side
   /// grouping by deterministic ciphertext (or plaintext bucket id), then
-  /// per-class kClassAggregate / per-bucket kFinalize rounds distributed
-  /// round-robin over the responding tokens, with failover to the next
-  /// live token when a class's assignee vanishes mid-round.
+  /// per-class kClassAggregate / per-bucket kFinalize rounds run through
+  /// RunUnits, with the same failover as secure-agg's partitions.
   [[nodiscard]] Result<global::AggOutput> RunDetAggregation(
       global::AggFunc func, const DetRunConfig& det);
 
@@ -226,6 +225,7 @@ class SsiServer {
     std::unique_ptr<SessionStats> stats;
   };
   struct WireCost;  // per-work-unit wire accounting (defined in the .cc)
+  class RunScope;   // one protocol run's frame and epilogue (in the .cc)
 
   /// Sends `request` on the session, encoded once with this round trip's
   /// trace context and Config::checksum_frames, and waits for the reply
@@ -233,7 +233,10 @@ class SsiServer {
   /// (a lower round id, e.g. a late answer to an earlier retry) and
   /// undecodable frames are discarded in place — a lossy or bit-flipping
   /// link must not kill the session while the stream itself stays framed.
-  /// `cost` accumulates the measured frame bytes both ways.
+  /// The reply must be the type the request's kind expects: an AggResultMsg
+  /// for kFinalize and kClassAggregate, a TupleBatchMsg for every other
+  /// kind. `cost` accumulates the measured frame bytes both ways and the
+  /// token ops the reply reports.
   [[nodiscard]] Result<Message> RoundTrip(Session* s, RoundRequestMsg request,
                                           WireCost* cost);
 
@@ -259,6 +262,38 @@ class SsiServer {
   [[nodiscard]] Result<Collected> CollectRound(const RoundRequestMsg& request,
                                                global::Metrics* metrics);
 
+  /// One request of a round that follows collect: a secure-agg partition
+  /// (kAggregate) or finalize (kFinalize), or a det class (kClassAggregate)
+  /// or bucket (kFinalize).
+  struct Unit {
+    RoundKind kind = RoundKind::kAggregate;
+    std::vector<Bytes> batch;
+  };
+  /// Every round that follows collect. Unit u goes to responder
+  /// (offset + u) % n of the collect round's `responders`, and each
+  /// responder runs its units in increasing order on the executor, so token
+  /// RNGs and op counters advance alike at any executor width. A straggler
+  /// failure drops the session; a serial pass then hands each unfinished
+  /// unit, in order, to the first live responder. Any other failure, or a
+  /// unit no live responder is left to take, fails the run. Wire costs
+  /// merge into `metrics` and the RoundReport in unit order. Returns one
+  /// reply body per unit, of the type RoundTrip checked for its kind.
+  [[nodiscard]] Result<std::vector<MessageBody>> RunUnits(
+      const std::vector<Unit>& units, const std::vector<size_t>& responders,
+      size_t offset, global::AggFunc func, global::Metrics* metrics);
+
+  /// The live session at `idx`, or InvalidArgument.
+  [[nodiscard]] Result<Session*> LiveSession(size_t idx);
+  /// Shared body of the Inject* probes: sends the hostile `frame` on `s`
+  /// and, when the token answers with ErrorMsg `code`, returns `verdict`
+  /// followed by the token's error text. Any other answer is the
+  /// IntegrityViolation `breach`. With `closed_verdict` set, a token that
+  /// closes the session instead defends too: the session dies and
+  /// `closed_verdict` is returned.
+  [[nodiscard]] Result<std::string> Probe(
+      Session* s, const Bytes& frame, uint8_t code, std::string verdict,
+      const char* breach, const char* closed_verdict = nullptr);
+
   Config config_;
   Clock* clock_;  // never null: Config::clock or the wall clock
   std::vector<std::unique_ptr<Session>> sessions_;
@@ -273,8 +308,8 @@ class SsiServer {
   obs::Histogram rtt_us_;  // fleet-wide round-trip latency, µs
   obs::SnapshotRing stats_ring_{8};
   /// Trace ids for outgoing trace-context blocks. Seeded from the public
-  /// nonce seed — deliberately the *non-secret* RNG: trace ids travel in
-  /// cleartext (EncodeMessage is a secret-flow sink).
+  /// handshake nonce seed — deliberately the *non-secret* RNG: trace ids
+  /// travel in cleartext (EncodeMessage is a secret-flow sink).
   Rng trace_rng_;
   uint64_t run_trace_id_ = 0;
 };

@@ -23,6 +23,12 @@ struct GroupState {
 /// up on the stream — a hostile or broken SSI must not spin us forever.
 constexpr uint32_t kMaxMalformedFrames = 8;
 
+/// Churn/reconnect attempts across a client's lifetime.
+constexpr uint32_t kMaxReconnects = 1;
+/// Reconnect attempt k sleeps kReconnectBackoffMs * k plus a seeded jitter
+/// in [0, kReconnectBackoffMs] before dialing.
+constexpr uint32_t kReconnectBackoffMs = 1;
+
 /// Decrypts a ciphertext batch into per-group partial aggregates, counting
 /// one token op per decryption.
 Result<std::map<std::string, GroupState>> DecryptAndAggregate(
@@ -110,9 +116,6 @@ Result<TokenSession::Outcome> TokenSession::OnServingFrame(const Message& m) {
   if (std::get_if<ByeMsg>(&m.body) != nullptr) {
     out.done = true;
     return out;
-  }
-  if (std::get_if<PartitionMapMsg>(&m.body) != nullptr) {
-    return out;  // layout announcement; the requests follow
   }
   const RoundRequestMsg* req = std::get_if<RoundRequestMsg>(&m.body);
   if (req == nullptr) {
@@ -533,7 +536,7 @@ Status TokenClient::MaybeChurn() {
   const FaultPlan& fp = config_.faults;
   if (fp.disconnect_after_replies == 0 ||
       replies_since_connect_ < fp.disconnect_after_replies ||
-      reconnects_done_ >= config_.max_reconnects) {
+      reconnects_done_ >= kMaxReconnects) {
     return Status::Ok();
   }
   ++reconnects_done_;
@@ -547,8 +550,8 @@ Status TokenClient::MaybeChurn() {
     return Status::Ok();
   }
   uint32_t backoff =
-      config_.reconnect_backoff_ms * reconnects_done_ +
-      static_cast<uint32_t>(rng_.Uniform(config_.reconnect_backoff_ms + 1));
+      kReconnectBackoffMs * reconnects_done_ +
+      static_cast<uint32_t>(rng_.Uniform(kReconnectBackoffMs + 1));
   clock_->SleepMs(backoff);
   PDS_ASSIGN_OR_RETURN(std::unique_ptr<Transport> fresh, config_.reconnect());
   transport_ = std::move(fresh);

@@ -135,14 +135,11 @@ class TokenClient {
     FaultPlan faults;
     /// Reconnect factory for churn: returns a fresh transport whose peer
     /// end the harness has handed to SsiServer::ReadmitSession. Null means
-    /// a churned client simply stays gone (the SSI degrades to quorum).
+    /// a churned client simply stays gone (the SSI degrades to quorum). A
+    /// client churns and re-dials at most once in its lifetime, after a
+    /// 1 ms backoff plus a seeded jitter in [0, 1] ms — a thundering herd
+    /// of churned tokens must not re-arrive in lockstep.
     std::function<Result<std::unique_ptr<Transport>>()> reconnect;
-    /// Reconnect attempt k sleeps backoff*k plus a seeded jitter in
-    /// [0, backoff] before dialing — a thundering herd of churned tokens
-    /// must not re-arrive in lockstep.
-    uint32_t reconnect_backoff_ms = 5;
-    /// Bound on reconnect attempts across the client's lifetime.
-    uint32_t max_reconnects = 2;
     /// Packed-Paillier context (the querier's public packing parameters,
     /// distributed out of band before the round). Required to answer
     /// kPackedCollect rounds; null tokens refuse them with an ErrorMsg.

@@ -45,7 +45,7 @@ Status SimFleet::Build() {
   scfg.executor = nullptr;  // the event loop is single-threaded by design
   scfg.verifier = verifier_.get();
   scfg.clock = clock_.get();
-  scfg.lean_sessions = config_.lean_sessions;
+  scfg.lean_sessions = true;  // per-session telemetry is a no-go at 10^6
   server_ = std::make_unique<net::SsiServer>(scfg);
 
   const size_t n = config_.num_tokens;

@@ -38,10 +38,6 @@ std::vector<Message> AllMessageTypes() {
   req.header = {7, RoundKind::kAggregate, global::AggFunc::kAvg};
   req.batch = {SomeCiphertext(2, 40), SomeCiphertext(3, 64)};
   msgs.push_back({req});
-  PartitionMapMsg pm;
-  pm.round_id = 9;
-  pm.parts = {{0, 2, 100}, {1, 0, 56}};
-  msgs.push_back({pm});
   TupleBatchMsg tb;
   tb.round_id = 7;
   tb.token_ops = 12;
@@ -334,9 +330,15 @@ TEST(NetCodecTest, StatsReplyRejectsOversizedDeclaredJson) {
 }
 
 TEST(NetCodecTest, HeaderRejectsUnknownType) {
-  Bytes frame = EncodeMessage({ByeMsg{}});
-  frame[3] = 200;
-  EXPECT_EQ(DecodeMessage(frame).status().code(), StatusCode::kCorruption);
+  // Message types are contiguous from 1: one past kStatsReply is as unknown
+  // as 0 or 200.
+  const uint8_t one_past = static_cast<uint8_t>(MsgType::kStatsReply) + 1;
+  for (uint8_t type : {uint8_t{0}, one_past, uint8_t{200}}) {
+    SCOPED_TRACE(static_cast<int>(type));
+    Bytes frame = EncodeMessage({ByeMsg{}});
+    frame[3] = type;
+    EXPECT_EQ(DecodeMessage(frame).status().code(), StatusCode::kCorruption);
+  }
 }
 
 TEST(NetCodecTest, HeaderRejectsOversizedDeclaredLength) {

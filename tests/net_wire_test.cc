@@ -684,6 +684,68 @@ TEST(NetQuorumTest, RetryRecoversFlakyToken) {
 }
 
 // ---------------------------------------------------------------------------
+// Failover in the rounds after collect
+
+/// Secure-agg over four threaded tokens at a partition capacity that deals
+/// token 0 the first partition of the one aggregate round. Token 0 answers
+/// `replies` rounds and then disconnects for good (no reconnect factory).
+/// The SSI still holds every ciphertext it collected and any fleet token
+/// can aggregate them, so the run must complete with the full answer.
+void ExpectSecureAggSurvivesToken0LeavingAfter(uint64_t replies) {
+  TestFleet fleet = MakeTestFleet(4);
+  SsiServer::Config scfg;
+  scfg.partition_capacity = 16;
+  scfg.verifier = fleet.verifier.get();
+  SsiServer server(scfg);
+  FaultPlan plan;
+  plan.seed = 21;
+  plan.disconnect_after_replies = replies;
+  auto clients = ConnectClients(&server, &fleet, plan);
+  auto output = server.RunSecureAggregation(AggFunc::kSum);
+  server.Shutdown();
+  for (size_t i = 0; i < clients.size(); ++i) {
+    clients[i]->Stop();
+    Status st = clients[i]->Join();
+    // Token 0 may still read a request the SSI queued before its link
+    // closed; its reply then fails. The others must end cleanly.
+    if (i > 0) {
+      EXPECT_TRUE(st.ok()) << "token " << i << ": " << st.ToString();
+    }
+  }
+  ASSERT_TRUE(output.ok()) << output.status().ToString() << "\nfaults (seed "
+                           << plan.seed << "):\n"
+                           << clients[0]->injection_log().ToString();
+  EXPECT_EQ(clients[0]->injection_log().Count(FaultKind::kChurn), 1u);
+
+  // Collect heard every token, so the answer covers all four.
+  EXPECT_EQ(output->groups,
+            global::PlainAggregate(fleet.participants, AggFunc::kSum));
+  EXPECT_EQ(server.last_report().responders, 4u);
+  EXPECT_EQ(output->metrics.tokens_missing, 0u);
+  // Collect, one aggregate round, finalize.
+  EXPECT_EQ(output->metrics.rounds, 3u);
+  std::vector<SsiServer::SessionTelemetry> telemetry = server.Telemetry();
+  ASSERT_EQ(telemetry.size(), 4u);
+  EXPECT_EQ(telemetry[0].round_trips, replies);
+  EXPECT_EQ(telemetry[0].stragglers, 1u);
+  for (size_t i = 1; i < telemetry.size(); ++i) {
+    EXPECT_EQ(telemetry[i].stragglers, 0u) << "token " << i;
+  }
+}
+
+TEST(NetFailoverTest, SecureAggPartitionMovesOnWhenItsTokenLeaves) {
+  // Token 0 answers collect only: its partition goes to token 1, and so
+  // does the finalize dealt to token 0.
+  ExpectSecureAggSurvivesToken0LeavingAfter(/*replies=*/1);
+}
+
+TEST(NetFailoverTest, SecureAggFinalizeMovesOnWhenItsTokenLeaves) {
+  // Token 0 answers collect and its partition, then leaves before the
+  // finalize dealt to it.
+  ExpectSecureAggSurvivesToken0LeavingAfter(/*replies=*/2);
+}
+
+// ---------------------------------------------------------------------------
 // Handshake
 
 // ---------------------------------------------------------------------------
@@ -1002,6 +1064,40 @@ TEST(NetStatsTest, TelemetryCountsRoundTripsPerSession) {
     EXPECT_GT(t.buffer_high_water, 0.0);
   }
   EXPECT_GT(server.rtt_histogram().count(), 0u);
+}
+
+TEST(NetStatsTest, SessionDroppedOnSendLeavesNothingInFlight) {
+  // A session whose link closed before the run fails its collect send and
+  // is dropped as a straggler. Its in-flight gauge must fall back to 0
+  // like every other session's, not keep the unsent collect frame's size.
+  TestFleet fleet = MakeTestFleet(3);
+  SsiServer::Config scfg;
+  scfg.verifier = fleet.verifier.get();
+  scfg.quorum = 0.6;
+  scfg.lean_sessions = false;
+  SsiServer server(scfg);
+  std::vector<DirectTokenLink*> links;
+  for (size_t i = 0; i < fleet.participants.size(); ++i) {
+    auto link = std::make_unique<DirectTokenLink>(
+        fleet.tokens[i].get(), &fleet.participants[i].tuples, nullptr);
+    links.push_back(link.get());
+    ASSERT_TRUE(server.AcceptSession(std::move(link)).ok());
+  }
+  links[1]->Close();
+  auto output = server.RunSecureAggregation(AggFunc::kSum);
+  ASSERT_TRUE(output.ok()) << output.status().ToString();
+  const std::vector<Participant> answered = {fleet.participants[0],
+                                             fleet.participants[2]};
+  EXPECT_EQ(output->groups, global::PlainAggregate(answered, AggFunc::kSum));
+
+  std::vector<SsiServer::SessionTelemetry> telemetry = server.Telemetry();
+  ASSERT_EQ(telemetry.size(), 3u);
+  EXPECT_FALSE(telemetry[1].alive);
+  EXPECT_EQ(telemetry[1].stragglers, 1u);
+  for (const auto& t : telemetry) {
+    EXPECT_DOUBLE_EQ(t.buffer_bytes, 0.0) << "token " << t.token_id;
+    EXPECT_GT(t.buffer_high_water, 0.0) << "token " << t.token_id;
+  }
 }
 
 TEST(NetStatsTest, StatsRequestReturnsLiveJsonSnapshot) {

@@ -334,7 +334,6 @@ std::vector<AnchorCell> FaultMatrix() {
   AnchorCell delay;
   delay.name = "delay";
   delay.faults.delay_rate = 0.5;
-  delay.faults.delay_ms = 10;
   delay.faults.max_injections = 2;
   plans.push_back(delay);
 
