@@ -2,6 +2,16 @@
 """Validates bench exports against bench/bench_schema.json.
 
 Usage: validate_bench.py FILE...
+       validate_bench.py --compare OLD NEW
+
+--compare checks that NEW reports the same counters as OLD, usually the
+parent commit's file (git show HEAD~1:BENCH_x.json > old.json). Every field
+must match exactly, except the fields the schema's compare section names
+measured (wall-clock, timing-derived and RSS fields): those are printed but
+never fail. Records pair up by position, or by the key compare.match_by
+names for NEW's basename (BENCH_obs.json: the metric name, so a change in
+registration order is not a difference). Exits 1 when a counter moved or a
+field or record was added or dropped.
 
 Each file's checks are picked from its basename. Every record must carry
 its schema fields, numeric unless the schema's non_numeric_fields names
@@ -40,6 +50,7 @@ list must be non-empty.
 Stdlib only. Exits 0 when every file passes, 1 with its problems otherwise.
 """
 
+import fnmatch
 import json
 import math
 import os
@@ -644,7 +655,102 @@ def validate(path, schema):
     return problems
 
 
+def record_label(rec):
+    """How compare output names a record: its series, metric, op or
+    section."""
+    if "exp" in rec:
+        return f" ({rec.get('exp')}/{rec.get('series')})"
+    for key in ("name", "op", "section"):
+        if isinstance(rec.get(key), str):
+            return f" ({rec[key]})"
+    return ""
+
+
+def compare_values(old, new, where, spec, result):
+    """Walks OLD and NEW side by side. result["moved"] collects measured
+    fields that differ, result["problems"] everything else that differs,
+    and result["identical"] counts the counters that match."""
+    if isinstance(old, dict) and isinstance(new, dict):
+        name = old.get("name")
+        extra = (spec["measured_metric_fields"].get(name, [])
+                 if isinstance(name, str) else [])
+        for key in sorted(old.keys() | new.keys()):
+            keyed = key.startswith("[")  # a record matched by its key
+            path = f"{where}.{key}" if where and not keyed else where + key
+            if key not in new or key not in old:
+                result["problems"].append(
+                    f"{path}: {'dropped' if key not in new else 'added'}")
+                continue
+            a, b = old[key], new[key]
+            if isinstance(a, (dict, list)) or isinstance(b, (dict, list)):
+                compare_values(a, b, path, spec, result)
+            elif a == b and isinstance(a, bool) == isinstance(b, bool):
+                result["identical"] += 1
+            elif key in extra or any(fnmatch.fnmatchcase(key, pattern)
+                                     for pattern in spec["measured_fields"]):
+                result["moved"].append(f"{path}: {a!r} -> {b!r}")
+            else:
+                result["problems"].append(f"{path}: {a!r} -> {b!r}")
+    elif isinstance(old, list) and isinstance(new, list):
+        if len(old) != len(new):
+            result["problems"].append(
+                f"{where}: {len(old)} entries -> {len(new)}")
+        for i, (a, b) in enumerate(zip(old, new)):
+            label = record_label(a) if isinstance(a, dict) else ""
+            compare_values(a, b, f"{where}[{i}]{label}", spec, result)
+    else:
+        result["problems"].append(f"{where}: {old!r} -> {new!r}")
+
+
+def compare(old_path, new_path, schema):
+    """The compare result of NEW against OLD: lists of problems and moved
+    measured fields, and the count of identical counters."""
+    spec = schema["compare"]
+    result = {"problems": [], "moved": [], "identical": 0}
+    docs = []
+    for path in (old_path, new_path):
+        try:
+            with open(path) as f:
+                docs.append(json.load(f))
+        except (OSError, json.JSONDecodeError) as e:
+            result["problems"].append(f"cannot load {path}: {e}")
+            return result
+    key = spec["match_by"].get(os.path.basename(new_path))
+    if key is not None:
+        for path, doc in zip((old_path, new_path), docs):
+            if isinstance(doc, dict) and isinstance(doc.get("records"), list):
+                recs = doc["records"]
+                doc["records"] = {f"[{r.get(key)}]": r for r in recs
+                                  if isinstance(r, dict)}
+                if len(doc["records"]) != len(recs):
+                    result["problems"].append(
+                        f"{path}: records do not each have their own "
+                        f"'{key}'")
+    compare_values(docs[0], docs[1], "", spec, result)
+    return result
+
+
+def main_compare(old_path, new_path):
+    with open(SCHEMA_PATH) as f:
+        schema = json.load(f)
+    result = compare(old_path, new_path, schema)
+    tag = f"validate_bench: compare {old_path} {new_path}"
+    for line in result["moved"]:
+        print(f"{tag}: measured {line}")
+    for line in result["problems"]:
+        print(f"{tag}: {line}", file=sys.stderr)
+    print(f"{tag}: {result['identical']} counters identical, "
+          f"{len(result['moved'])} measured fields moved, "
+          f"{len(result['problems'])} differences")
+    return 1 if result["problems"] else 0
+
+
 def main(paths):
+    if paths[:1] == ["--compare"]:
+        if len(paths) != 3:
+            print(__doc__, file=sys.stderr)
+            return 1
+        return main_compare(paths[1], paths[2])
     if not paths:
         print(__doc__, file=sys.stderr)
         return 1

@@ -1,9 +1,8 @@
 #include "global/common.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
-
-#include "obs/obs.h"
 
 namespace pds::global {
 
@@ -84,48 +83,6 @@ std::map<std::string, double> PlainAggregate(
     }
   }
   return out;
-}
-
-void RecordProtocolRun(const char* name, const Metrics& metrics,
-                       const LeakageReport& leakage) {
-  // Fleet-wide accumulators; resolved once, then plain atomic adds.
-  struct ProtocolObs {
-    obs::Counter* runs;
-    obs::Counter* rounds;
-    obs::Counter* token_to_ssi_bytes;
-    obs::Counter* ssi_to_token_bytes;
-    obs::Counter* messages;
-    obs::Counter* token_crypto_ops;
-    obs::Counter* ssi_ops;
-  };
-  static const ProtocolObs hooks = [] {
-    obs::Registry& reg = obs::Registry::Global();
-    return ProtocolObs{
-        reg.GetCounter("protocol.runs", "ops"),
-        reg.GetCounter("protocol.rounds", "ops"),
-        reg.GetCounter("wire.token_to_ssi_bytes", "bytes"),
-        reg.GetCounter("wire.ssi_to_token_bytes", "bytes"),
-        reg.GetCounter("wire.messages", "ops"),
-        reg.GetCounter("protocol.token_crypto_ops", "ops"),
-        reg.GetCounter("protocol.ssi_ops", "ops")};
-  }();
-  hooks.runs->Add(1);
-  hooks.rounds->Add(metrics.rounds);
-  hooks.token_to_ssi_bytes->Add(metrics.bytes_token_to_ssi);
-  hooks.ssi_to_token_bytes->Add(metrics.bytes_ssi_to_token);
-  hooks.messages->Add(metrics.messages);
-  hooks.token_crypto_ops->Add(metrics.token_crypto_ops);
-  hooks.ssi_ops->Add(metrics.ssi_ops);
-  // Per-run leakage and wire totals ride the trace (not the metrics
-  // registry): they are properties of one run, not accumulating quantities.
-  obs::Tracer::Global().Instant(name, "leakage", "distinct_classes",
-                                static_cast<double>(leakage.distinct_classes),
-                                "max_class_fraction",
-                                leakage.MaxClassFraction());
-  obs::Tracer::Global().Instant(
-      name, "wire", "token_to_ssi_bytes",
-      static_cast<double>(metrics.bytes_token_to_ssi), "ssi_to_token_bytes",
-      static_cast<double>(metrics.bytes_ssi_to_token));
 }
 
 }  // namespace pds::global

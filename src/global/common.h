@@ -41,26 +41,14 @@ struct Metrics {
   uint64_t token_crypto_ops = 0;  // enc/dec/mac inside tokens
   uint64_t ssi_ops = 0;         // SSI-side comparisons/moves
   // Directional split of `bytes` over the token <-> SSI wire (the only
-  // link in the architecture); their sum equals `bytes` when every message
-  // is recorded through the directional helpers.
+  // link in the architecture); net::SsiServer fills both, so their sum
+  // equals `bytes` for the [TNP14] protocols.
   uint64_t bytes_token_to_ssi = 0;
   uint64_t bytes_ssi_to_token = 0;
-  // Tokens that never answered the collect round within its deadline and
-  // retry budget (the quorum shortfall). Always 0 for the in-process
-  // global::*Protocol runs, which require every token to answer.
-  uint64_t tokens_missing = 0;
 
   void AddMessage(uint64_t message_bytes) {
     ++messages;
     bytes += message_bytes;
-  }
-  void AddTokenToSsi(uint64_t message_bytes) {
-    AddMessage(message_bytes);
-    bytes_token_to_ssi += message_bytes;
-  }
-  void AddSsiToToken(uint64_t message_bytes) {
-    AddMessage(message_bytes);
-    bytes_ssi_to_token += message_bytes;
   }
 };
 
@@ -120,13 +108,6 @@ struct AggPayload {
 /// Reference plaintext evaluation (ground truth for tests/benches).
 std::map<std::string, double> PlainAggregate(
     const std::vector<Participant>& participants, AggFunc func);
-
-/// Publishes one finished protocol run to the obs layer: bumps the
-/// fleet-wide wire/round/crypto counters and, when tracing is enabled,
-/// attaches the HbcObserver's leakage summary to the trace as an instant
-/// event named after the protocol. `name` must be a static literal.
-void RecordProtocolRun(const char* name, const Metrics& metrics,
-                       const LeakageReport& leakage);
 
 }  // namespace pds::global
 

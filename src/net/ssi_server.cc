@@ -88,8 +88,8 @@ const char* DetRunName(DetVariant variant) {
   return "net-det";
 }
 
-/// Fleet-wide wire counters; resolved once, then plain atomic adds
-/// (registry lookups must stay out of protocol loops).
+/// The registry's wire and protocol counters; resolved once, then plain
+/// atomic adds (registry lookups must stay out of protocol loops).
 struct NetObs {
   obs::Counter* frames_sent;
   obs::Counter* frames_received;
@@ -99,6 +99,13 @@ struct NetObs {
   obs::Counter* missing_tokens;
   obs::Counter* frame_rejects;
   obs::Histogram* round_trip_us;
+  obs::Counter* protocol_runs;
+  obs::Counter* protocol_rounds;
+  obs::Counter* token_to_ssi_bytes;
+  obs::Counter* ssi_to_token_bytes;
+  obs::Counter* messages;
+  obs::Counter* token_crypto_ops;
+  obs::Counter* ssi_ops;
 };
 
 const NetObs& NetHooks() {
@@ -111,7 +118,14 @@ const NetObs& NetHooks() {
                   reg.GetCounter("net.quorum_shortfalls", "ops"),
                   reg.GetCounter("net.missing_tokens", "ops"),
                   reg.GetCounter("net.frame_rejects", "ops"),
-                  reg.GetHistogram("net.round_trip_us", "us")};
+                  reg.GetHistogram("net.round_trip_us", "us"),
+                  reg.GetCounter("protocol.runs", "ops"),
+                  reg.GetCounter("protocol.rounds", "ops"),
+                  reg.GetCounter("wire.token_to_ssi_bytes", "bytes"),
+                  reg.GetCounter("wire.ssi_to_token_bytes", "bytes"),
+                  reg.GetCounter("wire.messages", "ops"),
+                  reg.GetCounter("protocol.token_crypto_ops", "ops"),
+                  reg.GetCounter("protocol.ssi_ops", "ops")};
   }();
   return hooks;
 }
@@ -152,32 +166,89 @@ Bytes RawRoundRequest(uint32_t declared, size_t garbage) {
 
 }  // namespace
 
-/// Per-work-unit wire accounting, merged into the run's Metrics in index
-/// order afterwards (every field is a sum, so ordered merging reproduces
-/// serial counters exactly).
+/// One session's wire facts over one round. RoundTrip writes only the slot
+/// of the session it runs on, so a slot has one writer and needs no lock.
 struct SsiServer::WireCost {
-  Metrics wire;
-  uint64_t deadline_hits = 0;
+  struct Direction {
+    uint64_t frames = 0;
+    uint64_t bytes = 0;
+    void Add(size_t frame_bytes) {
+      ++frames;
+      bytes += frame_bytes;
+    }
+  };
+  Direction sent;      // SSI -> token
+  Direction received;  // token -> SSI
+  uint64_t token_ops = 0;
   uint64_t retries = 0;
+  uint64_t deadline_hits = 0;
   uint64_t frame_rejects = 0;
-
-  void MergeInto(Metrics* m, RoundReport* r) const {
-    m->messages += wire.messages;
-    m->bytes += wire.bytes;
-    m->token_crypto_ops += wire.token_crypto_ops;
-    m->bytes_token_to_ssi += wire.bytes_token_to_ssi;
-    m->bytes_ssi_to_token += wire.bytes_ssi_to_token;
-    r->deadline_hits += deadline_hits;
-    r->retries += retries;
-    r->frame_rejects += frame_rejects;
-  }
 };
+
+/// The slots of one round, one per session it talks to, and their one fold:
+/// when the round returns, whichever way, every slot goes into the run's
+/// Metrics and the RoundReport, into its session's telemetry, and into the
+/// registry's net.* and wire.* counters. Every field is a sum, so the fold
+/// needs no order.
+class SsiServer::RoundSlots {
+ public:
+  RoundSlots(SsiServer* server, const std::vector<size_t>* sessions,
+             Metrics* metrics)
+      : server_(server), sessions_(sessions), metrics_(metrics),
+        slots_(sessions->size()) {}
+  ~RoundSlots();
+  RoundSlots(const RoundSlots&) = delete;
+  RoundSlots& operator=(const RoundSlots&) = delete;
+
+  /// The slot of (*sessions)[i].
+  WireCost* slot(size_t i) { return &slots_[i]; }
+
+ private:
+  SsiServer* server_;
+  const std::vector<size_t>* sessions_;
+  Metrics* metrics_;
+  std::vector<WireCost> slots_;
+};
+
+SsiServer::RoundSlots::~RoundSlots() {
+  const NetObs& hooks = NetHooks();
+  RoundReport& report = server_->report_;
+  for (size_t i = 0; i < slots_.size(); ++i) {
+    const WireCost& c = slots_[i];
+    if (c.sent.frames == 0) {
+      continue;  // nothing went out, so nothing happened on this session
+    }
+    const uint64_t frames = c.sent.frames + c.received.frames;
+    metrics_->messages += frames;
+    metrics_->bytes += c.sent.bytes + c.received.bytes;
+    metrics_->bytes_ssi_to_token += c.sent.bytes;
+    metrics_->bytes_token_to_ssi += c.received.bytes;
+    metrics_->token_crypto_ops += c.token_ops;
+    report.retries += c.retries;
+    report.deadline_hits += c.deadline_hits;
+    report.frame_rejects += c.frame_rejects;
+    SessionStats* stats = server_->sessions_[(*sessions_)[i]]->stats.get();
+    if (stats != nullptr) {
+      stats->retries.Add(c.retries);
+      stats->deadline_hits.Add(c.deadline_hits);
+    }
+    hooks.frames_sent->Add(c.sent.frames);
+    hooks.frames_received->Add(c.received.frames);
+    hooks.retries->Add(c.retries);
+    hooks.deadline_hits->Add(c.deadline_hits);
+    hooks.frame_rejects->Add(c.frame_rejects);
+    hooks.messages->Add(frames);
+    hooks.ssi_to_token_bytes->Add(c.sent.bytes);
+    hooks.token_to_ssi_bytes->Add(c.received.bytes);
+  }
+}
 
 /// The frame every protocol run executes in: readmission is refused while
 /// it lives, the run's span is open, and `observer` records every class key
 /// the SSI sees. Close is the one epilogue of every Run*: the leakage
-/// report, the protocol-run record, and a stats-ring capture. A run that
-/// fails returns before Close and records nothing.
+/// report, the protocol.* counters, the leakage and wire trace instants
+/// (named `run_name`, a static literal) and a stats-ring capture. A failed
+/// run skips Close; its frames are in net.* and wire.* already.
 class SsiServer::RunScope {
  public:
   RunScope(SsiServer* server, const char* span_name)
@@ -191,7 +262,20 @@ class SsiServer::RunScope {
   template <typename Out>
   [[nodiscard]] Out Close(Out out, const char* run_name) {
     out.leakage = observer.Report();
-    global::RecordProtocolRun(run_name, out.metrics, out.leakage);
+    const Metrics& m = out.metrics;
+    const NetObs& hooks = NetHooks();
+    hooks.protocol_runs->Add(1);
+    hooks.protocol_rounds->Add(m.rounds);
+    hooks.token_crypto_ops->Add(m.token_crypto_ops);
+    hooks.ssi_ops->Add(m.ssi_ops);
+    obs::Tracer::Global().Instant(
+        run_name, "leakage", "distinct_classes",
+        static_cast<double>(out.leakage.distinct_classes),
+        "max_class_fraction", out.leakage.MaxClassFraction());
+    obs::Tracer::Global().Instant(
+        run_name, "wire", "token_to_ssi_bytes",
+        static_cast<double>(m.bytes_token_to_ssi), "ssi_to_token_bytes",
+        static_cast<double>(m.bytes_ssi_to_token));
     server_->stats_ring_.Capture(obs::Registry::Global());
     return out;
   }
@@ -293,7 +377,6 @@ Result<size_t> SsiServer::ReadmitSession(
 
 Result<Message> SsiServer::RoundTrip(Session* s, RoundRequestMsg request,
                                      WireCost* cost) {
-  const NetObs& hooks = NetHooks();
   const uint32_t round_id = request.header.round_id;
   // Finalize and class rounds are answered with the plaintext aggregate,
   // every other kind with a tuple batch.
@@ -309,22 +392,23 @@ Result<Message> SsiServer::RoundTrip(Session* s, RoundRequestMsg request,
   }
   const Bytes frame = EncodeMessage(msg);
   SessionStats* stats = s->stats.get();
+  // Each answered attempt's latency, read at three scopes: the session's
+  // tail (kStats), the server's percentiles (BENCH_net, BENCH_sim) and the
+  // registry's histogram (BENCH_obs, kStats).
+  obs::Histogram* const rtt_sinks[] = {
+      stats != nullptr ? &stats->rtt_us : nullptr, &rtt_us_,
+      NetHooks().round_trip_us};
   // Admission-control gauge: bytes of this session's in-flight request.
   const InFlightBytes in_flight(
       stats != nullptr ? &stats->buffer_bytes : nullptr, frame.size());
   for (uint32_t attempt = 0; attempt <= config_.max_retries; ++attempt) {
     if (attempt > 0) {
       ++cost->retries;
-      hooks.retries->Add(1);
-      if (stats != nullptr) {
-        stats->retries.Add(1);
-      }
       clock_->SleepMs(config_.backoff_ms * attempt);
     }
     uint64_t attempt_start_ns = clock_->NowNs();
     PDS_RETURN_IF_ERROR(s->transport->Send(frame));
-    cost->wire.AddSsiToToken(frame.size());
-    hooks.frames_sent->Add(1);
+    cost->sent.Add(frame.size());
 
     const uint64_t deadline_ns =
         clock_->NowNs() +
@@ -348,31 +432,26 @@ Result<Message> SsiServer::RoundTrip(Session* s, RoundRequestMsg request,
         return recv.status();
       }
       Bytes reply = std::move(recv).value();
-      cost->wire.AddTokenToSsi(reply.size());
-      hooks.frames_received->Add(1);
+      cost->received.Add(reply.size());
       auto decoded = DecodeMessage(reply);
+      const ErrorMsg* err =
+          decoded.ok() ? std::get_if<ErrorMsg>(&decoded.value().body)
+                       : nullptr;
       if (!decoded.ok() ||
-          (config_.checksum_frames && !decoded.value().checksummed)) {
+          (config_.checksum_frames && !decoded.value().checksummed) ||
+          (err != nullptr && err->code == 3)) {
         // A frame the link corrupted in-payload (the stream itself is still
-        // framed, or Recv would have failed) or, on a checksummed wire, one
-        // without a verified trailer (such as the token's plain error for a
-        // request it could not decode): discard it and keep waiting — the
-        // retry budget, not one flipped bit, decides this session's fate.
+        // framed, or Recv would have failed), one without a verified trailer
+        // on a checksummed wire, or the token's error for a request mangled
+        // in flight: discard it and keep waiting — the retry budget, not one
+        // flipped bit, decides this session's fate.
         ++cost->frame_rejects;
-        hooks.frame_rejects->Add(1);
         continue;
       }
-      Message m = std::move(decoded).value();
-      if (const ErrorMsg* err = std::get_if<ErrorMsg>(&m.body)) {
-        if (err->code == 3) {
-          // The token rejected a frame it could not decode (our request was
-          // mangled in flight). Transient: let the deadline drive a retry.
-          ++cost->frame_rejects;
-          hooks.frame_rejects->Add(1);
-          continue;
-        }
+      if (err != nullptr) {
         return Status::FailedPrecondition("peer error: " + err->message);
       }
+      Message m = std::move(decoded).value();
       const TupleBatchMsg* batch = std::get_if<TupleBatchMsg>(&m.body);
       const AggResultMsg* result = std::get_if<AggResultMsg>(&m.body);
       if (batch == nullptr && result == nullptr) {
@@ -385,28 +464,21 @@ Result<Message> SsiServer::RoundTrip(Session* s, RoundRequestMsg request,
       if (got > round_id) {
         return Status::Corruption("reply from a future round");
       }
-      double rtt_us =
+      const double rtt_us =
           static_cast<double>(clock_->NowNs() - attempt_start_ns) / 1000.0;
-      if (stats != nullptr) {
-        stats->rtt_us.Record(rtt_us);
-        stats->round_trips.Add(1);
+      for (obs::Histogram* sink : rtt_sinks) {
+        if (sink != nullptr) sink->Record(rtt_us);
       }
-      rtt_us_.Record(rtt_us);
-      hooks.round_trip_us->Record(rtt_us);
       if ((result != nullptr) != wants_result) {
         return Status::FailedPrecondition(
             wants_result ? "round expected an agg result"
                          : "round expected a tuple batch");
       }
-      cost->wire.token_crypto_ops +=
+      cost->token_ops +=
           batch != nullptr ? batch->token_ops : result->token_ops;
       return m;
     }
     ++cost->deadline_hits;
-    hooks.deadline_hits->Add(1);
-    if (stats != nullptr) {
-      stats->deadline_hits.Add(1);
-    }
   }
   return Status::DeadlineExceeded("token did not answer round " +
                                   std::to_string(round_id) + " after " +
@@ -441,7 +513,7 @@ Result<SsiServer::Collected> SsiServer::CollectRound(
   Collected out;
   out.batches.resize(nl);
   std::vector<uint8_t> answered(nl, 0);
-  std::vector<WireCost> costs(nl);
+  RoundSlots round(this, &live, metrics);
   {
     obs::Span phase_span("net.collect", "net");
     phase_span.AddArg("sessions", static_cast<double>(nl));
@@ -450,7 +522,7 @@ Result<SsiServer::Collected> SsiServer::CollectRound(
           Session* s = sessions_[live[li]].get();
           RoundRequestMsg req = request;
           req.header.round_id = s->next_round_id++;
-          auto reply = RoundTrip(s, std::move(req), &costs[li]);
+          auto reply = RoundTrip(s, std::move(req), round.slot(li));
           if (!reply.ok()) {
             if (IsStragglerFailure(reply.status())) {
               DropStraggler(s);
@@ -468,7 +540,6 @@ Result<SsiServer::Collected> SsiServer::CollectRound(
   // Keep the responders' batches, compacted in session order.
   out.sessions.reserve(nl);
   for (size_t li = 0; li < nl; ++li) {
-    costs[li].MergeInto(metrics, &report_);
     if (answered[li] != 0) {
       if (out.sessions.size() != li) {
         out.batches[out.sessions.size()] = std::move(out.batches[li]);
@@ -482,7 +553,6 @@ Result<SsiServer::Collected> SsiServer::CollectRound(
   const size_t responders = out.sessions.size();
   report_.responders = responders;
   report_.missing_tokens = nl - responders;
-  metrics->tokens_missing = report_.missing_tokens;
   const NetObs& hooks = NetHooks();
   size_t need = static_cast<size_t>(
       std::ceil(config_.quorum * static_cast<double>(nl)));
@@ -506,16 +576,17 @@ Result<std::vector<MessageBody>> SsiServer::RunUnits(
   const size_t n = responders.size();
   std::vector<MessageBody> replies(units.size());
   std::vector<uint8_t> done(units.size(), 0);
-  std::vector<WireCost> costs(units.size());
-  // Runs unit u on session s. A straggler failure drops s for the rest of
-  // the run and leaves u for the failover pass.
-  auto run = [&](Session* s, size_t u) -> Status {
+  RoundSlots round(this, &responders, metrics);
+  // Runs unit u on responder a. A straggler failure drops a's session for
+  // the rest of the run and leaves u for the failover pass.
+  auto run = [&](size_t a, size_t u) -> Status {
+    Session* s = sessions_[responders[a]].get();
     RoundRequestMsg req;
     req.header.round_id = s->next_round_id++;
     req.header.kind = units[u].kind;
     req.header.func = func;
     req.batch = units[u].batch;  // copied: a failover resends it
-    auto reply = RoundTrip(s, std::move(req), &costs[u]);
+    auto reply = RoundTrip(s, std::move(req), round.slot(a));
     if (!reply.ok()) {
       if (!IsStragglerFailure(reply.status())) {
         return reply.status();
@@ -532,10 +603,9 @@ Result<std::vector<MessageBody>> SsiServer::RunUnits(
   // until it is dropped (possibly in an earlier round of this run).
   PDS_RETURN_IF_ERROR(global::FleetExecutor::Run(
       config_.executor, n, [&](size_t a) -> Status {
-        Session* s = sessions_[responders[a]].get();
         for (size_t u = (a + n - offset % n) % n;
-             s->alive && u < units.size(); u += n) {
-          PDS_RETURN_IF_ERROR(run(s, u));
+             sessions_[responders[a]]->alive && u < units.size(); u += n) {
+          PDS_RETURN_IF_ERROR(run(a, u));
         }
         return Status::Ok();
       }));
@@ -544,9 +614,8 @@ Result<std::vector<MessageBody>> SsiServer::RunUnits(
   // responder that is still alive.
   for (size_t u = 0; u < units.size(); ++u) {
     for (size_t a = 0; a < n && done[u] == 0; ++a) {
-      Session* s = sessions_[responders[a]].get();
-      if (s->alive) {
-        PDS_RETURN_IF_ERROR(run(s, u));
+      if (sessions_[responders[a]]->alive) {
+        PDS_RETURN_IF_ERROR(run(a, u));
       }
     }
     if (done[u] == 0) {
@@ -554,9 +623,6 @@ Result<std::vector<MessageBody>> SsiServer::RunUnits(
           "every responding token vanished before unit " + std::to_string(u) +
           " could run");
     }
-  }
-  for (const WireCost& cost : costs) {
-    cost.MergeInto(metrics, &report_);
   }
   return replies;
 }
@@ -905,7 +971,7 @@ std::vector<SsiServer::SessionTelemetry> SsiServer::Telemetry() const {
     t.token_id = s->token_id;
     t.alive = s->alive;
     if (s->stats != nullptr) {
-      t.round_trips = s->stats->round_trips.Value();
+      t.round_trips = s->stats->rtt_us.count();
       t.retries = s->stats->retries.Value();
       t.deadline_hits = s->stats->deadline_hits.Value();
       t.stragglers = s->stats->stragglers.Value();
@@ -923,10 +989,11 @@ std::vector<SsiServer::SessionTelemetry> SsiServer::Telemetry() const {
 
 namespace {
 
-void JsonF64(std::ostream& out, double v) {
+/// Writes `, "key": v` (non-finite values as 0).
+void JsonF64(std::ostream& out, const char* key, double v) {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%.6g", std::isfinite(v) ? v : 0.0);
-  out << buf;
+  out << ", \"" << key << "\": " << buf;
 }
 
 }  // namespace
@@ -943,29 +1010,20 @@ std::string SsiServer::StatsJson() const {
         << ", \"round_trips\": " << t.round_trips
         << ", \"retries\": " << t.retries
         << ", \"deadline_hits\": " << t.deadline_hits
-        << ", \"stragglers\": " << t.stragglers << ", \"rtt_p50_us\": ";
-    JsonF64(out, t.rtt_p50_us);
-    out << ", \"rtt_p90_us\": ";
-    JsonF64(out, t.rtt_p90_us);
-    out << ", \"rtt_p99_us\": ";
-    JsonF64(out, t.rtt_p99_us);
-    out << ", \"rtt_p999_us\": ";
-    JsonF64(out, t.rtt_p999_us);
-    out << ", \"buffer_bytes\": ";
-    JsonF64(out, t.buffer_bytes);
-    out << ", \"buffer_high_water\": ";
-    JsonF64(out, t.buffer_high_water);
+        << ", \"stragglers\": " << t.stragglers;
+    JsonF64(out, "rtt_p50_us", t.rtt_p50_us);
+    JsonF64(out, "rtt_p90_us", t.rtt_p90_us);
+    JsonF64(out, "rtt_p99_us", t.rtt_p99_us);
+    JsonF64(out, "rtt_p999_us", t.rtt_p999_us);
+    JsonF64(out, "buffer_bytes", t.buffer_bytes);
+    JsonF64(out, "buffer_high_water", t.buffer_high_water);
     out << '}';
   }
-  out << "\n],\n\"fleet\": {\"round_trips\": " << rtt_us_.count()
-      << ", \"rtt_p50_us\": ";
-  JsonF64(out, rtt_us_.Percentile(50.0));
-  out << ", \"rtt_p90_us\": ";
-  JsonF64(out, rtt_us_.Percentile(90.0));
-  out << ", \"rtt_p99_us\": ";
-  JsonF64(out, rtt_us_.Percentile(99.0));
-  out << ", \"rtt_p999_us\": ";
-  JsonF64(out, rtt_us_.Percentile(99.9));
+  out << "\n],\n\"fleet\": {\"round_trips\": " << rtt_us_.count();
+  JsonF64(out, "rtt_p50_us", rtt_us_.Percentile(50.0));
+  JsonF64(out, "rtt_p90_us", rtt_us_.Percentile(90.0));
+  JsonF64(out, "rtt_p99_us", rtt_us_.Percentile(99.0));
+  JsonF64(out, "rtt_p999_us", rtt_us_.Percentile(99.9));
   out << "},\n\"registry\": " << obs::Registry::Global().MetricsJson();
   out << ",\n\"ring\": " << stats_ring_.Json();
   out << "}\n";

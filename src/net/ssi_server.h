@@ -206,11 +206,10 @@ class SsiServer {
   void Shutdown();
 
  private:
-  /// Per-session accounting, bumped on the round-trip hot path with plain
-  /// atomic ops (no registry lookups).
+  /// Per-session telemetry: RoundTrip's latency samples and in-flight gauge,
+  /// plus the retries and deadline hits each round's fold adds.
   struct SessionStats {
     obs::Histogram rtt_us;  // one sample per answered attempt, µs
-    obs::Counter round_trips;
     obs::Counter retries;
     obs::Counter deadline_hits;
     obs::Counter stragglers;
@@ -224,8 +223,9 @@ class SsiServer {
     /// Null under Config::lean_sessions (million-session fleets).
     std::unique_ptr<SessionStats> stats;
   };
-  struct WireCost;  // per-work-unit wire accounting (defined in the .cc)
-  class RunScope;   // one protocol run's frame and epilogue (in the .cc)
+  struct WireCost;   // one session's wire facts in one round (in the .cc)
+  class RoundSlots;  // one round's WireCost per session, and their fold
+  class RunScope;    // one protocol run's frame and epilogue (in the .cc)
 
   /// Sends `request` on the session, encoded once with this round trip's
   /// trace context and Config::checksum_frames, and waits for the reply
@@ -235,8 +235,9 @@ class SsiServer {
   /// link must not kill the session while the stream itself stays framed.
   /// The reply must be the type the request's kind expects: an AggResultMsg
   /// for kFinalize and kClassAggregate, a TupleBatchMsg for every other
-  /// kind. `cost` accumulates the measured frame bytes both ways and the
-  /// token ops the reply reports.
+  /// kind. Each wire fact is counted once, into `cost`, the slot of `s` in
+  /// the calling round; besides it, RoundTrip only sets the in-flight gauge
+  /// and records each answered attempt's latency.
   [[nodiscard]] Result<Message> RoundTrip(Session* s, RoundRequestMsg request,
                                           WireCost* cost);
 
@@ -257,8 +258,8 @@ class SsiServer {
   /// The collect round every protocol run opens with: resets the
   /// RoundReport, sends each live session `request` under its own round id
   /// (fanned out over the executor), drops sessions that fail as
-  /// stragglers, merges the measured wire cost into `metrics`, counts the
-  /// round, and fails unless the quorum answered.
+  /// stragglers, counts the round, and fails unless the quorum answered.
+  /// The round's wire costs fold on every return, failures included.
   [[nodiscard]] Result<Collected> CollectRound(const RoundRequestMsg& request,
                                                global::Metrics* metrics);
 
@@ -275,9 +276,10 @@ class SsiServer {
   /// RNGs and op counters advance alike at any executor width. A straggler
   /// failure drops the session; a serial pass then hands each unfinished
   /// unit, in order, to the first live responder. Any other failure, or a
-  /// unit no live responder is left to take, fails the run. Wire costs
-  /// merge into `metrics` and the RoundReport in unit order. Returns one
-  /// reply body per unit, of the type RoundTrip checked for its kind.
+  /// unit no live responder is left to take, fails the run. Wire costs are
+  /// kept per responder (a failed-over unit's frames belong to two) and
+  /// fold on every return, failures included. Returns one reply body per
+  /// unit, of the type RoundTrip checked for its kind.
   [[nodiscard]] Result<std::vector<MessageBody>> RunUnits(
       const std::vector<Unit>& units, const std::vector<size_t>& responders,
       size_t offset, global::AggFunc func, global::Metrics* metrics);

@@ -327,8 +327,6 @@ TEST_F(AggProtocolTest, MetricsInvariantsHoldForEveryProtocol) {
     EXPECT_GT(m.rounds, 0u) << protocol->name();
     EXPECT_GT(m.bytes_token_to_ssi, 0u) << protocol->name();
     EXPECT_GT(m.messages, 0u) << protocol->name();
-    // In-process runs need every token to answer (quorum 1.0).
-    EXPECT_EQ(m.tokens_missing, 0u) << protocol->name();
   }
 }
 

@@ -19,6 +19,7 @@
 #include "common/rng.h"
 #include "global/agg_protocols.h"
 #include "net/direct_link.h"
+#include "net/fault_injection.h"
 #include "net/scenario.h"
 #include "net/ssi_server.h"
 #include "net/token_client.h"
@@ -217,7 +218,7 @@ TEST(NetSecureAggTest, LoopbackMatchesInProcessByteIdentical) {
   EXPECT_EQ(output->leakage.distinct_classes,
             output->leakage.tuples_observed);
   EXPECT_GT(output->metrics.rounds, 2u);  // capacity 16 forces re-partitions
-  EXPECT_EQ(output->metrics.tokens_missing, 0u);
+  EXPECT_EQ(server.last_report().missing_tokens, 0u);
   EXPECT_EQ(server.last_report().responders, 6u);
 }
 
@@ -384,7 +385,6 @@ TEST(NetSecureAggTest, InProcessExecuteReportsThreadedWireMetrics) {
     EXPECT_EQ(got.ssi_ops, want.ssi_ops);
     EXPECT_EQ(got.bytes_token_to_ssi, want.bytes_token_to_ssi);
     EXPECT_EQ(got.bytes_ssi_to_token, want.bytes_ssi_to_token);
-    EXPECT_EQ(got.tokens_missing, want.tokens_missing);
     EXPECT_EQ(got.bytes, got.bytes_token_to_ssi + got.bytes_ssi_to_token);
     EXPECT_EQ(expected->groups, output->groups);
     EXPECT_EQ(expected->leakage.tuples_observed,
@@ -430,7 +430,7 @@ TEST(NetPackedAggTest, PackedLoopbackMatchesInProcessByteIdentical) {
   EXPECT_EQ(output->metrics.ssi_ops, 6u - 1u);
   EXPECT_EQ(output->leakage.tuples_observed, 6u);
   EXPECT_EQ(output->leakage.distinct_classes, 6u);
-  EXPECT_EQ(output->metrics.tokens_missing, 0u);
+  EXPECT_EQ(server.last_report().missing_tokens, 0u);
   // Directional sum invariant over measured frames.
   EXPECT_EQ(output->metrics.bytes, output->metrics.bytes_token_to_ssi +
                                        output->metrics.bytes_ssi_to_token);
@@ -472,7 +472,7 @@ TEST(NetPackedAggTest, PackedRoundToleratesStragglersUnderQuorum) {
                                             ctx.domain);
   JoinAll(&server, &clients);
   ASSERT_TRUE(output.ok()) << output.status().ToString();
-  EXPECT_EQ(output->metrics.tokens_missing, 1u);
+  EXPECT_EQ(server.last_report().missing_tokens, 1u);
   EXPECT_EQ(server.last_report().responders, 3u);
   ASSERT_EQ(output->groups.size(), expected.size());
   for (const auto& [group, value] : expected) {
@@ -595,6 +595,48 @@ TEST(NetSecureAggTest, ConcurrentSessionsOverExecutor) {
 // ---------------------------------------------------------------------------
 // Quorum, timeout, retry
 
+/// The registry's wire counters, read before and after a run.
+struct WireCounters {
+  uint64_t retries = 0;
+  uint64_t deadline_hits = 0;
+  uint64_t frame_rejects = 0;
+  uint64_t frames_sent = 0;
+  uint64_t frames_received = 0;
+  uint64_t messages = 0;
+};
+
+WireCounters ReadWireCounters() {
+  obs::Registry& reg = obs::Registry::Global();
+  auto value = [&reg](const char* name) {
+    return reg.GetCounter(name, "ops")->Value();
+  };
+  return {value("net.retries"),         value("net.deadline_hits"),
+          value("net.frame_rejects"),   value("net.frames_sent"),
+          value("net.frames_received"), value("wire.messages")};
+}
+
+/// Every channel reports the wire facts of `server`'s only run alike: its
+/// RoundReport, the registry's movement since `before`, and the sums over
+/// Telemetry(). Holds whether the run completed or failed.
+void ExpectChannelsAgree(const SsiServer& server, const WireCounters& before) {
+  const WireCounters after = ReadWireCounters();
+  const SsiServer::RoundReport& report = server.last_report();
+  uint64_t retries = 0;
+  uint64_t deadline_hits = 0;
+  for (const SsiServer::SessionTelemetry& t : server.Telemetry()) {
+    retries += t.retries;
+    deadline_hits += t.deadline_hits;
+  }
+  EXPECT_EQ(after.retries - before.retries, report.retries);
+  EXPECT_EQ(retries, report.retries);
+  EXPECT_EQ(after.deadline_hits - before.deadline_hits, report.deadline_hits);
+  EXPECT_EQ(deadline_hits, report.deadline_hits);
+  EXPECT_EQ(after.frame_rejects - before.frame_rejects, report.frame_rejects);
+  EXPECT_EQ(after.messages - before.messages,
+            (after.frames_sent - before.frames_sent) +
+                (after.frames_received - before.frames_received));
+}
+
 TEST(NetQuorumTest, DroppedTokenCompletesAtQuorum) {
   TestFleet fleet = MakeTestFleet(5);
   SsiServer::Config scfg;
@@ -610,6 +652,7 @@ TEST(NetQuorumTest, DroppedTokenCompletesAtQuorum) {
   plan.seed = 11;
   plan.swallow_first = 100;
   auto clients = ConnectClients(&server, &fleet, plan);
+  const WireCounters before = ReadWireCounters();
   auto output = server.RunSecureAggregation(AggFunc::kSum);
   JoinAll(&server, &clients);
   ASSERT_TRUE(output.ok()) << output.status().ToString() << "\nfaults (seed "
@@ -624,12 +667,13 @@ TEST(NetQuorumTest, DroppedTokenCompletesAtQuorum) {
   for (const auto& [group, value] : expected) {
     EXPECT_NEAR(output->groups[group], value, 1e-9) << group;
   }
-  // The shortfall is visible in Metrics and the round report.
-  EXPECT_EQ(output->metrics.tokens_missing, 1u);
+  // The shortfall is visible in the round report, and its timeouts in
+  // every channel alike.
   EXPECT_EQ(server.last_report().responders, 4u);
   EXPECT_EQ(server.last_report().missing_tokens, 1u);
   EXPECT_GT(server.last_report().deadline_hits, 0u);
   EXPECT_GT(server.last_report().retries, 0u);
+  ExpectChannelsAgree(server, before);
 }
 
 TEST(NetQuorumTest, FullQuorumFailsWhenTokenDrops) {
@@ -666,6 +710,7 @@ TEST(NetQuorumTest, RetryRecoversFlakyToken) {
   plan.seed = 13;
   plan.swallow_first = 1;
   auto clients = ConnectClients(&server, &fleet, plan);
+  const WireCounters before = ReadWireCounters();
   auto output = server.RunSecureAggregation(AggFunc::kSum);
   JoinAll(&server, &clients);
   ASSERT_TRUE(output.ok()) << output.status().ToString() << "\nfaults (seed "
@@ -677,10 +722,11 @@ TEST(NetQuorumTest, RetryRecoversFlakyToken) {
   for (const auto& [group, value] : expected) {
     EXPECT_NEAR(output->groups[group], value, 1e-9) << group;
   }
-  EXPECT_EQ(output->metrics.tokens_missing, 0u);
+  EXPECT_EQ(server.last_report().missing_tokens, 0u);
   EXPECT_EQ(server.last_report().responders, 4u);
   EXPECT_GE(server.last_report().retries, 1u);
   EXPECT_GE(server.last_report().deadline_hits, 1u);
+  ExpectChannelsAgree(server, before);
 }
 
 // ---------------------------------------------------------------------------
@@ -721,7 +767,7 @@ void ExpectSecureAggSurvivesToken0LeavingAfter(uint64_t replies) {
   EXPECT_EQ(output->groups,
             global::PlainAggregate(fleet.participants, AggFunc::kSum));
   EXPECT_EQ(server.last_report().responders, 4u);
-  EXPECT_EQ(output->metrics.tokens_missing, 0u);
+  EXPECT_EQ(server.last_report().missing_tokens, 0u);
   // Collect, one aggregate round, finalize.
   EXPECT_EQ(output->metrics.rounds, 3u);
   std::vector<SsiServer::SessionTelemetry> telemetry = server.Telemetry();
@@ -917,11 +963,13 @@ TEST(NetChecksumTest, ChecksummedSsiNeverAcceptsStrippedReplies) {
     }
     ASSERT_TRUE(server.AcceptSession(std::move(link)).ok());
   }
+  const WireCounters before = ReadWireCounters();
   auto output = server.RunSecureAggregation(AggFunc::kSum);
   ASSERT_TRUE(output.ok()) << output.status().ToString();
   EXPECT_GT(server.last_report().frame_rejects, 0u);
   EXPECT_EQ(server.last_report().missing_tokens, 1u);
   EXPECT_EQ(server.last_report().responders, 2u);
+  ExpectChannelsAgree(server, before);
   const std::vector<Participant> answered(fleet.participants.begin() + 1,
                                           fleet.participants.end());
   EXPECT_EQ(output->groups, global::PlainAggregate(answered, AggFunc::kSum));
@@ -1098,6 +1146,40 @@ TEST(NetStatsTest, SessionDroppedOnSendLeavesNothingInFlight) {
     EXPECT_DOUBLE_EQ(t.buffer_bytes, 0.0) << "token " << t.token_id;
     EXPECT_GT(t.buffer_high_water, 0.0) << "token " << t.token_id;
   }
+}
+
+TEST(NetStatsTest, FailedRunReportsItsFollowUpRounds) {
+  // Two tokens answer the handshake and collect; every later request to
+  // them drops. Each times out of its first partition (one retry, two
+  // deadline hits) and is dropped, so no token is left to take the
+  // partitions and the run fails. The rounds it ran must still reach the
+  // RoundReport, the registry and the per-session telemetry alike.
+  TestFleet fleet = MakeTestFleet(2);
+  SsiServer::Config scfg;
+  scfg.partition_capacity = 4;
+  scfg.verifier = fleet.verifier.get();
+  scfg.max_retries = 1;
+  scfg.backoff_ms = 1;
+  SsiServer server(scfg);
+  FaultPlan drop_after_collect;
+  drop_after_collect.drop_rate = 1.0;
+  drop_after_collect.skip_first = 3;  // challenge, ack, collect request
+  for (Participant& p : fleet.participants) {
+    ASSERT_TRUE(server
+                    .AcceptSession(std::make_unique<FaultInjectingTransport>(
+                        std::make_unique<DirectTokenLink>(p.token, &p.tuples,
+                                                          nullptr),
+                        drop_after_collect, nullptr))
+                    .ok());
+  }
+  const WireCounters before = ReadWireCounters();
+  auto output = server.RunSecureAggregation(AggFunc::kSum);
+  EXPECT_EQ(output.status().code(), StatusCode::kFailedPrecondition)
+      << output.status().ToString();
+  EXPECT_EQ(server.last_report().responders, 2u);
+  EXPECT_EQ(server.last_report().retries, 2u);
+  EXPECT_EQ(server.last_report().deadline_hits, 4u);
+  ExpectChannelsAgree(server, before);
 }
 
 TEST(NetStatsTest, StatsRequestReturnsLiveJsonSnapshot) {

@@ -99,7 +99,6 @@ struct WireRun {
   uint64_t bytes = 0;
   uint64_t bytes_token_to_ssi = 0;
   uint64_t bytes_ssi_to_token = 0;
-  uint64_t tokens_missing = 0;
   SsiServer::RoundReport report;
   /// Per session: the wire frames the server side actually saw, in order.
   std::vector<std::vector<FrameTap::Entry>> taps;
@@ -169,7 +168,6 @@ void Distill(Result<global::AggOutput>* out, SsiServer* server,
     run->bytes = (*out)->metrics.bytes;
     run->bytes_token_to_ssi = (*out)->metrics.bytes_token_to_ssi;
     run->bytes_ssi_to_token = (*out)->metrics.bytes_ssi_to_token;
-    run->tokens_missing = (*out)->metrics.tokens_missing;
   } else {
     run->error = out->status().ToString();
   }
@@ -275,7 +273,6 @@ void ExpectIdentical(const WireRun& wall, const WireRun& sim,
   EXPECT_EQ(wall.bytes, sim.bytes) << cell;
   EXPECT_EQ(wall.bytes_token_to_ssi, sim.bytes_token_to_ssi) << cell;
   EXPECT_EQ(wall.bytes_ssi_to_token, sim.bytes_ssi_to_token) << cell;
-  EXPECT_EQ(wall.tokens_missing, sim.tokens_missing) << cell;
   EXPECT_EQ(wall.report.responders, sim.report.responders) << cell;
   EXPECT_EQ(wall.report.retries, sim.report.retries) << cell;
   EXPECT_EQ(wall.report.deadline_hits, sim.report.deadline_hits) << cell;

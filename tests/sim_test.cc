@@ -266,7 +266,7 @@ TEST(SimFleetTest, DropoutsDegradeToQuorum) {
     auto out = lenient.RunSecureAggregation(global::AggFunc::kSum);
     ASSERT_TRUE(out.ok()) << out.status().ToString();
     EXPECT_EQ(lenient.server().last_report().responders, 16u);
-    EXPECT_EQ(out->metrics.tokens_missing, 4u);
+    EXPECT_EQ(lenient.server().last_report().missing_tokens, 4u);
   }
 }
 

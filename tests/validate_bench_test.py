@@ -6,7 +6,9 @@ validator makes, one mutated copy of a passing document must be rejected
 with that check's message. trace_obs.json and adversarial_verdicts.json are
 not committed, so passing ones are built here: a trace holding every
 required span and instant category, and the fault_scenarios block of
-BENCH_net.json in the layout adversarial_demo --json writes.
+BENCH_net.json in the layout adversarial_demo --json writes. --compare
+must fail on a moved counter and pass, printing it, on a moved measured
+field.
 
 Usage: python3 tests/validate_bench_test.py
 """
@@ -410,6 +412,91 @@ class ValidateBenchTest(unittest.TestCase):
             f.write("{not json")
         self.assertIn("cannot load",
                       validate_bench.validate(path, SCHEMA)[0])
+
+
+# --compare: (file, mutation, text the output must hold). A counter that
+# moves fails; a measured field that moves passes and is printed.
+MOVED_COUNTERS = [
+    ("BENCH_net.json", at(SWEEP, bump("frames", 1)),
+     "records[0] (sweep).frames"),
+    ("BENCH_net.json", set_cell({"benign": True}, injections=1),
+     "fault_scenarios.cells[0] (secure-agg/benign).injections"),
+    ("BENCH_sim.json", at(SWEEP, delf("events")), "events: dropped"),
+    ("BENCH_sim.json", lambda d: d["determinism"].update(extra=1),
+     "determinism.extra: added"),
+    ("BENCH_paper.json",
+     at(paper("E8", "protocol", protocol="secure-agg"), bump("bytes", 1)),
+     "(E8/protocol).bytes"),
+    ("BENCH_paper.json", lambda d: d["records"].pop(), "155 entries -> 154"),
+    ("BENCH_crypto.json", at(CRYPTO, bump("cipher_ops_per_round", 1)),
+     "(fleet_round_packed).cipher_ops_per_round"),
+    ("BENCH_obs.json", at({"name": "wire.messages"}, bump("value", 1)),
+     "records[wire.messages].value"),
+    ("BENCH_obs.json", at({"name": "flash.read_us"}, bump("sum", 25)),
+     "records[flash.read_us].sum"),
+    ("BENCH_obs.json", lambda d: drop(d, name="net.retries"),
+     "records[net.retries]: dropped"),
+    ("BENCH_obs.json", lambda d: d["records"].append(d["records"][0]),
+     "records do not each have their own 'name'"),
+]
+MOVED_MEASURED = [
+    ("BENCH_net.json", at(SWEEP, bump("wall_ms", 1.5)), "(sweep).wall_ms"),
+    ("BENCH_net.json", at(SWEEP, bump("rtt_p999_us", 7)), "rtt_p999_us"),
+    ("BENCH_sim.json", at(SWEEP, bump("mem_rss_bytes_per_token", 9)),
+     "mem_rss_bytes_per_token"),
+    ("BENCH_sim.json", at(SWEEP, bump("tuples_per_sec", 9)),
+     "tuples_per_sec"),
+    ("BENCH_paper.json",
+     at(paper("E6", "plaintext_sum"), bump("ns_per_sum", 3)), "ns_per_sum"),
+    ("BENCH_crypto.json", at(CRYPTO, bump("speedup_vs_per_op", 0.5)),
+     "speedup_vs_per_op"),
+    ("BENCH_obs.json", at({"name": "net.round_trip_us"}, bump("mean", 2)),
+     "records[net.round_trip_us].mean"),
+    ("BENCH_obs.json", lambda d: d["records"].reverse(), "0 measured"),
+]
+
+
+class CompareTest(unittest.TestCase):
+    def setUp(self):
+        self.tmp = tempfile.TemporaryDirectory()
+
+    def tearDown(self):
+        self.tmp.cleanup()
+
+    def compare(self, name, mutate):
+        paths = []
+        for side, doc in (("old", PASSING[name]),
+                          ("new", copy.deepcopy(PASSING[name]))):
+            if side == "new":
+                mutate(doc)
+            os.makedirs(os.path.join(self.tmp.name, side), exist_ok=True)
+            paths.append(os.path.join(self.tmp.name, side, name))
+            with open(paths[-1], "w") as f:
+                json.dump(doc, f)
+        return subprocess.run([sys.executable, VALIDATOR, "--compare"] + paths,
+                              capture_output=True, text=True)
+
+    def test_committed_files_match_themselves(self):
+        for name in COMMITTED:
+            with self.subTest(name):
+                run = self.compare(name, lambda doc: None)
+                self.assertEqual(run.returncode, 0, run.stderr)
+                self.assertIn("0 measured fields moved, 0 differences",
+                              run.stdout)
+
+    def test_moved_counter_fails(self):
+        for name, mutate, text in MOVED_COUNTERS:
+            with self.subTest(f"{name}: {text}"):
+                run = self.compare(name, mutate)
+                self.assertEqual(run.returncode, 1, run.stdout)
+                self.assertIn(text, run.stderr)
+
+    def test_moved_measured_field_passes(self):
+        for name, mutate, text in MOVED_MEASURED:
+            with self.subTest(f"{name}: {text}"):
+                run = self.compare(name, mutate)
+                self.assertEqual(run.returncode, 0, run.stderr)
+                self.assertIn(text, run.stdout)
 
 
 if __name__ == "__main__":
