@@ -94,36 +94,48 @@ Status RunE6(Records* out) {
     out->push_back(
         Record("E6", "plaintext_sum").Num("n", n).Num("ns_per_sum", ns));
   }
-  for (size_t n : {10, 100, 1000}) {
-    const std::vector<uint64_t> v = values(n);
-    Fleet fleet = MakeFleet("ladder", n, [&](size_t i) {
+  // The token rungs run over the wire: one fleet of n tokens, token i
+  // holding the single tuple ("all", v[i]).
+  auto ladder_rung = [&](global::AggregationProtocol* protocol,
+                         const std::vector<uint64_t>& v,
+                         const std::string& what)
+      -> Result<std::pair<Metrics, double>> {
+    Fleet fleet = MakeFleet("ladder", v.size(), [&](size_t i) {
       return std::vector<global::SourceTuple>{
           {"all", static_cast<double>(v[i])}};
     });
-    global::SecureAggProtocol protocol({/*partition_capacity=*/128});
     PDS_ASSIGN_OR_RETURN(global::AggOutput run,
-                         protocol.Execute(fleet.participants, AggFunc::kSum));
-    PDS_ASSIGN_OR_RETURN(double ns, TimeOp("token secure-agg sum", [&] {
+                         protocol->Execute(fleet.participants, AggFunc::kSum));
+    PDS_ASSIGN_OR_RETURN(double ns, TimeOp(what, [&] {
                            return protocol
-                               .Execute(fleet.participants, AggFunc::kSum)
+                               ->Execute(fleet.participants, AggFunc::kSum)
                                .ok();
                          }));
+    return std::make_pair(run.metrics, ns);
+  };
+  for (size_t n : {10, 100, 1000}) {
+    global::SecureAggProtocol protocol({/*partition_capacity=*/128});
+    PDS_ASSIGN_OR_RETURN(
+        auto run, ladder_rung(&protocol, values(n), "token secure-agg sum"));
     out->push_back(Record("E6", "token_secure_agg_sum")
                        .Num("n", n)
-                       .Num("token_crypto_ops", run.metrics.token_crypto_ops)
-                       .Num("bytes", run.metrics.bytes)
-                       .Num("ns_per_sum", ns));
+                       .Num("token_crypto_ops", run.first.token_crypto_ops)
+                       .Num("bytes", run.first.bytes)
+                       .Num("ns_per_sum", run.second));
   }
-  // The kernel path end to end: keygen, one encrypt per site, the SSI's
-  // fold, one decrypt.
+  // The packed-Paillier protocol end to end: the querier's keygen, one
+  // packed encrypt per token, the SSI's fold, one decrypt-unpack.
   const std::pair<size_t, size_t> paillier_sums[] = {
       {10, 256}, {100, 256}, {10, 512}, {100, 512}, {10, 1024}};
   for (const auto& [n, bits] : paillier_sums) {
-    const std::vector<uint64_t> v = values(n);
-    PDS_ASSIGN_OR_RETURN(
-        auto run, CountAndTime("Paillier sum", 73, [&](Rng* rng, Metrics* m) {
-          return global::PaillierFleetSum(v, bits, rng, m).status();
-        }));
+    global::PackedPaillierProtocol::Config cfg;
+    cfg.domain = {"all"};
+    cfg.max_slot_value = 1000;
+    cfg.paillier_bits = bits;
+    cfg.key_seed = 73;
+    global::PackedPaillierProtocol protocol(std::move(cfg));
+    PDS_ASSIGN_OR_RETURN(auto run,
+                         ladder_rung(&protocol, values(n), "Paillier sum"));
     out->push_back(Record("E6", "paillier_sum")
                        .Num("n", n)
                        .Num("modulus_bits", bits)

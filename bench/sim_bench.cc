@@ -3,8 +3,8 @@
 //   build/bench/sim_bench --out BENCH_sim.json [--max-tokens N]
 //
 // It sweeps [TNP14] secure aggregation over SimFleet — the real SsiServer
-// and TokenClient state machines over SimTransport links on virtual time —
-// for fleet sizes 1k / 10k / 100k / 1M in ONE process, recording
+// and one TokenSession per token, joined by simulated links on virtual
+// time — for fleet sizes 1k / 10k / 100k / 1M in ONE process, recording
 // rounds-to-convergence, measured wire bytes, virtual round-trip latency
 // percentiles, event counts, and memory per run (the sizeof estimate next
 // to the run's own measured peak RSS). It
@@ -137,7 +137,7 @@ int RunOnce(const SimFleetConfig& cfg, const std::string& what,
   auto t1 = std::chrono::steady_clock::now();
   if (fleet.pump_errors() != 0) {
     return Fail(what + ": " + std::to_string(fleet.pump_errors()) +
-                " fatal pump errors");
+                " token sessions failed");
   }
   if (Distill(&fleet, out,
               std::chrono::duration<double, std::milli>(t1 - t0).count(),

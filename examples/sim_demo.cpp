@@ -2,20 +2,22 @@
 // simulator from pds::sim run as a command-line tool.
 //
 // The demo builds a SimFleet — the REAL net::SsiServer and one REAL
-// net::TokenClient + mcu::SecureToken per simulated token, wired over
-// SimTransport links with a WAN-ish latency/jitter/bandwidth model — and
+// net::TokenSession + mcu::SecureToken per simulated token, joined by
+// simulated links with a WAN-ish latency/jitter/bandwidth model — and
 // replays one seeded secure-aggregation GROUP-BY round over it. Everything
 // runs in a single process on virtual time: the server's blocking Recv
-// calls drive the discrete-event queue, tokens answer from delivery
-// callbacks, and the whole run is a pure function of the seed. Run it
+// calls drive the discrete-event queue, each token's session answers a
+// frame the instant it lands, and the whole run is a pure function of the
+// seed. Run it
 // twice with the same seed and every group sum, byte count, and virtual
 // timestamp repeats exactly.
 //
 //   build/examples/sim_demo [--tokens N] [--seed N] [--groups N]
 //
 // Defaults replay the headline scenario: 1,000,000 tokens, seed 55,
-// 5 GROUP-BY cities. Expect ~30 s of wall time and a few GiB of RSS at
-// that size; try --tokens 10000 for an instant smoke run.
+// 5 GROUP-BY cities. Expect ~15 s of wall time and ~2.7 GiB of peak RSS
+// at that size on a 4-core x86-64 host; try --tokens 10000 for an instant
+// smoke run.
 
 #include <chrono>
 #include <cinttypes>
@@ -88,7 +90,7 @@ int main(int argc, char** argv) {
     return 1;
   }
   if (fleet.pump_errors() != 0) {
-    std::fprintf(stderr, "sim_demo: %zu token pump errors\n",
+    std::fprintf(stderr, "sim_demo: %zu token sessions failed\n",
                  fleet.pump_errors());
     return 1;
   }

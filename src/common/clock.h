@@ -6,8 +6,8 @@
 namespace pds {
 
 /// Injectable monotonic clock behind every deadline, retry backoff, and
-/// latency timestamp in the wire runtime (SsiServer, TokenClient, fault
-/// injection). Two implementations exist:
+/// latency timestamp in the wire runtime (SsiServer, fault injection).
+/// Two implementations exist:
 ///
 ///  - the process-wide wall clock (`WallClock()`), backed by
 ///    std::chrono::steady_clock, whose budget scaling applies the

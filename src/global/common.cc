@@ -58,6 +58,28 @@ double LeakageReport::ClassEntropyBits() const {
   return h;
 }
 
+std::map<std::string, double> FinalizeGroups(
+    const std::map<std::string, GroupState>& states, AggFunc func) {
+  std::map<std::string, double> out;
+  for (const auto& [group, s] : states) {
+    if (s.count == 0) {
+      continue;
+    }
+    switch (func) {
+      case AggFunc::kSum:
+        out[group] = s.sum;
+        break;
+      case AggFunc::kCount:
+        out[group] = static_cast<double>(s.count);
+        break;
+      case AggFunc::kAvg:
+        out[group] = s.sum / static_cast<double>(s.count);
+        break;
+    }
+  }
+  return out;
+}
+
 std::map<std::string, double> PlainAggregate(
     const std::vector<Participant>& participants, AggFunc func) {
   std::map<std::string, double> sums;

@@ -78,6 +78,18 @@ struct LeakageReport {
 /// The aggregate requested from the fleet.
 enum class AggFunc { kSum, kCount, kAvg };
 
+/// A group's running (sum, count): what tokens fold partitions into and
+/// what the querier finalizes.
+struct GroupState {
+  double sum = 0;
+  uint64_t count = 0;
+};
+
+/// Each group's `func` value from its (sum, count). Groups with a zero
+/// count are left out.
+[[nodiscard]] std::map<std::string, double> FinalizeGroups(
+    const std::map<std::string, GroupState>& states, AggFunc func);
+
 /// Result of a secure GROUP-BY aggregate over the fleet.
 struct AggOutput {
   std::map<std::string, double> groups;

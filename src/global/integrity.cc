@@ -175,11 +175,7 @@ Result<SealedAudit> AuditSealedBatch(mcu::SecureToken* querier,
   if (!out.verdict.ok) {
     return out;
   }
-  struct Acc {
-    double sum = 0;
-    uint64_t count = 0;
-  };
-  std::map<std::string, Acc> state;
+  std::map<std::string, GroupState> state;
   for (const SealedTuple& t : tuples) {
     PDS_ASSIGN_OR_RETURN(Bytes plain,
                          querier->DecryptNonDet(ByteView(t.payload_ct)));
@@ -188,23 +184,11 @@ Result<SealedAudit> AuditSealedBatch(mcu::SecureToken* querier,
     if (p.fake) {
       continue;
     }
-    Acc& a = state[p.group];
-    a.sum += p.sum;
-    a.count += p.count;
+    GroupState& g = state[p.group];
+    g.sum += p.sum;
+    g.count += p.count;
   }
-  for (const auto& [group, acc] : state) {
-    switch (func) {
-      case AggFunc::kSum:
-        out.groups[group] = acc.sum;
-        break;
-      case AggFunc::kCount:
-        out.groups[group] = static_cast<double>(acc.count);
-        break;
-      case AggFunc::kAvg:
-        out.groups[group] = acc.sum / static_cast<double>(acc.count);
-        break;
-    }
-  }
+  out.groups = FinalizeGroups(state, func);
   return out;
 }
 

@@ -21,12 +21,6 @@ class HbcObserver {
 
   LeakageReport Report() const;
 
-  void Reset() {
-    classes_.clear();
-    tuples_ = 0;
-    plaintext_seen_ = false;
-  }
-
  private:
   std::map<std::string, uint64_t> classes_;
   uint64_t tuples_ = 0;

@@ -271,38 +271,6 @@ Result<uint64_t> SecureScalarProduct(const std::vector<uint64_t>& a,
   return result;
 }
 
-Result<uint64_t> PaillierFleetSum(const std::vector<uint64_t>& site_values,
-                                  size_t paillier_bits, Rng* rng,
-                                  Metrics* metrics, FleetExecutor* exec) {
-  if (site_values.empty()) {
-    return 0;
-  }
-  PDS_ASSIGN_OR_RETURN(crypto::Paillier paillier,
-                       crypto::Paillier::Generate(paillier_bits, rng));
-  // Every site encrypts independently (the fleet-parallel hot path); the
-  // SSI then folds the ciphertexts, which is cheap modular multiplication.
-  PDS_ASSIGN_OR_RETURN(std::vector<crypto::BigInt> cts,
-                       ParallelEncrypt(paillier, site_values, rng, exec));
-  crypto::BigInt acc = std::move(cts[0]);
-  for (size_t i = 1; i < cts.size(); ++i) {
-    acc = paillier.AddCiphertexts(acc, cts[i]);  // SSI-side multiplication
-    if (metrics != nullptr) {
-      ++metrics->ssi_ops;
-    }
-  }
-  if (metrics != nullptr) {
-    metrics->token_crypto_ops += cts.size();
-    metrics->messages += cts.size();
-    metrics->bytes += cts.size() * (paillier_bits / 4);
-  }
-  PDS_ASSIGN_OR_RETURN(uint64_t sum, paillier.DecryptU64(acc));
-  if (metrics != nullptr) {
-    ++metrics->token_crypto_ops;
-    ++metrics->rounds;
-  }
-  return sum;
-}
-
 namespace {
 
 Status CheckCounterMatrix(const std::vector<std::vector<uint64_t>>& rows) {

@@ -57,16 +57,6 @@ Result<uint64_t> SecureScalarProduct(const std::vector<uint64_t>& a,
                                      Metrics* metrics,
                                      FleetExecutor* exec = nullptr);
 
-/// Homomorphic SUM over all participants using Paillier — the
-/// "untrusted-server-only" end of the tutorial's solution spectrum, used
-/// by paper_bench's E6 ladder as the expensive comparison point. The SSI adds
-/// ciphertexts without learning anything; only the querier (key owner)
-/// decrypts. Per-site encryptions fan out across the executor.
-Result<uint64_t> PaillierFleetSum(const std::vector<uint64_t>& site_values,
-                                  size_t paillier_bits, Rng* rng,
-                                  Metrics* metrics,
-                                  FleetExecutor* exec = nullptr);
-
 /// One fleet aggregation round over per-site counter vectors, the baseline
 /// crypto_round_bench times against the packed protocol round. Each site
 /// contributes site_counters[i] (all the same length k); the output is the

@@ -46,13 +46,6 @@ std::string FaultLabel(const ScenarioSpec& spec) {
   return "none";
 }
 
-bool IsSealedTampering(AdversaryAction a) {
-  return a == AdversaryAction::kSubstituteCiphertext ||
-         a == AdversaryAction::kReplayCiphertext ||
-         a == AdversaryAction::kOmitCiphertext ||
-         a == AdversaryAction::kForgeManifest;
-}
-
 bool IsProbeAction(AdversaryAction a) {
   return a == AdversaryAction::kReplayStaleRound ||
          a == AdversaryAction::kOversizedFrame ||

@@ -20,39 +20,12 @@ namespace {
 
 using global::AggFunc;
 using global::AggOutput;
+using global::GroupState;
 using global::Metrics;
 
 /// Seed of the handshake-challenge nonce stream and of the trace-id stream
 /// (deterministic tests; neither needs to be secret).
 constexpr uint64_t kNonceSeed = 42;
-
-/// Sum/count accumulation per group.
-struct GroupState {
-  double sum = 0;
-  uint64_t count = 0;
-};
-
-std::map<std::string, double> Finalize(
-    const std::map<std::string, GroupState>& states, AggFunc func) {
-  std::map<std::string, double> out;
-  for (const auto& [group, s] : states) {
-    if (s.count == 0) {
-      continue;
-    }
-    switch (func) {
-      case AggFunc::kSum:
-        out[group] = s.sum;
-        break;
-      case AggFunc::kCount:
-        out[group] = static_cast<double>(s.count);
-        break;
-      case AggFunc::kAvg:
-        out[group] = s.sum / static_cast<double>(s.count);
-        break;
-    }
-  }
-  return out;
-}
 
 /// The querier's answer from the tokens' AggResultMsg replies: entries
 /// merged per group, then finalized for `func`. A forging SSI
@@ -68,7 +41,7 @@ std::map<std::string, double> MergeResults(
       state[e.group].count += e.count;
     }
   }
-  std::map<std::string, double> groups = Finalize(state, func);
+  std::map<std::string, double> groups = global::FinalizeGroups(state, func);
   if (forge && !groups.empty()) {
     groups.begin()->second += 1.0;
   }
@@ -773,7 +746,7 @@ Result<AggOutput> SsiServer::RunPackedAggregation(
     gs.sum = static_cast<double>(totals[2 * i]);
     gs.count = totals[2 * i + 1];
   }
-  out.groups = Finalize(state, func);
+  out.groups = global::FinalizeGroups(state, func);
   return run.Close(std::move(out), "net-packed-paillier");
 }
 

@@ -5,6 +5,7 @@
 #include <thread>
 #include <utility>
 
+#include "common/clock.h"
 #include "common/hash.h"
 #include "global/integrity.h"
 #include "obs/obs.h"
@@ -13,11 +14,7 @@ namespace pds::net {
 
 namespace {
 
-/// Sum/count accumulation per group.
-struct GroupState {
-  double sum = 0;
-  uint64_t count = 0;
-};
+using global::GroupState;
 
 /// Bound on malformed frames tolerated per session before the token gives
 /// up on the stream — a hostile or broken SSI must not spin us forever.
@@ -60,6 +57,9 @@ bool IsRequestFault(const Status& s) {
 // TokenSession
 
 Result<TokenSession::Outcome> TokenSession::OnFrame(ByteView frame) {
+  if (state_ == State::kServing) {
+    ++frames_served_;
+  }
   auto decoded = DecodeMessage(frame);
   if (!decoded.ok()) {
     if (state_ != State::kServing) {
@@ -133,7 +133,11 @@ Result<TokenSession::Outcome> TokenSession::OnServingFrame(const Message& m) {
   highest_round_ = req->header.round_id;
   if (swallow_budget_ > 0) {
     --swallow_budget_;  // fault plan: swallow the request silently
-    out.swallowed_round = req->header.round_id;
+    if (log_ != nullptr) {
+      log_->Add({frames_served_, FaultKind::kSwallowRequest, "token",
+                 "round " + std::to_string(req->header.round_id) +
+                     " swallowed"});
+    }
     return out;
   }
   if (req->header.kind == RoundKind::kPackedCollect && packed_ == nullptr) {
@@ -461,9 +465,8 @@ mcu::SecureToken* ConfiguredToken(const TokenClient::Config& config) {
 TokenClient::TokenClient(std::unique_ptr<Transport> transport, Config config)
     : transport_(std::move(transport)),
       config_(std::move(config)),
-      clock_(config_.clock != nullptr ? config_.clock : WallClock()),
       session_(ConfiguredToken(config_), &tuples_, config_.packed,
-               config_.faults.swallow_first),
+               config_.faults.swallow_first, &log_),
       rng_(config_.faults.seed) {}
 
 TokenClient::~TokenClient() {
@@ -473,7 +476,7 @@ TokenClient::~TokenClient() {
   }
 }
 
-Status TokenClient::PrepareTuples() {
+Status TokenClient::Connect() {
   if (ConfiguredToken(config_) == nullptr) {
     return Status::InvalidArgument("TokenClient needs a token or a PdsNode");
   }
@@ -493,11 +496,6 @@ Status TokenClient::PrepareTuples() {
   } else {
     tuples_ = config_.tuples;
   }
-  return Status::Ok();
-}
-
-Status TokenClient::Connect() {
-  PDS_RETURN_IF_ERROR(PrepareTuples());
   return Handshake();
 }
 
@@ -512,16 +510,8 @@ Status TokenClient::Handshake() {
 }
 
 Status TokenClient::Deliver(const Bytes& frame, bool* done) {
-  if (session_.serving()) {
-    ++frame_index_;
-  }
   PDS_ASSIGN_OR_RETURN(TokenSession::Outcome out, session_.OnFrame(frame));
   *done = out.done;
-  if (out.swallowed_round.has_value()) {
-    log_.Add({frame_index_, FaultKind::kSwallowRequest, "token",
-              "round " + std::to_string(*out.swallowed_round) +
-                  " swallowed"});
-  }
   if (out.reply.has_value()) {
     PDS_RETURN_IF_ERROR(transport_->Send(*out.reply));
   }
@@ -541,7 +531,7 @@ Status TokenClient::MaybeChurn() {
   }
   ++reconnects_done_;
   transport_->Close();
-  log_.Add({frame_index_, FaultKind::kChurn, "token",
+  log_.Add({session_.frames_served(), FaultKind::kChurn, "token",
             "disconnected after " + std::to_string(replies_since_connect_) +
                 " replies; reconnect attempt " +
                 std::to_string(reconnects_done_)});
@@ -552,7 +542,7 @@ Status TokenClient::MaybeChurn() {
   uint32_t backoff =
       kReconnectBackoffMs * reconnects_done_ +
       static_cast<uint32_t>(rng_.Uniform(kReconnectBackoffMs + 1));
-  clock_->SleepMs(backoff);
+  WallClock()->SleepMs(backoff);
   PDS_ASSIGN_OR_RETURN(std::unique_ptr<Transport> fresh, config_.reconnect());
   transport_ = std::move(fresh);
   replies_since_connect_ = 0;
@@ -580,53 +570,6 @@ Status TokenClient::ServeLoop() {
     }
   }
   return Status::Ok();
-}
-
-Status TokenClient::StartPumped() {
-  if (config_.reconnect != nullptr) {
-    return Status::InvalidArgument(
-        "pumped mode cannot re-dial from inside the event loop; use a null "
-        "reconnect factory (churned tokens stay gone)");
-  }
-  if (pump_state_ != PumpState::kIdle) {
-    return Status::FailedPrecondition("StartPumped called twice");
-  }
-  PDS_RETURN_IF_ERROR(PrepareTuples());
-  pump_state_ = PumpState::kRunning;
-  return Status::Ok();
-}
-
-Result<bool> TokenClient::PumpOnce() {
-  if (pump_state_ == PumpState::kIdle) {
-    return Status::FailedPrecondition("PumpOnce before StartPumped");
-  }
-  if (pump_state_ == PumpState::kDone) {
-    return false;
-  }
-  auto frame = transport_->Recv(0);
-  if (!frame.ok()) {
-    if (frame.status().code() == StatusCode::kDeadlineExceeded) {
-      return true;  // nothing pending right now
-    }
-    // Transport closed: the socket-level equivalent of Bye (same clean
-    // outcome the blocking ServeLoop reports).
-    pump_state_ = PumpState::kDone;
-    loop_status_ = Status::Ok();
-    return false;
-  }
-  bool done = false;
-  Status st = Deliver(frame.value(), &done);
-  if (!st.ok()) {
-    pump_state_ = PumpState::kDone;
-    loop_status_ = st;
-    return st;
-  }
-  if (done) {
-    pump_state_ = PumpState::kDone;
-    loop_status_ = Status::Ok();
-    return false;
-  }
-  return true;
 }
 
 void TokenClient::Start() {

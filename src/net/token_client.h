@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "ac/policy.h"
-#include "common/clock.h"
 #include "common/rng.h"
 #include "global/common.h"
 #include "net/codec.h"
@@ -21,9 +20,10 @@
 
 /// The token side of the wire. TokenSession is the token's whole protocol
 /// logic: it turns each frame the SSI sends into at most one reply frame.
-/// TokenClient runs a session over a real transport (its own thread, or
-/// pumped by the simulator); DirectTokenLink (net/direct_link.h) runs one
-/// inside Send() for the in-process global::*Protocol::Execute adapters.
+/// Three hosts run it unchanged: TokenClient over a real transport on its
+/// own thread; DirectTokenLink (net/direct_link.h) inside Send() for the
+/// in-process global::*Protocol::Execute adapters; and the simulator's
+/// sim::SimNet::ConnectSession where each frame lands on a modeled link.
 ///
 /// All plaintext handling happens in TokenSession — "inside" the token;
 /// only ciphertext and final (authorized) aggregates leave as replies.
@@ -38,14 +38,16 @@ class TokenSession {
   /// public packing context; null refuses kPackedCollect rounds) are
   /// pointed at, not copied, and must outlive the session. The first
   /// `swallow_first` valid round requests get no reply (a token-level
-  /// fault from FaultPlan).
+  /// fault from FaultPlan); each swallow is recorded in `log` when one is
+  /// given.
   TokenSession(mcu::SecureToken* token,
                const std::vector<global::SourceTuple>* tuples,
                const crypto::PackedAggregate* packed,
-               uint32_t swallow_first = 0)
+               uint32_t swallow_first = 0, InjectionLog* log = nullptr)
       : token_(token),
         tuples_(tuples),
         packed_(packed),
+        log_(log),
         swallow_budget_(swallow_first) {}
 
   /// What one inbound frame produced.
@@ -53,8 +55,6 @@ class TokenSession {
     std::optional<Bytes> reply;  // the frame to send back, if any
     bool answered = false;  // a round handler ran and replied
     bool done = false;      // Bye: the session ended cleanly
-    /// Set when the fault plan swallowed this round request.
-    std::optional<uint32_t> swallowed_round;
   };
 
   /// Advances the session by one inbound frame. An error is fatal to the
@@ -69,6 +69,10 @@ class TokenSession {
   /// highest answered round survives, so a replay from before the
   /// reconnect is still refused.
   void Reconnect() { state_ = State::kAwaitChallenge; }
+
+  /// Frames received after the handshake, across reconnects: the frame
+  /// index token-level injection log entries carry.
+  [[nodiscard]] uint64_t frames_served() const { return frames_served_; }
 
  private:
   enum class State : uint8_t { kAwaitChallenge, kAwaitAck, kServing };
@@ -98,6 +102,8 @@ class TokenSession {
   mcu::SecureToken* token_;
   const std::vector<global::SourceTuple>* tuples_;
   const crypto::PackedAggregate* packed_;
+  InjectionLog* log_;  // null: swallows go unrecorded
+  uint64_t frames_served_ = 0;
   uint32_t swallow_budget_;
   /// Highest round id answered so far: a request below it is a replay of an
   /// already-answered round and gets refused (an equal id is the SSI's
@@ -144,9 +150,6 @@ class TokenClient {
     /// distributed out of band before the round). Required to answer
     /// kPackedCollect rounds; null tokens refuse them with an ErrorMsg.
     const crypto::PackedAggregate* packed = nullptr;
-    /// Clock behind the reconnect backoff sleep. Null means the process
-    /// wall clock; the simulation tier injects a sim::SimClock here.
-    Clock* clock = nullptr;
   };
 
   TokenClient(std::unique_ptr<Transport> transport, Config config);
@@ -155,8 +158,8 @@ class TokenClient {
   TokenClient(const TokenClient&) = delete;
   TokenClient& operator=(const TokenClient&) = delete;
 
-  /// Runs the challenge/hello/ack handshake (and, with a PdsNode, the
-  /// policy-checked export of the authorized tuples).
+  /// Exports the tuples (policy-checked with a PdsNode, else
+  /// Config::tuples) and runs the challenge/hello/ack handshake.
   [[nodiscard]] Status Connect();
 
   /// Answers rounds until Bye, transport close, or Stop(). Returns Ok on a
@@ -171,39 +174,17 @@ class TokenClient {
   /// Joins the background thread and returns its final status.
   [[nodiscard]] Status Join();
 
-  /// Single-frame ("pumped") mode for the discrete-event simulator: no
-  /// thread, no blocking Recv — the event loop delivers frames one at a
-  /// time. StartPumped() runs Connect()'s tuple export and arms the
-  /// handshake state machine (the challenge has not necessarily arrived
-  /// yet); each PumpOnce() polls the transport once (Recv with a zero
-  /// deadline) and advances exactly one frame through the same
-  /// handshake/serve logic the blocking path uses. Requires a null
-  /// reconnect factory — a churned pumped client stays gone by design
-  /// (re-dialing from inside the event loop would recurse into it).
-  [[nodiscard]] Status StartPumped();
-
-  /// One pump step. Returns true while the session is live (including
-  /// "nothing pending right now"), false once it ended cleanly (Bye, or
-  /// transport closed after rounds), or the fatal error that killed it.
-  [[nodiscard]] Result<bool> PumpOnce();
-
   [[nodiscard]] const Transport& transport() const { return *transport_; }
 
   /// Token-level realized faults (swallows, churns) for scenario repro.
   [[nodiscard]] const InjectionLog& injection_log() const { return log_; }
 
  private:
-  /// Where the pumped session stands; blocking mode never leaves kIdle.
-  enum class PumpState { kIdle, kRunning, kDone };
-
-  /// The tuple-export half of Connect(): policy-checked ExportAs from a
-  /// PdsNode, or the pre-exported Config::tuples.
-  [[nodiscard]] Status PrepareTuples();
   /// The handshake half of Connect(), reused on reconnect: a returning
   /// token must re-prove fleet membership against a FRESH challenge.
   [[nodiscard]] Status Handshake();
   /// Feeds one received frame (handshake or round) to the session, sends
-  /// its reply, and applies the token-level fault plan. Sets *done when the
+  /// its reply, and applies the token-level churn plan. Sets *done when the
   /// session ended cleanly (Bye).
   [[nodiscard]] Status Deliver(const Bytes& frame, bool* done);
   /// Fault-plan churn: after enough replies, close the transport, back off
@@ -212,13 +193,10 @@ class TokenClient {
 
   std::unique_ptr<Transport> transport_;
   Config config_;
-  Clock* clock_;  // never null: Config::clock or the wall clock
-  PumpState pump_state_ = PumpState::kIdle;
   std::vector<global::SourceTuple> tuples_;
-  TokenSession session_;  // points at tuples_
   InjectionLog log_;
-  Rng rng_;  // jitter + fault draws, seeded from the fault plan
-  uint64_t frame_index_ = 0;          // frames received this session
+  TokenSession session_;  // points at tuples_ and log_
+  Rng rng_;  // reconnect jitter, seeded from the fault plan
   uint64_t replies_since_connect_ = 0;
   uint32_t reconnects_done_ = 0;
   std::atomic<bool> stop_{false};

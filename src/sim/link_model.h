@@ -5,9 +5,10 @@
 #include <vector>
 
 /// Parameters of the modeled token <-> SSI link. One LinkModel serves the
-/// whole fleet; per-frame realizations (loss, jitter, reorder) are drawn
-/// from the SimNet's single seeded RNG in a fixed order, so a seed pins
-/// the entire fleet's link behaviour.
+/// whole fleet; per-frame realizations (loss, jitter) are drawn from the
+/// SimNet's single seeded RNG in a fixed order, so a seed pins the entire
+/// fleet's link behaviour. Each direction of a link is a FIFO pipe: no
+/// frame overtakes an earlier one, whatever its jitter.
 namespace pds::sim {
 
 /// A wall of silence: frames sent while `start_ns <= now < end_ns` are
@@ -21,14 +22,10 @@ struct PartitionWindow {
 struct LinkModel {
   /// Fixed one-way latency added to every frame.
   uint64_t base_latency_us = 0;
-  /// Uniform extra latency in [0, jitter_us] drawn per frame. With zero
-  /// jitter the link is a FIFO pipe and reorder_rate cannot manifest.
+  /// Uniform extra latency in [0, jitter_us] drawn per frame.
   uint64_t jitter_us = 0;
   /// Per-frame Bernoulli loss probability.
   double loss_rate = 0.0;
-  /// Probability a frame skips the FIFO clamp: with jitter, a lucky late
-  /// frame may then overtake an unlucky earlier one.
-  double reorder_rate = 0.0;
   /// Link serialization rate; 0 means infinite (no per-byte delay).
   uint64_t bandwidth_bytes_per_sec = 0;
   /// Outage windows in virtual time.
@@ -39,8 +36,7 @@ struct LinkModel {
   /// an InProcessTransport run (the anchor property).
   [[nodiscard]] bool ideal() const {
     return base_latency_us == 0 && jitter_us == 0 && loss_rate == 0 &&
-           reorder_rate == 0 && bandwidth_bytes_per_sec == 0 &&
-           partitions.empty();
+           bandwidth_bytes_per_sec == 0 && partitions.empty();
   }
 };
 

@@ -17,11 +17,7 @@ constexpr uint32_t kDropForever = 1u << 20;
 
 SimFleet::SimFleet(const SimFleetConfig& config) : config_(config) {}
 
-SimFleet::~SimFleet() {
-  // Clients pump from link callbacks that capture `this`; drop them before
-  // anything they reference.
-  clients_.clear();
-}
+SimFleet::~SimFleet() = default;
 
 Status SimFleet::Build() {
   clock_ = std::make_unique<SimClock>();
@@ -51,8 +47,8 @@ Status SimFleet::Build() {
   const size_t n = config_.num_tokens;
   tokens_.reserve(n);
   tuples_.reserve(n);
-  clients_.reserve(n);
-  client_ends_.reserve(n);
+  sessions_.reserve(n);
+  links_.assign(n, nullptr);
 
   Rng workload(config_.seed);
   for (size_t i = 0; i < n; ++i) {
@@ -72,56 +68,25 @@ Status SimFleet::Build() {
     }
     total_tuples_ += tuples.size();
     tuples_.push_back(std::move(tuples));
-    clients_.push_back(nullptr);
-    client_ends_.push_back(nullptr);
   }
 
   for (size_t i = 0; i < n; ++i) {
+    const bool dropout =
+        config_.dropout_every > 0 && (i % config_.dropout_every) == 0;
+    dropped_tokens_ += dropout ? 1 : 0;
+    sessions_.emplace_back(tokens_[i].get(), &tuples_[i], /*packed=*/nullptr,
+                           dropout ? kDropForever : 0);
     PDS_RETURN_IF_ERROR(ConnectToken(i, /*readmit=*/false));
   }
   return Status::Ok();
 }
 
 Status SimFleet::ConnectToken(size_t i, bool readmit) {
-  auto [server_end, client_end] = net_->CreatePair();
-  SimTransport* client_raw = client_end.get();
-
-  net::TokenClient::Config ccfg;
-  ccfg.token = tokens_[i].get();
-  ccfg.tuples = tuples_[i];
-  ccfg.deadline_ms = config_.deadline_ms;
-  ccfg.clock = clock_.get();
-  if (!readmit && config_.dropout_every > 0 &&
-      (i % config_.dropout_every) == 0) {
-    ccfg.faults.seed = 7 + i;
-    ccfg.faults.swallow_first = kDropForever;
-    ++dropped_tokens_;
-  }
-  auto client =
-      std::make_unique<net::TokenClient>(std::move(client_end), ccfg);
-  PDS_RETURN_IF_ERROR(client->StartPumped());
-  client_raw->set_on_frame([this, i] { PumpToken(i); });
-  clients_[i] = std::move(client);
-  client_ends_[i] = client_raw;
-
-  Result<size_t> admitted =
-      readmit ? server_->ReadmitSession(std::move(server_end))
-              : server_->AcceptSession(std::move(server_end));
-  if (!admitted.ok()) {
-    return admitted.status();
-  }
-  return Status::Ok();
-}
-
-void SimFleet::PumpToken(size_t i) {
-  net::TokenClient* client = clients_[i].get();
-  if (client == nullptr) {
-    return;
-  }
-  Result<bool> r = client->PumpOnce();
-  if (!r.ok()) {
-    ++pump_errors_;
-  }
+  std::unique_ptr<SimTransport> link = net_->ConnectSession(&sessions_[i]);
+  links_[i] = link.get();
+  Result<size_t> admitted = readmit ? server_->ReadmitSession(std::move(link))
+                                    : server_->AcceptSession(std::move(link));
+  return admitted.status();
 }
 
 Result<global::AggOutput> SimFleet::RunSecureAggregation(
@@ -134,15 +99,15 @@ Status SimFleet::ChurnAndReadmit(size_t churn_every) {
     return Status::InvalidArgument("churn_every must be positive");
   }
   churned_tokens_ = 0;
-  for (size_t i = 0; i < clients_.size(); ++i) {
+  for (size_t i = 0; i < sessions_.size(); ++i) {
     if ((i % churn_every) != 0) {
       continue;
     }
-    // Close drops the link's delivery hooks, so in-flight frames land in
-    // dead inboxes instead of pumping a destroyed client.
-    client_ends_[i]->Close();
-    clients_[i].reset();
-    client_ends_[i] = nullptr;
+    // Close detaches the old session, so in-flight frames land in a dead
+    // inbox instead of reaching the fresh session that replaces it.
+    links_[i]->Close();
+    sessions_[i] =
+        net::TokenSession(tokens_[i].get(), &tuples_[i], /*packed=*/nullptr);
     PDS_RETURN_IF_ERROR(ConnectToken(i, /*readmit=*/true));
     ++churned_tokens_;
   }
@@ -152,17 +117,17 @@ Status SimFleet::ChurnAndReadmit(size_t churn_every) {
 SimFleet::MemoryStats SimFleet::Memory() const {
   MemoryStats m;
   const uint64_t n = config_.num_tokens;
-  // Resident per-token structures: the token and client state machines,
-  // the link (two endpoints + shared state + delivery callbacks), the
-  // server session record, and the workload tuples (twice: fleet copy and
-  // the client's export). Deque/string internals are approximated by their
-  // header sizes — the point is the scaling law, not byte-perfect malloc
-  // accounting; vm_hwm_kb is the ground truth.
+  // Resident per-token structures: the token and its session, the link
+  // (the SSI's endpoint + shared state), the server session record, and
+  // the one copy of the workload tuples the session points at.
+  // Deque/string internals are approximated by their header sizes — the
+  // point is the scaling law, not byte-perfect malloc accounting;
+  // vm_hwm_kb is the ground truth.
   const uint64_t per_token =
-      sizeof(mcu::SecureToken) + sizeof(net::TokenClient) +
-      2 * sizeof(SimTransport) + 128 /* Link + callbacks */ +
+      sizeof(mcu::SecureToken) + sizeof(net::TokenSession) +
+      sizeof(SimTransport) + 128 /* Link */ +
       sizeof(net::SsiServer::Config) /* ~session record upper bound */ +
-      2 * config_.tuples_per_token * (sizeof(global::SourceTuple) + 16);
+      config_.tuples_per_token * (sizeof(global::SourceTuple) + 16);
   m.bytes_estimate = n * per_token;
   m.bytes_per_token = n > 0 ? m.bytes_estimate / n : 0;
 #ifdef __linux__

@@ -16,14 +16,14 @@
 /// SimFleet — a whole [TNP14] token fleet in one process, on virtual time.
 ///
 /// The harness instantiates the REAL protocol endpoints — net::SsiServer
-/// and one net::TokenClient + mcu::SecureToken per simulated token — and
-/// wires them over SimTransport pairs. No protocol logic is reimplemented:
-/// the server runs unmodified and drives the event queue from inside its
-/// blocking Recv/backoff calls, while every token runs in pumped mode
-/// (TokenClient::PumpOnce from the link's delivery callback). Memory is the
-/// only thing engineered for scale: lean server sessions, event logging
-/// off, one tuple per token by default — about 2 KiB per simulated token
-/// all-in, so a million-token fleet fits in a few GiB.
+/// and one net::TokenSession + mcu::SecureToken per simulated token — and
+/// joins them with SimNet::ConnectSession links. No protocol logic is
+/// reimplemented: the server runs unmodified and drives the event queue
+/// from inside its blocking Recv/backoff calls, while every token's session
+/// answers each frame where it lands, as the in-process DirectTokenLink
+/// does. Memory is the only thing engineered for scale: lean server
+/// sessions, event logging off, one tuple per token by default, and one
+/// copy of it, which the token's session points at.
 namespace pds::sim {
 
 struct SimFleetConfig {
@@ -56,7 +56,7 @@ class SimFleet {
   SimFleet(const SimFleet&) = delete;
   SimFleet& operator=(const SimFleet&) = delete;
 
-  /// Creates tokens, pumped clients, and transports, and runs the real
+  /// Creates tokens, their sessions and links, and runs the real
   /// attestation handshake for every session.
   [[nodiscard]] Status Build();
 
@@ -65,9 +65,9 @@ class SimFleet {
   [[nodiscard]] Result<global::AggOutput> RunSecureAggregation(
       global::AggFunc func);
 
-  /// Churns every Nth token between runs: closes its link (the client
-  /// object dies with it), then re-admits a fresh client for the SAME
-  /// token through SsiServer::ReadmitSession's fresh-challenge handshake.
+  /// Churns every Nth token between runs: closes its link (the session
+  /// dies with it), then re-admits a fresh session for the SAME token
+  /// through SsiServer::ReadmitSession's fresh-challenge handshake.
   /// The next run must complete at full strength — that is the
   /// churn-tolerance property the bench records.
   [[nodiscard]] Status ChurnAndReadmit(size_t churn_every);
@@ -81,13 +81,15 @@ class SimFleet {
   [[nodiscard]] size_t dropped_tokens() const { return dropped_tokens_; }
   /// Sessions re-admitted by the last ChurnAndReadmit call.
   [[nodiscard]] size_t churned_tokens() const { return churned_tokens_; }
-  /// Fatal pump errors observed across all clients (0 on a clean run).
-  [[nodiscard]] size_t pump_errors() const { return pump_errors_; }
+  /// Token sessions silenced by a fatal error (0 on a clean run).
+  [[nodiscard]] size_t pump_errors() const {
+    return net_->stats().session_errors;
+  }
 
   /// Aggregate-memory accounting for the fleet.
   struct MemoryStats {
     /// Sum of the resident structures the fleet allocates per token
-    /// (token + client + link + tuples), from sizeof arithmetic.
+    /// (token + session + link + tuples), from sizeof arithmetic.
     uint64_t bytes_estimate = 0;
     /// Peak RSS of the whole process (VmHWM, Linux only; 0 elsewhere).
     uint64_t vm_hwm_kb = 0;
@@ -96,9 +98,8 @@ class SimFleet {
   [[nodiscard]] MemoryStats Memory() const;
 
  private:
-  void PumpToken(size_t i);
-  /// Builds client i over a fresh link and hands the server end to
-  /// `admit` (AcceptSession or ReadmitSession).
+  /// Starts a fresh session for token i on a fresh link and admits the
+  /// link's SSI end (AcceptSession, or ReadmitSession on churn).
   [[nodiscard]] Status ConnectToken(size_t i, bool readmit);
 
   SimFleetConfig config_;
@@ -108,13 +109,13 @@ class SimFleet {
   std::unique_ptr<net::SsiServer> server_;
   std::vector<std::unique_ptr<mcu::SecureToken>> tokens_;
   std::vector<std::vector<global::SourceTuple>> tuples_;
-  std::vector<std::unique_ptr<net::TokenClient>> clients_;
-  /// Raw client-side endpoints (owned by the TokenClient) for churn close.
-  std::vector<SimTransport*> client_ends_;
+  /// One per token, never reallocated: links point at them.
+  std::vector<net::TokenSession> sessions_;
+  /// The SSI end of each token's link (owned by the server) for churn.
+  std::vector<SimTransport*> links_;
   uint64_t total_tuples_ = 0;
   size_t dropped_tokens_ = 0;
   size_t churned_tokens_ = 0;
-  size_t pump_errors_ = 0;
 };
 
 }  // namespace pds::sim

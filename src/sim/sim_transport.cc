@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <utility>
 
+#include "net/token_client.h"
+
 namespace pds::sim {
 
 void SimEventLog::RecordEvent(const SimEvent& event) {
@@ -33,6 +35,14 @@ SimNet::CreatePair(size_t max_queued) {
   return {std::move(a), std::move(b)};
 }
 
+std::unique_ptr<SimTransport> SimNet::ConnectSession(
+    net::TokenSession* session) {
+  // The token end is the session itself; its endpoint object goes unused.
+  auto [ssi_end, token_end] = CreatePair();
+  ssi_end->link_->session = session;
+  return std::move(ssi_end);
+}
+
 bool SimNet::InPartition(uint64_t t_ns) const {
   for (const PartitionWindow& w : model_.partitions) {
     if (t_ns >= w.start_ns && t_ns < w.end_ns) {
@@ -58,7 +68,6 @@ Status SimNet::SendFrom(const std::shared_ptr<Link>& link, int from_side,
   const bool lost = rng_.Bernoulli(model_.loss_rate);
   const uint64_t jitter_us =
       model_.jitter_us > 0 ? rng_.Uniform(model_.jitter_us + 1) : 0;
-  const bool reordered = rng_.Bernoulli(model_.reorder_rate);
 
   if (InPartition(now_ns)) {
     ++stats_.frames_partitioned;
@@ -97,14 +106,11 @@ Status SimNet::SendFrom(const std::shared_ptr<Link>& link, int from_side,
   } else {
     dir.next_free_ns = start_ns;
   }
-  uint64_t arrival_ns =
-      dir.next_free_ns + (model_.base_latency_us + jitter_us) * 1000ull;
-  // FIFO clamp: without a reorder draw, no frame may overtake an earlier
-  // one on the same direction.
-  if (!reordered) {
-    arrival_ns = std::max(arrival_ns, dir.last_arrival_ns);
-  }
-  dir.last_arrival_ns = std::max(dir.last_arrival_ns, arrival_ns);
+  // FIFO clamp: no frame may overtake an earlier one on the same direction.
+  const uint64_t arrival_ns = std::max<uint64_t>(
+      dir.next_free_ns + (model_.base_latency_us + jitter_us) * 1000ull,
+      dir.last_arrival_ns);
+  dir.last_arrival_ns = arrival_ns;
 
   ++dir.in_flight;
   clock_->Schedule(arrival_ns,
@@ -130,12 +136,27 @@ void SimNet::Deliver(const std::shared_ptr<Link>& link, int to_side,
     e.arrival_ns = clock_->NowNs();
     log_.RecordEvent(e);
   }
+  if (to_side == 1 && link->session != nullptr) {
+    Answer(link, frame);
+    return;
+  }
   // Frames in flight at Close still land in the inbox: InProcessTransport
   // keeps queued frames poppable after close, and the churn anchor depends
   // on the SSI reading a token's final reply after the link went down.
   dir.inbox.push_back(std::move(frame));
-  if (dir.on_frame) {
-    dir.on_frame();
+}
+
+void SimNet::Answer(const std::shared_ptr<Link>& link, ByteView frame) {
+  auto out = link->session->OnFrame(frame);
+  Status st = out.status();
+  if (st.ok() && out->reply.has_value()) {
+    st = SendFrom(link, /*from_side=*/1, *out->reply);
+  }
+  if (!st.ok()) {
+    ++stats_.session_errors;
+  }
+  if (!st.ok() || out->done) {
+    link->session = nullptr;  // a stopped client reads no further frames
   }
 }
 
@@ -154,29 +175,8 @@ Status SimTransport::Send(ByteView frame) {
 Result<Bytes> SimTransport::Recv(uint32_t deadline_ms) {
   SimNet::LinkDir& dir = link_->dirs[side_];
   SimClock* clock = link_->net->clock_;
-  if (deadline_ms == 0) {
-    // Pure poll from event context: never advances time (the driver owns
-    // the queue), pops even after close, mirrors InProcess error order.
-    // InProcess enqueues at Send time, so frames already on the wire at
-    // Close stay poppable there; catch up on deliveries that are due
-    // before conceding the link is drained.
-    while (dir.inbox.empty() && link_->closed && dir.in_flight > 0 &&
-           clock->next_event_ns() <= clock->NowNs()) {
-      clock->RunOne();
-    }
-    if (!dir.inbox.empty()) {
-      Bytes frame = std::move(dir.inbox.front());
-      dir.inbox.pop_front();
-      CountReceived(frame.size());
-      return frame;
-    }
-    if (link_->closed) {
-      return Status::IoError("transport closed");
-    }
-    return Status::DeadlineExceeded("recv deadline exceeded");
-  }
-  // Driver role: block by running the event queue until our frame lands or
-  // virtual time reaches the deadline.
+  // Block by running the event queue until our frame lands or virtual time
+  // reaches the deadline.
   const uint64_t deadline_ns =
       clock->NowNs() + static_cast<uint64_t>(deadline_ms) * 1000000ull;
   while (dir.inbox.empty()) {
@@ -200,17 +200,12 @@ Result<Bytes> SimTransport::Recv(uint32_t deadline_ms) {
 
 void SimTransport::Close() {
   link_->closed = true;
-  // A closed endpoint must never be pumped again: a churned token's client
-  // object is about to be destroyed, so drop both reactive hooks.
-  link_->dirs[0].on_frame = nullptr;
-  link_->dirs[1].on_frame = nullptr;
+  // Frames still in flight must not reach a session its owner may now
+  // destroy (a churned token).
+  link_->session = nullptr;
 }
 
 bool SimTransport::closed() const { return link_->closed; }
-
-void SimTransport::set_on_frame(std::function<void()> fn) {
-  link_->dirs[side_].on_frame = std::move(fn);
-}
 
 Status FrameTap::Send(ByteView frame) {
   Status st = inner_->Send(frame);

@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -13,20 +12,28 @@
 #include "sim/link_model.h"
 #include "sim/sim_clock.h"
 
+namespace pds::net {
+class TokenSession;
+}  // namespace pds::net
+
 /// SimTransport — the simulated wire.
 ///
 /// SimNet::CreatePair() hands out two connected net::Transport endpoints,
 /// exactly like InProcessTransport::CreatePair(), except delivery runs
-/// through the SimClock event queue under a LinkModel: Send draws loss /
-/// jitter / reorder from the net's single seeded RNG and schedules the
-/// frame's arrival; a blocking Recv *advances the event queue* until its
-/// frame lands or the (virtual) deadline passes. The error surface mirrors
+/// through the SimClock event queue under a LinkModel: Send draws loss and
+/// jitter from the net's single seeded RNG and schedules the frame's
+/// arrival; a blocking Recv *advances the event queue* until its frame
+/// lands or the (virtual) deadline passes. The error surface mirrors
 /// InProcessTransport verbatim — IoError("transport closed") after close,
 /// ResourceExhausted("transport queue full") past max_queued,
 /// DeadlineExceeded("recv deadline exceeded") on timeout — so the protocol
-/// layer cannot tell the two apart on an ideal link. Everything is
-/// single-threaded: one driver endpoint may block in Recv; every other
-/// endpoint must be reactive (set_on_frame + non-blocking Recv(0)).
+/// layer cannot tell the two apart on an ideal link.
+///
+/// SimNet::ConnectSession() is the virtual-time twin of DirectTokenLink: the
+/// far end of the link is a net::TokenSession that answers each frame at
+/// the instant it lands, over the same modeled link. Everything is
+/// single-threaded: the SSI end blocks in Recv and so drives the queue;
+/// token sessions only ever run from delivery events.
 namespace pds::sim {
 
 /// What happened to a frame on the modeled link. Records carry sizes and
@@ -79,6 +86,9 @@ class SimNet {
     uint64_t frames_lost = 0;       // loss_rate casualties
     uint64_t frames_partitioned = 0;
     uint64_t bytes_delivered = 0;
+    /// ConnectSession tokens silenced by a fatal session error (or by a
+    /// reply the link refused).
+    uint64_t session_errors = 0;
   };
 
   SimNet(SimClock* clock, LinkModel model, uint64_t seed);
@@ -89,6 +99,15 @@ class SimNet {
   [[nodiscard]] std::pair<std::unique_ptr<SimTransport>,
                           std::unique_ptr<SimTransport>>
   CreatePair(size_t max_queued = 1024);
+
+  /// The SSI's end of a link whose token end is `session`, which answers
+  /// every frame as it lands and sends its reply back over the link. A
+  /// fatal session error (counted in Stats::session_errors), or Bye,
+  /// silences the token end without closing the link: later frames land
+  /// unread, as on a stopped client. Close() detaches the session, so the
+  /// caller may destroy it then; until that, it must stay alive.
+  [[nodiscard]] std::unique_ptr<SimTransport> ConnectSession(
+      net::TokenSession* session);
 
   [[nodiscard]] SimClock* clock() { return clock_; }
   [[nodiscard]] const LinkModel& model() const { return model_; }
@@ -111,7 +130,6 @@ class SimNet {
     size_t in_flight = 0;          // scheduled, not yet delivered
     uint64_t last_arrival_ns = 0;  // FIFO clamp for in-order delivery
     uint64_t next_free_ns = 0;     // bandwidth serialization horizon
-    std::function<void()> on_frame;
   };
   struct Link {
     SimNet* net = nullptr;
@@ -119,12 +137,16 @@ class SimNet {
     bool closed = false;
     size_t max_queued = 1024;
     LinkDir dirs[2];
+    /// ConnectSession's token end (side 1) while it still answers.
+    net::TokenSession* session = nullptr;
   };
 
   [[nodiscard]] Status SendFrom(const std::shared_ptr<Link>& link,
                                 int from_side, ByteView frame);
   void Deliver(const std::shared_ptr<Link>& link, int to_side, Bytes frame,
                uint64_t sent_ns);
+  /// Hands a frame that landed on side 1 to the link's session.
+  void Answer(const std::shared_ptr<Link>& link, ByteView frame);
   [[nodiscard]] bool InPartition(uint64_t t_ns) const;
 
   SimClock* clock_;
@@ -136,11 +158,10 @@ class SimNet {
   uint32_t next_link_id_ = 0;
 };
 
-/// One endpoint of a simulated link. Blocking Recv drives the event queue
-/// (driver role); Recv(0) polls the inbox without advancing time (reactive
-/// role, paired with set_on_frame).
+/// One endpoint of a simulated link. Recv drives the event queue until its
+/// frame lands or the virtual deadline passes.
 class SimTransport final : public net::Transport {
-  /// Passkey: only SimNet::CreatePair can construct endpoints.
+  /// Passkey: only SimNet can construct endpoints.
   struct Private {
     explicit Private() = default;
   };
@@ -153,11 +174,6 @@ class SimTransport final : public net::Transport {
   [[nodiscard]] Result<Bytes> Recv(uint32_t deadline_ms) override;
   void Close() override;
   [[nodiscard]] bool closed() const override;
-
-  /// Reactive delivery hook, invoked from event context right after a
-  /// frame lands in this endpoint's inbox. The callee typically drains it
-  /// with Recv(0). Must not block.
-  void set_on_frame(std::function<void()> fn);
 
  private:
   friend class SimNet;

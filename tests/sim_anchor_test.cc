@@ -4,8 +4,10 @@
 // (observed through a FrameTap on the server side of each link), same
 // aggregate groups and wire metrics, same RoundReport, and the same
 // realized fault injections (InjectionLog), across seeds × fleet sizes ×
-// fault plans. A cell where both runs fail identically anchors too: the
-// simulator must reproduce failures, not just successes.
+// fault plans. The wall run hosts each token in a threaded TokenClient, the
+// simulated run as a bare TokenSession on a SimNet::ConnectSession link. A
+// cell where both runs fail identically anchors too: the simulator must
+// reproduce failures, not just successes.
 //
 // Faults come from the existing seed-deterministic FaultInjectingTransport
 // wrapped over either transport — same seed over the same frame sequence
@@ -145,13 +147,12 @@ ServerSide WrapServerSide(std::unique_ptr<Transport> base,
 }
 
 TokenClient::Config ClientConfig(const Fleet& fleet, size_t i,
-                                 const AnchorCell& cell, Clock* clock) {
+                                 const AnchorCell& cell) {
   TokenClient::Config ccfg;
   ccfg.token = fleet.tokens[i].get();
   ccfg.tuples = fleet.tuples[i];
-  ccfg.deadline_ms = clock == nullptr ? ScaledMs(2000) : 2000;
+  ccfg.deadline_ms = ScaledMs(2000);
   ccfg.poll_ms = 5;
-  ccfg.clock = clock;
   if (i == 0 && cell.faults.swallow_first > 0) {
     ccfg.faults.seed = cell.faults.seed;
     ccfg.faults.swallow_first = cell.faults.swallow_first;
@@ -194,7 +195,7 @@ WireRun RunWall(const AnchorCell& cell) {
         /*clock=*/nullptr, i == 0 && cell.faults.has_link_faults());
     taps.push_back(side.tap);
     clients.push_back(std::make_unique<TokenClient>(
-        std::move(client_side), ClientConfig(fleet, i, cell, nullptr)));
+        std::move(client_side), ClientConfig(fleet, i, cell)));
     clients.back()->Start();
     auto accepted = server.AcceptSession(std::move(side.transport));
     EXPECT_TRUE(accepted.ok()) << accepted.status().ToString();
@@ -216,7 +217,8 @@ WireRun RunWall(const AnchorCell& cell) {
   return run;
 }
 
-/// The simulated run: one thread, virtual time, pumped clients.
+/// The simulated run: one thread, virtual time, and each token a bare
+/// TokenSession answering on its link.
 WireRun RunSim(const AnchorCell& cell) {
   WireRun run;
   Fleet fleet = MakeFleet(cell.seed, cell.fleet_size);
@@ -224,25 +226,23 @@ WireRun RunSim(const AnchorCell& cell) {
   SimNet net(&clock, LinkModel{}, cell.seed ^ 0x6c696e6bull);
   SsiServer server(ServerConfig(fleet, &clock));
 
-  std::vector<std::unique_ptr<TokenClient>> clients;
+  std::vector<net::TokenSession> sessions;
+  std::vector<InjectionLog> token_logs(cell.fleet_size);
   std::vector<FrameTap*> taps;
   std::vector<std::unique_ptr<InjectionLog>> logs;
-  clients.reserve(cell.fleet_size);
+  sessions.reserve(cell.fleet_size);  // links point at the sessions
   taps.reserve(cell.fleet_size);
   logs.reserve(cell.fleet_size);
   for (size_t i = 0; i < cell.fleet_size; ++i) {
-    auto [server_base, client_side] = net.CreatePair();
-    SimTransport* client_raw = client_side.get();
+    sessions.emplace_back(fleet.tokens[i].get(), &fleet.tuples[i],
+                          /*packed=*/nullptr,
+                          i == 0 ? cell.faults.swallow_first : 0,
+                          &token_logs[i]);
     logs.push_back(std::make_unique<InjectionLog>());
     ServerSide side = WrapServerSide(
-        std::move(server_base), cell.faults, logs.back().get(), &clock,
-        i == 0 && cell.faults.has_link_faults());
+        net.ConnectSession(&sessions.back()), cell.faults, logs.back().get(),
+        &clock, i == 0 && cell.faults.has_link_faults());
     taps.push_back(side.tap);
-    clients.push_back(std::make_unique<TokenClient>(
-        std::move(client_side), ClientConfig(fleet, i, cell, &clock)));
-    TokenClient* client = clients.back().get();
-    EXPECT_TRUE(client->StartPumped().ok());
-    client_raw->set_on_frame([client] { (void)client->PumpOnce(); });
     auto accepted = server.AcceptSession(std::move(side.transport));
     EXPECT_TRUE(accepted.ok()) << accepted.status().ToString();
   }
@@ -256,7 +256,7 @@ WireRun RunSim(const AnchorCell& cell) {
   for (size_t i = 0; i < cell.fleet_size; ++i) {
     run.taps.push_back(taps[i]->entries());
     run.link_logs.push_back(logs[i]->ToString());
-    run.token_logs.push_back(clients[i]->injection_log().ToString());
+    run.token_logs.push_back(token_logs[i].ToString());
   }
   return run;
 }

@@ -1,7 +1,7 @@
 // Unit tests for the discrete-event simulation tier: SimClock ordering and
 // virtual time, SimTransport's InProcess-mirroring semantics under a
-// LinkModel, and SimFleet driving the real SsiServer/TokenClient protocol
-// over pumped sessions. The byte-identity anchor against the in-process
+// LinkModel, session links, and SimFleet driving the real SsiServer and
+// TokenSession protocol. The byte-identity anchor against the in-process
 // wire lives in sim_anchor_test.cc.
 
 #include <gtest/gtest.h>
@@ -10,6 +10,10 @@
 #include <string>
 #include <vector>
 
+#include "crypto/cipher.h"
+#include "mcu/secure_token.h"
+#include "net/codec.h"
+#include "net/token_client.h"
 #include "sim/link_model.h"
 #include "sim/sim_clock.h"
 #include "sim/sim_fleet.h"
@@ -200,24 +204,54 @@ TEST(SimTransportTest, SameSeedRealizesSameLossPattern) {
   EXPECT_NE(run(11), run(12));
 }
 
-TEST(SimTransportTest, ReactiveEndpointPumpsFromDeliveryCallback) {
-  // Echo server pattern: the reactive side answers from event context
-  // while the driver side blocks in Recv — the exact shape SimFleet uses.
+TEST(SimTransportTest, SessionLinkAnswersWhereFramesLand) {
+  // The token end of the link is a bare TokenSession: it answers the
+  // challenge the instant it lands, back over the same 1 ms link.
+  LinkModel model;
+  model.base_latency_us = 1000;
   SimClock clock;
-  SimNet net(&clock, LinkModel{}, 1);
-  auto [driver, reactive] = net.CreatePair();
-  SimTransport* reactive_raw = reactive.get();
-  reactive_raw->set_on_frame([&] {
-    auto in = reactive_raw->Recv(0);
-    ASSERT_TRUE(in.ok());
-    Bytes echo = in.value();
-    echo.push_back(0xee);
-    ASSERT_TRUE(reactive_raw->Send(echo).ok());
-  });
-  ASSERT_TRUE(driver->Send(Frame({0x01})).ok());
-  auto reply = driver->Recv(100);
-  ASSERT_TRUE(reply.ok());
-  EXPECT_EQ(reply.value(), Frame({0x01, 0xee}));
+  SimNet net(&clock, model, 1);
+  mcu::SecureToken::Config tcfg;
+  tcfg.token_id = 7;
+  tcfg.fleet_key = crypto::KeyFromString("sim-session");
+  mcu::SecureToken token(tcfg);
+  const std::vector<global::SourceTuple> tuples = {{"city-0", 1.0}};
+  net::TokenSession session(&token, &tuples, /*packed=*/nullptr);
+  std::unique_ptr<SimTransport> ssi = net.ConnectSession(&session);
+
+  net::ChallengeMsg challenge;
+  challenge.nonce.assign(16, 0x5a);
+  ASSERT_TRUE(ssi->Send(net::EncodeMessage({challenge, {}, false})).ok());
+  auto hello = ssi->Recv(100);
+  ASSERT_TRUE(hello.ok()) << hello.status().ToString();
+  EXPECT_TRUE(net::DecodeAs<net::HelloMsg>(hello.value()).ok());
+  EXPECT_EQ(clock.NowNs(), 2u * 1000000u);
+  EXPECT_EQ(net.stats().session_errors, 0u);
+
+  // Garbage before the handshake completes is fatal to the session: no
+  // reply, one session error, and the link stays open.
+  ASSERT_TRUE(ssi->Send(Frame({0xde, 0xad, 0xbe, 0xef})).ok());
+  auto silence = ssi->Recv(100);
+  ASSERT_FALSE(silence.ok());
+  EXPECT_EQ(silence.status().code(), StatusCode::kDeadlineExceeded);
+  EXPECT_EQ(net.stats().session_errors, 1u);
+  EXPECT_FALSE(ssi->closed());
+  // The silenced token end reads no further frame.
+  ASSERT_TRUE(ssi->Send(net::EncodeMessage({challenge, {}, false})).ok());
+  EXPECT_FALSE(ssi->Recv(100).ok());
+  EXPECT_EQ(net.stats().session_errors, 1u);
+
+  // Close() detaches the session, so its owner may destroy it while a
+  // frame is still in flight: the frame lands unread (ASan checks this).
+  auto churned = std::make_unique<net::TokenSession>(&token, &tuples,
+                                                     /*packed=*/nullptr);
+  std::unique_ptr<SimTransport> link = net.ConnectSession(churned.get());
+  ASSERT_TRUE(link->Send(net::EncodeMessage({challenge, {}, false})).ok());
+  link->Close();
+  churned.reset();
+  clock.AdvanceTo(clock.NowNs() + 5u * 1000000u);
+  EXPECT_EQ(net.stats().frames_delivered, 5u);
+  EXPECT_EQ(net.stats().frames_sent, 5u);  // no hello came back
 }
 
 TEST(SimFleetTest, GroupByRoundOverRealProtocolStack) {
@@ -285,6 +319,8 @@ TEST(SimFleetTest, ChurnedTokensReadmitAndNextRoundRunsFullStrength) {
   auto second = fleet.RunSecureAggregation(global::AggFunc::kSum);
   ASSERT_TRUE(second.ok()) << second.status().ToString();
   EXPECT_EQ(fleet.server().last_report().responders, 12u);
+  // No in-flight frame reached a replaced session or made one fail.
+  EXPECT_EQ(fleet.pump_errors(), 0u);
   // Same tuples, same fleet: the aggregate must not drift across churn.
   EXPECT_EQ(first->groups, second->groups);
 }

@@ -154,29 +154,5 @@ TEST(SecureScalarProductTest, RejectsLengthMismatch) {
   EXPECT_FALSE(SecureScalarProduct({1}, {1, 2}, 256, &rng, nullptr).ok());
 }
 
-TEST(PaillierFleetSumTest, MatchesPlainSum) {
-  Rng rng(16);
-  Metrics metrics;
-  std::vector<uint64_t> values;
-  uint64_t expected = 0;
-  for (int i = 0; i < 30; ++i) {
-    values.push_back(static_cast<uint64_t>(i) * 11);
-    expected += values.back();
-  }
-  auto sum = PaillierFleetSum(values, 256, &rng, &metrics);
-  ASSERT_TRUE(sum.ok());
-  EXPECT_EQ(*sum, expected);
-  // One encryption per site + one decryption.
-  EXPECT_EQ(metrics.token_crypto_ops, values.size() + 1);
-  EXPECT_EQ(metrics.ssi_ops, values.size() - 1);
-}
-
-TEST(PaillierFleetSumTest, EmptyFleet) {
-  Rng rng(17);
-  auto sum = PaillierFleetSum({}, 128, &rng, nullptr);
-  ASSERT_TRUE(sum.ok());
-  EXPECT_EQ(*sum, 0u);
-}
-
 }  // namespace
 }  // namespace pds::global
