@@ -14,7 +14,7 @@
 #                       trace_net.json     socket transports, quorum
 #                                          scenarios, fault matrix
 #   sim_bench           BENCH_sim.json     simulated fleet sweep 1k -> 1M
-#                                          (~17 s, ~2.8 GB peak RSS) +
+#                                          (~17 s, ~2.6 GB peak RSS) +
 #                                          quorum/churn/determinism
 #
 # Usage: bench/run_benches.sh [build_dir]   (default build_dir: build)

@@ -15,7 +15,7 @@
 //   build/examples/sim_demo [--tokens N] [--seed N] [--groups N]
 //
 // Defaults replay the headline scenario: 1,000,000 tokens, seed 55,
-// 5 GROUP-BY cities. Expect ~15 s of wall time and ~2.7 GiB of peak RSS
+// 5 GROUP-BY cities. Expect ~15 s of wall time and ~2.5 GiB of peak RSS
 // at that size on a 4-core x86-64 host; try --tokens 10000 for an instant
 // smoke run.
 

@@ -62,7 +62,8 @@ struct LeakageReport {
   /// non-deterministic encryption keeps every tuple distinct).
   uint64_t distinct_classes = 0;
   /// Sizes of the equality classes (the group-size histogram the SSI can
-  /// reconstruct; includes noise tuples if any).
+  /// reconstruct; includes noise tuples if any), in ascending order, so no
+  /// output depends on how the observer tells classes apart.
   std::vector<uint64_t> class_sizes;
   /// Whether any plaintext group value was visible to the SSI.
   bool plaintext_groups_visible = false;

@@ -48,6 +48,16 @@ std::map<std::string, double> MergeResults(
   return groups;
 }
 
+/// A request of a round that follows collect, held as the Message that
+/// RunUnits hands to RoundTrip.
+Message UnitRequest(RoundKind kind, AggFunc func, std::vector<Bytes> batch) {
+  RoundRequestMsg request;
+  request.header.kind = kind;
+  request.header.func = func;
+  request.batch = std::move(batch);
+  return Message{std::move(request)};
+}
+
 /// The name a det variant's runs are recorded under.
 const char* DetRunName(DetVariant variant) {
   switch (variant) {
@@ -348,22 +358,25 @@ Result<size_t> SsiServer::ReadmitSession(
   return Handshake(std::move(transport), /*readmit=*/true);
 }
 
-Result<Message> SsiServer::RoundTrip(Session* s, RoundRequestMsg request,
+Result<Message> SsiServer::RoundTrip(Session* s, Message* request,
                                      WireCost* cost) {
-  const uint32_t round_id = request.header.round_id;
+  RoundHeader& header = std::get<RoundRequestMsg>(request->body).header;
+  header.round_id = s->next_round_id++;
+  const uint32_t round_id = header.round_id;
   // Finalize and class rounds are answered with the plaintext aggregate,
   // every other kind with a tuple batch.
-  const bool wants_result = request.header.kind == RoundKind::kFinalize ||
-                            request.header.kind == RoundKind::kClassAggregate;
+  const bool wants_result = header.kind == RoundKind::kFinalize ||
+                            header.kind == RoundKind::kClassAggregate;
   // One span per logical round trip (retries included). When recorded, its
   // id rides the wire as the trace-context parent so the token's handler
   // span hangs under it in the merged cross-process trace.
   obs::Span rt_span("net.round-trip", "net");
-  Message msg{std::move(request), std::nullopt, config_.checksum_frames};
+  request->trace = std::nullopt;
   if (rt_span.id() != 0) {
-    msg.trace = TraceContext{run_trace_id_, rt_span.id()};
+    request->trace = TraceContext{run_trace_id_, rt_span.id()};
   }
-  const Bytes frame = EncodeMessage(msg);
+  request->checksummed = config_.checksum_frames;
+  const Bytes frame = EncodeMessage(*request);
   SessionStats* stats = s->stats.get();
   // Each answered attempt's latency, read at three scopes: the session's
   // tail (kStats), the server's percentiles (BENCH_net, BENCH_sim) and the
@@ -493,9 +506,8 @@ Result<SsiServer::Collected> SsiServer::CollectRound(
     PDS_RETURN_IF_ERROR(global::FleetExecutor::Run(
         config_.executor, nl, [&](size_t li) -> Status {
           Session* s = sessions_[live[li]].get();
-          RoundRequestMsg req = request;
-          req.header.round_id = s->next_round_id++;
-          auto reply = RoundTrip(s, std::move(req), round.slot(li));
+          Message req{request};
+          auto reply = RoundTrip(s, &req, round.slot(li));
           if (!reply.ok()) {
             if (IsStragglerFailure(reply.status())) {
               DropStraggler(s);
@@ -544,22 +556,18 @@ Result<SsiServer::Collected> SsiServer::CollectRound(
 }
 
 Result<std::vector<MessageBody>> SsiServer::RunUnits(
-    const std::vector<Unit>& units, const std::vector<size_t>& responders,
-    size_t offset, AggFunc func, Metrics* metrics) {
+    std::vector<Message>* units, const std::vector<size_t>& responders,
+    size_t offset, Metrics* metrics) {
   const size_t n = responders.size();
-  std::vector<MessageBody> replies(units.size());
-  std::vector<uint8_t> done(units.size(), 0);
-  RoundSlots round(this, &responders, metrics);
-  // Runs unit u on responder a. A straggler failure drops a's session for
-  // the rest of the run and leaves u for the failover pass.
-  auto run = [&](size_t a, size_t u) -> Status {
-    Session* s = sessions_[responders[a]].get();
-    RoundRequestMsg req;
-    req.header.round_id = s->next_round_id++;
-    req.header.kind = units[u].kind;
-    req.header.func = func;
-    req.batch = units[u].batch;  // copied: a failover resends it
-    auto reply = RoundTrip(s, std::move(req), round.slot(a));
+  const size_t lanes = std::min(n, units->size());
+  std::vector<MessageBody> replies(units->size());
+  std::vector<uint8_t> done(units->size(), 0);
+  // Runs unit u on the session at `idx`, sending the unit where it lies (a
+  // failover re-sends the same Message). A straggler failure drops the
+  // session for the rest of the run and leaves u for the failover pass.
+  auto run = [&](size_t idx, size_t u, WireCost* cost) -> Status {
+    Session* s = sessions_[idx].get();
+    auto reply = RoundTrip(s, &(*units)[u], cost);
     if (!reply.ok()) {
       if (!IsStragglerFailure(reply.status())) {
         return reply.status();
@@ -572,23 +580,34 @@ Result<std::vector<MessageBody>> SsiServer::RunUnits(
     return Status::Ok();
   };
 
-  // Responder a runs units (a - offset) mod n, then every n-th after it,
-  // until it is dropped (possibly in an earlier round of this run).
+  // Lane l serves responder (offset + l) % n: units l, l + n, ... in order,
+  // until its session is dropped (possibly in an earlier round of this run).
+  // Responders dealt no unit are not visited.
+  std::vector<size_t> lane_sessions(lanes);
+  for (size_t l = 0; l < lanes; ++l) {
+    lane_sessions[l] = responders[(offset + l) % n];
+  }
+  RoundSlots round(this, &lane_sessions, metrics);
   PDS_RETURN_IF_ERROR(global::FleetExecutor::Run(
-      config_.executor, n, [&](size_t a) -> Status {
-        for (size_t u = (a + n - offset % n) % n;
-             sessions_[responders[a]]->alive && u < units.size(); u += n) {
-          PDS_RETURN_IF_ERROR(run(a, u));
+      config_.executor, lanes, [&](size_t l) -> Status {
+        const size_t idx = lane_sessions[l];
+        for (size_t u = l; sessions_[idx]->alive && u < units->size();
+             u += n) {
+          PDS_RETURN_IF_ERROR(run(idx, u, round.slot(l)));
         }
         return Status::Ok();
       }));
+  if (std::find(done.begin(), done.end(), 0) == done.end()) {
+    return replies;
+  }
 
-  // Failover (serial): each unfinished unit, in order, goes to the first
-  // responder that is still alive.
-  for (size_t u = 0; u < units.size(); ++u) {
+  // Failover (serial, only when a unit is left over): each unfinished unit,
+  // in order, goes to the first responder that is still alive.
+  RoundSlots failover(this, &responders, metrics);
+  for (size_t u = 0; u < units->size(); ++u) {
     for (size_t a = 0; a < n && done[u] == 0; ++a) {
       if (sessions_[responders[a]]->alive) {
-        PDS_RETURN_IF_ERROR(run(a, u));
+        PDS_RETURN_IF_ERROR(run(responders[a], u, failover.slot(a)));
       }
     }
     if (done[u] == 0) {
@@ -614,7 +633,12 @@ Result<AggOutput> SsiServer::RunSecureAggregation(AggFunc func) {
   collect.header.func = func;
   PDS_ASSIGN_OR_RETURN(Collected collected,
                        CollectRound(collect, &out.metrics));
+  size_t collected_tuples = 0;
+  for (const TupleBatchMsg& batch : collected.batches) {
+    collected_tuples += batch.batch.size();
+  }
   std::vector<Bytes> items;
+  items.reserve(collected_tuples);
   for (TupleBatchMsg& batch : collected.batches) {
     for (Bytes& ct : batch.batch) {
       run.observer.ObserveTuple(ByteView(ct));
@@ -630,17 +654,17 @@ Result<AggOutput> SsiServer::RunSecureAggregation(AggFunc func) {
     obs::Span phase_span("net.aggregate-round", "net");
     phase_span.AddArg("items", static_cast<double>(items.size()));
     const size_t before = items.size();
-    std::vector<Unit> parts;
+    std::vector<Message> parts;
     parts.reserve((before + cap - 1) / cap);
     for (size_t start = 0; start < before; start += cap) {
       auto first = std::make_move_iterator(items.begin() + start);
       auto last = std::make_move_iterator(items.begin() +
                                           std::min(before, start + cap));
-      parts.push_back({RoundKind::kAggregate, {first, last}});
+      parts.push_back(UnitRequest(RoundKind::kAggregate, func, {first, last}));
     }
     PDS_ASSIGN_OR_RETURN(
         std::vector<MessageBody> replies,
-        RunUnits(parts, collected.sessions, offset, func, &out.metrics));
+        RunUnits(&parts, collected.sessions, offset, &out.metrics));
     offset += parts.size();
     items.clear();
     for (MessageBody& reply : replies) {
@@ -660,12 +684,11 @@ Result<AggOutput> SsiServer::RunSecureAggregation(AggFunc func) {
   // Phase 3: final aggregation, one unit dealt to the first responder.
   obs::Span final_span("net.finalize", "net");
   final_span.AddArg("items", static_cast<double>(items.size()));
-  std::vector<Unit> finalize(1);
-  finalize[0].kind = RoundKind::kFinalize;
-  finalize[0].batch = std::move(items);
+  std::vector<Message> finalize;
+  finalize.push_back(UnitRequest(RoundKind::kFinalize, func, std::move(items)));
   PDS_ASSIGN_OR_RETURN(
       std::vector<MessageBody> result,
-      RunUnits(finalize, collected.sessions, 0, func, &out.metrics));
+      RunUnits(&finalize, collected.sessions, 0, &out.metrics));
   ++out.metrics.rounds;
   out.groups = MergeResults(
       result, func,
@@ -813,20 +836,22 @@ Result<AggOutput> SsiServer::RunDetAggregation(AggFunc func,
 
   // Phase 2: one class/bucket aggregation request per equality class, in
   // class order, dealt round-robin over the responders.
-  std::vector<Unit> units;
+  std::vector<Message> units;
   units.reserve(histogram ? buckets.size() : classes.size());
   for (auto& [bucket, payloads] : buckets) {
-    units.push_back({RoundKind::kFinalize, std::move(payloads)});
+    units.push_back(
+        UnitRequest(RoundKind::kFinalize, func, std::move(payloads)));
   }
   for (auto& [key, batch] : classes) {
-    units.push_back({RoundKind::kClassAggregate, std::move(batch)});
+    units.push_back(
+        UnitRequest(RoundKind::kClassAggregate, func, std::move(batch)));
   }
   std::vector<MessageBody> results;
   {
     obs::Span phase_span("net.class-aggregate", "net");
     phase_span.AddArg("classes", static_cast<double>(units.size()));
     PDS_ASSIGN_OR_RETURN(
-        results, RunUnits(units, collected.sessions, 0, func, &out.metrics));
+        results, RunUnits(&units, collected.sessions, 0, &out.metrics));
   }
   ++out.metrics.rounds;
   out.groups = MergeResults(

@@ -27,7 +27,9 @@
 /// wire counters always measure the frames actually sent and received
 /// (headers included), and the HbcObserver leakage report is built from
 /// the frames the SSI received. Rounds have deadlines, bounded retry with
-/// backoff, and a configurable quorum.
+/// backoff, and a configurable quorum. Per tuple the SSI pays one digest
+/// into the observer and one move of the ciphertext; a request's batch is
+/// encoded where it lies, never copied first.
 namespace pds::net {
 
 class SsiServer {
@@ -227,9 +229,11 @@ class SsiServer {
   class RoundSlots;  // one round's WireCost per session, and their fold
   class RunScope;    // one protocol run's frame and epilogue (in the .cc)
 
-  /// Sends `request` on the session, encoded once with this round trip's
-  /// trace context and Config::checksum_frames, and waits for the reply
-  /// carrying its round id, retrying per config on timeouts. Stale replies
+  /// Sends `*request`, a RoundRequestMsg, on the session under the
+  /// session's next round id, and waits for the reply carrying that id,
+  /// retrying per config on timeouts. The request is stamped (round id,
+  /// this round trip's trace context, Config::checksum_frames) and encoded
+  /// once where it lies, so its batch is never copied. Stale replies
   /// (a lower round id, e.g. a late answer to an earlier retry) and
   /// undecodable frames are discarded in place — a lossy or bit-flipping
   /// link must not kill the session while the stream itself stays framed.
@@ -238,7 +242,7 @@ class SsiServer {
   /// kind. Each wire fact is counted once, into `cost`, the slot of `s` in
   /// the calling round; besides it, RoundTrip only sets the in-flight gauge
   /// and records each answered attempt's latency.
-  [[nodiscard]] Result<Message> RoundTrip(Session* s, RoundRequestMsg request,
+  [[nodiscard]] Result<Message> RoundTrip(Session* s, Message* request,
                                           WireCost* cost);
 
   /// Shared handshake body of AcceptSession/ReadmitSession.
@@ -263,26 +267,24 @@ class SsiServer {
   [[nodiscard]] Result<Collected> CollectRound(const RoundRequestMsg& request,
                                                global::Metrics* metrics);
 
-  /// One request of a round that follows collect: a secure-agg partition
-  /// (kAggregate) or finalize (kFinalize), or a det class (kClassAggregate)
-  /// or bucket (kFinalize).
-  struct Unit {
-    RoundKind kind = RoundKind::kAggregate;
-    std::vector<Bytes> batch;
-  };
-  /// Every round that follows collect. Unit u goes to responder
-  /// (offset + u) % n of the collect round's `responders`, and each
-  /// responder runs its units in increasing order on the executor, so token
-  /// RNGs and op counters advance alike at any executor width. A straggler
-  /// failure drops the session; a serial pass then hands each unfinished
-  /// unit, in order, to the first live responder. Any other failure, or a
-  /// unit no live responder is left to take, fails the run. Wire costs are
-  /// kept per responder (a failed-over unit's frames belong to two) and
-  /// fold on every return, failures included. Returns one reply body per
-  /// unit, of the type RoundTrip checked for its kind.
+  /// Every round that follows collect. Each unit is one RoundRequestMsg: a
+  /// secure-agg partition (kAggregate) or finalize (kFinalize), or a det
+  /// class (kClassAggregate) or bucket (kFinalize). Unit u goes to
+  /// responder (offset + u) % n of the collect round's `responders`. It
+  /// runs min(n, units) lanes on the executor: lane l serves responder
+  /// (offset + l) % n and runs units l, l + n, ... in order, so token RNGs
+  /// and op counters advance alike at any executor width, and a responder
+  /// dealt no unit is not visited. Each unit is sent where it lies, never
+  /// copied. A straggler failure drops the session; a serial pass then
+  /// hands each unfinished unit, in order, to the first live responder.
+  /// Any other failure, or a unit no live responder is left to take, fails
+  /// the run. Wire costs are kept per lane, and per responder in the
+  /// failover pass (a failed-over unit's frames belong to two sessions),
+  /// and fold on every return, failures included. Returns one reply body
+  /// per unit, of the type RoundTrip checked for its kind.
   [[nodiscard]] Result<std::vector<MessageBody>> RunUnits(
-      const std::vector<Unit>& units, const std::vector<size_t>& responders,
-      size_t offset, global::AggFunc func, global::Metrics* metrics);
+      std::vector<Message>* units, const std::vector<size_t>& responders,
+      size_t offset, global::Metrics* metrics);
 
   /// The live session at `idx`, or InvalidArgument.
   [[nodiscard]] Result<Session*> LiveSession(size_t idx);
