@@ -20,8 +20,12 @@ std::string NumericHierarchy::Generalize(const std::string& value,
   if (v < 0 && v % width != 0) {
     lo -= width;
   }
-  return "[" + std::to_string(lo) + "-" + std::to_string(lo + width - 1) +
-         "]";
+  std::string label = "[";
+  label.append(std::to_string(lo));
+  label.push_back('-');
+  label.append(std::to_string(lo + width - 1));
+  label.push_back(']');
+  return label;
 }
 
 std::string PrefixHierarchy::Generalize(const std::string& value,

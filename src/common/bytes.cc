@@ -19,52 +19,6 @@ void PutU64(Bytes* out, uint64_t v) {
   }
 }
 
-uint16_t GetU16(const uint8_t* p) {
-  return static_cast<uint16_t>(p[0]) | (static_cast<uint16_t>(p[1]) << 8);
-}
-
-uint32_t GetU32(const uint8_t* p) {
-  uint32_t v = 0;
-  for (int i = 3; i >= 0; --i) {
-    v = (v << 8) | p[i];
-  }
-  return v;
-}
-
-uint64_t GetU64(const uint8_t* p) {
-  uint64_t v = 0;
-  for (int i = 7; i >= 0; --i) {
-    v = (v << 8) | p[i];
-  }
-  return v;
-}
-
-void EncodeU32(uint8_t* p, uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    p[i] = static_cast<uint8_t>(v >> (8 * i));
-  }
-}
-
-void EncodeU64(uint8_t* p, uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    p[i] = static_cast<uint8_t>(v >> (8 * i));
-  }
-}
-
-void EncodeU64BE(uint8_t* p, uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    p[i] = static_cast<uint8_t>(v >> (56 - 8 * i));
-  }
-}
-
-uint64_t GetU64BE(const uint8_t* p) {
-  uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v = (v << 8) | p[i];
-  }
-  return v;
-}
-
 void PutLengthPrefixed(Bytes* out, ByteView v) {
   PutU32(out, static_cast<uint32_t>(v.size()));
   out->insert(out->end(), v.data(), v.data() + v.size());

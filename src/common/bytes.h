@@ -48,22 +48,62 @@ inline bool operator==(ByteView a, ByteView b) {
 
 /// Little-endian fixed-width encoders/decoders.
 /// Appending forms grow `out`; the Get forms read from a raw pointer that the
-/// caller guarantees has enough bytes.
+/// caller guarantees has enough bytes. The fixed-width forms are inline
+/// byte loops, which the compiler folds into single loads and stores: page
+/// parsers call them once per field of every entry they scan.
 void PutU16(Bytes* out, uint16_t v);
 void PutU32(Bytes* out, uint32_t v);
 void PutU64(Bytes* out, uint64_t v);
-uint16_t GetU16(const uint8_t* p);
-uint32_t GetU32(const uint8_t* p);
-uint64_t GetU64(const uint8_t* p);
+
+inline uint16_t GetU16(const uint8_t* p) {
+  return static_cast<uint16_t>(static_cast<uint16_t>(p[0]) |
+                               (static_cast<uint16_t>(p[1]) << 8));
+}
+
+inline uint32_t GetU32(const uint8_t* p) {
+  uint32_t v = 0;
+  for (int i = 3; i >= 0; --i) {
+    v = (v << 8) | p[i];
+  }
+  return v;
+}
+
+inline uint64_t GetU64(const uint8_t* p) {
+  uint64_t v = 0;
+  for (int i = 7; i >= 0; --i) {
+    v = (v << 8) | p[i];
+  }
+  return v;
+}
 
 /// Encodes v at `p` (fixed width, little endian) without bounds checks.
-void EncodeU32(uint8_t* p, uint32_t v);
-void EncodeU64(uint8_t* p, uint64_t v);
+inline void EncodeU32(uint8_t* p, uint32_t v) {
+  for (int i = 0; i < 4; ++i) {
+    p[i] = static_cast<uint8_t>(v >> (8 * i));
+  }
+}
+
+inline void EncodeU64(uint8_t* p, uint64_t v) {
+  for (int i = 0; i < 8; ++i) {
+    p[i] = static_cast<uint8_t>(v >> (8 * i));
+  }
+}
 
 /// Big-endian fixed-width codecs — used inside index entries so that memcmp
 /// order equals numeric order.
-void EncodeU64BE(uint8_t* p, uint64_t v);
-uint64_t GetU64BE(const uint8_t* p);
+inline void EncodeU64BE(uint8_t* p, uint64_t v) {
+  for (int i = 0; i < 8; ++i) {
+    p[i] = static_cast<uint8_t>(v >> (56 - 8 * i));
+  }
+}
+
+inline uint64_t GetU64BE(const uint8_t* p) {
+  uint64_t v = 0;
+  for (int i = 0; i < 8; ++i) {
+    v = (v << 8) | p[i];
+  }
+  return v;
+}
 
 /// Length-prefixed string: u32 length then raw bytes.
 void PutLengthPrefixed(Bytes* out, ByteView v);

@@ -109,12 +109,12 @@ Status KeyLogIndex::Lookup(const Value& key, std::vector<uint64_t>* rowids,
                        mcu::RamCharge::Make(gauge_, 0));
   uint32_t flushed_key_pages = keys_log_.num_pages();
   uint32_t filter_index = 0;
-  Bytes bloom_page;
+  ByteView bloom_page;
   const size_t fpp = filters_per_page();
   for (uint32_t bp = 0; bp < bloom_log_.num_pages() &&
                         filter_index < flushed_key_pages;
        ++bp) {
-    PDS_RETURN_IF_ERROR(bloom_log_.ReadPage(bp, &bloom_page));
+    PDS_RETURN_IF_ERROR(bloom_log_.ViewPage(bp, &bloom_page));
     ++stats->summary_pages;
     for (size_t f = 0; f < fpp && filter_index < flushed_key_pages; ++f) {
       BloomFilter filter(
@@ -141,9 +141,9 @@ Status KeyLogIndex::Lookup(const Value& key, std::vector<uint64_t>* rowids,
   }
 
   // Phase 2: read candidate keys pages.
-  Bytes keys_page;
+  ByteView keys_page;
   for (uint32_t page : candidates) {
-    PDS_RETURN_IF_ERROR(keys_log_.ReadPage(page, &keys_page));
+    PDS_RETURN_IF_ERROR(keys_log_.ViewPage(page, &keys_page));
     ++stats->key_pages;
     bool hit = false;
     for (size_t off = 0; off + kEntrySize <= keys_page.size();
@@ -177,9 +177,9 @@ Status KeyLogIndex::ScanEntries(
   if (!initialized_) {
     return Status::FailedPrecondition("index not initialized");
   }
-  Bytes page;
+  ByteView page;
   for (uint32_t p = 0; p < keys_log_.num_pages(); ++p) {
-    PDS_RETURN_IF_ERROR(keys_log_.ReadPage(p, &page));
+    PDS_RETURN_IF_ERROR(keys_log_.ViewPage(p, &page));
     for (size_t off = 0; off + kEntrySize <= page.size(); off += kEntrySize) {
       // A fully erased slot (page tail) cannot occur: pages are written with
       // exactly the packed entries, and the page read returns the programmed

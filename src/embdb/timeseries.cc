@@ -143,11 +143,11 @@ Status TimeSeriesStore::Range(uint64_t t1, uint64_t t2,
                        mcu::RamCharge::Make(gauge_, 0));
   uint32_t sealed_pages = data_log_.num_pages();
   uint32_t summary_index = 0;
-  Bytes page;
+  ByteView page;
   const size_t spp = summary_log_.page_size() / kSummarySize;
   for (uint32_t sp = 0;
        sp < summary_log_.num_pages() && summary_index < sealed_pages; ++sp) {
-    PDS_RETURN_IF_ERROR(summary_log_.ReadPage(sp, &page));
+    PDS_RETURN_IF_ERROR(summary_log_.ViewPage(sp, &page));
     if (stats != nullptr) {
       ++stats->summary_pages;
     }
@@ -178,7 +178,7 @@ Status TimeSeriesStore::Range(uint64_t t1, uint64_t t2,
 
   // Phase 2: fetch the touched pages, emit matching points.
   for (uint32_t p : touched) {
-    PDS_RETURN_IF_ERROR(data_log_.ReadPage(p, &page));
+    PDS_RETURN_IF_ERROR(data_log_.ViewPage(p, &page));
     if (stats != nullptr) {
       ++stats->data_pages;
     }
@@ -255,7 +255,7 @@ Result<TimeSeriesStore::RangeAggregate> TimeSeriesStore::Aggregate(
   std::vector<uint32_t> partial;
   uint32_t sealed_pages = data_log_.num_pages();
   uint32_t summary_index = 0;
-  Bytes page;
+  ByteView page;
   const size_t spp = summary_log_.page_size() / kSummarySize;
   auto consider = [&](const PageSummary& s, uint32_t data_page) {
     if (s.max_ts < t1 || s.min_ts > t2) {
@@ -272,7 +272,7 @@ Result<TimeSeriesStore::RangeAggregate> TimeSeriesStore::Aggregate(
   };
   for (uint32_t sp = 0;
        sp < summary_log_.num_pages() && summary_index < sealed_pages; ++sp) {
-    PDS_RETURN_IF_ERROR(summary_log_.ReadPage(sp, &page));
+    PDS_RETURN_IF_ERROR(summary_log_.ViewPage(sp, &page));
     if (stats != nullptr) {
       ++stats->summary_pages;
     }
@@ -290,7 +290,7 @@ Result<TimeSeriesStore::RangeAggregate> TimeSeriesStore::Aggregate(
 
   // Partial edge pages: fetch and fold point by point.
   for (uint32_t p : partial) {
-    PDS_RETURN_IF_ERROR(data_log_.ReadPage(p, &page));
+    PDS_RETURN_IF_ERROR(data_log_.ViewPage(p, &page));
     if (stats != nullptr) {
       ++stats->data_pages;
     }

@@ -1,20 +1,30 @@
 #include "embdb/tree_index.h"
 
 #include <cstring>
+#include <string>
 
 namespace pds::embdb {
 
 namespace {
 
-uint16_t PageCount(const Bytes& page) { return GetU16(page.data() + 2); }
-uint8_t PageLevel(const Bytes& page) { return page[0]; }
+uint8_t PageLevel(ByteView page) { return page[0]; }
 
-/// In an internal page, returns the child to descend into for `key`:
-/// the last entry whose first_key is strictly less than key, or entry 0.
-/// (Lower-bound descent so duplicate runs starting in an earlier subtree
-/// are not skipped.)
-uint32_t PickChild(const Bytes& page, const uint8_t* key) {
-  uint16_t count = PageCount(page);
+/// The page's entry count, checked against what a page of `entry_size`
+/// entries can hold: a flipped count bit must not send a scan past the page.
+Status PageCount(ByteView page, size_t entry_size, uint16_t* count) {
+  *count = GetU16(page.data() + 2);
+  if (TreeIndex::kPageHeader + size_t{*count} * entry_size > page.size()) {
+    return Status::Corruption("tree page count " + std::to_string(*count) +
+                              " overruns its page");
+  }
+  return Status::Ok();
+}
+
+/// In an internal page of `count` entries, returns the child to descend
+/// into for `key`: the last entry whose first_key is strictly less than key,
+/// or entry 0. (Lower-bound descent so duplicate runs starting in an earlier
+/// subtree are not skipped.)
+uint32_t PickChild(ByteView page, uint16_t count, const uint8_t* key) {
   uint32_t chosen = 0;
   for (uint16_t i = 0; i < count; ++i) {
     const uint8_t* entry = page.data() + TreeIndex::kPageHeader +
@@ -35,16 +45,18 @@ uint32_t PickChild(const Bytes& page, const uint8_t* key) {
 Status TreeIndex::DescendToLeaf(const uint8_t* encoded, uint32_t* leaf_page,
                                 LookupStats* stats) {
   uint32_t page_no = root_page_;
-  Bytes page;
+  ByteView page;
   for (uint32_t level = height_ - 1; level >= 1; --level) {
-    PDS_RETURN_IF_ERROR(internal_log_.ReadPage(page_no, &page));
+    PDS_RETURN_IF_ERROR(internal_log_.ViewPage(page_no, &page));
     if (stats != nullptr) {
       ++stats->internal_pages;
     }
     if (PageLevel(page) != level) {
       return Status::Corruption("tree level mismatch");
     }
-    page_no = PickChild(page, encoded);
+    uint16_t count = 0;
+    PDS_RETURN_IF_ERROR(PageCount(page, kInternalEntrySize, &count));
+    page_no = PickChild(page, count, encoded);
   }
   *leaf_page = page_no;
   return Status::Ok();
@@ -70,14 +82,15 @@ Status TreeIndex::Lookup(const Value& key, std::vector<uint64_t>* rowids,
   }
 
   // Scan forward across consecutive leaves while keys <= target.
-  Bytes page;
+  ByteView page;
   bool done = false;
   while (!done && leaf < leaf_log_.num_pages()) {
-    PDS_RETURN_IF_ERROR(leaf_log_.ReadPage(leaf, &page));
+    PDS_RETURN_IF_ERROR(leaf_log_.ViewPage(leaf, &page));
     if (stats != nullptr) {
       ++stats->leaf_pages;
     }
-    uint16_t count = PageCount(page);
+    uint16_t count = 0;
+    PDS_RETURN_IF_ERROR(PageCount(page, kLeafEntrySize, &count));
     for (uint16_t i = 0; i < count; ++i) {
       const uint8_t* entry =
           page.data() + kPageHeader + i * kLeafEntrySize;
@@ -114,11 +127,12 @@ Status TreeIndex::Range(
     PDS_RETURN_IF_ERROR(DescendToLeaf(lo_key, &leaf, nullptr));
   }
 
-  Bytes page;
+  ByteView page;
   bool done = false;
   while (!done && leaf < leaf_log_.num_pages()) {
-    PDS_RETURN_IF_ERROR(leaf_log_.ReadPage(leaf, &page));
-    uint16_t count = PageCount(page);
+    PDS_RETURN_IF_ERROR(leaf_log_.ViewPage(leaf, &page));
+    uint16_t count = 0;
+    PDS_RETURN_IF_ERROR(PageCount(page, kLeafEntrySize, &count));
     for (uint16_t i = 0; i < count; ++i) {
       const uint8_t* entry =
           page.data() + kPageHeader + i * kLeafEntrySize;

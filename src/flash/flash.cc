@@ -26,7 +26,7 @@ FlashChip::FlashChip(const Geometry& geometry)
   obs_.erase_us = reg.GetHistogram("flash.erase_us", "us");
 }
 
-Status FlashChip::ReadPage(uint32_t page, Bytes* out) {
+Status FlashChip::ViewPage(uint32_t page, ByteView* out) {
   if (page >= geometry_.total_pages()) {
     return Status::OutOfRange("page " + std::to_string(page) +
                               " beyond chip capacity");
@@ -38,9 +38,16 @@ Status FlashChip::ReadPage(uint32_t page, Bytes* out) {
     return Status::IoError("page " + std::to_string(page) +
                            " is unreadable (fault injected)");
   }
-  const uint8_t* src =
-      data_.data() + static_cast<uint64_t>(page) * geometry_.page_size;
-  out->assign(src, src + geometry_.page_size);
+  *out = ByteView(
+      data_.data() + static_cast<uint64_t>(page) * geometry_.page_size,
+      geometry_.page_size);
+  return Status::Ok();
+}
+
+Status FlashChip::ReadPage(uint32_t page, Bytes* out) {
+  ByteView view;
+  PDS_RETURN_IF_ERROR(ViewPage(page, &view));
+  out->assign(view.data(), view.data() + view.size());
   return Status::Ok();
 }
 
@@ -139,9 +146,9 @@ Status Partition::CheckPage(uint32_t local_page) const {
   return Status::Ok();
 }
 
-Status Partition::ReadPage(uint32_t local_page, Bytes* out) {
+Status Partition::ViewPage(uint32_t local_page, ByteView* out) {
   PDS_RETURN_IF_ERROR(CheckPage(local_page));
-  return chip_->ReadPage(first_block_ * pages_per_block() + local_page, out);
+  return chip_->ViewPage(first_block_ * pages_per_block() + local_page, out);
 }
 
 Status Partition::ProgramPage(uint32_t local_page, ByteView data) {

@@ -79,8 +79,16 @@ class FlashChip {
 
   const Geometry& geometry() const { return geometry_; }
 
-  /// Reads one full page into `out` (resized to page_size). Reading an
-  /// erased page yields 0xFF bytes, as on real NAND.
+  /// Reads one full page where it lies: `*out` views the chip's copy of the
+  /// page (page_size bytes). This is the one place a page read is counted:
+  /// `stats()`, the `flash.page_reads` counter and the `flash.read_us`
+  /// histogram. Reading an erased page yields 0xFF bytes, as on real NAND;
+  /// a fault-injected bad page fails with IoError after its read is
+  /// counted. The view is valid until the page's block is next erased.
+  [[nodiscard]] Status ViewPage(uint32_t page, ByteView* out);
+
+  /// Copies one full page into `out` (resized to page_size): a ViewPage
+  /// that outlives the next erase of the page's block.
   [[nodiscard]] Status ReadPage(uint32_t page, Bytes* out);
 
   /// Programs a page. Fails with FailedPrecondition if the page was already
@@ -155,7 +163,9 @@ class Partition {
   uint32_t page_size() const { return chip_->geometry().page_size; }
   uint32_t num_pages() const { return num_blocks_ * pages_per_block(); }
 
-  [[nodiscard]] Status ReadPage(uint32_t local_page, Bytes* out);
+  /// FlashChip::ViewPage on a partition-local page; the view is valid
+  /// until the page's block is next erased.
+  [[nodiscard]] Status ViewPage(uint32_t local_page, ByteView* out);
   [[nodiscard]] Status ProgramPage(uint32_t local_page, ByteView data);
   [[nodiscard]] Status EraseBlock(uint32_t local_block);
   /// Erases every block in the partition.

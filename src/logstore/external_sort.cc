@@ -9,7 +9,9 @@ namespace pds::logstore {
 
 namespace {
 
-/// Streaming cursor over a run: one page of buffer, records in order.
+/// Streaming cursor over a run: a view of its current page, records in
+/// order. The merge charges one page of RAM per cursor, the page a device
+/// must hold while it reads it.
 class RunCursor {
  public:
   RunCursor(flash::Partition* partition, uint32_t num_pages,
@@ -32,7 +34,7 @@ class RunCursor {
       if (next_page_ >= num_pages_) {
         return Status::Corruption("run shorter than declared");
       }
-      PDS_RETURN_IF_ERROR(partition_->ReadPage(next_page_, &page_));
+      PDS_RETURN_IF_ERROR(partition_->ViewPage(next_page_, &page_));
       ++next_page_;
       in_page_ = 0;
     }
@@ -52,7 +54,7 @@ class RunCursor {
   size_t record_size_;
   size_t records_per_page_;
 
-  Bytes page_;
+  ByteView page_;
   uint32_t next_page_ = 0;
   size_t in_page_;
 };

@@ -13,11 +13,11 @@ Result<uint32_t> SequentialLog::AppendPage(ByteView data) {
   return head_++;
 }
 
-Status SequentialLog::ReadPage(uint32_t page, Bytes* out) {
+Status SequentialLog::ViewPage(uint32_t page, ByteView* out) {
   if (page >= head_) {
     return Status::OutOfRange("page beyond log head");
   }
-  return partition_.ReadPage(page, out);
+  return partition_.ViewPage(page, out);
 }
 
 Status SequentialLog::Reset() {
@@ -66,7 +66,7 @@ Status RecordLog::ReadSpan(uint64_t offset, size_t len, uint8_t* out) {
   const uint32_t ps = page_size();
   uint64_t flushed_bytes = static_cast<uint64_t>(log_.num_pages()) * ps;
   size_t done = 0;
-  Bytes page;
+  ByteView page;
   while (done < len) {
     uint64_t cur = offset + done;
     if (cur >= flushed_bytes) {
@@ -78,7 +78,7 @@ Status RecordLog::ReadSpan(uint64_t offset, size_t len, uint8_t* out) {
     } else {
       uint32_t page_index = static_cast<uint32_t>(cur / ps);
       uint32_t in_page = static_cast<uint32_t>(cur % ps);
-      PDS_RETURN_IF_ERROR(log_.ReadPage(page_index, &page));
+      PDS_RETURN_IF_ERROR(log_.ViewPage(page_index, &page));
       size_t take = std::min<size_t>(len - done, ps - in_page);
       std::memcpy(out + done, page.data() + in_page, take);
       done += take;
@@ -97,22 +97,22 @@ Status RecordLog::ReadAt(uint64_t offset, Bytes* record) {
 
   // Fast path: length prefix and record on a single flushed page — one IO.
   if (offset + 4 <= flushed_bytes && in_page + 4 <= ps) {
-    Bytes page;
+    ByteView page;
     PDS_RETURN_IF_ERROR(
-        log_.ReadPage(static_cast<uint32_t>(offset / ps), &page));
-    uint32_t len = GetU32(page.data() + in_page);
+        log_.ViewPage(static_cast<uint32_t>(offset / ps), &page));
+    const uint8_t* prefix = page.data() + in_page;
+    uint32_t len = GetU32(prefix);
     if (offset + 4 + len > size_bytes_) {
       return Status::Corruption("record length beyond log end");
     }
     if (in_page + 4 + len <= ps) {
-      record->assign(page.begin() + in_page + 4,
-                     page.begin() + in_page + 4 + len);
+      record->assign(prefix + 4, prefix + 4 + len);
       return Status::Ok();
     }
     // Record spans pages: copy the prefix we already have, span the rest.
     record->resize(len);
     size_t head = ps - (in_page + 4);
-    std::memcpy(record->data(), page.data() + in_page + 4, head);
+    std::memcpy(record->data(), prefix + 4, head);
     return ReadSpan(offset + 4 + head, len - head, record->data() + head);
   }
 
@@ -143,7 +143,7 @@ Status RecordLog::Reader::FetchSpan(uint64_t offset, size_t len,
       int64_t page_index = static_cast<int64_t>(cur / ps);
       uint32_t in_page = static_cast<uint32_t>(cur % ps);
       if (page_index != cached_page_index_) {
-        PDS_RETURN_IF_ERROR(log_->log_.ReadPage(
+        PDS_RETURN_IF_ERROR(log_->log_.ViewPage(
             static_cast<uint32_t>(page_index), &cached_page_));
         cached_page_index_ = page_index;
       }

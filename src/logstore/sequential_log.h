@@ -26,7 +26,9 @@ class SequentialLog {
   /// Appends one page of data; returns the page index within the log.
   [[nodiscard]] Result<uint32_t> AppendPage(ByteView data);
 
-  [[nodiscard]] Status ReadPage(uint32_t page, Bytes* out);
+  /// Views a flushed page where it lies (flash::Partition::ViewPage); the
+  /// view is valid until the log is next Reset.
+  [[nodiscard]] Status ViewPage(uint32_t page, ByteView* out);
 
   uint32_t num_pages() const { return head_; }
   uint32_t capacity_pages() const { return partition_.num_pages(); }
@@ -73,8 +75,8 @@ class RecordLog {
 
   [[nodiscard]] Status Reset();
 
-  /// Streaming reader with a one-page cache: a full scan costs exactly
-  /// `num_pages_used()` page reads.
+  /// Streaming reader that keeps a view of its current page: a full scan
+  /// costs exactly `num_pages_used()` page reads.
   class Reader {
    public:
     explicit Reader(RecordLog* log) : log_(log) {}
@@ -90,7 +92,7 @@ class RecordLog {
 
     RecordLog* log_;
     uint64_t offset_ = 0;
-    Bytes cached_page_;
+    ByteView cached_page_;
     int64_t cached_page_index_ = -1;
   };
 
@@ -99,8 +101,8 @@ class RecordLog {
  private:
   friend class Reader;
 
-  /// Reads the byte range [offset, offset+len) of the stream into out,
-  /// via whole-page reads (flushed) or the RAM tail.
+  /// Copies the byte range [offset, offset+len) of the stream into out,
+  /// from whole-page views (flushed) or the RAM tail.
   [[nodiscard]] Status ReadSpan(uint64_t offset, size_t len, uint8_t* out);
 
   SequentialLog log_;

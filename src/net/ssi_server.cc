@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <iterator>
 #include <map>
 #include <sstream>
@@ -146,6 +147,18 @@ Bytes RawRoundRequest(uint32_t declared, size_t garbage) {
   EncodeU32(frame.data() + 4, declared);
   return frame;
 }
+
+/// The unsigned lexicographic order std::less<Bytes> gives: memcmp over the
+/// shorter length, then the shorter key first. Spelled out because GCC 12's
+/// inlined three-way compare of vector iterators warns
+/// (-Wstringop-overread).
+struct BytesLess {
+  bool operator()(const Bytes& a, const Bytes& b) const {
+    const size_t n = std::min(a.size(), b.size());
+    const int c = n == 0 ? 0 : std::memcmp(a.data(), b.data(), n);
+    return c != 0 ? c < 0 : a.size() < b.size();
+  }
+};
 
 }  // namespace
 
@@ -805,7 +818,7 @@ Result<AggOutput> SsiServer::RunDetAggregation(AggFunc func,
 
   // Equality classes in deterministic-ciphertext order; histogram rounds
   // key by the plaintext bucket id instead.
-  std::map<Bytes, std::vector<Bytes>> classes;
+  std::map<Bytes, std::vector<Bytes>, BytesLess> classes;
   std::map<uint32_t, std::vector<Bytes>> buckets;
   const bool histogram = det.variant == DetVariant::kHistogram;
   for (TupleBatchMsg& reply : collected.batches) {

@@ -1,6 +1,8 @@
 #include "search/inverted_index.h"
 
 #include <algorithm>
+#include <bit>
+#include <string>
 
 #include "common/hash.h"
 
@@ -14,14 +16,6 @@ void EncodePosting(uint8_t* p, const Posting& posting) {
   EncodeU32(p + 8, posting.docid);
   p[12] = static_cast<uint8_t>(posting.weight);
   p[13] = static_cast<uint8_t>(posting.weight >> 8);
-}
-
-Posting DecodePosting(const uint8_t* p) {
-  Posting posting;
-  posting.term_hash = GetU64(p);
-  posting.docid = GetU32(p + 8);
-  posting.weight = GetU16(p + 12);
-  return posting;
 }
 }  // namespace
 
@@ -56,14 +50,20 @@ uint64_t InvertedIndexLog::HashTerm(std::string_view term) {
 
 // pdslint: ram-exempt(insert buffer RAM is charged up-front in Init;
 // FlushBuffer bounds it at options_.insert_buffer_bytes)
-Status InvertedIndexLog::AddDocument(
-    uint32_t docid, const std::map<std::string, uint32_t>& term_freqs) {
+Status InvertedIndexLog::AddDocument(uint32_t docid,
+                                     const TermCounts& term_freqs) {
   if (!initialized_) {
     return Status::FailedPrecondition("index not initialized");
   }
   if (any_document_ && docid <= last_docid_) {
     return Status::InvalidArgument(
         "docids must be strictly increasing (pipeline merge relies on it)");
+  }
+  for (size_t i = 1; i < term_freqs.size(); ++i) {
+    if (term_freqs[i].term <= term_freqs[i - 1].term) {
+      return Status::InvalidArgument(
+          "term counts must be strictly ascending by term");
+    }
   }
   for (const auto& [term, tf] : term_freqs) {
     Posting posting;
@@ -136,39 +136,28 @@ InvertedIndexLog::TermCursor::TermCursor(InvertedIndexLog* index,
   }
   ram_pos_ = ram_postings_.size();
   next_prev_addr_ = index_->bucket_heads_[bucket];
+  const size_t triples_per_page =
+      (index_->page_size() - kPageHeader) / Posting::kEncodedSize;
+  marks_.assign((triples_per_page + 63) / 64, 0);
 }
 
 Status InvertedIndexLog::TermCursor::LoadPage(uint32_t page_addr) {
-  PDS_RETURN_IF_ERROR(index_->partition_.ReadPage(page_addr, &page_));
-  next_prev_addr_ = GetU32(page_.data());
-  uint16_t count = GetU16(page_.data() + 4);
-  triple_index_ = static_cast<int>(count) - 1;
-  page_loaded_ = true;
-  return Status::Ok();
-}
-
-Status InvertedIndexLog::TermCursor::FindNextMatch() {
-  for (;;) {
-    if (!page_loaded_) {
-      if (next_prev_addr_ == kNullPage) {
-        at_end_ = true;
-        return Status::Ok();
-      }
-      PDS_RETURN_IF_ERROR(LoadPage(next_prev_addr_));
-    }
-    while (triple_index_ >= 0) {
-      Posting posting = DecodePosting(
-          page_.data() + kPageHeader +
-          static_cast<size_t>(triple_index_) * Posting::kEncodedSize);
-      --triple_index_;
-      if (posting.term_hash == term_hash_) {
-        current_ = posting;
-        at_end_ = false;
-        return Status::Ok();
-      }
-    }
-    page_loaded_ = false;  // chain to the previous (older) page
+  ByteView page;
+  PDS_RETURN_IF_ERROR(index_->partition_.ViewPage(page_addr, &page));
+  const uint16_t count = GetU16(page.data() + 4);
+  if (kPageHeader + size_t{count} * Posting::kEncodedSize > page.size()) {
+    return Status::Corruption("posting page count " + std::to_string(count) +
+                              " overruns its page");
   }
+  next_prev_addr_ = GetU32(page.data());
+  page_ = page.data();
+  mark_words_ = (count + 63) / 64;
+  std::fill_n(marks_.begin(), mark_words_, uint64_t{0});
+  const uint8_t* triple = page_ + kPageHeader;
+  for (uint32_t i = 0; i < count; ++i, triple += Posting::kEncodedSize) {
+    marks_[i / 64] |= uint64_t{GetU64(triple) == term_hash_} << (i % 64);
+  }
+  return Status::Ok();
 }
 
 Status InvertedIndexLog::TermCursor::Advance() {
@@ -178,7 +167,33 @@ Status InvertedIndexLog::TermCursor::Advance() {
     at_end_ = false;
     return Status::Ok();
   }
-  return FindNextMatch();
+  for (;;) {
+    while (mark_words_ > 0) {
+      uint64_t& word = marks_[mark_words_ - 1];
+      if (word == 0) {
+        --mark_words_;
+        continue;
+      }
+      // Highest marked triple first: the page holds docids ascending.
+      const int bit = 63 - std::countl_zero(word);
+      word ^= uint64_t{1} << bit;
+      const uint8_t* triple =
+          page_ + kPageHeader +
+          ((mark_words_ - 1) * 64 + static_cast<size_t>(bit)) *
+              Posting::kEncodedSize;
+      current_.term_hash = term_hash_;
+      current_.docid = GetU32(triple + 8);
+      current_.weight = GetU16(triple + 12);
+      at_end_ = false;
+      return Status::Ok();
+    }
+    if (next_prev_addr_ == kNullPage) {
+      at_end_ = true;
+      return Status::Ok();
+    }
+    // Chain to the previous (older) page.
+    PDS_RETURN_IF_ERROR(LoadPage(next_prev_addr_));
+  }
 }
 
 Result<InvertedIndexLog::TermCursor> InvertedIndexLog::OpenTerm(

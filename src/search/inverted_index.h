@@ -2,8 +2,6 @@
 #define PDS_SEARCH_INVERTED_INDEX_H_
 
 #include <cstdint>
-#include <map>
-#include <string>
 #include <string_view>
 #include <vector>
 
@@ -12,6 +10,7 @@
 #include "common/status.h"
 #include "flash/flash.h"
 #include "mcu/ram_gauge.h"
+#include "search/tokenizer.h"
 
 namespace pds::search {
 
@@ -57,10 +56,11 @@ class InvertedIndexLog {
   /// (hash table + insert buffer).
   Status Init();
 
-  /// Adds the postings of one document. Docids must be strictly
-  /// increasing across calls.
-  Status AddDocument(uint32_t docid,
-                     const std::map<std::string, uint32_t>& term_freqs);
+  /// Adds the postings of one document, in ascending term order. Docids
+  /// must be strictly increasing across calls, and `term_freqs` strictly
+  /// ascending by term (as TermFrequencies returns them); InvalidArgument
+  /// otherwise, with nothing added.
+  Status AddDocument(uint32_t docid, const TermCounts& term_freqs);
 
   /// Flushes buffered postings to flash (call before querying to make the
   /// cost model exact; queries also read the RAM buffer correctly without).
@@ -80,9 +80,10 @@ class InvertedIndexLog {
     friend class InvertedIndexLog;
     TermCursor(InvertedIndexLog* index, uint64_t term_hash);
 
+    /// Views a chain page where it lies and marks the triples holding this
+    /// term, in one forward pass that compares only term hashes. Corruption
+    /// when the page's triple count overruns the page.
     Status LoadPage(uint32_t page_addr);
-    /// Scans backwards within the current page + chain for the next match.
-    Status FindNextMatch();
 
     InvertedIndexLog* index_ = nullptr;
     uint64_t term_hash_ = 0;
@@ -93,10 +94,13 @@ class InvertedIndexLog {
     std::vector<Posting> ram_postings_;
     size_t ram_pos_ = 0;
 
-    Bytes page_;
+    // The current chain page and one bit per triple of it that holds the
+    // term. Advance pops the marks from the highest triple down, decoding
+    // only marked triples; the low `mark_words_` words are not yet drained.
+    const uint8_t* page_ = nullptr;
+    std::vector<uint64_t> marks_;
+    size_t mark_words_ = 0;
     uint32_t next_prev_addr_ = kNullPage;
-    int triple_index_ = -1;  // next triple to inspect within page_
-    bool page_loaded_ = false;
   };
 
   /// Opens a cursor for a term; positions it on the newest posting.

@@ -304,6 +304,41 @@ TEST_F(TreeIndexTest, BuilderRejectsOutOfOrder) {
   EXPECT_EQ(builder.Add(e2).code(), StatusCode::kInvalidArgument);
 }
 
+TEST_F(TreeIndexTest, CorruptRootCountFailsCleanly) {
+  // 270 entries on 512-byte pages: 18 full leaves of 15 entries and one
+  // full root of 18 internal entries.
+  flash::Partition leaf, internal;
+  ASSERT_TRUE(AllocateTreePartitions(&alloc_, 270, &leaf, &internal).ok());
+  TreeIndexBuilder builder(leaf, internal);
+  for (uint64_t i = 0; i < 270; ++i) {
+    uint8_t entry[TreeIndex::kLeafEntrySize];
+    Value::U64(i).EncodeKey(entry);
+    EncodeU64BE(entry + Value::kKeyWidth, i);
+    ASSERT_TRUE(builder.Add(entry).ok());
+  }
+  auto tree = builder.Finish();
+  ASSERT_TRUE(tree.ok()) << tree.status().ToString();
+  ASSERT_EQ(tree->height(), 2u);
+  ASSERT_EQ(tree->num_leaf_pages(), 18u);
+  ASSERT_EQ(tree->num_internal_pages(), 1u);
+
+  std::vector<uint64_t> rowids;
+  TreeIndex::LookupStats stats;
+  ASSERT_TRUE(tree->Lookup(Value::U64(269), &rowids, &stats).ok());
+  ASSERT_EQ(rowids, std::vector<uint64_t>{269});
+
+  // Bit 31 is the top bit of the root's u16 count (bytes 2-3): the count
+  // now claims 32,786 entries on a page that holds 18.
+  const uint32_t root = internal.first_block() * internal.pages_per_block();
+  ASSERT_TRUE(chip_.CorruptBit(root, 31).ok());
+  EXPECT_EQ(tree->Lookup(Value::U64(1000), &rowids, &stats).code(),
+            StatusCode::kCorruption);
+  EXPECT_EQ(tree->Range(Value::U64(500), Value::U64(600),
+                        [](const uint8_t*, uint64_t) { return Status::Ok(); })
+                .code(),
+            StatusCode::kCorruption);
+}
+
 TEST_F(TreeIndexTest, ReorganizationSpeedsUpLookups) {
   // The E4 claim: after reorganization, lookups cost far fewer IOs.
   auto keys = alloc_.Allocate(128);

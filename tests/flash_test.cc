@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "flash/flash.h"
+#include "obs/obs.h"
 
 namespace pds::flash {
 namespace {
@@ -27,6 +28,68 @@ TEST(FlashChipTest, ErasedPageReadsAllOnes) {
   for (uint8_t b : page) {
     EXPECT_EQ(b, 0xFF);
   }
+}
+
+TEST(FlashChipTest, ViewPageCountsLikeReadPage) {
+  FlashChip chip(SmallGeometry());
+  Bytes data = {1, 2, 3};
+  ASSERT_TRUE(chip.ProgramPage(2, ByteView(data)).ok());
+  ASSERT_TRUE(chip.MarkBadPage(5).ok());
+  obs::Registry& reg = obs::Registry::Global();
+  obs::Counter* reads = reg.GetCounter("flash.page_reads", "ops");
+  obs::Histogram* read_us = reg.GetHistogram("flash.read_us", "us");
+
+  struct Probe {
+    uint32_t page;
+    StatusCode code;
+    uint64_t counted;  // reads each call must count
+  };
+  // A programmed page, an erased page, a bad page (counted, then IoError)
+  // and a page past the chip (OutOfRange, not counted).
+  for (Probe probe : {Probe{2, StatusCode::kOk, 1},
+                      Probe{0, StatusCode::kOk, 1},
+                      Probe{5, StatusCode::kIoError, 1},
+                      Probe{32, StatusCode::kOutOfRange, 0}}) {
+    const uint64_t stats0 = chip.stats().page_reads;
+    const uint64_t counter0 = reads->Value();
+    const uint64_t hist0 = read_us->count();
+    Bytes copy;
+    EXPECT_EQ(chip.ReadPage(probe.page, &copy).code(), probe.code);
+    const uint64_t stats1 = chip.stats().page_reads;
+    const uint64_t counter1 = reads->Value();
+    const uint64_t hist1 = read_us->count();
+    ByteView view;
+    EXPECT_EQ(chip.ViewPage(probe.page, &view).code(), probe.code);
+    EXPECT_EQ(stats1 - stats0, probe.counted) << "page " << probe.page;
+    EXPECT_EQ(chip.stats().page_reads - stats1, probe.counted);
+#if PDS_OBS_ENABLED
+    EXPECT_EQ(counter1 - counter0, probe.counted);
+    EXPECT_EQ(reads->Value() - counter1, probe.counted);
+    EXPECT_EQ(hist1 - hist0, probe.counted);
+    EXPECT_EQ(read_us->count() - hist1, probe.counted);
+#else
+    (void)counter0, (void)counter1, (void)hist0, (void)hist1;
+#endif
+    if (probe.code == StatusCode::kOk) {
+      ASSERT_EQ(view.size(), 256u);
+      EXPECT_TRUE(view == ByteView(copy));
+    }
+  }
+
+  ByteView programmed, erased;
+  ASSERT_TRUE(chip.ViewPage(2, &programmed).ok());
+  ASSERT_TRUE(chip.ViewPage(0, &erased).ok());
+  EXPECT_EQ(programmed[0], 1);
+  EXPECT_EQ(programmed[2], 3);
+  for (size_t i = 3; i < programmed.size(); ++i) {
+    EXPECT_EQ(programmed[i], 0xFF) << i;
+  }
+  for (size_t i = 0; i < erased.size(); ++i) {
+    EXPECT_EQ(erased[i], 0xFF) << i;
+  }
+  // The view is the chip's copy: a retention error shows through it.
+  ASSERT_TRUE(chip.CorruptBit(2, 8 * 1 + 4).ok());
+  EXPECT_EQ(programmed[1], 2 ^ 0x10);
 }
 
 TEST(FlashChipTest, ProgramThenRead) {
@@ -168,8 +231,8 @@ TEST(PartitionTest, LocalAddressing) {
   EXPECT_TRUE(chip.IsProgrammed(8));
   EXPECT_FALSE(chip.IsProgrammed(0));
 
-  Bytes page;
-  ASSERT_TRUE(part.ReadPage(0, &page).ok());
+  ByteView page;
+  ASSERT_TRUE(part.ViewPage(0, &page).ok());
   EXPECT_EQ(page[0], 42);
 }
 
@@ -198,8 +261,8 @@ TEST(PartitionTest, EraseAll) {
 TEST(PartitionTest, DefaultInvalid) {
   Partition part;
   EXPECT_FALSE(part.valid());
-  Bytes page;
-  EXPECT_EQ(part.ReadPage(0, &page).code(), StatusCode::kFailedPrecondition);
+  ByteView page;
+  EXPECT_EQ(part.ViewPage(0, &page).code(), StatusCode::kFailedPrecondition);
 }
 
 TEST(PartitionAllocatorTest, DisjointAllocations) {

@@ -41,17 +41,17 @@ TEST_F(LogTest, SequentialAppendAndRead) {
   EXPECT_EQ(*p1, 1u);
   EXPECT_EQ(log.num_pages(), 2u);
 
-  Bytes out;
-  ASSERT_TRUE(log.ReadPage(0, &out).ok());
+  ByteView out;
+  ASSERT_TRUE(log.ViewPage(0, &out).ok());
   EXPECT_EQ(out[0], 0xAA);
-  ASSERT_TRUE(log.ReadPage(1, &out).ok());
+  ASSERT_TRUE(log.ViewPage(1, &out).ok());
   EXPECT_EQ(out[0], 0xBB);
 }
 
 TEST_F(LogTest, ReadBeyondHeadFails) {
   SequentialLog log(NewPartition(1));
-  Bytes out;
-  EXPECT_EQ(log.ReadPage(0, &out).code(), StatusCode::kOutOfRange);
+  ByteView out;
+  EXPECT_EQ(log.ViewPage(0, &out).code(), StatusCode::kOutOfRange);
 }
 
 TEST_F(LogTest, FillsToCapacityThenFails) {

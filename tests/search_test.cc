@@ -24,11 +24,9 @@ TEST(TokenizerTest, EmptyAndPunctuationOnly) {
 }
 
 TEST(TokenizerTest, TermFrequencies) {
-  auto tf = TermFrequencies("the cat and the hat and the cat");
-  EXPECT_EQ(tf["the"], 3u);
-  EXPECT_EQ(tf["cat"], 2u);
-  EXPECT_EQ(tf["and"], 2u);
-  EXPECT_EQ(tf["hat"], 1u);
+  TermCounts tf = TermFrequencies("the cat and the hat and the cat");
+  TermCounts expected = {{"and", 2}, {"cat", 2}, {"hat", 1}, {"the", 3}};
+  EXPECT_EQ(tf, expected);
 }
 
 flash::Geometry EngineGeometry() {
@@ -252,7 +250,7 @@ TEST_F(SearchEngineTest, DescendingDocidInvariant) {
   ASSERT_TRUE(index.Init().ok());
 
   for (uint32_t d = 1; d <= 100; ++d) {
-    std::map<std::string, uint32_t> tf = {{"term", d % 5 + 1}};
+    TermCounts tf = {{"term", d % 5 + 1}};
     ASSERT_TRUE(index.AddDocument(d, tf).ok());
   }
 
@@ -275,10 +273,36 @@ TEST_F(SearchEngineTest, RejectsNonIncreasingDocids) {
   InvertedIndexLog::Options opts;
   InvertedIndexLog index(*part, &gauge_, opts);
   ASSERT_TRUE(index.Init().ok());
-  std::map<std::string, uint32_t> tf = {{"x", 1}};
+  TermCounts tf = {{"x", 1}};
   ASSERT_TRUE(index.AddDocument(5, tf).ok());
   EXPECT_EQ(index.AddDocument(5, tf).code(), StatusCode::kInvalidArgument);
   EXPECT_EQ(index.AddDocument(4, tf).code(), StatusCode::kInvalidArgument);
+}
+
+TEST_F(SearchEngineTest, AddDocumentRejectsUnsortedOrDuplicateTerms) {
+  auto part = alloc_.Allocate(32);
+  ASSERT_TRUE(part.ok());
+  InvertedIndexLog::Options opts;
+  InvertedIndexLog index(*part, &gauge_, opts);
+  ASSERT_TRUE(index.Init().ok());
+  TermCounts unsorted = {{"beta", 1}, {"alpha", 2}};
+  TermCounts duplicate = {{"alpha", 1}, {"alpha", 2}};
+  TermCounts sorted = {{"alpha", 1}, {"beta", 2}};
+  EXPECT_EQ(index.AddDocument(1, unsorted).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(index.AddDocument(1, duplicate).code(),
+            StatusCode::kInvalidArgument);
+  // A rejected document adds nothing and does not use up its docid.
+  EXPECT_EQ(index.num_documents(), 0u);
+  auto df = index.DocumentFrequency("alpha");
+  ASSERT_TRUE(df.ok());
+  EXPECT_EQ(*df, 0u);
+  ASSERT_TRUE(index.AddDocument(1, sorted).ok());
+  ASSERT_TRUE(index.AddDocument(2, TermCounts{}).ok());
+  df = index.DocumentFrequency("beta");
+  ASSERT_TRUE(df.ok());
+  EXPECT_EQ(*df, 1u);
+  EXPECT_EQ(index.num_documents(), 2u);
 }
 
 TEST_F(SearchEngineTest, DocumentFrequencyCounts) {
@@ -288,11 +312,11 @@ TEST_F(SearchEngineTest, DocumentFrequencyCounts) {
   InvertedIndexLog index(*part, &gauge_, opts);
   ASSERT_TRUE(index.Init().ok());
   for (uint32_t d = 1; d <= 10; ++d) {
-    std::map<std::string, uint32_t> tf;
-    tf["everywhere"] = 1;
+    TermCounts tf;
     if (d % 2 == 0) {
-      tf["evens"] = 1;
+      tf.push_back({"evens", 1});
     }
+    tf.push_back({"everywhere", 1});
     ASSERT_TRUE(index.AddDocument(d, tf).ok());
   }
   auto df1 = index.DocumentFrequency("everywhere");
