@@ -2,11 +2,12 @@
 //
 // Six Personal Data Servers, each a full PdsNode with its own flash store
 // and access-control policies, connect to one untrusted SSI over TCP
-// loopback. Each node's token proves fleet membership in the handshake,
-// policy-exports its authorized (city, amount) tuples, and answers the
-// [TNP14] secure-aggregation rounds over framed binary messages. The SSI
-// sees only ciphertext — and this demo prints exactly what it measured on
-// the wire while computing "SELECT city, SUM(amount) GROUP BY city".
+// loopback. Each node policy-exports its authorized (city, amount) tuples
+// before it dials; its token then proves fleet membership in the handshake
+// and answers the [TNP14] secure-aggregation rounds over framed binary
+// messages. The SSI sees only ciphertext — and this demo prints exactly
+// what it measured on the wire while computing
+// "SELECT city, SUM(amount) GROUP BY city".
 //
 // After the query it demonstrates the live stats surface: a second TCP
 // connection sends the kStats admin frame and prints the JSON snapshot the
@@ -88,9 +89,18 @@ int main() {
   }
   std::printf("SSI listening on 127.0.0.1:%u\n", listener.port());
 
-  // 3. Each PDS dials in, proves membership, and policy-exports its rows.
+  // 3. Each PDS policy-exports its rows, then dials in and proves
+  //    membership.
   std::vector<std::unique_ptr<TokenClient>> clients;
   for (auto& node : nodes) {
+    TokenClient::Config ccfg;
+    ccfg.token = &node->token();
+    if (!node->ExportAs({"stats-agency", "insee"}, "bills", "city", "amount",
+                        &ccfg.tuples)
+             .ok()) {
+      std::fprintf(stderr, "ExportAs failed\n");
+      return 1;
+    }
     auto conn = SocketTransport::ConnectTcp("127.0.0.1", listener.port(),
                                             2000);
     if (!conn.ok()) {
@@ -104,12 +114,6 @@ int main() {
                    accepted.status().ToString().c_str());
       return 1;
     }
-    TokenClient::Config ccfg;
-    ccfg.pds_node = node.get();
-    ccfg.subject = {"stats-agency", "insee"};
-    ccfg.table = "bills";
-    ccfg.group_column = "city";
-    ccfg.value_column = "amount";
     auto client = std::make_unique<TokenClient>(std::move(*conn),
                                                 std::move(ccfg));
     client->Start();

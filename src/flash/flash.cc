@@ -21,9 +21,6 @@ FlashChip::FlashChip(const Geometry& geometry)
   obs_.reads = reg.GetCounter("flash.page_reads", "ops");
   obs_.programs = reg.GetCounter("flash.page_programs", "ops");
   obs_.erases = reg.GetCounter("flash.block_erases", "ops");
-  obs_.read_us = reg.GetHistogram("flash.read_us", "us");
-  obs_.program_us = reg.GetHistogram("flash.program_us", "us");
-  obs_.erase_us = reg.GetHistogram("flash.erase_us", "us");
 }
 
 Status FlashChip::ViewPage(uint32_t page, ByteView* out) {
@@ -33,7 +30,6 @@ Status FlashChip::ViewPage(uint32_t page, ByteView* out) {
   }
   ++stats_.page_reads;
   obs_.reads->Add(1);
-  obs_.read_us->Record(cost_model_.read_page_us);
   if (bad_[page]) {
     return Status::IoError("page " + std::to_string(page) +
                            " is unreadable (fault injected)");
@@ -67,7 +63,6 @@ Status FlashChip::ProgramPage(uint32_t page, ByteView data) {
   }
   ++stats_.page_programs;
   obs_.programs->Add(1);
-  obs_.program_us->Record(cost_model_.program_page_us);
   programmed_[page] = 1;
   uint8_t* dst =
       data_.data() + static_cast<uint64_t>(page) * geometry_.page_size;
@@ -83,7 +78,6 @@ Status FlashChip::EraseBlock(uint32_t block) {
   }
   ++stats_.block_erases;
   obs_.erases->Add(1);
-  obs_.erase_us->Record(cost_model_.erase_block_us);
   ++wear_[block];
   uint32_t first_page = block * geometry_.pages_per_block;
   uint8_t* dst =

@@ -81,29 +81,33 @@ class FlashChip {
 
   /// Reads one full page where it lies: `*out` views the chip's copy of the
   /// page (page_size bytes). This is the one place a page read is counted:
-  /// `stats()`, the `flash.page_reads` counter and the `flash.read_us`
-  /// histogram. Reading an erased page yields 0xFF bytes, as on real NAND;
-  /// a fault-injected bad page fails with IoError after its read is
-  /// counted. The view is valid until the page's block is next erased.
+  /// `stats()` and the `flash.page_reads` counter. Reading an erased page
+  /// yields 0xFF bytes, as on real NAND; a fault-injected bad page fails
+  /// with IoError after its read is counted. The view is valid until the
+  /// page's block is next erased.
   [[nodiscard]] Status ViewPage(uint32_t page, ByteView* out);
 
   /// Copies one full page into `out` (resized to page_size): a ViewPage
   /// that outlives the next erase of the page's block.
   [[nodiscard]] Status ReadPage(uint32_t page, Bytes* out);
 
-  /// Programs a page. Fails with FailedPrecondition if the page was already
-  /// programmed since the last erase of its block (random in-place writes
-  /// are physically impossible on NAND). `data` may be shorter than the
-  /// page; the remainder stays 0xFF.
+  /// Programs a page, counted in `stats()` and `flash.page_programs`. Fails
+  /// uncounted with FailedPrecondition if the page was already programmed
+  /// since the last erase of its block (random in-place writes are
+  /// physically impossible on NAND). `data` may be shorter than the page;
+  /// the remainder stays 0xFF.
   [[nodiscard]] Status ProgramPage(uint32_t page, ByteView data);
 
-  /// Erases a whole block, resetting all its pages to 0xFF.
+  /// Erases a whole block, resetting all its pages to 0xFF; counted in
+  /// `stats()`, `flash.block_erases` and the block's wear.
   [[nodiscard]] Status EraseBlock(uint32_t block);
 
   bool IsProgrammed(uint32_t page) const;
 
-  /// Erase count of a block (wear).
-  uint32_t WearOf(uint32_t block) const { return wear_[block]; }
+  /// Erase count of a block (wear); 0 past the chip.
+  uint32_t WearOf(uint32_t block) const {
+    return block < wear_.size() ? wear_[block] : 0;
+  }
   uint32_t MaxWear() const;
 
   /// Fault injection (testing): flips one stored bit, as a retention error
@@ -113,14 +117,9 @@ class FlashChip {
   /// subsequent read (a worn-out or unreadable page).
   [[nodiscard]] Status MarkBadPage(uint32_t page);
 
+  /// Simulated device time is `stats().TimeUs(cost)`.
   const Stats& stats() const { return stats_; }
   void ResetStats() { stats_ = Stats(); }
-
-  /// Cost model used for the obs latency metrics (`flash.read_us` etc.);
-  /// simulated time stays a pure function of Stats, this only feeds the
-  /// per-op histograms.
-  void set_cost_model(const CostModel& cost) { cost_model_ = cost; }
-  const CostModel& cost_model() const { return cost_model_; }
 
  private:
   /// Process-wide obs metrics (aggregated over all chips), resolved once at
@@ -129,13 +128,9 @@ class FlashChip {
     obs::Counter* reads = nullptr;
     obs::Counter* programs = nullptr;
     obs::Counter* erases = nullptr;
-    obs::Histogram* read_us = nullptr;
-    obs::Histogram* program_us = nullptr;
-    obs::Histogram* erase_us = nullptr;
   };
 
   Geometry geometry_;
-  CostModel cost_model_;
   Bytes data_;                     // flat page_size * total_pages bytes
   std::vector<uint8_t> programmed_;  // one flag per page
   std::vector<uint8_t> bad_;       // fault-injected unreadable pages

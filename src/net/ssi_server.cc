@@ -1010,35 +1010,55 @@ void JsonF64(std::ostream& out, const char* key, double v) {
 }  // namespace
 
 std::string SsiServer::StatsJson() const {
-  std::ostringstream out;
-  out << "{\n\"sessions\": [";
-  bool first = true;
-  for (const SessionTelemetry& t : Telemetry()) {
-    if (!first) out << ',';
-    first = false;
-    out << "\n  {\"token_id\": " << t.token_id
-        << ", \"alive\": " << (t.alive ? "true" : "false")
-        << ", \"round_trips\": " << t.round_trips
-        << ", \"retries\": " << t.retries
-        << ", \"deadline_hits\": " << t.deadline_hits
-        << ", \"stragglers\": " << t.stragglers;
-    JsonF64(out, "rtt_p50_us", t.rtt_p50_us);
-    JsonF64(out, "rtt_p90_us", t.rtt_p90_us);
-    JsonF64(out, "rtt_p99_us", t.rtt_p99_us);
-    JsonF64(out, "rtt_p999_us", t.rtt_p999_us);
-    JsonF64(out, "buffer_bytes", t.buffer_bytes);
-    JsonF64(out, "buffer_high_water", t.buffer_high_water);
-    out << '}';
+  std::ostringstream rest;
+  rest << ",\n\"fleet\": {\"round_trips\": " << rtt_us_.count();
+  JsonF64(rest, "rtt_p50_us", rtt_us_.Percentile(50.0));
+  JsonF64(rest, "rtt_p90_us", rtt_us_.Percentile(90.0));
+  JsonF64(rest, "rtt_p99_us", rtt_us_.Percentile(99.0));
+  JsonF64(rest, "rtt_p999_us", rtt_us_.Percentile(99.9));
+  rest << "},\n\"registry\": " << obs::Registry::Global().MetricsJson();
+  rest << ",\n\"ring\": " << stats_ring_.Json();
+  rest << "}\n";
+  const std::string tail = rest.str();
+
+  const std::vector<SessionTelemetry> telemetry = Telemetry();
+  auto counts = [&](size_t listed) {
+    return "\n],\n\"sessions_total\": " + std::to_string(telemetry.size()) +
+           ", \"sessions_listed\": " + std::to_string(listed);
+  };
+  const std::string head = "{\n\"sessions\": [";
+  // The session list takes what the rest of the document leaves of
+  // kMaxStatsJsonBytes, so a fleet of any size fits one kStats reply.
+  const size_t fixed = head.size() + counts(telemetry.size()).size() +
+                       tail.size();
+  const size_t budget =
+      kMaxStatsJsonBytes - std::min(fixed, kMaxStatsJsonBytes);
+  std::string sessions;
+  size_t listed = 0;
+  for (const SessionTelemetry& t : telemetry) {
+    std::ostringstream entry;
+    if (listed > 0) entry << ',';
+    entry << "\n  {\"token_id\": " << t.token_id
+          << ", \"alive\": " << (t.alive ? "true" : "false")
+          << ", \"round_trips\": " << t.round_trips
+          << ", \"retries\": " << t.retries
+          << ", \"deadline_hits\": " << t.deadline_hits
+          << ", \"stragglers\": " << t.stragglers;
+    JsonF64(entry, "rtt_p50_us", t.rtt_p50_us);
+    JsonF64(entry, "rtt_p90_us", t.rtt_p90_us);
+    JsonF64(entry, "rtt_p99_us", t.rtt_p99_us);
+    JsonF64(entry, "rtt_p999_us", t.rtt_p999_us);
+    JsonF64(entry, "buffer_bytes", t.buffer_bytes);
+    JsonF64(entry, "buffer_high_water", t.buffer_high_water);
+    entry << '}';
+    const std::string text = entry.str();
+    if (sessions.size() + text.size() > budget) {
+      break;
+    }
+    sessions += text;
+    ++listed;
   }
-  out << "\n],\n\"fleet\": {\"round_trips\": " << rtt_us_.count();
-  JsonF64(out, "rtt_p50_us", rtt_us_.Percentile(50.0));
-  JsonF64(out, "rtt_p90_us", rtt_us_.Percentile(90.0));
-  JsonF64(out, "rtt_p99_us", rtt_us_.Percentile(99.0));
-  JsonF64(out, "rtt_p999_us", rtt_us_.Percentile(99.9));
-  out << "},\n\"registry\": " << obs::Registry::Global().MetricsJson();
-  out << ",\n\"ring\": " << stats_ring_.Json();
-  out << "}\n";
-  return out.str();
+  return head + sessions + counts(listed) + tail;
 }
 
 Status SsiServer::ServeStats(Transport* transport) {
@@ -1052,9 +1072,10 @@ Status SsiServer::ServeStats(Transport* transport) {
   }
   std::string json = StatsJson();
   if (json.size() > kMaxStatsJsonBytes) {
-    // The reply must stay decodable by a bounds-checking peer; a registry
-    // large enough to overflow the bound is a deployment error worth
-    // surfacing over silently truncated JSON.
+    // The reply must stay decodable by a bounds-checking peer. The session
+    // list already fits the bound; a registry large enough to overflow it
+    // on its own is a deployment error worth surfacing over silently
+    // truncated JSON.
     json = "{\"error\": \"stats snapshot exceeds kMaxStatsJsonBytes\"}";
   }
   return transport->Send(EncodeMessage({StatsReplyMsg{std::move(json)}}));

@@ -197,6 +197,9 @@ class SsiServer {
   /// The live stats document served by the kStats admin frame: per-session
   /// telemetry, fleet round-trip percentiles, the full metrics registry,
   /// and the recent delta-snapshot ring (one capture per protocol run).
+  /// The session list holds the first `sessions_listed` of
+  /// `sessions_total` sessions: as many as fit in kMaxStatsJsonBytes beside
+  /// the rest of the document.
   [[nodiscard]] std::string StatsJson() const;
 
   /// Answers one kStatsRequest arriving on `transport` with a kStatsReply.

@@ -453,19 +453,10 @@ Result<Bytes> TokenSession::HandleSealedCollect(const RoundRequestMsg& req,
 // ---------------------------------------------------------------------------
 // TokenClient
 
-namespace {
-
-mcu::SecureToken* ConfiguredToken(const TokenClient::Config& config) {
-  return config.pds_node != nullptr ? &config.pds_node->token()
-                                    : config.token;
-}
-
-}  // namespace
-
 TokenClient::TokenClient(std::unique_ptr<Transport> transport, Config config)
     : transport_(std::move(transport)),
       config_(std::move(config)),
-      session_(ConfiguredToken(config_), &tuples_, config_.packed,
+      session_(config_.token, &config_.tuples, config_.packed,
                config_.faults.swallow_first, &log_),
       rng_(config_.faults.seed) {}
 
@@ -477,24 +468,8 @@ TokenClient::~TokenClient() {
 }
 
 Status TokenClient::Connect() {
-  if (ConfiguredToken(config_) == nullptr) {
-    return Status::InvalidArgument("TokenClient needs a token or a PdsNode");
-  }
-  if (config_.pds_node != nullptr) {
-    // Policy-checked export: only tuples the owner authorized for sharing
-    // ever reach the runtime, and they stay inside the token until
-    // encrypted.
-    std::vector<std::pair<std::string, double>> exported;
-    PDS_RETURN_IF_ERROR(config_.pds_node->ExportAs(
-        config_.subject, config_.table, config_.group_column,
-        config_.value_column, &exported));
-    tuples_.clear();
-    tuples_.reserve(exported.size());
-    for (auto& [group, value] : exported) {
-      tuples_.push_back({std::move(group), value});
-    }
-  } else {
-    tuples_ = config_.tuples;
+  if (config_.token == nullptr) {
+    return Status::InvalidArgument("TokenClient needs a token");
   }
   return Handshake();
 }

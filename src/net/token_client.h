@@ -6,17 +6,14 @@
 #include <functional>
 #include <memory>
 #include <optional>
-#include <string>
 #include <thread>
 #include <vector>
 
-#include "ac/policy.h"
 #include "common/rng.h"
 #include "global/common.h"
 #include "net/codec.h"
 #include "net/fault_injection.h"
 #include "net/transport.h"
-#include "pds/pds_node.h"
 
 /// The token side of the wire. TokenSession is the token's whole protocol
 /// logic: it turns each frame the SSI sends into at most one reply frame.
@@ -115,20 +112,15 @@ class TokenSession {
 
 /// Runs a TokenSession over a transport: connects to the SSI, proves fleet
 /// membership, and answers protocol rounds until told to stop. Adds what a
-/// real token runtime needs around the session: the policy-checked tuple
-/// export of a PdsNode, token-level fault injection, and churn/reconnect.
+/// real token runtime needs around the session: token-level fault injection
+/// and churn/reconnect.
 class TokenClient {
  public:
   struct Config {
-    /// Either a bare token with pre-exported tuples...
+    /// The token and the tuples its owner authorized for sharing (for a
+    /// PdsNode: its token() and what ExportAs returned before dialing).
     mcu::SecureToken* token = nullptr;
     std::vector<global::SourceTuple> tuples;
-    /// ...or a full PdsNode whose tuples are policy-exported on Connect().
-    node::PdsNode* pds_node = nullptr;
-    ac::Subject subject;
-    std::string table;
-    std::string group_column;
-    std::string value_column;
     /// Handshake receive deadline.
     uint32_t deadline_ms = 2000;
     /// Poll granularity of the serve loop (Stop() latency bound).
@@ -158,8 +150,7 @@ class TokenClient {
   TokenClient(const TokenClient&) = delete;
   TokenClient& operator=(const TokenClient&) = delete;
 
-  /// Exports the tuples (policy-checked with a PdsNode, else
-  /// Config::tuples) and runs the challenge/hello/ack handshake.
+  /// Runs the challenge/hello/ack handshake.
   [[nodiscard]] Status Connect();
 
   /// Answers rounds until Bye, transport close, or Stop(). Returns Ok on a
@@ -193,9 +184,8 @@ class TokenClient {
 
   std::unique_ptr<Transport> transport_;
   Config config_;
-  std::vector<global::SourceTuple> tuples_;
   InjectionLog log_;
-  TokenSession session_;  // points at tuples_ and log_
+  TokenSession session_;  // points at config_.tuples and log_
   Rng rng_;  // reconnect jitter, seeded from the fault plan
   uint64_t replies_since_connect_ = 0;
   uint32_t reconnects_done_ = 0;

@@ -104,8 +104,8 @@ double PdsNode::NumericValue(const embdb::Value& v) {
       return static_cast<double>(v.AsI64());
     case embdb::ColumnType::kDouble:
       return v.AsF64();
-    case embdb::ColumnType::kString:
-      return 0.0;
+    case embdb::ColumnType::kString:  // ExportAs refuses these
+      break;
   }
   return 0.0;
 }
@@ -113,7 +113,7 @@ double PdsNode::NumericValue(const embdb::Value& v) {
 Status PdsNode::ExportAs(const ac::Subject& subject, const std::string& table,
                          const std::string& group_column,
                          const std::string& value_column,
-                         std::vector<std::pair<std::string, double>>* out) {
+                         std::vector<global::SourceTuple>* out) {
   ac::Decision decision = policies_.Check(
       subject, ac::Action::kShare, table, {group_column, value_column});
   PDS_RETURN_IF_ERROR(
@@ -130,13 +130,18 @@ Status PdsNode::ExportAs(const ac::Subject& subject, const std::string& table,
   if (gcol < 0 || vcol < 0) {
     return Status::NotFound("export columns not found");
   }
+  if (heap->schema().columns()[static_cast<size_t>(vcol)].type ==
+      embdb::ColumnType::kString) {
+    return Status::InvalidArgument("value column " + value_column +
+                                   " is not numeric");
+  }
 
   out->clear();
   return db_->SelectScan(
       table, decision.mandatory_filters,
       [&](uint64_t, const embdb::Tuple& tuple) {
-        out->emplace_back(tuple[static_cast<size_t>(gcol)].ToString(),
-                          NumericValue(tuple[static_cast<size_t>(vcol)]));
+        out->push_back({tuple[static_cast<size_t>(gcol)].ToString(),
+                        NumericValue(tuple[static_cast<size_t>(vcol)])});
         return Status::Ok();
       });
 }

@@ -9,6 +9,7 @@
 #include "common/result.h"
 #include "embdb/database.h"
 #include "flash/flash.h"
+#include "global/common.h"
 #include "logstore/sequential_log.h"
 #include "mcu/secure_token.h"
 
@@ -61,14 +62,15 @@ class PdsNode {
                  const std::vector<std::string>& columns,
                  const std::function<Status(const embdb::Tuple&)>& emit);
 
-  /// Policy-checked export of (group, value) pairs for global protocols —
+  /// Policy-checked export of (group, value) tuples for global protocols —
   /// the Action::kShare gate. Values are read in plaintext here because the
   /// caller is the node itself; the global layer encrypts them inside the
-  /// token before anything leaves.
+  /// token before anything leaves. A string value column is refused with
+  /// InvalidArgument (after the decision is audited): it has no sum.
   Status ExportAs(const ac::Subject& subject, const std::string& table,
                   const std::string& group_column,
                   const std::string& value_column,
-                  std::vector<std::pair<std::string, double>>* out);
+                  std::vector<global::SourceTuple>* out);
 
   /// Reads back the audit trail (owner operation).
   Result<std::vector<std::string>> ReadAuditLog();

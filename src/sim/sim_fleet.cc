@@ -23,7 +23,6 @@ Status SimFleet::Build() {
   clock_ = std::make_unique<SimClock>();
   net_ = std::make_unique<SimNet>(clock_.get(), config_.link,
                                   config_.seed ^ 0x6c696e6bull);
-  net_->set_log_events(config_.log_events);
 
   crypto::SymmetricKey key = crypto::KeyFromString("sim-fleet");
   mcu::SecureToken::Config vcfg;

@@ -22,8 +22,8 @@
 /// from inside its blocking Recv/backoff calls, while every token's session
 /// answers each frame where it lands, as the in-process DirectTokenLink
 /// does. Memory is the only thing engineered for scale: lean server
-/// sessions, event logging off, one tuple per token by default, and one
-/// copy of it, which the token's session points at.
+/// sessions, one tuple per token by default, and one copy of it, which the
+/// token's session points at.
 namespace pds::sim {
 
 struct SimFleetConfig {
@@ -43,9 +43,6 @@ struct SimFleetConfig {
   /// Every Nth token (0 disables) swallows all round requests forever —
   /// the deterministic straggler population for quorum-sensitivity runs.
   size_t dropout_every = 0;
-  /// Keep the per-frame SimEventLog (off by default: a million-token round
-  /// logs tens of millions of events).
-  bool log_events = false;
 };
 
 class SimFleet {

@@ -7,20 +7,6 @@
 
 namespace pds::sim {
 
-void SimEventLog::RecordEvent(const SimEvent& event) {
-  entries_.push_back(event);
-}
-
-uint64_t SimEventLog::Count(SimEventKind kind) const {
-  uint64_t n = 0;
-  for (const SimEvent& e : entries_) {
-    if (e.kind == kind) {
-      ++n;
-    }
-  }
-  return n;
-}
-
 SimNet::SimNet(SimClock* clock, LinkModel model, uint64_t seed)
     : clock_(clock), model_(std::move(model)), rng_(seed) {}
 
@@ -28,7 +14,6 @@ std::pair<std::unique_ptr<SimTransport>, std::unique_ptr<SimTransport>>
 SimNet::CreatePair(size_t max_queued) {
   auto link = std::make_shared<Link>();
   link->net = this;
-  link->id = next_link_id_++;
   link->max_queued = max_queued;
   auto a = std::make_unique<SimTransport>(SimTransport::Private{}, link, 0);
   auto b = std::make_unique<SimTransport>(SimTransport::Private{}, link, 1);
@@ -71,28 +56,10 @@ Status SimNet::SendFrom(const std::shared_ptr<Link>& link, int from_side,
 
   if (InPartition(now_ns)) {
     ++stats_.frames_partitioned;
-    if (log_events_) {
-      SimEvent e;
-      e.t_ns = now_ns;
-      e.link_id = link->id;
-      e.to_side = static_cast<uint8_t>(to_side);
-      e.kind = SimEventKind::kPartitioned;
-      e.bytes = static_cast<uint32_t>(frame.size());
-      log_.RecordEvent(e);
-    }
     return Status::Ok();
   }
   if (lost) {
     ++stats_.frames_lost;
-    if (log_events_) {
-      SimEvent e;
-      e.t_ns = now_ns;
-      e.link_id = link->id;
-      e.to_side = static_cast<uint8_t>(to_side);
-      e.kind = SimEventKind::kLost;
-      e.bytes = static_cast<uint32_t>(frame.size());
-      log_.RecordEvent(e);
-    }
     return Status::Ok();
   }
 
@@ -114,28 +81,18 @@ Status SimNet::SendFrom(const std::shared_ptr<Link>& link, int from_side,
 
   ++dir.in_flight;
   clock_->Schedule(arrival_ns,
-                   [this, link, to_side, f = frame.ToBytes(), now_ns]() mutable {
-                     Deliver(link, to_side, std::move(f), now_ns);
+                   [this, link, to_side, f = frame.ToBytes()]() mutable {
+                     Deliver(link, to_side, std::move(f));
                    });
   return Status::Ok();
 }
 
 void SimNet::Deliver(const std::shared_ptr<Link>& link, int to_side,
-                     Bytes frame, uint64_t sent_ns) {
+                     Bytes frame) {
   LinkDir& dir = link->dirs[to_side];
   --dir.in_flight;
   ++stats_.frames_delivered;
   stats_.bytes_delivered += frame.size();
-  if (log_events_) {
-    SimEvent e;
-    e.t_ns = sent_ns;
-    e.link_id = link->id;
-    e.to_side = static_cast<uint8_t>(to_side);
-    e.kind = SimEventKind::kDelivered;
-    e.bytes = static_cast<uint32_t>(frame.size());
-    e.arrival_ns = clock_->NowNs();
-    log_.RecordEvent(e);
-  }
   if (to_side == 1 && link->session != nullptr) {
     Answer(link, frame);
     return;

@@ -36,48 +36,11 @@ class TokenSession;
 /// token sessions only ever run from delivery events.
 namespace pds::sim {
 
-/// What happened to a frame on the modeled link. Records carry sizes and
-/// timing only — never payload bytes: ciphertext stays out of event
-/// records by construction, and pdslint's secret-flow pass treats
-/// RecordEvent as a sink to keep it that way.
-enum class SimEventKind : uint8_t {
-  kDelivered = 1,    // frame landed in the destination inbox
-  kLost = 2,         // loss_rate draw consumed the frame
-  kPartitioned = 3,  // sent inside a partition window
-};
-
-struct SimEvent {
-  uint64_t t_ns = 0;     // virtual send time
-  uint32_t link_id = 0;  // which CreatePair() link
-  uint8_t to_side = 0;   // destination endpoint (0 or 1)
-  SimEventKind kind = SimEventKind::kDelivered;
-  uint32_t bytes = 0;
-  uint64_t arrival_ns = 0;  // virtual delivery time (kDelivered only)
-};
-
-/// Append-only log of link-level events, the simulation-tier sibling of
-/// net::InjectionLog: a failing fleet scenario replays from the seed and
-/// this log names every frame the model touched.
-class SimEventLog {
- public:
-  // pdslint: sink(RecordEvent)
-  void RecordEvent(const SimEvent& event);
-  [[nodiscard]] size_t size() const { return entries_.size(); }
-  [[nodiscard]] uint64_t Count(SimEventKind kind) const;
-  [[nodiscard]] const std::vector<SimEvent>& Entries() const {
-    return entries_;
-  }
-  void Clear() { entries_.clear(); }
-
- private:
-  std::vector<SimEvent> entries_;
-};
-
 class SimTransport;
 
 /// The fleet's modeled network: owns the LinkModel, the single seeded RNG
-/// every per-frame draw comes from, the event log, and aggregate counters.
-/// Lives as long as every transport it created.
+/// every per-frame draw comes from, and the counters that are its one
+/// record of link events. Lives as long as every transport it created.
 class SimNet {
  public:
   struct Stats {
@@ -116,10 +79,6 @@ class SimNet {
   /// Part of the scripted scenario, so determinism is unaffected.
   void set_model(LinkModel model) { model_ = std::move(model); }
   [[nodiscard]] const Stats& stats() const { return stats_; }
-  [[nodiscard]] const SimEventLog& event_log() const { return log_; }
-  /// Event logging is on by default; million-frame benches turn it off so
-  /// the log does not dominate memory.
-  void set_log_events(bool on) { log_events_ = on; }
 
  private:
   friend class SimTransport;
@@ -133,7 +92,6 @@ class SimNet {
   };
   struct Link {
     SimNet* net = nullptr;
-    uint32_t id = 0;
     bool closed = false;
     size_t max_queued = 1024;
     LinkDir dirs[2];
@@ -143,8 +101,7 @@ class SimNet {
 
   [[nodiscard]] Status SendFrom(const std::shared_ptr<Link>& link,
                                 int from_side, ByteView frame);
-  void Deliver(const std::shared_ptr<Link>& link, int to_side, Bytes frame,
-               uint64_t sent_ns);
+  void Deliver(const std::shared_ptr<Link>& link, int to_side, Bytes frame);
   /// Hands a frame that landed on side 1 to the link's session.
   void Answer(const std::shared_ptr<Link>& link, ByteView frame);
   [[nodiscard]] bool InPartition(uint64_t t_ns) const;
@@ -152,10 +109,7 @@ class SimNet {
   SimClock* clock_;
   LinkModel model_;
   Rng rng_;
-  SimEventLog log_;
   Stats stats_;
-  bool log_events_ = true;
-  uint32_t next_link_id_ = 0;
 };
 
 /// One endpoint of a simulated link. Recv drives the event queue until its

@@ -37,7 +37,6 @@ TEST(FlashChipTest, ViewPageCountsLikeReadPage) {
   ASSERT_TRUE(chip.MarkBadPage(5).ok());
   obs::Registry& reg = obs::Registry::Global();
   obs::Counter* reads = reg.GetCounter("flash.page_reads", "ops");
-  obs::Histogram* read_us = reg.GetHistogram("flash.read_us", "us");
 
   struct Probe {
     uint32_t page;
@@ -52,12 +51,10 @@ TEST(FlashChipTest, ViewPageCountsLikeReadPage) {
                       Probe{32, StatusCode::kOutOfRange, 0}}) {
     const uint64_t stats0 = chip.stats().page_reads;
     const uint64_t counter0 = reads->Value();
-    const uint64_t hist0 = read_us->count();
     Bytes copy;
     EXPECT_EQ(chip.ReadPage(probe.page, &copy).code(), probe.code);
     const uint64_t stats1 = chip.stats().page_reads;
     const uint64_t counter1 = reads->Value();
-    const uint64_t hist1 = read_us->count();
     ByteView view;
     EXPECT_EQ(chip.ViewPage(probe.page, &view).code(), probe.code);
     EXPECT_EQ(stats1 - stats0, probe.counted) << "page " << probe.page;
@@ -65,10 +62,8 @@ TEST(FlashChipTest, ViewPageCountsLikeReadPage) {
 #if PDS_OBS_ENABLED
     EXPECT_EQ(counter1 - counter0, probe.counted);
     EXPECT_EQ(reads->Value() - counter1, probe.counted);
-    EXPECT_EQ(hist1 - hist0, probe.counted);
-    EXPECT_EQ(read_us->count() - hist1, probe.counted);
 #else
-    (void)counter0, (void)counter1, (void)hist0, (void)hist1;
+    (void)counter0, (void)counter1;
 #endif
     if (probe.code == StatusCode::kOk) {
       ASSERT_EQ(view.size(), 256u);
@@ -90,6 +85,52 @@ TEST(FlashChipTest, ViewPageCountsLikeReadPage) {
   // The view is the chip's copy: a retention error shows through it.
   ASSERT_TRUE(chip.CorruptBit(2, 8 * 1 + 4).ok());
   EXPECT_EQ(programmed[1], 2 ^ 0x10);
+}
+
+TEST(FlashChipTest, ProgramAndEraseCountOnce) {
+  // A programmed page and an erased block each count exactly once, in the
+  // chip's Stats and in the process-wide counter; a refused program or
+  // erase counts nowhere.
+  FlashChip chip(SmallGeometry());
+  obs::Registry& reg = obs::Registry::Global();
+  obs::Counter* programs = reg.GetCounter("flash.page_programs", "ops");
+  obs::Counter* erases = reg.GetCounter("flash.block_erases", "ops");
+  const Bytes one = {1};
+  const Bytes oversized(257, 0);
+
+  Stats last = chip.stats();
+  uint64_t programs_last = programs->Value();
+  uint64_t erases_last = erases->Value();
+  auto expect_moved = [&](const char* what, const Status& status,
+                          StatusCode code, uint64_t programmed,
+                          uint64_t erased) {
+    EXPECT_EQ(status.code(), code) << what;
+    const Stats moved = chip.stats() - last;
+    EXPECT_EQ(moved.page_programs, programmed) << what;
+    EXPECT_EQ(moved.block_erases, erased) << what;
+    EXPECT_EQ(moved.page_reads, 0u) << what;
+#if PDS_OBS_ENABLED
+    EXPECT_EQ(programs->Value() - programs_last, programmed) << what;
+    EXPECT_EQ(erases->Value() - erases_last, erased) << what;
+#endif
+    last = chip.stats();
+    programs_last = programs->Value();
+    erases_last = erases->Value();
+  };
+  expect_moved("program", chip.ProgramPage(0, ByteView(one)), StatusCode::kOk,
+               1, 0);
+  expect_moved("program in place", chip.ProgramPage(0, ByteView(one)),
+               StatusCode::kFailedPrecondition, 0, 0);
+  expect_moved("program oversized", chip.ProgramPage(1, ByteView(oversized)),
+               StatusCode::kInvalidArgument, 0, 0);
+  expect_moved("program past the chip", chip.ProgramPage(32, ByteView(one)),
+               StatusCode::kOutOfRange, 0, 0);
+  expect_moved("erase", chip.EraseBlock(0), StatusCode::kOk, 0, 1);
+  expect_moved("erase past the chip", chip.EraseBlock(8),
+               StatusCode::kOutOfRange, 0, 0);
+  expect_moved("program after erase", chip.ProgramPage(0, ByteView(one)),
+               StatusCode::kOk, 1, 0);
+  EXPECT_EQ(chip.WearOf(0), 1u);
 }
 
 TEST(FlashChipTest, ProgramThenRead) {
@@ -218,6 +259,17 @@ TEST(FlashChipTest, WearTracking) {
   EXPECT_EQ(chip.WearOf(1), 1u);
   EXPECT_EQ(chip.WearOf(0), 0u);
   EXPECT_EQ(chip.MaxWear(), 2u);
+}
+
+TEST(FlashChipTest, WearOfPastChipIsZero) {
+  // Past the chip WearOf answers 0, as IsProgrammed answers false, rather
+  // than reading past the wear table.
+  FlashChip chip(SmallGeometry());
+  ASSERT_TRUE(chip.EraseBlock(7).ok());
+  EXPECT_EQ(chip.WearOf(7), 1u);
+  EXPECT_EQ(chip.WearOf(8), 0u);
+  EXPECT_EQ(chip.WearOf(UINT32_MAX), 0u);
+  EXPECT_FALSE(chip.IsProgrammed(32));
 }
 
 TEST(PartitionTest, LocalAddressing) {

@@ -73,14 +73,10 @@ class FleetIntegrationTest : public ::testing::Test {
   Result<std::vector<Participant>> ExportFleet(const Subject& subject) {
     std::vector<Participant> participants;
     for (auto& node : nodes_) {
-      std::vector<std::pair<std::string, double>> exported;
-      PDS_RETURN_IF_ERROR(
-          node->ExportAs(subject, "bills", "city", "amount", &exported));
       Participant p;
       p.token = &node->token();
-      for (auto& [city, amount] : exported) {
-        p.tuples.push_back({city, amount});
-      }
+      PDS_RETURN_IF_ERROR(
+          node->ExportAs(subject, "bills", "city", "amount", &p.tuples));
       participants.push_back(std::move(p));
     }
     return participants;

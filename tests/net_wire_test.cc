@@ -8,12 +8,15 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cctype>
 #include <cstdint>
+#include <cstdlib>
 #include <limits>
 #include <memory>
 #include <set>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
 
 #include "common/clock.h"
@@ -482,8 +485,8 @@ TEST(NetPackedAggTest, PackedRoundToleratesStragglersUnderQuorum) {
 }
 
 TEST(NetSecureAggTest, PdsNodesExportAndAggregateOverWire) {
-  // Full stack: PdsNode-backed clients run the policy-checked export at
-  // Connect() and only then answer wire rounds.
+  // Full stack: each PdsNode runs the policy-checked export, and its token
+  // answers wire rounds over exactly the exported tuples.
   using embdb::ColumnType;
   using embdb::Schema;
   using embdb::Tuple;
@@ -534,13 +537,13 @@ TEST(NetSecureAggTest, PdsNodesExportAndAggregateOverWire) {
 
   std::vector<std::unique_ptr<TokenClient>> clients;
   for (auto& pds_node : nodes) {
-    auto [server_end, client_end] = InProcessTransport::CreatePair();
     TokenClient::Config ccfg;
-    ccfg.pds_node = pds_node.get();
-    ccfg.subject = {"stats-agency", "insee"};
-    ccfg.table = "bills";
-    ccfg.group_column = "city";
-    ccfg.value_column = "amount";
+    ccfg.token = &pds_node->token();
+    ASSERT_TRUE(pds_node
+                    ->ExportAs({"stats-agency", "insee"}, "bills", "city",
+                               "amount", &ccfg.tuples)
+                    .ok());
+    auto [server_end, client_end] = InProcessTransport::CreatePair();
     auto client =
         std::make_unique<TokenClient>(std::move(client_end), std::move(ccfg));
     client->Start();
@@ -1261,6 +1264,136 @@ TEST(NetStatsTest, FailedRunReportsItsFollowUpRounds) {
   ExpectChannelsAgree(server, before);
 }
 
+/// A JSON value, as far as the kStats tests read one: objects, arrays and
+/// numbers keep their contents; strings, booleans and null only parse.
+struct Json {
+  enum class Kind { kOther, kNumber, kArray, kObject };
+  Kind kind = Kind::kOther;
+  double number = 0;
+  std::vector<Json> items;                           // kArray
+  std::vector<std::pair<std::string, Json>> fields;  // kObject
+
+  const Json* Field(std::string_view key) const {
+    for (const auto& [name, value] : fields) {
+      if (name == key) return &value;
+    }
+    return nullptr;
+  }
+};
+
+/// A strict-enough recursive-descent JSON parser: true only when `text` is
+/// exactly one well-formed value.
+class JsonParser {
+ public:
+  static bool Parse(const std::string& text, Json* out) {
+    JsonParser parser(text);
+    return parser.Value(out) && parser.AtEnd();
+  }
+
+ private:
+  explicit JsonParser(const std::string& text) : text_(text) {}
+
+  void SkipSpace() {
+    while (pos_ < text_.size() &&
+           std::isspace(static_cast<unsigned char>(text_[pos_]))) {
+      ++pos_;
+    }
+  }
+  bool AtEnd() {
+    SkipSpace();
+    return pos_ == text_.size();
+  }
+  bool Eat(char c) {
+    SkipSpace();
+    if (pos_ < text_.size() && text_[pos_] == c) {
+      ++pos_;
+      return true;
+    }
+    return false;
+  }
+  bool Literal(std::string_view word) {
+    if (std::string_view(text_).substr(pos_, word.size()) != word) {
+      return false;
+    }
+    pos_ += word.size();
+    return true;
+  }
+  bool String(std::string* out) {
+    if (!Eat('"')) return false;
+    while (pos_ < text_.size() && text_[pos_] != '"') {
+      char c = text_[pos_++];
+      if (c == '\\') {
+        if (pos_ >= text_.size()) return false;
+        c = text_[pos_++];
+        if (c == 'u') {
+          if (pos_ + 4 > text_.size()) return false;
+          pos_ += 4;
+        }
+      }
+      out->push_back(c);
+    }
+    if (pos_ >= text_.size()) return false;
+    ++pos_;  // the closing quote
+    return true;
+  }
+  bool Value(Json* out) {
+    SkipSpace();
+    if (pos_ >= text_.size()) return false;
+    const char c = text_[pos_];
+    if (c == '{') {
+      ++pos_;
+      out->kind = Json::Kind::kObject;
+      if (Eat('}')) return true;
+      do {
+        std::string name;
+        Json value;
+        if (!String(&name) || !Eat(':') || !Value(&value)) return false;
+        out->fields.emplace_back(std::move(name), std::move(value));
+      } while (Eat(','));
+      return Eat('}');
+    }
+    if (c == '[') {
+      ++pos_;
+      out->kind = Json::Kind::kArray;
+      if (Eat(']')) return true;
+      do {
+        Json item;
+        if (!Value(&item)) return false;
+        out->items.push_back(std::move(item));
+      } while (Eat(','));
+      return Eat(']');
+    }
+    if (c == '"') {
+      std::string ignored;
+      return String(&ignored);
+    }
+    if (Literal("true") || Literal("false") || Literal("null")) return true;
+    if (c != '-' && !std::isdigit(static_cast<unsigned char>(c))) {
+      return false;
+    }
+    const char* begin = text_.c_str() + pos_;
+    char* end = nullptr;
+    out->kind = Json::Kind::kNumber;
+    out->number = std::strtod(begin, &end);
+    pos_ += static_cast<size_t>(end - begin);
+    return end != begin;
+  }
+
+  const std::string& text_;
+  size_t pos_ = 0;
+};
+
+/// Sends one kStatsRequest, lets `server` answer it on this thread, and
+/// returns the reply's JSON.
+Result<std::string> RequestStats(SsiServer* server) {
+  auto [admin_end, stats_end] = InProcessTransport::CreatePair();
+  PDS_RETURN_IF_ERROR(admin_end->Send(EncodeMessage({StatsRequestMsg{}})));
+  PDS_RETURN_IF_ERROR(server->ServeStats(stats_end.get()));
+  PDS_ASSIGN_OR_RETURN(Bytes frame, admin_end->Recv(2000));
+  PDS_ASSIGN_OR_RETURN(StatsReplyMsg reply, DecodeAs<StatsReplyMsg>(frame));
+  return reply.json;
+}
+
 TEST(NetStatsTest, StatsRequestReturnsLiveJsonSnapshot) {
   TestFleet fleet = MakeTestFleet(3);
   SsiServer::Config scfg;
@@ -1292,8 +1425,57 @@ TEST(NetStatsTest, StatsRequestReturnsLiveJsonSnapshot) {
   EXPECT_NE(reply->json.find("\"ring\""), std::string::npos);
   EXPECT_NE(reply->json.find("\"rtt_p50_us\""), std::string::npos);
   EXPECT_NE(reply->json.find("\"net.round_trip_us\""), std::string::npos);
+  Json doc;
+  ASSERT_TRUE(JsonParser::Parse(reply->json, &doc)) << reply->json;
+  const Json* listed = doc.Field("sessions_listed");
+  ASSERT_NE(listed, nullptr);
+  EXPECT_EQ(listed->number, 3.0);  // a small fleet is listed whole
 
   JoinAll(&server, &clients);
+}
+
+TEST(NetStatsTest, StatsReplyListsWhatFitsOfALargeFleet) {
+  // 512 sessions of telemetry (~120 KB) overflow the 64 KiB a kStats reply
+  // may carry. The reply lists the sessions that fit, says how many there
+  // are in all, and still carries the registry.
+  constexpr size_t kSessions = 512;
+  TestFleet fleet = MakeTestFleet(kSessions);
+  SsiServer::Config scfg;
+  scfg.verifier = fleet.verifier.get();
+  SsiServer server(scfg);
+  for (Participant& p : fleet.participants) {
+    ASSERT_TRUE(server
+                    .AcceptSession(std::make_unique<DirectTokenLink>(
+                        p.token, &p.tuples, nullptr))
+                    .ok());
+  }
+  ASSERT_TRUE(server.RunSecureAggregation(AggFunc::kSum).ok());
+
+  auto json = RequestStats(&server);
+  ASSERT_TRUE(json.ok()) << json.status().ToString();
+  EXPECT_LE(json->size(), kMaxStatsJsonBytes);
+  Json doc;
+  ASSERT_TRUE(JsonParser::Parse(*json, &doc)) << json->substr(0, 200);
+  const Json* total = doc.Field("sessions_total");
+  const Json* listed = doc.Field("sessions_listed");
+  const Json* sessions = doc.Field("sessions");
+  ASSERT_NE(total, nullptr) << json->substr(0, 200);
+  ASSERT_NE(listed, nullptr);
+  ASSERT_NE(sessions, nullptr);
+  EXPECT_EQ(total->number, static_cast<double>(kSessions));
+  EXPECT_GT(listed->number, 0.0);
+  EXPECT_LT(listed->number, static_cast<double>(kSessions));
+  ASSERT_EQ(static_cast<double>(sessions->items.size()), listed->number);
+  // The listed sessions are the first ones, in admission order.
+  const Json* last_id = sessions->items.back().Field("token_id");
+  ASSERT_NE(last_id, nullptr);
+  EXPECT_EQ(last_id->number, listed->number - 1);
+  const Json* registry = doc.Field("registry");
+  ASSERT_NE(registry, nullptr);
+  EXPECT_EQ(registry->kind, Json::Kind::kObject);
+  EXPECT_NE(doc.Field("fleet"), nullptr);
+  EXPECT_NE(doc.Field("ring"), nullptr);
+  server.Shutdown();
 }
 
 TEST(NetStatsTest, StatsChannelRejectsNonStatsFrames) {

@@ -195,14 +195,14 @@ TEST_F(PdsNodeTest, ExportGatedByShareAction) {
   ASSERT_TRUE(InsertRecord(1, "medical", "flu", 40).ok());
   ASSERT_TRUE(InsertRecord(2, "medical", "xray", 120).ok());
 
-  std::vector<std::pair<std::string, double>> exported;
+  std::vector<global::SourceTuple> exported;
   ASSERT_TRUE(node_
                   ->ExportAs({"stats-agency", "insee"}, "records", "category",
                              "cost", &exported)
                   .ok());
   ASSERT_EQ(exported.size(), 2u);
-  EXPECT_EQ(exported[0].first, "medical");
-  EXPECT_DOUBLE_EQ(exported[0].second, 40.0);
+  EXPECT_EQ(exported[0].group, "medical");
+  EXPECT_DOUBLE_EQ(exported[0].value, 40.0);
 
   // The owner has no share rule: even the owner cannot export.
   EXPECT_EQ(node_
@@ -263,7 +263,7 @@ class PdsNodeShareTest : public ::testing::Test {
 };
 
 TEST_F(PdsNodeShareTest, RowFilterAppliesToExport) {
-  std::vector<std::pair<std::string, double>> exported;
+  std::vector<global::SourceTuple> exported;
   ASSERT_TRUE(node_
                   ->ExportAs({"agency", "insee"}, "bills", "city", "amount",
                              &exported)
@@ -272,8 +272,27 @@ TEST_F(PdsNodeShareTest, RowFilterAppliesToExport) {
   EXPECT_EQ(exported.size(), 6u);
 }
 
+TEST_F(PdsNodeShareTest, StringValueColumnRefusedAfterAudit) {
+  // Both columns are granted, so policy allows exporting (amount, city);
+  // but a string value column has no sum, and exporting it as zeros would
+  // make SUM/AVG silently wrong. The allowed decision is still audited.
+  const uint64_t audited = node_->audit_entries();
+  std::vector<global::SourceTuple> exported;
+  EXPECT_EQ(node_
+                ->ExportAs({"agency", "insee"}, "bills", "amount", "city",
+                           &exported)
+                .code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_TRUE(exported.empty());
+  EXPECT_EQ(node_->audit_entries(), audited + 1);
+  auto log = node_->ReadAuditLog();
+  ASSERT_TRUE(log.ok());
+  EXPECT_NE(log->back().find("share"), std::string::npos);
+  EXPECT_NE(log->back().find("ALLOW"), std::string::npos);
+}
+
 TEST_F(PdsNodeShareTest, ColumnsOutsideGrantDenied) {
-  std::vector<std::pair<std::string, double>> exported;
+  std::vector<global::SourceTuple> exported;
   // "year" is not in the share grant.
   EXPECT_EQ(node_
                 ->ExportAs({"agency", "insee"}, "bills", "city", "year",
@@ -285,7 +304,7 @@ TEST_F(PdsNodeShareTest, ColumnsOutsideGrantDenied) {
 TEST_F(PdsNodeShareTest, ForgottenRowsNeverExported) {
   // The owner deletes a 2026 row; a subsequent export must not contain it.
   ASSERT_TRUE(node_->db().Delete("bills", 9).ok());  // first 2026 row
-  std::vector<std::pair<std::string, double>> exported;
+  std::vector<global::SourceTuple> exported;
   ASSERT_TRUE(node_
                   ->ExportAs({"agency", "insee"}, "bills", "city", "amount",
                              &exported)

@@ -1,5 +1,5 @@
 // pdslint fixture: the sim-module event-record discipline, done right.
-// The simulator's per-link log records *metadata about* frames — sizes,
+// A per-link log in the simulator records *metadata about* frames — sizes,
 // kinds, virtual timestamps — never the frame bytes themselves, and its
 // append path reserves up front (the sim module is under the tiny-RAM
 // rule: a million token endpoints share one process). Must stay silent.

@@ -1,10 +1,10 @@
-// Planted leak for the simulator's event log: a debugging aid copies a
-// secret-annotated Paillier ciphertext (annotated because its bytes
-// identify the participant's records) into the per-link event record the
-// simulator keeps for every delivered frame. The log outlives the frame
-// and is dumped wholesale by bench tooling, so the record sink must only
-// ever see sizes and kinds. ctest asserts the secret-flow rule catches
-// the tainted RecordEvent call.
+// Planted leak for a simulator event log (the pattern a frame-metadata
+// ring must follow): a debugging aid copies a secret-annotated Paillier
+// ciphertext (annotated because its bytes identify the participant's
+// records) into a per-link event record kept for every delivered frame.
+// Such a log outlives the frame and would be exported, so the record sink
+// must only ever see sizes and kinds. ctest asserts the secret-flow rule
+// catches the tainted RecordEvent call.
 #include <cstdint>
 #include <vector>
 

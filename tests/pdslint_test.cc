@@ -313,9 +313,10 @@ TEST(PdslintSecretFlow, CatchesKeyMaterialFoldedIntoTraceId) {
 
 TEST(PdslintSecretFlow, CatchesCiphertextInSimEventRecord) {
   // The simulator leak: a secret-annotated Paillier ciphertext copied into
-  // the per-link event record and handed to the record sink. The sim event
-  // log is dumped wholesale by bench tooling, so it must only ever carry
-  // frame sizes and kinds — never payload bytes.
+  // a per-link event record and handed to the record sink. src/sim keeps
+  // no such log today (SimNet::Stats counts link events); the fixture is
+  // the pattern a frame-metadata ring must follow: sizes and kinds only,
+  // never payload bytes.
   Report r = Lint("sim/leak_event_record.cc");
   std::vector<int> lines = LinesFor(r, Rule::kSecretFlow);
   ASSERT_EQ(lines.size(), 1u);
@@ -326,7 +327,7 @@ TEST(PdslintSecretFlow, CatchesCiphertextInSimEventRecord) {
 TEST(PdslintSimModule, SilentOnMetadataOnlyEventLog) {
   // The sim module is under the embedded-RAM and secret-flow rules like
   // net: a metadata-only event log with reserve-bounded growth is the
-  // idiom src/sim actually uses and must stay silent.
+  // idiom a frame-metadata ring in src/sim must use, and must stay silent.
   Report r = Lint("sim/good_event_record.cc");
   EXPECT_TRUE(r.findings.empty())
       << pdslint::FormatFinding(r.findings.front());

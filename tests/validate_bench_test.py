@@ -432,8 +432,8 @@ MOVED_COUNTERS = [
      "(fleet_round_packed).cipher_ops_per_round"),
     ("BENCH_obs.json", at({"name": "wire.messages"}, bump("value", 1)),
      "records[wire.messages].value"),
-    ("BENCH_obs.json", at({"name": "flash.read_us"}, bump("sum", 25)),
-     "records[flash.read_us].sum"),
+    ("BENCH_obs.json", at({"name": "net.round_trip_us"}, bump("value", 1)),
+     "records[net.round_trip_us].value"),
     ("BENCH_obs.json", lambda d: drop(d, name="net.retries"),
      "records[net.retries]: dropped"),
     ("BENCH_obs.json", lambda d: d["records"].append(d["records"][0]),
