@@ -27,6 +27,7 @@
 #include "crypto/cipher.h"
 #include "crypto/paillier.h"
 #include "global/fleet_executor.h"
+#include "net/fault_injection.h"
 #include "net/scenario.h"
 #include "net/ssi_server.h"
 #include "net/token_client.h"
@@ -42,13 +43,13 @@ using pds::global::AggFunc;
 using pds::global::FleetExecutor;
 using pds::global::SourceTuple;
 using pds::mcu::SecureToken;
+using pds::net::FaultInjectingTransport;
+using pds::net::FaultPlan;
 using pds::net::InProcessTransport;
 using pds::net::SocketTransport;
 using pds::net::SsiServer;
 using pds::net::TokenClient;
 using pds::net::Transport;
-
-constexpr uint32_t kDropForever = 1u << 20;
 
 struct BenchFleet {
   std::vector<std::unique_ptr<SecureToken>> tokens;
@@ -96,7 +97,7 @@ struct Scenario {
   std::string transport;  // "inproc" or "socket"
   size_t fleet_size = 0;
   double quorum = 1.0;
-  size_t drop_first = 0;  // clients [0, drop_first) never answer rounds
+  size_t drop_first = 0;  // links [0, drop_first) drop every round request
   uint32_t deadline_ms = 2000;
   uint32_t max_retries = 2;
 };
@@ -142,8 +143,12 @@ int RunScenario(const Scenario& sc, RunRecord* rec) {
     ccfg.token = fleet.tokens[i].get();
     ccfg.tuples = fleet.tuples[i];
     if (i < sc.drop_first) {
-      ccfg.faults.seed = 7 + i;
-      ccfg.faults.swallow_first = kDropForever;
+      // Past the two-frame handshake the SSI's end loses every frame.
+      FaultPlan drop;
+      drop.drop_rate = 1.0;
+      drop.skip_first = 2;
+      server_side = std::make_unique<FaultInjectingTransport>(
+          std::move(server_side), drop, /*log=*/nullptr);
     }
     clients.push_back(
         std::make_unique<TokenClient>(std::move(client_side), ccfg));
@@ -279,7 +284,7 @@ int main(int argc, char** argv) {
     }
   }
   {
-    // One token of ten swallows every request. Full quorum must fail the
+    // One token's link drops every request. Full quorum must fail the
     // run; quorum 0.9 (need = ceil(9.0) = 9 = N-1) must complete.
     Scenario all;
     all.section = "quorum";

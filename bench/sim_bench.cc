@@ -225,7 +225,7 @@ int main(int argc, char** argv) {
     return Fail("--max-tokens excluded every sweep size");
   }
 
-  // --- Quorum sensitivity: every 10th token swallows all rounds. ---
+  // --- Quorum sensitivity: every 10th token's link drops all rounds. ---
   for (double quorum : {1.0, 0.85}) {
     SimFleetConfig cfg;
     cfg.num_tokens = 1000;

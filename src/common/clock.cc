@@ -44,14 +44,6 @@ class SteadyWallClock final : public Clock {
   void SleepMs(uint32_t ms) override {
     std::this_thread::sleep_for(std::chrono::milliseconds(ms));
   }
-
-  [[nodiscard]] uint32_t ScaleBudgetMs(uint32_t ms) override {
-    uint64_t scaled = static_cast<uint64_t>(ms) * TimeScale();
-    if (scaled > std::numeric_limits<uint32_t>::max()) {
-      return std::numeric_limits<uint32_t>::max();
-    }
-    return static_cast<uint32_t>(scaled);
-  }
 };
 
 }  // namespace
@@ -68,6 +60,12 @@ uint32_t TimeScale() {
   return scale;
 }
 
-uint32_t ScaledMs(uint32_t ms) { return WallClock()->ScaleBudgetMs(ms); }
+uint32_t ScaledMs(uint32_t ms) {
+  uint64_t scaled = static_cast<uint64_t>(ms) * TimeScale();
+  if (scaled > std::numeric_limits<uint32_t>::max()) {
+    return std::numeric_limits<uint32_t>::max();
+  }
+  return static_cast<uint32_t>(scaled);
+}
 
 }  // namespace pds

@@ -10,10 +10,11 @@ namespace pds {
 /// Two implementations exist:
 ///
 ///  - the process-wide wall clock (`WallClock()`), backed by
-///    std::chrono::steady_clock, whose budget scaling applies the
+///    std::chrono::steady_clock, for which ScaledMs() applies the
 ///    PDS_TIME_SCALE sanitizer de-flaking factor, and
 ///  - `sim::SimClock`, a discrete-event virtual clock whose SleepMs/NowNs
-///    advance a seeded event queue instead of the host scheduler.
+///    advance a seeded event queue instead of the host scheduler; virtual
+///    budgets are never scaled.
 ///
 /// Library logic stays deterministic (seeded RNGs, simulated flash latency
 /// from CostModel): nothing that affects a protocol *output* may read a
@@ -29,14 +30,6 @@ class Clock {
   /// this is a real sleep; on a simulated clock it advances virtual time
   /// (running any events that come due) and returns immediately.
   virtual void SleepMs(uint32_t ms) = 0;
-
-  /// Scales a wall-clock budget (deadline, backoff, poll window) for this
-  /// clock. The wall clock multiplies by TimeScale() so sanitizer builds
-  /// don't race fixed sleeps; simulated clocks return `ms` unchanged —
-  /// virtual time runs at the same speed under any build. Callers that
-  /// configure the wire runtime scale their budgets exactly once, through
-  /// the clock that will enforce them.
-  [[nodiscard]] virtual uint32_t ScaleBudgetMs(uint32_t ms) { return ms; }
 };
 
 /// The process-wide steady_clock-backed Clock. Never null; never destroyed.
@@ -56,9 +49,8 @@ uint64_t MonotonicNanos();
 /// cached; constant for the whole process.
 uint32_t TimeScale();
 
-/// `ms` scaled by TimeScale(), saturating at uint32 max — shorthand for
-/// `WallClock()->ScaleBudgetMs(ms)`. Use for every deadline/backoff a test
-/// passes to the wire runtime.
+/// `ms` scaled by TimeScale(), saturating at uint32 max. Use for every
+/// wall-clock deadline/backoff a test passes to the wire runtime.
 uint32_t ScaledMs(uint32_t ms);
 
 }  // namespace pds

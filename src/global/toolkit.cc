@@ -4,7 +4,6 @@
 #include <map>
 
 #include "crypto/sra.h"
-#include "obs/obs.h"
 
 namespace pds::global {
 
@@ -285,28 +284,11 @@ Status CheckCounterMatrix(const std::vector<std::vector<uint64_t>>& rows) {
   return Status::Ok();
 }
 
-/// Fleet-wide accumulators for the per-op round bench: how many
-/// asymmetric cipher operations it spent per aggregation round.
-struct RoundObs {
-  obs::Counter* perop_rounds;
-  obs::Counter* perop_cipher_ops;
-
-  static const RoundObs& Get() {
-    static const RoundObs hooks = [] {
-      obs::Registry& reg = obs::Registry::Global();
-      return RoundObs{reg.GetCounter("round.perop.rounds", "ops"),
-                      reg.GetCounter("round.perop.cipher_ops", "ops")};
-    }();
-    return hooks;
-  }
-};
-
 }  // namespace
 
 Result<PackedRoundOutput> PaillierPerOpFleetRound(
     const crypto::Paillier& paillier,
-    const std::vector<std::vector<uint64_t>>& site_counters, Rng* rng,
-    Metrics* metrics, FleetExecutor* exec) {
+    const std::vector<std::vector<uint64_t>>& site_counters, Rng* rng) {
   PDS_RETURN_IF_ERROR(CheckCounterMatrix(site_counters));
   const size_t fleet = site_counters.size();
   const size_t k = site_counters[0].size();
@@ -319,7 +301,8 @@ Result<PackedRoundOutput> PaillierPerOpFleetRound(
       column[i] = site_counters[i][j];
     }
     PDS_ASSIGN_OR_RETURN(std::vector<crypto::BigInt> cts,
-                         ParallelEncrypt(paillier, column, rng, exec));
+                         ParallelEncrypt(paillier, column, rng,
+                                         /*exec=*/nullptr));
     crypto::BigInt acc = std::move(cts[0]);
     for (size_t i = 1; i < cts.size(); ++i) {
       acc = paillier.AddCiphertexts(acc, cts[i]);
@@ -332,12 +315,6 @@ Result<PackedRoundOutput> PaillierPerOpFleetRound(
     out.metrics.bytes += fleet * ct_bytes;
   }
   ++out.metrics.rounds;
-  const RoundObs& hooks = RoundObs::Get();
-  hooks.perop_rounds->Add(1);
-  hooks.perop_cipher_ops->Add(out.metrics.token_crypto_ops);
-  if (metrics != nullptr) {
-    *metrics = out.metrics;
-  }
   return out;
 }
 

@@ -71,8 +71,7 @@ struct PackedRoundOutput {
 /// fleet * k + k asymmetric operations per round.
 Result<PackedRoundOutput> PaillierPerOpFleetRound(
     const crypto::Paillier& paillier,
-    const std::vector<std::vector<uint64_t>>& site_counters, Rng* rng,
-    Metrics* metrics = nullptr, FleetExecutor* exec = nullptr);
+    const std::vector<std::vector<uint64_t>>& site_counters, Rng* rng);
 
 }  // namespace pds::global
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <string>
 #include <thread>
 #include <utility>
 
@@ -29,8 +30,6 @@ const char* FaultKindName(FaultKind kind) {
       return "truncate";
     case FaultKind::kBitFlip:
       return "bitflip";
-    case FaultKind::kSwallowRequest:
-      return "swallow-request";
     case FaultKind::kChurn:
       return "churn";
   }
@@ -145,25 +144,19 @@ FaultInjectingTransport::Verdict FaultInjectingTransport::MutateFrame(
     std::snprintf(d, sizeof(d), "flipped bit %u of byte %zu", bit, byte);
     Log(index, FaultKind::kBitFlip, direction, d);
   }
-  if (dup && BudgetLeft()) {
-    Log(index, FaultKind::kDuplicate, direction, "");
-    *duplicate = true;
-  }
   if (reorder && BudgetLeft()) {
     Log(index, FaultKind::kReorder, direction, "held until next frame");
     return Verdict::kHold;
   }
+  // The caller realizes the duplicate (logs it, spends budget) only when
+  // its copy goes out.
+  *duplicate = dup && BudgetLeft();
   return Verdict::kForward;
 }
 
 Status FaultInjectingTransport::Send(ByteView frame) {
-  if (!plan_.has_link_faults()) {
-    Status s = inner_->Send(frame);
-    if (s.ok()) CountSent(frame.size());
-    return s;
-  }
-  uint64_t index = send_index_++;
-  if (index < plan_.skip_first) {
+  const uint64_t index = send_index_++;
+  if (!plan_.has_faults() || index < plan_.skip_first) {
     Status s = inner_->Send(frame);
     if (s.ok()) CountSent(frame.size());
     return s;
@@ -193,6 +186,7 @@ Status FaultInjectingTransport::Send(ByteView frame) {
     Status s2 = inner_->Send(mutated);
     if (!s2.ok()) return s2;
     CountSent(mutated.size());
+    Log(index, FaultKind::kDuplicate, "send", "");
   }
   if (has_held_send_) {
     Bytes held = std::move(held_send_);
@@ -205,10 +199,25 @@ Status FaultInjectingTransport::Send(ByteView frame) {
 }
 
 Result<Bytes> FaultInjectingTransport::Recv(uint32_t deadline_ms) {
-  if (!plan_.has_link_faults()) {
+  Result<Bytes> got = RecvFrame(deadline_ms);
+  if (got.ok() && plan_.disconnect_after_replies > 0 &&
+      send_index_ >= plan_.skip_first &&
+      ++replies_ == plan_.disconnect_after_replies) {
+    Log(recv_index_ - 1, FaultKind::kChurn, "recv",
+        "closed after " + std::to_string(replies_) + " replies");
+    Close();
+  }
+  return got;
+}
+
+Result<Bytes> FaultInjectingTransport::RecvFrame(uint32_t deadline_ms) {
+  if (!plan_.has_faults()) {
     Result<Bytes> got = inner_->Recv(deadline_ms);
     if (got.ok()) CountReceived(got.value().size());
     return got;
+  }
+  if (held_recv_due_) {
+    return ReleaseHeldRecv();
   }
   for (;;) {
     Result<Bytes> got = inner_->Recv(deadline_ms);
@@ -216,10 +225,7 @@ Result<Bytes> FaultInjectingTransport::Recv(uint32_t deadline_ms) {
       // Peer gone or deadline: flush a held frame if we have one so a
       // reordered frame is not lost forever.
       if (has_held_recv_) {
-        has_held_recv_ = false;
-        Bytes held = std::move(held_recv_);
-        CountReceived(held.size());
-        return held;
+        return ReleaseHeldRecv();
       }
       return got;
     }
@@ -231,36 +237,37 @@ Result<Bytes> FaultInjectingTransport::Recv(uint32_t deadline_ms) {
     }
     bool duplicate = false;
     Verdict verdict = MutateFrame(&frame, index, "recv", &duplicate);
-    if (verdict == Verdict::kHold) {
-      if (has_held_recv_) {
-        Bytes prior = std::move(held_recv_);
-        held_recv_ = std::move(frame);
-        CountReceived(prior.size());
-        return prior;
-      }
-      held_recv_ = std::move(frame);
-      has_held_recv_ = true;
-      continue;
-    }
     if (verdict == Verdict::kDrop) continue;  // wait for the next frame
-    if (duplicate) {
-      // Deliver the duplicate on the *next* Recv by stashing a copy; if the
-      // stash is occupied the duplicate is silently coalesced.
+    if (verdict == Verdict::kHold) {
       if (!has_held_recv_) {
-        held_recv_ = frame;
+        held_recv_ = std::move(frame);
         has_held_recv_ = true;
+        continue;
       }
+      // Two holds in a row: release the older one first to bound memory.
+      std::swap(frame, held_recv_);
     } else if (has_held_recv_) {
-      // Release a previously held (reordered) frame *after* this one: swap
-      // delivery order.
-      Bytes held = std::move(held_recv_);
-      held_recv_ = std::move(frame);
-      CountReceived(held.size());
-      return held;
+      // This frame overtakes the held one, which goes out on the next Recv.
+      // The cell is taken, so a duplicate drawn for this frame gets no copy.
+      held_recv_due_ = true;
+    } else if (duplicate) {
+      // The copy goes out on the next Recv.
+      held_recv_ = frame;
+      has_held_recv_ = true;
+      held_recv_due_ = true;
+      Log(index, FaultKind::kDuplicate, "recv", "");
     }
     CountReceived(frame.size());
     return frame;
   }
+}
+
+Bytes FaultInjectingTransport::ReleaseHeldRecv() {
+  has_held_recv_ = false;
+  held_recv_due_ = false;
+  Bytes held = std::move(held_recv_);
+  CountReceived(held.size());
+  return held;
 }
 
 void FaultInjectingTransport::Close() {

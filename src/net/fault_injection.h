@@ -15,9 +15,12 @@
 ///
 /// FaultInjectingTransport wraps any Transport and perturbs complete frames
 /// on both directions — drop, delay, duplicate, reorder, truncate, bit-flip
-/// — according to a FaultPlan. Every realized injection is appended to an
-/// InjectionLog, so a failing scenario reproduces from its seed alone and
-/// the log can be printed for one-command repro.
+/// — and can close the link after a number of replies (churn), according
+/// to a FaultPlan. It is the one fault injector: tokens run protocol only,
+/// so a token that never answers is a link that drops its requests, and a
+/// token that leaves is a link that closes. Every realized injection is
+/// appended to an InjectionLog, so a failing scenario reproduces from its
+/// seed alone and the log can be printed for one-command repro.
 ///
 /// Faults always apply to whole reassembled frames, never to the byte
 /// stream underneath, so the wrapper composes with SocketTransport without
@@ -26,14 +29,13 @@
 namespace pds::net {
 
 enum class FaultKind : uint8_t {
-  kDrop = 1,       // frame silently swallowed
+  kDrop = 1,       // frame silently lost
   kDelay = 2,      // frame held 10 ms before forwarding
   kDuplicate = 3,  // frame forwarded twice
   kReorder = 4,    // frame held and released after the next frame
   kTruncate = 5,   // 1..8 tail bytes removed before forwarding
   kBitFlip = 6,    // one seeded bit flipped before forwarding
-  kSwallowRequest = 7,  // token-level: round request consumed, never answered
-  kChurn = 8,           // token-level: transport closed mid-session
+  kChurn = 7,      // link closed after a number of replies
 };
 
 const char* FaultKindName(FaultKind kind);
@@ -57,21 +59,17 @@ struct FaultPlan {
   /// The scenario harness sets 2 so the attestation handshake completes
   /// and faults hit only protocol rounds, which have retry machinery.
   uint64_t skip_first = 0;
-
-  /// Token-level faults (consumed by TokenClient, not by the wrapper):
-  /// silently swallow the first N round requests — the request is consumed
-  /// but never answered, so the SSI's retry of the same round is served.
-  /// Replaces the old fail_first_requests counter; realized swallows land
-  /// in the injection log like any other fault.
-  uint32_t swallow_first = 0;
-  /// Token-level churn: after sending this many round replies, close the
-  /// transport mid-session (0 = never). The client then runs its
-  /// reconnect/backoff loop if a reconnect factory is configured.
+  /// Churn: the wrapper closes the link once this many frames came back
+  /// after the first `skip_first` frames went out (0 = never) — past the
+  /// harness's two-frame handshake skip, after this many round replies.
+  /// The next send on the link then fails, as it does once a token left.
   uint64_t disconnect_after_replies = 0;
 
-  [[nodiscard]] bool has_link_faults() const {
+  /// True when the plan injects anything: a per-frame rate or churn.
+  [[nodiscard]] bool has_faults() const {
     return drop_rate > 0 || delay_rate > 0 || duplicate_rate > 0 ||
-           reorder_rate > 0 || truncate_rate > 0 || bitflip_rate > 0;
+           reorder_rate > 0 || truncate_rate > 0 || bitflip_rate > 0 ||
+           disconnect_after_replies > 0;
   }
 };
 
@@ -79,12 +77,12 @@ struct FaultPlan {
 struct Injection {
   uint64_t frame_index = 0;  // per-direction frame counter
   FaultKind kind = FaultKind::kDrop;
-  const char* direction = "";  // "send" or "recv" (or "token")
+  const char* direction = "";  // "send" or "recv"
   std::string detail;          // e.g. "flipped bit 3 of byte 17"
 };
 
 /// Thread-safe append-only log of realized injections, shared between the
-/// wrapper, the token-level fault hooks, and the scenario harness.
+/// wrapper and the scenario harness.
 class InjectionLog {
  public:
   void Add(Injection injection);
@@ -113,20 +111,26 @@ class FaultInjectingTransport : public Transport {
                           InjectionLog* log, Clock* clock = nullptr);
 
   [[nodiscard]] Status Send(ByteView frame) override;
+  /// Receives the next frame the plan lets through; the one that completes
+  /// `disconnect_after_replies` replies is returned and the link closed.
   [[nodiscard]] Result<Bytes> Recv(uint32_t deadline_ms) override;
   void Close() override;
   [[nodiscard]] bool closed() const override;
-
-  [[nodiscard]] uint64_t injections() const { return injections_; }
 
  private:
   enum class Verdict { kForward, kDrop, kHold };
 
   /// Applies the per-frame fault draws to `frame` (possibly mutating it) and
-  /// says what to do with the result: forward it now, swallow it, or stash
-  /// it in the direction's holding cell until the next frame passes.
+  /// says what to do with the result: forward it now, drop it, or stash it
+  /// in the direction's holding cell until the next frame passes. A held
+  /// frame is never duplicated; for a forwarded one `*duplicate` says
+  /// whether a copy is due, which the caller logs once the copy goes out.
   Verdict MutateFrame(Bytes* frame, uint64_t index, const char* direction,
                       bool* duplicate);
+  /// Recv without churn: the frame the rate faults let through.
+  [[nodiscard]] Result<Bytes> RecvFrame(uint32_t deadline_ms);
+  /// Empties the receive holding cell and returns what it held.
+  [[nodiscard]] Bytes ReleaseHeldRecv();
   bool BudgetLeft() const;
   void Log(uint64_t index, FaultKind kind, const char* direction,
            std::string detail);
@@ -139,11 +143,15 @@ class FaultInjectingTransport : public Transport {
   uint64_t injections_ = 0;
   uint64_t send_index_ = 0;
   uint64_t recv_index_ = 0;
-  /// Reorder holding cells, one per direction.
+  uint64_t replies_ = 0;  // frames received past the send-side skip
+  /// Reorder holding cells, one per direction. The receive cell also holds
+  /// a duplicate's copy; a frame in it that is due (a copy, or a held frame
+  /// the next frame overtook) goes out on the next Recv.
   Bytes held_send_;
   bool has_held_send_ = false;
   Bytes held_recv_;
   bool has_held_recv_ = false;
+  bool held_recv_due_ = false;
 };
 
 }  // namespace pds::net

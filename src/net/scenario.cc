@@ -1,9 +1,6 @@
 #include "net/scenario.h"
 
-#include <chrono>
-#include <condition_variable>
 #include <memory>
-#include <mutex>
 #include <sstream>
 #include <utility>
 
@@ -21,22 +18,12 @@ using global::AggFunc;
 using global::AggOutput;
 using global::Participant;
 
-/// Rendezvous between a churned TokenClient's reconnect callback (running
-/// on the client thread) and the harness main thread, which creates the
-/// fresh transport pair and drives SsiServer::ReadmitSession.
-struct ReconnectRendezvous {
-  std::mutex mu;
-  std::condition_variable cv;
-  std::unique_ptr<Transport> client_side;
-};
-
 /// The fault label of a cell for reports: single-kind cells by design.
 std::string FaultLabel(const ScenarioSpec& spec) {
   if (spec.adversary.action != AdversaryAction::kNone) {
     return AdversaryActionName(spec.adversary.action);
   }
   if (spec.faults.disconnect_after_replies > 0) return "churn";
-  if (spec.faults.swallow_first > 0) return "swallow-request";
   if (spec.faults.drop_rate > 0) return "drop";
   if (spec.faults.delay_rate > 0) return "delay";
   if (spec.faults.duplicate_rate > 0) return "duplicate";
@@ -132,9 +119,7 @@ Result<ScenarioResult> RunScenarioCell(const ScenarioSpec& spec) {
   res.protocol = spec.sealed_round ? "sealed-collect"
                                    : WireProtocolName(spec.protocol);
   res.fault = FaultLabel(spec);
-  res.benign = !spec.faults.has_link_faults() &&
-               spec.faults.swallow_first == 0 &&
-               spec.faults.disconnect_after_replies == 0 &&
+  res.benign = !spec.faults.has_faults() &&
                spec.adversary.action == AdversaryAction::kNone;
   // Damaging link faults run over the checksummed wire: a flipped bit can
   // land in a field like the round kind and still decode as a valid frame,
@@ -150,7 +135,6 @@ Result<ScenarioResult> RunScenarioCell(const ScenarioSpec& spec) {
   const bool churn_cell = spec.faults.disconnect_after_replies > 0;
 
   InjectionLog link_log;
-  auto rendezvous = std::make_shared<ReconnectRendezvous>();
 
   SsiServer::Config scfg;
   scfg.deadline_ms = deadline;
@@ -170,51 +154,36 @@ Result<ScenarioResult> RunScenarioCell(const ScenarioSpec& spec) {
     for (auto& c : clients) (void)c->Join();
   };
 
-  for (size_t i = 0; i < spec.participants.size(); ++i) {
-    auto pair = MakePair(spec.use_socket);
-    if (!pair.ok()) {
-      shutdown();
-      return pair.status();
-    }
-    std::unique_ptr<Transport> server_side = std::move(pair.value().first);
-    std::unique_ptr<Transport> client_side = std::move(pair.value().second);
-    if (i == 0 && spec.faults.has_link_faults()) {
-      FaultPlan link = spec.faults;
-      link.skip_first = 2;  // let the attestation handshake through
-      server_side = std::make_unique<FaultInjectingTransport>(
-          std::move(server_side), link, &link_log);
-    }
+  // Starts a client for participant i on a fresh link and returns the
+  // link's SSI end.
+  auto dial = [&](size_t i) -> Result<std::unique_ptr<Transport>> {
+    PDS_ASSIGN_OR_RETURN(auto pair, MakePair(spec.use_socket));
     TokenClient::Config ccfg;
     ccfg.token = spec.participants[i].token;
     ccfg.tuples = spec.participants[i].tuples;
     ccfg.deadline_ms = ScaledMs(2000);
     ccfg.poll_ms = 5;
     ccfg.packed = spec.packed;
-    if (i == 0) {
-      // Token-level faults target participant 0 only, mirroring the link
-      // wrapper on its session.
-      ccfg.faults.seed = spec.faults.seed;
-      ccfg.faults.swallow_first = spec.faults.swallow_first;
-      ccfg.faults.disconnect_after_replies =
-          spec.faults.disconnect_after_replies;
-      if (churn_cell) {
-        ccfg.reconnect =
-            [rendezvous]() -> Result<std::unique_ptr<Transport>> {
-          std::unique_lock<std::mutex> lock(rendezvous->mu);
-          if (!rendezvous->cv.wait_for(
-                  lock, std::chrono::milliseconds(ScaledMs(5000)),
-                  [&] { return rendezvous->client_side != nullptr; })) {
-            return Status::DeadlineExceeded("SSI never offered a readmit");
-          }
-          return std::move(rendezvous->client_side);
-        };
-      }
-    }
-    clients.push_back(
-        std::make_unique<TokenClient>(std::move(client_side),
-                                      std::move(ccfg)));
+    clients.push_back(std::make_unique<TokenClient>(std::move(pair.second),
+                                                    std::move(ccfg)));
     clients.back()->Start();
-    auto idx = server.AcceptSession(std::move(server_side));
+    return std::move(pair.first);
+  };
+
+  for (size_t i = 0; i < spec.participants.size(); ++i) {
+    auto server_side = dial(i);
+    if (!server_side.ok()) {
+      shutdown();
+      return server_side.status();
+    }
+    std::unique_ptr<Transport> ssi_end = std::move(server_side).value();
+    if (i == 0 && spec.faults.has_faults()) {
+      FaultPlan link = spec.faults;
+      link.skip_first = 2;  // let the attestation handshake through
+      ssi_end = std::make_unique<FaultInjectingTransport>(std::move(ssi_end),
+                                                          link, &link_log);
+    }
+    auto idx = server.AcceptSession(std::move(ssi_end));
     if (!idx.ok()) {
       shutdown();
       return idx.status();
@@ -318,19 +287,14 @@ Result<ScenarioResult> RunScenarioCell(const ScenarioSpec& spec) {
     res.detection = probe.ok() ? probe.value() : probe.status().ToString();
   }
 
-  // --- Churn: hand the waiting token a fresh link, readmit, run again -----
+  // --- Churn: token 0 returns as a fresh client on a fresh link ----------
   if (churn_cell && res.ran_ok) {
-    auto pair = MakePair(spec.use_socket);
-    if (!pair.ok()) {
+    auto fresh = dial(0);
+    if (!fresh.ok()) {
       shutdown();
-      return pair.status();
+      return fresh.status();
     }
-    {
-      std::lock_guard<std::mutex> lock(rendezvous->mu);
-      rendezvous->client_side = std::move(pair.value().second);
-    }
-    rendezvous->cv.notify_all();
-    auto idx = server.ReadmitSession(std::move(pair.value().first));
+    auto idx = server.ReadmitSession(std::move(fresh).value());
     if (!idx.ok()) {
       res.detected = false;
       res.detection = "readmit failed: " + idx.status().ToString();
@@ -365,10 +329,6 @@ Result<ScenarioResult> RunScenarioCell(const ScenarioSpec& spec) {
 
   res.injection_log = link_log.ToString();
   res.injections = link_log.size();
-  if (!clients.empty()) {
-    res.injection_log += clients[0]->injection_log().ToString();
-    res.injections += clients[0]->injection_log().size();
-  }
   return res;
 }
 

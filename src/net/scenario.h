@@ -19,7 +19,7 @@
 /// answered, and a verdict.
 ///
 /// The harness owns the plumbing (transport pairs, fault wrappers, client
-/// threads, reconnect rendezvous) but never constructs tokens or keys —
+/// threads, readmission after churn) but never constructs tokens or keys —
 /// callers supply global::Participant pointers, so all secret material
 /// stays in the layers built for it.
 namespace pds::net {
@@ -42,9 +42,10 @@ struct ScenarioSpec {
   std::string name;
   WireProtocol protocol = WireProtocol::kSecureAgg;
   global::AggFunc func = global::AggFunc::kSum;
-  /// Link-level rates apply to the SERVER side of session 0 via a
-  /// FaultInjectingTransport; the token-level fields (swallow_first,
-  /// disconnect_after_replies) go to participant 0's TokenClient.
+  /// Realized on the SSI's end of session 0's link by a
+  /// FaultInjectingTransport (skip_first forced to 2, so the handshake
+  /// passes). After a churn (disconnect_after_replies) the harness readmits
+  /// participant 0 as a fresh TokenClient on a fresh link and runs again.
   FaultPlan faults;
   /// SSI misbehaviour for this cell (kNone = honest server).
   AdversaryPlan adversary;
@@ -94,7 +95,7 @@ struct ScenarioResult {
   /// layer logged rejects or dropped the faulty session).
   bool detected = false;
   std::string detection;  // human-readable evidence
-  /// Seed-reproducible realized faults (link wrapper + token-level).
+  /// Seed-reproducible realized faults (the link wrapper's log).
   std::string injection_log;
   uint64_t injections = 0;
   size_t sessions = 0;

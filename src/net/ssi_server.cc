@@ -494,6 +494,11 @@ void SsiServer::DropStraggler(Session* s) {
 
 Result<SsiServer::Collected> SsiServer::CollectRound(
     const RoundRequestMsg& request, Metrics* metrics) {
+  // Refused before any frame: ceil(quorum * n) below is a count only for a
+  // quorum in [0, 1] (the negated test also catches NaN).
+  if (!(config_.quorum >= 0.0 && config_.quorum <= 1.0)) {
+    return Status::InvalidArgument("quorum must lie in [0, 1]");
+  }
   std::vector<size_t> live;
   live.reserve(sessions_.size());
   for (size_t i = 0; i < sessions_.size(); ++i) {

@@ -44,7 +44,9 @@ class SsiServer {
     /// Backoff before retry k is backoff_ms * k.
     uint32_t backoff_ms = 5;
     /// Fraction of live tokens that must answer the collect round for the
-    /// protocol to proceed (1.0 = everyone; 0.9 tolerates stragglers).
+    /// protocol to proceed (1.0 = everyone; 0.9 tolerates stragglers). A
+    /// run refuses NaN or a value outside [0, 1] with InvalidArgument
+    /// before sending a frame.
     double quorum = 1.0;
     /// Optional fan-out of per-session wire work; null means serial.
     global::FleetExecutor* executor = nullptr;

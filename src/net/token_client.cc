@@ -1,12 +1,11 @@
 #include "net/token_client.h"
 
-#include <chrono>
 #include <map>
 #include <thread>
 #include <utility>
 
-#include "common/clock.h"
 #include "common/hash.h"
+#include "common/rng.h"
 #include "global/integrity.h"
 #include "obs/obs.h"
 
@@ -19,12 +18,6 @@ using global::GroupState;
 /// Bound on malformed frames tolerated per session before the token gives
 /// up on the stream — a hostile or broken SSI must not spin us forever.
 constexpr uint32_t kMaxMalformedFrames = 8;
-
-/// Churn/reconnect attempts across a client's lifetime.
-constexpr uint32_t kMaxReconnects = 1;
-/// Reconnect attempt k sleeps kReconnectBackoffMs * k plus a seeded jitter
-/// in [0, kReconnectBackoffMs] before dialing.
-constexpr uint32_t kReconnectBackoffMs = 1;
 
 /// Decrypts a ciphertext batch into per-group partial aggregates, counting
 /// one token op per decryption.
@@ -57,9 +50,6 @@ bool IsRequestFault(const Status& s) {
 // TokenSession
 
 Result<TokenSession::Outcome> TokenSession::OnFrame(ByteView frame) {
-  if (state_ == State::kServing) {
-    ++frames_served_;
-  }
   auto decoded = DecodeMessage(frame);
   if (!decoded.ok()) {
     if (state_ != State::kServing) {
@@ -131,15 +121,6 @@ Result<TokenSession::Outcome> TokenSession::OnServingFrame(const Message& m) {
     return out;
   }
   highest_round_ = req->header.round_id;
-  if (swallow_budget_ > 0) {
-    --swallow_budget_;  // fault plan: swallow the request silently
-    if (log_ != nullptr) {
-      log_->Add({frames_served_, FaultKind::kSwallowRequest, "token",
-                 "round " + std::to_string(req->header.round_id) +
-                     " swallowed"});
-    }
-    return out;
-  }
   if (req->header.kind == RoundKind::kPackedCollect && packed_ == nullptr) {
     out.reply = EncodeMessage(
         {ErrorMsg{2, "token has no packed-Paillier context"}, {},
@@ -205,7 +186,6 @@ Result<TokenSession::Outcome> TokenSession::OnServingFrame(const Message& m) {
     return out;
   }
   out.reply = std::move(handled).value();
-  out.answered = true;
   return out;
 }
 
@@ -456,9 +436,7 @@ Result<Bytes> TokenSession::HandleSealedCollect(const RoundRequestMsg& req,
 TokenClient::TokenClient(std::unique_ptr<Transport> transport, Config config)
     : transport_(std::move(transport)),
       config_(std::move(config)),
-      session_(config_.token, &config_.tuples, config_.packed,
-               config_.faults.swallow_first, &log_),
-      rng_(config_.faults.seed) {}
+      session_(config_.token, &config_.tuples, config_.packed) {}
 
 TokenClient::~TokenClient() {
   Stop();
@@ -471,10 +449,6 @@ Status TokenClient::Connect() {
   if (config_.token == nullptr) {
     return Status::InvalidArgument("TokenClient needs a token");
   }
-  return Handshake();
-}
-
-Status TokenClient::Handshake() {
   obs::Span span("net.token-connect", "net");
   bool done = false;
   while (!session_.serving()) {
@@ -490,41 +464,7 @@ Status TokenClient::Deliver(const Bytes& frame, bool* done) {
   if (out.reply.has_value()) {
     PDS_RETURN_IF_ERROR(transport_->Send(*out.reply));
   }
-  if (!out.answered) {
-    return Status::Ok();
-  }
-  ++replies_since_connect_;
-  return MaybeChurn();
-}
-
-Status TokenClient::MaybeChurn() {
-  const FaultPlan& fp = config_.faults;
-  if (fp.disconnect_after_replies == 0 ||
-      replies_since_connect_ < fp.disconnect_after_replies ||
-      reconnects_done_ >= kMaxReconnects) {
-    return Status::Ok();
-  }
-  ++reconnects_done_;
-  transport_->Close();
-  log_.Add({session_.frames_served(), FaultKind::kChurn, "token",
-            "disconnected after " + std::to_string(replies_since_connect_) +
-                " replies; reconnect attempt " +
-                std::to_string(reconnects_done_)});
-  if (config_.reconnect == nullptr) {
-    // Nobody to dial: stay gone and let the SSI degrade to quorum.
-    return Status::Ok();
-  }
-  uint32_t backoff =
-      kReconnectBackoffMs * reconnects_done_ +
-      static_cast<uint32_t>(rng_.Uniform(kReconnectBackoffMs + 1));
-  WallClock()->SleepMs(backoff);
-  PDS_ASSIGN_OR_RETURN(std::unique_ptr<Transport> fresh, config_.reconnect());
-  transport_ = std::move(fresh);
-  replies_since_connect_ = 0;
-  // Fresh challenge, fresh proof: membership is re-verified, a recorded
-  // proof from the first handshake would be rejected.
-  session_.Reconnect();
-  return Handshake();
+  return Status::Ok();
 }
 
 Status TokenClient::ServeLoop() {

@@ -3,16 +3,13 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <thread>
 #include <vector>
 
-#include "common/rng.h"
 #include "global/common.h"
 #include "net/codec.h"
-#include "net/fault_injection.h"
 #include "net/transport.h"
 
 /// The token side of the wire. TokenSession is the token's whole protocol
@@ -24,6 +21,8 @@
 ///
 /// All plaintext handling happens in TokenSession — "inside" the token;
 /// only ciphertext and final (authorized) aggregates leave as replies.
+/// The token side injects no faults: stragglers and churn are realized on
+/// the link, by a FaultInjectingTransport on the SSI's end.
 namespace pds::net {
 
 /// The token's side of one SSI session with the transport taken out: the
@@ -33,25 +32,16 @@ class TokenSession {
  public:
   /// `tuples` (the token's authorized tuples) and `packed` (the querier's
   /// public packing context; null refuses kPackedCollect rounds) are
-  /// pointed at, not copied, and must outlive the session. The first
-  /// `swallow_first` valid round requests get no reply (a token-level
-  /// fault from FaultPlan); each swallow is recorded in `log` when one is
-  /// given.
+  /// pointed at, not copied, and must outlive the session.
   TokenSession(mcu::SecureToken* token,
                const std::vector<global::SourceTuple>* tuples,
-               const crypto::PackedAggregate* packed,
-               uint32_t swallow_first = 0, InjectionLog* log = nullptr)
-      : token_(token),
-        tuples_(tuples),
-        packed_(packed),
-        log_(log),
-        swallow_budget_(swallow_first) {}
+               const crypto::PackedAggregate* packed)
+      : token_(token), tuples_(tuples), packed_(packed) {}
 
   /// What one inbound frame produced.
   struct Outcome {
     std::optional<Bytes> reply;  // the frame to send back, if any
-    bool answered = false;  // a round handler ran and replied
-    bool done = false;      // Bye: the session ended cleanly
+    bool done = false;           // Bye: the session ended cleanly
   };
 
   /// Advances the session by one inbound frame. An error is fatal to the
@@ -61,15 +51,6 @@ class TokenSession {
 
   /// True once the handshake completed.
   [[nodiscard]] bool serving() const { return state_ == State::kServing; }
-
-  /// A new connection: the next frame must be a fresh challenge. The
-  /// highest answered round survives, so a replay from before the
-  /// reconnect is still refused.
-  void Reconnect() { state_ = State::kAwaitChallenge; }
-
-  /// Frames received after the handshake, across reconnects: the frame
-  /// index token-level injection log entries carry.
-  [[nodiscard]] uint64_t frames_served() const { return frames_served_; }
 
  private:
   enum class State : uint8_t { kAwaitChallenge, kAwaitAck, kServing };
@@ -99,9 +80,6 @@ class TokenSession {
   mcu::SecureToken* token_;
   const std::vector<global::SourceTuple>* tuples_;
   const crypto::PackedAggregate* packed_;
-  InjectionLog* log_;  // null: swallows go unrecorded
-  uint64_t frames_served_ = 0;
-  uint32_t swallow_budget_;
   /// Highest round id answered so far: a request below it is a replay of an
   /// already-answered round and gets refused (an equal id is the SSI's
   /// legitimate retry of an unanswered request).
@@ -110,10 +88,11 @@ class TokenSession {
   State state_ = State::kAwaitChallenge;
 };
 
-/// Runs a TokenSession over a transport: connects to the SSI, proves fleet
-/// membership, and answers protocol rounds until told to stop. Adds what a
-/// real token runtime needs around the session: token-level fault injection
-/// and churn/reconnect.
+/// Runs a TokenSession over a transport on its own thread: connects to the
+/// SSI, proves fleet membership, and answers protocol rounds until Bye, the
+/// link closes, or Stop(). A token that returns after churn is a fresh
+/// client on a fresh link, whose SSI end the harness hands to
+/// SsiServer::ReadmitSession.
 class TokenClient {
  public:
   struct Config {
@@ -125,19 +104,6 @@ class TokenClient {
     uint32_t deadline_ms = 2000;
     /// Poll granularity of the serve loop (Stop() latency bound).
     uint32_t poll_ms = 50;
-    /// Seed-driven token-level fault plan. `swallow_first` and
-    /// `disconnect_after_replies` are consumed here; the link-level rates
-    /// belong on a FaultInjectingTransport wrapping the transport instead.
-    /// Every realized fault lands in injection_log() — print it on test
-    /// failure and the scenario reproduces from the seed alone.
-    FaultPlan faults;
-    /// Reconnect factory for churn: returns a fresh transport whose peer
-    /// end the harness has handed to SsiServer::ReadmitSession. Null means
-    /// a churned client simply stays gone (the SSI degrades to quorum). A
-    /// client churns and re-dials at most once in its lifetime, after a
-    /// 1 ms backoff plus a seeded jitter in [0, 1] ms — a thundering herd
-    /// of churned tokens must not re-arrive in lockstep.
-    std::function<Result<std::unique_ptr<Transport>>()> reconnect;
     /// Packed-Paillier context (the querier's public packing parameters,
     /// distributed out of band before the round). Required to answer
     /// kPackedCollect rounds; null tokens refuse them with an ErrorMsg.
@@ -154,9 +120,7 @@ class TokenClient {
   [[nodiscard]] Status Connect();
 
   /// Answers rounds until Bye, transport close, or Stop(). Returns Ok on a
-  /// clean shutdown. A transport that closes mid-session triggers the
-  /// reconnect/backoff loop when the fault plan churned us and a reconnect
-  /// factory is configured; otherwise close is a clean goodbye.
+  /// clean shutdown; a closed transport is a clean goodbye.
   [[nodiscard]] Status ServeLoop();
 
   /// Connect() + ServeLoop() on a background thread.
@@ -167,28 +131,14 @@ class TokenClient {
 
   [[nodiscard]] const Transport& transport() const { return *transport_; }
 
-  /// Token-level realized faults (swallows, churns) for scenario repro.
-  [[nodiscard]] const InjectionLog& injection_log() const { return log_; }
-
  private:
-  /// The handshake half of Connect(), reused on reconnect: a returning
-  /// token must re-prove fleet membership against a FRESH challenge.
-  [[nodiscard]] Status Handshake();
-  /// Feeds one received frame (handshake or round) to the session, sends
-  /// its reply, and applies the token-level churn plan. Sets *done when the
-  /// session ended cleanly (Bye).
+  /// Feeds one received frame (handshake or round) to the session and sends
+  /// its reply. Sets *done when the session ended cleanly (Bye).
   [[nodiscard]] Status Deliver(const Bytes& frame, bool* done);
-  /// Fault-plan churn: after enough replies, close the transport, back off
-  /// with seeded jitter, and re-handshake over a fresh connection.
-  [[nodiscard]] Status MaybeChurn();
 
   std::unique_ptr<Transport> transport_;
   Config config_;
-  InjectionLog log_;
-  TokenSession session_;  // points at config_.tuples and log_
-  Rng rng_;  // reconnect jitter, seeded from the fault plan
-  uint64_t replies_since_connect_ = 0;
-  uint32_t reconnects_done_ = 0;
+  TokenSession session_;  // points at config_.tuples
   std::atomic<bool> stop_{false};
   std::thread thread_;
   Status loop_status_;

@@ -19,6 +19,9 @@ struct PartitionWindow {
   uint64_t end_ns = 0;
 };
 
+/// The default, all zero, is an ideal link: every frame arrives instantly
+/// and in order — the configuration under which a simulated run must be
+/// byte-identical to an InProcessTransport run (the anchor property).
 struct LinkModel {
   /// Fixed one-way latency added to every frame.
   uint64_t base_latency_us = 0;
@@ -30,14 +33,6 @@ struct LinkModel {
   uint64_t bandwidth_bytes_per_sec = 0;
   /// Outage windows in virtual time.
   std::vector<PartitionWindow> partitions;
-
-  /// An ideal link delivers every frame instantly and in order — the
-  /// configuration under which a simulated run must be byte-identical to
-  /// an InProcessTransport run (the anchor property).
-  [[nodiscard]] bool ideal() const {
-    return base_latency_us == 0 && jitter_us == 0 && loss_rate == 0 &&
-           bandwidth_bytes_per_sec == 0 && partitions.empty();
-  }
 };
 
 }  // namespace pds::sim

@@ -31,10 +31,6 @@ class SimClock final : public Clock {
     AdvanceTo(now_ns_ + static_cast<uint64_t>(ms) * 1000000ull);
   }
 
-  /// Virtual time runs at the same speed under any build: sanitizer
-  /// de-flaking scale factors apply only to real sleeps.
-  [[nodiscard]] uint32_t ScaleBudgetMs(uint32_t ms) override { return ms; }
-
   /// Schedules `fn` to run at `at_ns` (clamped to now for past times).
   /// Events at the same instant run in scheduling order. Safe to call from
   /// inside a running event.

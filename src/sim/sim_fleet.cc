@@ -7,13 +7,9 @@
 
 #include "common/rng.h"
 #include "crypto/cipher.h"
+#include "net/fault_injection.h"
 
 namespace pds::sim {
-
-namespace {
-/// Tokens configured to swallow every round request (dropout population).
-constexpr uint32_t kDropForever = 1u << 20;
-}  // namespace
 
 SimFleet::SimFleet(const SimFleetConfig& config) : config_(config) {}
 
@@ -70,21 +66,31 @@ Status SimFleet::Build() {
   }
 
   for (size_t i = 0; i < n; ++i) {
+    sessions_.emplace_back(tokens_[i].get(), &tuples_[i], /*packed=*/nullptr);
     const bool dropout =
         config_.dropout_every > 0 && (i % config_.dropout_every) == 0;
     dropped_tokens_ += dropout ? 1 : 0;
-    sessions_.emplace_back(tokens_[i].get(), &tuples_[i], /*packed=*/nullptr,
-                           dropout ? kDropForever : 0);
-    PDS_RETURN_IF_ERROR(ConnectToken(i, /*readmit=*/false));
+    PDS_RETURN_IF_ERROR(ConnectToken(i, /*readmit=*/false, dropout));
   }
   return Status::Ok();
 }
 
-Status SimFleet::ConnectToken(size_t i, bool readmit) {
+Status SimFleet::ConnectToken(size_t i, bool readmit, bool dropout) {
   std::unique_ptr<SimTransport> link = net_->ConnectSession(&sessions_[i]);
   links_[i] = link.get();
-  Result<size_t> admitted = readmit ? server_->ReadmitSession(std::move(link))
-                                    : server_->AcceptSession(std::move(link));
+  std::unique_ptr<net::Transport> ssi_end = std::move(link);
+  if (dropout) {
+    // Every frame after the two-frame handshake is lost on the SSI's end
+    // of the link, so the token never sees a round request.
+    net::FaultPlan plan;
+    plan.drop_rate = 1.0;
+    plan.skip_first = 2;
+    ssi_end = std::make_unique<net::FaultInjectingTransport>(
+        std::move(ssi_end), plan, /*log=*/nullptr, clock_.get());
+  }
+  Result<size_t> admitted =
+      readmit ? server_->ReadmitSession(std::move(ssi_end))
+              : server_->AcceptSession(std::move(ssi_end));
   return admitted.status();
 }
 
@@ -107,7 +113,7 @@ Status SimFleet::ChurnAndReadmit(size_t churn_every) {
     links_[i]->Close();
     sessions_[i] =
         net::TokenSession(tokens_[i].get(), &tuples_[i], /*packed=*/nullptr);
-    PDS_RETURN_IF_ERROR(ConnectToken(i, /*readmit=*/true));
+    PDS_RETURN_IF_ERROR(ConnectToken(i, /*readmit=*/true, /*dropout=*/false));
     ++churned_tokens_;
   }
   return Status::Ok();

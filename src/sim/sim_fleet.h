@@ -40,8 +40,9 @@ struct SimFleetConfig {
   uint32_t deadline_ms = 2000;
   uint32_t max_retries = 2;
   uint32_t backoff_ms = 5;
-  /// Every Nth token (0 disables) swallows all round requests forever —
-  /// the deterministic straggler population for quorum-sensitivity runs.
+  /// Every Nth token (0 disables) sits behind a link whose SSI end drops
+  /// every frame after the handshake, so it never answers a round — the
+  /// deterministic straggler population for quorum-sensitivity runs.
   size_t dropout_every = 0;
 };
 
@@ -74,7 +75,7 @@ class SimFleet {
   [[nodiscard]] net::SsiServer& server() { return *server_; }
   [[nodiscard]] const SimFleetConfig& config() const { return config_; }
   [[nodiscard]] uint64_t total_tuples() const { return total_tuples_; }
-  /// Tokens configured to swallow rounds (the dropout population).
+  /// Tokens behind a dropping link (the dropout population).
   [[nodiscard]] size_t dropped_tokens() const { return dropped_tokens_; }
   /// Sessions re-admitted by the last ChurnAndReadmit call.
   [[nodiscard]] size_t churned_tokens() const { return churned_tokens_; }
@@ -95,9 +96,10 @@ class SimFleet {
   [[nodiscard]] MemoryStats Memory() const;
 
  private:
-  /// Starts a fresh session for token i on a fresh link and admits the
-  /// link's SSI end (AcceptSession, or ReadmitSession on churn).
-  [[nodiscard]] Status ConnectToken(size_t i, bool readmit);
+  /// Starts token i's session on a fresh link and admits the link's SSI
+  /// end (AcceptSession, or ReadmitSession on churn), behind a
+  /// FaultInjectingTransport that drops every round request for a dropout.
+  [[nodiscard]] Status ConnectToken(size_t i, bool readmit, bool dropout);
 
   SimFleetConfig config_;
   std::unique_ptr<SimClock> clock_;

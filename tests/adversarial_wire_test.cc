@@ -17,6 +17,7 @@
 #include "common/clock.h"
 #include "common/rng.h"
 #include "crypto/paillier.h"
+#include "net/fault_injection.h"
 #include "net/scenario.h"
 #include "net/ssi_server.h"
 #include "net/token_client.h"
@@ -292,16 +293,22 @@ TEST(HandshakeReverificationTest, ReadmitRefusedWhileRunActive) {
     TokenClient::Config ccfg;
     ccfg.token = tokens[i].get();
     ccfg.tuples = {{"city-1", 10.0 + static_cast<double>(i)}};
+    std::unique_ptr<Transport> ssi_end = std::move(server_end);
     if (i == 0) {
-      // Token 0 swallows everything: the run stays in flight until its
-      // deadline, giving the main thread a window to attempt a readmit.
-      ccfg.faults.seed = 5;
-      ccfg.faults.swallow_first = 100;
+      // Token 0's link loses every request: the run stays in flight until
+      // its deadline, giving the main thread a window to attempt a readmit.
+      FaultPlan drop;
+      drop.seed = 5;
+      drop.drop_rate = 1.0;
+      drop.max_injections = 100;
+      drop.skip_first = 2;  // let the attestation handshake through
+      ssi_end = std::make_unique<FaultInjectingTransport>(
+          std::move(ssi_end), drop, /*log=*/nullptr);
     }
     auto client =
         std::make_unique<TokenClient>(std::move(client_end), std::move(ccfg));
     client->Start();
-    ASSERT_TRUE(server.AcceptSession(std::move(server_end)).ok());
+    ASSERT_TRUE(server.AcceptSession(std::move(ssi_end)).ok());
     clients.push_back(std::move(client));
   }
 

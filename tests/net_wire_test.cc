@@ -129,6 +129,89 @@ TEST(NetTransportTest, TcpLoopbackConnectAndExchange) {
 }
 
 // ---------------------------------------------------------------------------
+// Fault injection
+
+/// Passes `frames` frames through a FaultInjectingTransport over one end of
+/// an in-process pair — through its Send when `on_send`, else through its
+/// Recv — and returns how many came out at the far end.
+size_t DeliveredThroughFaults(const FaultPlan& plan, bool on_send,
+                              size_t frames, InjectionLog* log) {
+  auto [near, far] = InProcessTransport::CreatePair();
+  FaultInjectingTransport faulty(std::move(near), plan, log);
+  size_t delivered = 0;
+  if (on_send) {
+    for (size_t i = 0; i < frames; ++i) {
+      EXPECT_TRUE(faulty.Send(Bytes(8, static_cast<uint8_t>(i))).ok());
+    }
+    faulty.Close();  // releases a frame still held for reorder
+    while (far->Recv(0).ok()) ++delivered;
+  } else {
+    for (size_t i = 0; i < frames; ++i) {
+      EXPECT_TRUE(far->Send(Bytes(8, static_cast<uint8_t>(i))).ok());
+    }
+    while (faulty.Recv(0).ok()) ++delivered;
+  }
+  return delivered;
+}
+
+TEST(NetFaultInjectionTest, DeliveredFramesMatchRealizedFaults) {
+  // The log holds only realized faults: every frame sent arrives unless
+  // dropped, plus one copy per logged duplicate. A held (reordered) frame
+  // is not duplicated, and the receive side's single holding cell takes no
+  // second copy while it is occupied.
+  FaultPlan dup_and_reorder;
+  dup_and_reorder.duplicate_rate = 1.0;
+  dup_and_reorder.reorder_rate = 1.0;
+  FaultPlan dup_only;
+  dup_only.duplicate_rate = 1.0;
+  FaultPlan mixed;
+  mixed.seed = 5;
+  mixed.drop_rate = 0.3;
+  mixed.duplicate_rate = 0.5;
+  mixed.reorder_rate = 0.4;
+  for (const FaultPlan& plan : {dup_and_reorder, dup_only, mixed}) {
+    for (bool on_send : {true, false}) {
+      for (size_t frames : {size_t{4}, size_t{40}}) {
+        InjectionLog log;
+        const size_t delivered =
+            DeliveredThroughFaults(plan, on_send, frames, &log);
+        EXPECT_EQ(delivered, frames - log.Count(FaultKind::kDrop) +
+                                 log.Count(FaultKind::kDuplicate))
+            << (on_send ? "send" : "recv") << " side, " << frames
+            << " frames, dup " << plan.duplicate_rate << " reorder "
+            << plan.reorder_rate << ":\n"
+            << log.ToString();
+      }
+    }
+  }
+}
+
+TEST(NetFaultInjectionTest, ReceiveSideFaultsTakeEffectAtOnce) {
+  // On the receive side a duplicate's copy comes right after its original,
+  // and a held frame comes right after the frame that overtook it — not
+  // only once the link goes quiet.
+  auto received = [](const FaultPlan& plan, uint8_t frames) {
+    auto [near, far] = InProcessTransport::CreatePair();
+    FaultInjectingTransport faulty(std::move(near), plan, nullptr);
+    for (uint8_t i = 0; i < frames; ++i) {
+      EXPECT_TRUE(far->Send(Bytes(8, i)).ok());
+    }
+    std::vector<uint8_t> order;
+    for (auto got = faulty.Recv(0); got.ok(); got = faulty.Recv(0)) {
+      order.push_back(got.value()[0]);
+    }
+    return order;
+  };
+  FaultPlan dup;
+  dup.duplicate_rate = 1.0;
+  EXPECT_EQ(received(dup, 3), (std::vector<uint8_t>{0, 0, 1, 1, 2, 2}));
+  FaultPlan reorder;
+  reorder.reorder_rate = 1.0;
+  reorder.max_injections = 1;
+  EXPECT_EQ(received(reorder, 3), (std::vector<uint8_t>{1, 0, 2}));
+}
+
+// ---------------------------------------------------------------------------
 // Protocol over the wire
 
 /// Deterministic token fleet + tuples, seeded exactly like AggProtocolTest.
@@ -169,12 +252,23 @@ TestFleet MakeTestFleet(size_t n, const char* key = "fleet-test") {
   return f;
 }
 
+/// The SSI's end of a token's link, behind a FaultInjectingTransport that
+/// realizes `faults` past the two-frame handshake and logs into `log`.
+std::unique_ptr<Transport> FaultyEnd(std::unique_ptr<Transport> ssi_end,
+                                     FaultPlan faults, InjectionLog* log) {
+  faults.skip_first = 2;
+  return std::make_unique<FaultInjectingTransport>(std::move(ssi_end),
+                                                   faults, log);
+}
+
 /// Connects `fleet` to a server over in-process transports; returns the
-/// running clients (caller joins them after Shutdown). Token 0's faults are
-/// seed-driven: on failure, print `clients[0]->injection_log().ToString()`
-/// and rerun with the same seed to reproduce the exact fault sequence.
+/// running clients (caller joins them after Shutdown). Token 0's link
+/// realizes `faults_for_token0` into `log`, seed-driven: on failure, print
+/// `log->ToString()` and rerun with the same seed to reproduce the exact
+/// fault sequence.
 std::vector<std::unique_ptr<TokenClient>> ConnectClients(
-    SsiServer* server, TestFleet* fleet, FaultPlan faults_for_token0 = {}) {
+    SsiServer* server, TestFleet* fleet, FaultPlan faults_for_token0 = {},
+    InjectionLog* log = nullptr) {
   std::vector<std::unique_ptr<TokenClient>> clients;
   clients.reserve(fleet->participants.size());
   for (size_t i = 0; i < fleet->participants.size(); ++i) {
@@ -182,13 +276,14 @@ std::vector<std::unique_ptr<TokenClient>> ConnectClients(
     TokenClient::Config cfg;
     cfg.token = fleet->tokens[i].get();
     cfg.tuples = fleet->participants[i].tuples;
-    if (i == 0) {
-      cfg.faults = faults_for_token0;
+    std::unique_ptr<Transport> ssi_end = std::move(server_end);
+    if (i == 0 && faults_for_token0.has_faults()) {
+      ssi_end = FaultyEnd(std::move(ssi_end), faults_for_token0, log);
     }
     auto client =
         std::make_unique<TokenClient>(std::move(client_end), std::move(cfg));
     client->Start();
-    auto idx = server->AcceptSession(std::move(server_end));
+    auto idx = server->AcceptSession(std::move(ssi_end));
     EXPECT_TRUE(idx.ok()) << idx.status().ToString();
     clients.push_back(std::move(client));
   }
@@ -462,13 +557,17 @@ TEST(NetPackedAggTest, PackedRoundToleratesStragglersUnderQuorum) {
     ccfg.token = wired.tokens[i].get();
     ccfg.tuples = wired.participants[i].tuples;
     ccfg.packed = ctx.agg.get();
+    std::unique_ptr<Transport> ssi_end = std::move(server_end);
     if (i == 0) {
-      ccfg.faults.swallow_first = 10;  // token 0 never answers
+      FaultPlan drop;  // token 0 never answers: its requests are lost
+      drop.drop_rate = 1.0;
+      drop.max_injections = 10;
+      ssi_end = FaultyEnd(std::move(ssi_end), drop, nullptr);
     }
     auto client =
         std::make_unique<TokenClient>(std::move(client_end), std::move(ccfg));
     client->Start();
-    auto idx = server.AcceptSession(std::move(server_end));
+    auto idx = server.AcceptSession(std::move(ssi_end));
     ASSERT_TRUE(idx.ok()) << idx.status().ToString();
     clients.push_back(std::move(client));
   }
@@ -648,6 +747,7 @@ void ExpectChannelsAgree([[maybe_unused]] const SsiServer& server,
 
 TEST(NetQuorumTest, DroppedTokenCompletesAtQuorum) {
   TestFleet fleet = MakeTestFleet(5);
+  InjectionLog log;
   SsiServer::Config scfg;
   scfg.partition_capacity = 16;
   scfg.verifier = fleet.verifier.get();
@@ -656,17 +756,18 @@ TEST(NetQuorumTest, DroppedTokenCompletesAtQuorum) {
   scfg.backoff_ms = ScaledMs(5);
   scfg.quorum = 0.8;  // 4 of 5 suffice
   SsiServer server(scfg);
-  // Token 0 swallows every request it will ever see.
+  // Token 0's link loses every request it will ever carry.
   FaultPlan plan;
   plan.seed = 11;
-  plan.swallow_first = 100;
-  auto clients = ConnectClients(&server, &fleet, plan);
+  plan.drop_rate = 1.0;
+  plan.max_injections = 100;
+  auto clients = ConnectClients(&server, &fleet, plan, &log);
   const WireCounters before = ReadWireCounters();
   auto output = server.RunSecureAggregation(AggFunc::kSum);
   JoinAll(&server, &clients);
   ASSERT_TRUE(output.ok()) << output.status().ToString() << "\nfaults (seed "
                            << plan.seed << "):\n"
-                           << clients[0]->injection_log().ToString();
+                           << log.ToString();
 
   // The result covers exactly the four responders.
   std::vector<Participant> responders(fleet.participants.begin() + 1,
@@ -696,7 +797,8 @@ TEST(NetQuorumTest, FullQuorumFailsWhenTokenDrops) {
   SsiServer server(scfg);
   FaultPlan plan;
   plan.seed = 12;
-  plan.swallow_first = 100;
+  plan.drop_rate = 1.0;
+  plan.max_injections = 100;
   auto clients = ConnectClients(&server, &fleet, plan);
   auto output = server.RunSecureAggregation(AggFunc::kSum);
   JoinAll(&server, &clients);
@@ -706,6 +808,7 @@ TEST(NetQuorumTest, FullQuorumFailsWhenTokenDrops) {
 
 TEST(NetQuorumTest, RetryRecoversFlakyToken) {
   TestFleet fleet = MakeTestFleet(4);
+  InjectionLog log;
   SsiServer::Config scfg;
   scfg.partition_capacity = 16;
   scfg.verifier = fleet.verifier.get();
@@ -714,18 +817,20 @@ TEST(NetQuorumTest, RetryRecoversFlakyToken) {
   scfg.backoff_ms = ScaledMs(5);
   scfg.quorum = 1.0;
   SsiServer server(scfg);
-  // Token 0 drops exactly one request; the retry of the same round lands.
+  // Token 0's link loses exactly one request; the retry of the same round
+  // lands.
   FaultPlan plan;
   plan.seed = 13;
-  plan.swallow_first = 1;
-  auto clients = ConnectClients(&server, &fleet, plan);
+  plan.drop_rate = 1.0;
+  plan.max_injections = 1;
+  auto clients = ConnectClients(&server, &fleet, plan, &log);
   const WireCounters before = ReadWireCounters();
   auto output = server.RunSecureAggregation(AggFunc::kSum);
   JoinAll(&server, &clients);
   ASSERT_TRUE(output.ok()) << output.status().ToString() << "\nfaults (seed "
                            << plan.seed << "):\n"
-                           << clients[0]->injection_log().ToString();
-  EXPECT_EQ(clients[0]->injection_log().Count(FaultKind::kSwallowRequest), 1u);
+                           << log.ToString();
+  EXPECT_EQ(log.Count(FaultKind::kDrop), 1u);
 
   auto expected = global::PlainAggregate(fleet.participants, AggFunc::kSum);
   for (const auto& [group, value] : expected) {
@@ -736,6 +841,34 @@ TEST(NetQuorumTest, RetryRecoversFlakyToken) {
   EXPECT_GE(server.last_report().retries, 1u);
   EXPECT_GE(server.last_report().deadline_hits, 1u);
   ExpectChannelsAgree(server, before);
+}
+
+TEST(NetQuorumTest, OutOfRangeQuorumRefusedBeforeAnyFrame) {
+  // ceil(quorum * n) is a token count only for a quorum in [0, 1]: 1.5
+  // asks for more tokens than exist, and -0.5 or NaN cast out of range.
+  // Each run is refused before its first request.
+  TestFleet fleet = MakeTestFleet(3);
+  for (double quorum :
+       {1.5, -0.5, std::numeric_limits<double>::quiet_NaN()}) {
+    SsiServer::Config scfg;
+    scfg.verifier = fleet.verifier.get();
+    scfg.quorum = quorum;
+    SsiServer server(scfg);
+    std::vector<const Transport*> links;
+    for (Participant& p : fleet.participants) {
+      auto link = std::make_unique<DirectTokenLink>(p.token, &p.tuples,
+                                                    nullptr);
+      links.push_back(link.get());
+      ASSERT_TRUE(server.AcceptSession(std::move(link)).ok());
+    }
+    auto output = server.RunSecureAggregation(AggFunc::kSum);
+    EXPECT_EQ(output.status().code(), StatusCode::kInvalidArgument)
+        << "quorum " << quorum << ": " << output.status().ToString();
+    for (const Transport* link : links) {
+      EXPECT_EQ(link->frames_sent(), 2u)  // the challenge and the ack
+          << "quorum " << quorum;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -794,14 +927,15 @@ TEST(NetDealingTest, PartitionsRotateOverResponders) {
 // Failover in the rounds after collect
 
 /// Secure-agg over four threaded tokens at a partition capacity that deals
-/// the one aggregate round's three partitions to tokens 0, 1 and 2. Token 0
-/// answers `round_trips[0]` rounds and then disconnects for good (no
-/// reconnect factory). The SSI still holds every ciphertext it collected
-/// and any fleet token can aggregate them, so the run must complete with
-/// the full answer, and token i must have answered `round_trips[i]` rounds.
+/// the one aggregate round's three partitions to tokens 0, 1 and 2. Token
+/// 0's link closes for good after it answered `round_trips[0]` rounds. The
+/// SSI still holds every ciphertext it collected and any fleet token can
+/// aggregate them, so the run must complete with the full answer, and
+/// token i must have answered `round_trips[i]` rounds.
 void ExpectSecureAggSurvivesToken0LeavingAfter(
     const std::array<uint64_t, 4>& round_trips) {
   TestFleet fleet = MakeTestFleet(4);
+  InjectionLog log;
   SsiServer::Config scfg;
   scfg.partition_capacity = 16;
   scfg.verifier = fleet.verifier.get();
@@ -809,23 +943,16 @@ void ExpectSecureAggSurvivesToken0LeavingAfter(
   FaultPlan plan;
   plan.seed = 21;
   plan.disconnect_after_replies = round_trips[0];
-  auto clients = ConnectClients(&server, &fleet, plan);
+  auto clients = ConnectClients(&server, &fleet, plan, &log);
   const WireCounters before = ReadWireCounters();
   auto output = server.RunSecureAggregation(AggFunc::kSum);
-  server.Shutdown();
-  for (size_t i = 0; i < clients.size(); ++i) {
-    clients[i]->Stop();
-    Status st = clients[i]->Join();
-    // Token 0 may still read a request the SSI queued before its link
-    // closed; its reply then fails. The others must end cleanly.
-    if (i > 0) {
-      EXPECT_TRUE(st.ok()) << "token " << i << ": " << st.ToString();
-    }
-  }
+  // The link closes as the SSI reads token 0's last reply, before any
+  // further request is queued, so every token ends cleanly.
+  JoinAll(&server, &clients);
   ASSERT_TRUE(output.ok()) << output.status().ToString() << "\nfaults (seed "
                            << plan.seed << "):\n"
-                           << clients[0]->injection_log().ToString();
-  EXPECT_EQ(clients[0]->injection_log().Count(FaultKind::kChurn), 1u);
+                           << log.ToString();
+  EXPECT_EQ(log.Count(FaultKind::kChurn), 1u);
 
   // Collect heard every token, so the answer covers all four.
   EXPECT_EQ(output->groups,

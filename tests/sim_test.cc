@@ -73,8 +73,6 @@ TEST(SimClockTest, PastSchedulesClampToNowAndSleepAdvances) {
 
   clock.SleepMs(3);
   EXPECT_EQ(clock.NowNs(), 500u + 3u * 1000000u);
-  // Virtual budgets are never scaled by sanitizer de-flaking factors.
-  EXPECT_EQ(clock.ScaleBudgetMs(25), 25u);
 }
 
 TEST(SimTransportTest, IdealLinkDeliversInstantlyInOrder) {
