@@ -139,36 +139,14 @@ struct PackedFleet {
   std::vector<std::unique_ptr<pds::mcu::SecureToken>> tokens;
   std::vector<Participant> participants;
   std::unique_ptr<pds::net::SsiServer> server;
-  std::vector<Bytes> replies;  // frames the tokens sent, when recording
-};
-
-/// A DirectTokenLink that also keeps every frame its token sends back.
-class RecordingLink : public pds::net::Transport {
- public:
-  RecordingLink(pds::mcu::SecureToken* token,
-                const std::vector<pds::global::SourceTuple>* tuples,
-                const PackedAggregate* agg, std::vector<Bytes>* replies)
-      : link_(token, tuples, agg), replies_(replies) {}
-
-  pds::Status Send(ByteView frame) override { return link_.Send(frame); }
-  pds::Result<Bytes> Recv(uint32_t deadline_ms) override {
-    pds::Result<Bytes> frame = link_.Recv(deadline_ms);
-    if (frame.ok()) {
-      replies_->push_back(*frame);
-    }
-    return frame;
-  }
-  void Close() override { link_.Close(); }
-  bool closed() const override { return link_.closed(); }
-
- private:
-  pds::net::DirectTokenLink link_;
-  std::vector<Bytes>* replies_;
+  /// Each link's tap, in session order, when recording (owned by the
+  /// server).
+  std::vector<const pds::net::FrameTap*> taps;
 };
 
 /// Builds the fleet and admits every token with the in-process protocols'
 /// server settings (serial, quorum 1.0, no retries, lean sessions). With
-/// `record`, every link keeps the frames its token sends.
+/// `record`, a FrameTap around every link keeps the frames it carries.
 pds::Result<std::unique_ptr<PackedFleet>> MakePackedFleet(
     const PackedAggregate& agg, bool record) {
   auto fleet = std::make_unique<PackedFleet>();
@@ -199,13 +177,12 @@ pds::Result<std::unique_ptr<PackedFleet>> MakePackedFleet(
   cfg.verifier = fleet->tokens.front().get();
   fleet->server = std::make_unique<pds::net::SsiServer>(cfg);
   for (Participant& p : fleet->participants) {
-    std::unique_ptr<pds::net::Transport> link;
+    std::unique_ptr<pds::net::Transport> link =
+        std::make_unique<pds::net::DirectTokenLink>(p.token, &p.tuples, &agg);
     if (record) {
-      link = std::make_unique<RecordingLink>(p.token, &p.tuples, &agg,
-                                             &fleet->replies);
-    } else {
-      link = std::make_unique<pds::net::DirectTokenLink>(p.token, &p.tuples,
-                                                         &agg);
+      auto tap = std::make_unique<pds::net::FrameTap>(std::move(link));
+      fleet->taps.push_back(tap.get());
+      link = std::move(tap);
     }
     PDS_RETURN_IF_ERROR(fleet->server->AcceptSession(std::move(link)).status());
   }
@@ -218,21 +195,28 @@ pds::Result<std::vector<Bytes>> RoundCiphertextsAndFold(
     const PackedAggregate& agg) {
   PDS_ASSIGN_OR_RETURN(std::unique_ptr<PackedFleet> fleet,
                        MakePackedFleet(agg, /*record=*/true));
-  fleet->replies.clear();  // the handshakes' frames
   PDS_RETURN_IF_ERROR(fleet->server
                           ->RunPackedAggregation(AggFunc::kSum, agg,
                                                  fleet->domain)
                           .status());
+  // The challenge, hello and ack open every link.
+  constexpr size_t kHandshakeFrames = 3;
   std::vector<Bytes> out;
   BigInt fold;
-  for (const Bytes& frame : fleet->replies) {
-    PDS_ASSIGN_OR_RETURN(
-        pds::net::TupleBatchMsg reply,
-        pds::net::DecodeAs<pds::net::TupleBatchMsg>(ByteView(frame)));
-    for (const Bytes& ct : reply.batch) {
-      const BigInt c = BigInt::FromBytes(ByteView(ct));
-      fold = out.empty() ? c : agg.Add(fold, c);
-      out.push_back(ct);
+  for (const pds::net::FrameTap* tap : fleet->taps) {
+    const auto& entries = tap->entries();
+    for (size_t i = kHandshakeFrames; i < entries.size(); ++i) {
+      if (entries[i].outbound) {
+        continue;
+      }
+      PDS_ASSIGN_OR_RETURN(pds::net::TupleBatchMsg reply,
+                           pds::net::DecodeAs<pds::net::TupleBatchMsg>(
+                               ByteView(entries[i].frame)));
+      for (const Bytes& ct : reply.batch) {
+        const BigInt c = BigInt::FromBytes(ByteView(ct));
+        fold = out.empty() ? c : agg.Add(fold, c);
+        out.push_back(ct);
+      }
     }
   }
   out.push_back(fold.ToBytes());

@@ -667,9 +667,11 @@ def record_label(rec):
 
 
 def compare_values(old, new, where, spec, result):
-    """Walks OLD and NEW side by side. result["moved"] collects measured
-    fields that differ, result["problems"] everything else that differs,
-    and result["identical"] counts the counters that match."""
+    """Walks OLD and NEW side by side. Each field is classified by its name
+    first: result["moved"] collects measured fields that differ,
+    result["problems"] counters that differ and everything else that does
+    not match, and result["identical"] counts the counters that match (a
+    measured field is never counted, equal or not)."""
     if isinstance(old, dict) and isinstance(new, dict):
         name = old.get("name")
         extra = (spec["measured_metric_fields"].get(name, [])
@@ -682,13 +684,15 @@ def compare_values(old, new, where, spec, result):
                     f"{path}: {'dropped' if key not in new else 'added'}")
                 continue
             a, b = old[key], new[key]
+            same = a == b and isinstance(a, bool) == isinstance(b, bool)
             if isinstance(a, (dict, list)) or isinstance(b, (dict, list)):
                 compare_values(a, b, path, spec, result)
-            elif a == b and isinstance(a, bool) == isinstance(b, bool):
-                result["identical"] += 1
             elif key in extra or any(fnmatch.fnmatchcase(key, pattern)
                                      for pattern in spec["measured_fields"]):
-                result["moved"].append(f"{path}: {a!r} -> {b!r}")
+                if not same:
+                    result["moved"].append(f"{path}: {a!r} -> {b!r}")
+            elif same:
+                result["identical"] += 1
             else:
                 result["problems"].append(f"{path}: {a!r} -> {b!r}")
     elif isinstance(old, list) and isinstance(new, list):

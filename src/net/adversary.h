@@ -10,10 +10,13 @@
 #include "global/integrity.h"
 
 /// Weakly-malicious SSI actions on the real wire, the one tampering
-/// vocabulary of the codebase: an AdversaryPlan makes the SsiServer
-/// misbehave in exactly one configured way per run, and the scenario
-/// harness asserts the querier-side global::IntegrityVerdict (or result
-/// comparison) catches it.
+/// vocabulary of the codebase. An AdversaryPlan names exactly one action
+/// per scenario cell, and the scenario harness (net/scenario.h) plays the
+/// SSI that performs it: on what the real SsiServer returns (the sealed
+/// pool, the claimed aggregate) and on session 0's link (hostile frames).
+/// The harness then asserts that the querier-side global::IntegrityVerdict,
+/// the aggregate comparison or the token's own checks catch it. SsiServer
+/// itself runs the protocol only.
 ///
 /// Nothing in here touches plaintext or keys: the adversary manipulates
 /// ciphertext blobs, MAC'd manifests and frames — precisely the power a
@@ -26,8 +29,8 @@ enum class AdversaryAction : uint8_t {
   kReplayCiphertext = 2,      // duplicate one sealed tuple
   kOmitCiphertext = 3,        // drop one sealed tuple
   kForgeManifest = 4,         // bump a manifest's tuple count (re-MAC-less)
-  kForgeAggregate = 5,        // perturb the final aggregate before returning
-  kReplayStaleRound = 6,      // re-send an already-answered round id
+  kForgeAggregate = 5,        // skew the claimed aggregate's first group
+  kReplayStaleRound = 6,      // re-send round 1 once a later one answered
   kOversizedFrame = 7,        // frame declaring payload_len > kMaxFramePayload
   kMalformedFrame = 8,        // valid header, garbage payload
 };

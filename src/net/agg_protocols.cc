@@ -68,19 +68,18 @@ Status CheckGroupsInDomain(const std::vector<Participant>& participants,
 /// Runs a deterministic-encryption protocol after the check each token
 /// makes on its send list, so a config no token would accept fails here.
 Result<AggOutput> RunDet(std::vector<Participant>& participants, AggFunc func,
-                         FleetExecutor* executor,
-                         const SsiServer::DetRunConfig& det) {
+                         FleetExecutor* executor, const net::DetParams& params,
+                         const std::vector<std::string>& domain = {}) {
   if (participants.empty()) {
     return Status::InvalidArgument("no participants");
   }
   for (const Participant& p : participants) {
     PDS_RETURN_IF_ERROR(
-        net::DetSendListSize(det.params(), p.tuples.size(), det.domain.size())
-            .status());
+        net::DetSendListSize(params, p.tuples.size(), domain.size()).status());
   }
   SsiServer server(ServerConfig(participants, executor));
   PDS_RETURN_IF_ERROR(Admit(&server, participants));
-  return server.RunDetAggregation(func, det);
+  return server.RunDetAggregation(func, params, domain);
 }
 
 }  // namespace
@@ -102,11 +101,11 @@ Result<AggOutput> SecureAggProtocol::Execute(
 
 Result<AggOutput> WhiteNoiseProtocol::Execute(
     std::vector<Participant>& participants, AggFunc func) {
-  SsiServer::DetRunConfig det;
-  det.variant = net::DetVariant::kWhiteNoise;
-  det.noise_ratio = config_.noise_ratio;
-  det.noise_seed = config_.noise_seed;
-  return RunDet(participants, func, config_.executor, det);
+  net::DetParams params;
+  params.variant = net::DetVariant::kWhiteNoise;
+  params.noise_ratio = config_.noise_ratio;
+  params.noise_seed = config_.noise_seed;
+  return RunDet(participants, func, config_.executor, params);
 }
 
 Result<AggOutput> DomainNoiseProtocol::Execute(
@@ -115,12 +114,11 @@ Result<AggOutput> DomainNoiseProtocol::Execute(
     return Status::InvalidArgument("domain noise requires the value domain");
   }
   PDS_RETURN_IF_ERROR(CheckGroupsInDomain(participants, config_.domain));
-  SsiServer::DetRunConfig det;
-  det.variant = net::DetVariant::kDomainNoise;
-  det.noise_seed = config_.noise_seed;
-  det.fakes_per_value = config_.fakes_per_value;
-  det.domain = config_.domain;
-  return RunDet(participants, func, config_.executor, det);
+  net::DetParams params;
+  params.variant = net::DetVariant::kDomainNoise;
+  params.noise_seed = config_.noise_seed;
+  params.fakes_per_value = config_.fakes_per_value;
+  return RunDet(participants, func, config_.executor, params, config_.domain);
 }
 
 Result<AggOutput> HistogramProtocol::Execute(
@@ -128,10 +126,10 @@ Result<AggOutput> HistogramProtocol::Execute(
   if (config_.num_buckets == 0) {
     return Status::InvalidArgument("need >= 1 bucket");
   }
-  SsiServer::DetRunConfig det;
-  det.variant = net::DetVariant::kHistogram;
-  det.num_buckets = config_.num_buckets;
-  return RunDet(participants, func, config_.executor, det);
+  net::DetParams params;
+  params.variant = net::DetVariant::kHistogram;
+  params.num_buckets = config_.num_buckets;
+  return RunDet(participants, func, config_.executor, params);
 }
 
 Result<AggOutput> PackedPaillierProtocol::Execute(

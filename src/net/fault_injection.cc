@@ -231,7 +231,7 @@ Result<Bytes> FaultInjectingTransport::RecvFrame(uint32_t deadline_ms) {
     }
     uint64_t index = recv_index_++;
     Bytes frame = std::move(got.value());
-    if (index < plan_.skip_first) {
+    if (send_index_ < plan_.skip_first) {
       CountReceived(frame.size());
       return frame;
     }

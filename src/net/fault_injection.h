@@ -55,14 +55,17 @@ struct FaultPlan {
   /// Cap on realized link injections (0 = unlimited). Lets a scenario
   /// perturb only the opening of a run and then go quiet.
   uint64_t max_injections = 0;
-  /// Frames (per direction) forwarded untouched before faults engage.
-  /// The scenario harness sets 2 so the attestation handshake completes
-  /// and faults hit only protocol rounds, which have retry machinery.
+  /// Faults engage, in both directions, once this many frames have gone
+  /// out; a frame sent or received before then passes untouched. The
+  /// scenario harness sets 2 on the SSI's end (the challenge and the ack),
+  /// so the attestation handshake completes and faults hit only protocol
+  /// rounds, which have retry machinery: the first round request and the
+  /// reply to it included.
   uint64_t skip_first = 0;
   /// Churn: the wrapper closes the link once this many frames came back
-  /// after the first `skip_first` frames went out (0 = never) — past the
-  /// harness's two-frame handshake skip, after this many round replies.
-  /// The next send on the link then fails, as it does once a token left.
+  /// after faults engaged (0 = never) — past the harness's handshake skip,
+  /// after this many round replies. The next send on the link then fails,
+  /// as it does once a token left.
   uint64_t disconnect_after_replies = 0;
 
   /// True when the plan injects anything: a per-frame rate or churn.
@@ -143,7 +146,7 @@ class FaultInjectingTransport : public Transport {
   uint64_t injections_ = 0;
   uint64_t send_index_ = 0;
   uint64_t recv_index_ = 0;
-  uint64_t replies_ = 0;  // frames received past the send-side skip
+  uint64_t replies_ = 0;  // frames received since faults engaged
   /// Reorder holding cells, one per direction. The receive cell also holds
   /// a duplicate's copy; a frame in it that is due (a copy, or a held frame
   /// the next frame overtook) goes out on the next Recv.

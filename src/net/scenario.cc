@@ -6,6 +6,7 @@
 
 #include "common/clock.h"
 #include "global/integrity.h"
+#include "net/codec.h"
 #include "net/ssi_server.h"
 #include "net/token_client.h"
 #include "net/transport.h"
@@ -60,18 +61,17 @@ Result<AggOutput> RunWireProtocol(SsiServer* server,
     case WireProtocol::kWhiteNoise:
     case WireProtocol::kDomainNoise:
     case WireProtocol::kHistogram: {
-      SsiServer::DetRunConfig det;
-      det.variant = spec.protocol == WireProtocol::kWhiteNoise
-                        ? DetVariant::kWhiteNoise
-                        : (spec.protocol == WireProtocol::kDomainNoise
-                               ? DetVariant::kDomainNoise
-                               : DetVariant::kHistogram);
-      det.noise_ratio = spec.noise_ratio;
-      det.noise_seed = spec.noise_seed;
-      det.fakes_per_value = spec.fakes_per_value;
-      det.domain = spec.domain;
-      det.num_buckets = spec.num_buckets;
-      return server->RunDetAggregation(spec.func, det);
+      DetParams params;
+      params.variant = spec.protocol == WireProtocol::kWhiteNoise
+                           ? DetVariant::kWhiteNoise
+                           : (spec.protocol == WireProtocol::kDomainNoise
+                                  ? DetVariant::kDomainNoise
+                                  : DetVariant::kHistogram);
+      params.noise_ratio = spec.noise_ratio;
+      params.noise_seed = spec.noise_seed;
+      params.fakes_per_value = spec.fakes_per_value;
+      params.num_buckets = spec.num_buckets;
+      return server->RunDetAggregation(spec.func, params, spec.domain);
     }
     case WireProtocol::kPacked:
       if (spec.packed == nullptr) {
@@ -81,6 +81,95 @@ Result<AggOutput> RunWireProtocol(SsiServer* server,
                                           spec.domain);
   }
   return Status::InvalidArgument("unknown wire protocol");
+}
+
+/// The header of an encoded empty RoundRequestMsg with only its closing
+/// payload_len field rewritten to `payload_len`, followed by `garbage`
+/// bytes of 0xFF: a hostile frame whose magic, flags and type codec.cc
+/// wrote.
+Bytes HostileRoundRequest(uint32_t payload_len, size_t garbage) {
+  Bytes frame = EncodeMessage({RoundRequestMsg{}});
+  frame.resize(kFrameHeaderSize);
+  EncodeU32(frame.data() + kFrameHeaderSize - sizeof(uint32_t), payload_len);
+  frame.resize(kFrameHeaderSize + garbage, 0xFF);
+  return frame;
+}
+
+/// Sends the hostile `frame` on `link`, the SSI's end of a session, and
+/// judges the token's answer. ErrorMsg `code` is the defence: the verdict
+/// is `verdict` followed by the token's error text. Any other answer is
+/// the IntegrityViolation `breach`. With `closed_verdict` set, a token
+/// that closes the session instead (a deadline, a dead link or a broken
+/// stream) defends too: the link is closed and `closed_verdict` returned.
+/// Any other Status means the probe could not run.
+Result<std::string> Probe(Transport* link, const Bytes& frame,
+                          uint32_t deadline_ms, uint8_t code,
+                          std::string verdict, const char* breach,
+                          const char* closed_verdict = nullptr) {
+  PDS_RETURN_IF_ERROR(link->Send(frame));
+  auto reply = link->Recv(deadline_ms);
+  if (!reply.ok()) {
+    const StatusCode closed = reply.status().code();
+    if (closed_verdict != nullptr &&
+        (closed == StatusCode::kDeadlineExceeded ||
+         closed == StatusCode::kIoError ||
+         closed == StatusCode::kCorruption)) {
+      link->Close();
+      return std::string(closed_verdict);
+    }
+    return reply.status();
+  }
+  PDS_ASSIGN_OR_RETURN(Message m, DecodeMessage(reply.value()));
+  const ErrorMsg* err = std::get_if<ErrorMsg>(&m.body);
+  if (err == nullptr || err->code != code) {
+    return Status::IntegrityViolation(breach);
+  }
+  return verdict + err->message;
+}
+
+/// The hostile-frame probe `action` on `link`, session 0's SSI end, after
+/// the run. The stale-round probe re-sends round 1, the collect request
+/// every session answers first; it has nothing stale to replay unless the
+/// session answered a later round too (beyond the hello and the collect
+/// reply, its link received another frame).
+Result<std::string> RunProbe(AdversaryAction action, Transport* link,
+                             uint32_t deadline_ms, bool checksummed) {
+  switch (action) {
+    case AdversaryAction::kReplayStaleRound: {
+      if (link->frames_received() < 3) {
+        return Status::FailedPrecondition(
+            "session 0 answered no round after its collect round; there is "
+            "no stale round to replay");
+      }
+      RoundRequestMsg stale;
+      stale.header.round_id = 1;
+      stale.header.kind = RoundKind::kCollect;
+      stale.header.func = AggFunc::kSum;
+      return Probe(link, EncodeMessage({stale, {}, checksummed}), deadline_ms,
+                   4, "stale round 1 rejected: ",
+                   "token ANSWERED a replayed stale round instead of "
+                   "rejecting it");
+    }
+    case AdversaryAction::kOversizedFrame:
+      // A bare header declaring an impossible payload. Depending on the
+      // transport the token either sees the header-only frame (in-process)
+      // and rejects it, or its socket layer refuses the header before
+      // allocation and the session dies cleanly: both are the defence.
+      return Probe(link, HostileRoundRequest(kMaxFramePayload + 1, 0),
+                   deadline_ms, 3,
+                   "oversized frame rejected before allocation: ",
+                   "token accepted a frame declaring an oversized payload",
+                   "token refused the oversized frame; session closed "
+                   "cleanly");
+    default: {
+      // Valid header, garbage payload: must fail structured decode on the
+      // token without killing its serve loop.
+      constexpr uint32_t kGarbage = 16;
+      return Probe(link, HostileRoundRequest(kGarbage, kGarbage),
+                   deadline_ms, 3, "malformed frame rejected: ",
+                   "token did not reject a malformed round request");
+    }
+  }
 }
 
 void AppendJsonBool(std::ostringstream* os, const char* key, bool v,
@@ -143,8 +232,11 @@ Result<ScenarioResult> RunScenarioCell(const ScenarioSpec& spec) {
   scfg.quorum = spec.quorum;
   scfg.verifier = spec.verifier;
   scfg.checksum_frames = damaging_link;
-  scfg.adversary = spec.adversary;
   SsiServer server(scfg);
+  // Session 0's link, SSI end (owned by the server): the hostile frames go
+  // out on it after the run. A readmission would replace it, so it is read
+  // before the churn step.
+  Transport* ssi0 = nullptr;
 
   std::vector<std::unique_ptr<TokenClient>> clients;
   clients.reserve(spec.participants.size());
@@ -183,6 +275,7 @@ Result<ScenarioResult> RunScenarioCell(const ScenarioSpec& spec) {
       ssi_end = std::make_unique<FaultInjectingTransport>(std::move(ssi_end),
                                                           link, &link_log);
     }
+    if (i == 0) ssi0 = ssi_end.get();
     auto idx = server.AcceptSession(std::move(ssi_end));
     if (!idx.ok()) {
       shutdown();
@@ -197,20 +290,23 @@ Result<ScenarioResult> RunScenarioCell(const ScenarioSpec& spec) {
       res.error = sealed.status().ToString();
     } else {
       res.ran_ok = true;
-      res.leakage = sealed.value().leakage;
-      auto audit = global::AuditSealedBatch(spec.verifier,
-                                            sealed.value().tuples,
-                                            sealed.value().manifests,
-                                            spec.func);
+      SsiServer::SealedCollect& pool = sealed.value();
+      res.leakage = pool.leakage;
+      // The weakly-malicious SSI acts here, after honest tokens sealed
+      // their contributions and before the pool reaches the querier.
+      const std::string ssi_did = ApplySealedTampering(
+          spec.adversary, &pool.tuples, &pool.manifests);
+      auto audit = global::AuditSealedBatch(spec.verifier, pool.tuples,
+                                            pool.manifests, spec.func);
       if (!audit.ok()) {
         res.error = audit.status().ToString();
         res.ran_ok = false;
       } else {
         res.detected = !audit.value().verdict.ok;
         res.detection = audit.value().verdict.problem;
-        if (!sealed.value().adversary_note.empty()) {
+        if (!ssi_did.empty()) {
           res.detection += res.detection.empty() ? "" : " ";
-          res.detection += "[ssi did: " + sealed.value().adversary_note + "]";
+          res.detection += "[ssi did: " + ssi_did + "]";
         }
         res.groups = audit.value().groups;
         if (audit.value().verdict.ok) {
@@ -235,6 +331,13 @@ Result<ScenarioResult> RunScenarioCell(const ScenarioSpec& spec) {
       res.ran_ok = true;
       res.groups = wire.value().groups;
       res.leakage = wire.value().leakage;
+      if (spec.adversary.action == AdversaryAction::kForgeAggregate &&
+          !res.groups.empty()) {
+        // The forging SSI skews the first group it claims. Without a sealed
+        // round to audit against, the querier catches this by comparing
+        // with the aggregate it recomputes.
+        res.groups.begin()->second += 1.0;
+      }
       // Compare with the plaintext truth over the tokens that answered.
       // A churn cell compares its full-fleet rerun below instead: run 1
       // legitimately diverges (the churned token's collect data has no
@@ -271,18 +374,8 @@ Result<ScenarioResult> RunScenarioCell(const ScenarioSpec& spec) {
 
   // --- Adversarial probes (attack the session protocol directly) ----------
   if (IsProbeAction(spec.adversary.action) && res.ran_ok) {
-    Result<std::string> probe = Status::Internal("unset");
-    switch (spec.adversary.action) {
-      case AdversaryAction::kReplayStaleRound:
-        probe = server.InjectStaleRound(0);
-        break;
-      case AdversaryAction::kOversizedFrame:
-        probe = server.InjectOversizedFrame(0);
-        break;
-      default:
-        probe = server.InjectMalformedFrame(0);
-        break;
-    }
+    Result<std::string> probe =
+        RunProbe(spec.adversary.action, ssi0, deadline, damaging_link);
     res.detected = probe.ok();
     res.detection = probe.ok() ? probe.value() : probe.status().ToString();
   }

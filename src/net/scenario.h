@@ -22,6 +22,14 @@
 /// threads, readmission after churn) but never constructs tokens or keys —
 /// callers supply global::Participant pointers, so all secret material
 /// stays in the layers built for it.
+///
+/// It also plays the weakly-malicious SSI, at the points where a
+/// compromised SSI acts: it tampers with the sealed pool the real
+/// SsiServer returns before the querier audits it, skews the aggregate the
+/// server claims before the querier compares it, and sends hostile frames
+/// on session 0's link after the run. Detection stays end to end: the
+/// querier's MAC and manifest audit, the token's round-sequence check and
+/// the decoder's bounds.
 namespace pds::net {
 
 /// Which wire protocol a cell runs ([TNP14] family + the packed round).
@@ -47,7 +55,7 @@ struct ScenarioSpec {
   /// passes). After a churn (disconnect_after_replies) the harness readmits
   /// participant 0 as a fresh TokenClient on a fresh link and runs again.
   FaultPlan faults;
-  /// SSI misbehaviour for this cell (kNone = honest server).
+  /// SSI misbehaviour the harness plays in this cell (kNone = honest).
   AdversaryPlan adversary;
   bool use_socket = false;
   /// Run a sealed collection round + querier-side audit instead of an
@@ -107,10 +115,11 @@ struct ScenarioResult {
   global::LeakageReport leakage;         // what the SSI observed
 };
 
-/// Runs one cell end to end: wire run (with faults/adversary), comparison
-/// with the plaintext aggregate of the responding subset, verdicts. A returned error means the
-/// harness could not run the cell — a failed detection is reported inside
-/// the ScenarioResult, not as a Status.
+/// Runs one cell end to end: the wire run (with the link's faults and the
+/// SSI misbehaviour the harness plays), the comparison with the plaintext
+/// aggregate of the responding subset, and the verdicts. A returned error
+/// means the harness could not run the cell — a failed detection is
+/// reported inside the ScenarioResult, not as a Status.
 [[nodiscard]] Result<ScenarioResult> RunScenarioCell(const ScenarioSpec& spec);
 
 /// The default scenario matrix: every protocol crossed with benign + six

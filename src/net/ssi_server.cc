@@ -29,12 +29,9 @@ using global::Metrics;
 constexpr uint64_t kNonceSeed = 42;
 
 /// The querier's answer from the tokens' AggResultMsg replies: entries
-/// merged per group, then finalized for `func`. A forging SSI
-/// (AdversaryAction::kForgeAggregate) skews the first group's value;
-/// without a sealed round to audit against, the querier catches this by
-/// re-running the aggregate through AuditSealedBatch and comparing.
+/// merged per group, then finalized for `func`.
 std::map<std::string, double> MergeResults(
-    const std::vector<MessageBody>& replies, AggFunc func, bool forge) {
+    const std::vector<MessageBody>& replies, AggFunc func) {
   std::map<std::string, GroupState> state;
   for (const MessageBody& reply : replies) {
     for (const AggResultEntry& e : std::get<AggResultMsg>(reply).entries) {
@@ -42,11 +39,7 @@ std::map<std::string, double> MergeResults(
       state[e.group].count += e.count;
     }
   }
-  std::map<std::string, double> groups = global::FinalizeGroups(state, func);
-  if (forge && !groups.empty()) {
-    groups.begin()->second += 1.0;
-  }
-  return groups;
+  return global::FinalizeGroups(state, func);
 }
 
 /// A request of a round that follows collect, held as the Message that
@@ -135,18 +128,6 @@ class InFlightBytes {
  private:
   obs::Gauge* gauge_;
 };
-
-/// A hand-built plain kRoundRequest frame for the hostile-frame probes: a
-/// header declaring `declared` payload bytes, then `garbage` bytes of 0xFF.
-Bytes RawRoundRequest(uint32_t declared, size_t garbage) {
-  Bytes frame(kFrameHeaderSize + garbage, 0xFF);
-  frame[0] = static_cast<uint8_t>(kMagic & 0xff);
-  frame[1] = static_cast<uint8_t>(kMagic >> 8);
-  frame[2] = 0;  // no flags: a plain frame
-  frame[3] = static_cast<uint8_t>(MsgType::kRoundRequest);
-  EncodeU32(frame.data() + 4, declared);
-  return frame;
-}
 
 /// The unsigned lexicographic order std::less<Bytes> gives: memcmp over the
 /// shorter length, then the shorter key first. Spelled out because GCC 12's
@@ -708,9 +689,7 @@ Result<AggOutput> SsiServer::RunSecureAggregation(AggFunc func) {
       std::vector<MessageBody> result,
       RunUnits(&finalize, collected.sessions, 0, &out.metrics));
   ++out.metrics.rounds;
-  out.groups = MergeResults(
-      result, func,
-      config_.adversary.action == AdversaryAction::kForgeAggregate);
+  out.groups = MergeResults(result, func);
   return run.Close(std::move(out), "net-secure-agg");
 }
 
@@ -791,20 +770,20 @@ Result<AggOutput> SsiServer::RunPackedAggregation(
   return run.Close(std::move(out), "net-packed-paillier");
 }
 
-Result<AggOutput> SsiServer::RunDetAggregation(AggFunc func,
-                                               const DetRunConfig& det) {
-  if (det.variant == DetVariant::kDomainNoise && det.domain.empty()) {
+Result<AggOutput> SsiServer::RunDetAggregation(
+    AggFunc func, const DetParams& params,
+    const std::vector<std::string>& domain) {
+  if (params.variant == DetVariant::kDomainNoise && domain.empty()) {
     return Status::InvalidArgument("domain-noise run requires the domain");
   }
-  if (det.variant == DetVariant::kHistogram && det.num_buckets == 0) {
+  if (params.variant == DetVariant::kHistogram && params.num_buckets == 0) {
     return Status::InvalidArgument("histogram run requires num_buckets >= 1");
   }
-  const DetParams params = det.params();
   // Parameters every token would refuse fail here, before any frame.
-  PDS_RETURN_IF_ERROR(DetSendListSize(params, 0, det.domain.size()).status());
+  PDS_RETURN_IF_ERROR(DetSendListSize(params, 0, domain.size()).status());
 
   RunScope run(this, "net.det-agg");
-  run.span.AddArg("variant", static_cast<double>(det.variant));
+  run.span.AddArg("variant", static_cast<double>(params.variant));
   AggOutput out;
 
   // Phase 1: kDetCollect fan-out. Batch entry 0 carries the public round
@@ -813,8 +792,8 @@ Result<AggOutput> SsiServer::RunDetAggregation(AggFunc func,
   request.header.kind = RoundKind::kDetCollect;
   request.header.func = func;
   request.batch.push_back(EncodeDetParams(params));
-  if (det.variant == DetVariant::kDomainNoise) {
-    for (const std::string& g : det.domain) {
+  if (params.variant == DetVariant::kDomainNoise) {
+    for (const std::string& g : domain) {
       request.batch.push_back(ByteView(std::string_view(g)).ToBytes());
     }
   }
@@ -825,7 +804,7 @@ Result<AggOutput> SsiServer::RunDetAggregation(AggFunc func,
   // key by the plaintext bucket id instead.
   std::map<Bytes, std::vector<Bytes>, BytesLess> classes;
   std::map<uint32_t, std::vector<Bytes>> buckets;
-  const bool histogram = det.variant == DetVariant::kHistogram;
+  const bool histogram = params.variant == DetVariant::kHistogram;
   for (TupleBatchMsg& reply : collected.batches) {
     std::vector<Bytes>& batch = reply.batch;
     if (batch.size() % 2 != 0) {
@@ -872,10 +851,8 @@ Result<AggOutput> SsiServer::RunDetAggregation(AggFunc func,
         results, RunUnits(&units, collected.sessions, 0, &out.metrics));
   }
   ++out.metrics.rounds;
-  out.groups = MergeResults(
-      results, func,
-      config_.adversary.action == AdversaryAction::kForgeAggregate);
-  return run.Close(std::move(out), DetRunName(det.variant));
+  out.groups = MergeResults(results, func);
+  return run.Close(std::move(out), DetRunName(params.variant));
 }
 
 Result<SsiServer::SealedCollect> SsiServer::RunSealedCollect() {
@@ -904,79 +881,7 @@ Result<SsiServer::SealedCollect> SsiServer::RunSealedCollect() {
       out.tuples.push_back(std::move(t));
     }
   }
-
-  // The weakly-malicious SSI acts here, after honest tokens sealed their
-  // contributions and before the pool reaches the querier.
-  out.adversary_note =
-      ApplySealedTampering(config_.adversary, &out.tuples, &out.manifests);
   return run.Close(std::move(out), "net-sealed-collect");
-}
-
-Result<SsiServer::Session*> SsiServer::LiveSession(size_t idx) {
-  if (idx >= sessions_.size() || !sessions_[idx]->alive) {
-    return Status::InvalidArgument("no live session at this index");
-  }
-  return sessions_[idx].get();
-}
-
-Result<std::string> SsiServer::Probe(Session* s, const Bytes& frame,
-                                     uint8_t code, std::string verdict,
-                                     const char* breach,
-                                     const char* closed_verdict) {
-  PDS_RETURN_IF_ERROR(s->transport->Send(frame));
-  auto reply = s->transport->Recv(config_.deadline_ms);
-  if (!reply.ok()) {
-    if (closed_verdict != nullptr && IsStragglerFailure(reply.status())) {
-      s->alive = false;
-      return std::string(closed_verdict);
-    }
-    return reply.status();
-  }
-  PDS_ASSIGN_OR_RETURN(Message m, DecodeMessage(reply.value()));
-  const ErrorMsg* err = std::get_if<ErrorMsg>(&m.body);
-  if (err == nullptr || err->code != code) {
-    return Status::IntegrityViolation(breach);
-  }
-  return verdict + err->message;
-}
-
-Result<std::string> SsiServer::InjectStaleRound(size_t idx) {
-  PDS_ASSIGN_OR_RETURN(Session * s, LiveSession(idx));
-  if (s->next_round_id < 2) {
-    return Status::FailedPrecondition(
-        "session has no completed round to replay");
-  }
-  RoundRequestMsg req;
-  req.header.round_id = s->next_round_id - 2;  // strictly below the latest
-  req.header.kind = RoundKind::kCollect;
-  req.header.func = global::AggFunc::kSum;
-  return Probe(s, EncodeMessage({req, {}, config_.checksum_frames}), 4,
-               "stale round " + std::to_string(req.header.round_id) +
-                   " rejected: ",
-               "token ANSWERED a replayed stale round instead of rejecting "
-               "it");
-}
-
-Result<std::string> SsiServer::InjectOversizedFrame(size_t idx) {
-  PDS_ASSIGN_OR_RETURN(Session * s, LiveSession(idx));
-  // A bare header declaring an impossible payload. Depending on the
-  // transport the token either sees the header-only frame (in-process) and
-  // rejects it, or its socket layer refuses the header before allocation
-  // and the session dies cleanly — both are the defence working.
-  return Probe(s, RawRoundRequest(kMaxFramePayload + 1, 0), 3,
-               "oversized frame rejected before allocation: ",
-               "token accepted a frame declaring an oversized payload",
-               "token refused the oversized frame; session closed cleanly");
-}
-
-Result<std::string> SsiServer::InjectMalformedFrame(size_t idx) {
-  PDS_ASSIGN_OR_RETURN(Session * s, LiveSession(idx));
-  // Valid header, garbage payload: must fail structured decode on the
-  // token without killing its serve loop.
-  constexpr uint32_t kGarbage = 16;
-  return Probe(s, RawRoundRequest(kGarbage, kGarbage), 3,
-               "malformed frame rejected: ",
-               "token did not reject a malformed round request");
 }
 
 std::vector<SsiServer::SessionTelemetry> SsiServer::Telemetry() const {

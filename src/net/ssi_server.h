@@ -13,7 +13,6 @@
 #include "global/fleet_executor.h"
 #include "global/integrity.h"
 #include "mcu/secure_token.h"
-#include "net/adversary.h"
 #include "net/codec.h"
 #include "net/transport.h"
 #include "obs/obs.h"
@@ -30,6 +29,12 @@
 /// backoff, and a configurable quorum. Per tuple the SSI pays one digest
 /// into the observer and one move of the ciphertext; a request's batch is
 /// encoded where it lies, never copied first.
+///
+/// The server runs the protocol and nothing else. The SSI is the untrusted
+/// party, but its defences live in the tokens and the querier (sealed MACs
+/// and manifests, the round-sequence check, bounded decoding), so the
+/// weakly-malicious SSI that tests them is played by the scenario harness
+/// (net/scenario.h) on what this server returns and on its links.
 namespace pds::net {
 
 class SsiServer {
@@ -59,9 +64,6 @@ class SsiServer {
     /// as a frame reject. Detects *accidental* corruption early —
     /// adversarial detection stays with the integrity layer.
     bool checksum_frames = false;
-    /// Weakly-malicious misbehaviour this server performs during runs (the
-    /// scenario harness turns this on to prove querier-side detection).
-    AdversaryPlan adversary;
     /// Clock behind every deadline, retry backoff, and round-trip latency
     /// measurement. Null means the process wall clock; the simulation tier
     /// injects a sim::SimClock here so timeouts run in virtual time.
@@ -121,54 +123,29 @@ class SsiServer {
       global::AggFunc func, const crypto::PackedAggregate& agg,
       const std::vector<std::string>& domain);
 
-  /// Parameters of one deterministic-encryption protocol run (the [TNP14]
-  /// white-noise / domain-noise / histogram family) over the wire.
-  struct DetRunConfig {
-    DetVariant variant = DetVariant::kWhiteNoise;
-    double noise_ratio = 0.2;      // white noise: fakes per real tuple
-    uint64_t noise_seed = 7;       // white noise: fake-label stream seed
-    uint32_t fakes_per_value = 1;  // domain noise: fakes per domain value
-    std::vector<std::string> domain;  // domain noise: the public domain
-    uint32_t num_buckets = 16;     // histogram: bucket count
-
-    /// The public parameter blob of this run's kDetCollect request.
-    [[nodiscard]] DetParams params() const {
-      return {variant, noise_ratio, noise_seed, fakes_per_value, num_buckets};
-    }
-  };
-
   /// Executes one det-encryption protocol over all live sessions: a
   /// kDetCollect fan-out (stragglers tolerated down to quorum), SSI-side
   /// grouping by deterministic ciphertext (or plaintext bucket id), then
   /// per-class kClassAggregate / per-bucket kFinalize rounds run through
-  /// RunUnits, with the same failover as secure-agg's partitions.
+  /// RunUnits, with the same failover as secure-agg's partitions. `params`
+  /// travel as the request's first batch entry; `domain` (domain noise
+  /// only) follows them, one label per entry.
   [[nodiscard]] Result<global::AggOutput> RunDetAggregation(
-      global::AggFunc func, const DetRunConfig& det);
+      global::AggFunc func, const DetParams& params,
+      const std::vector<std::string>& domain);
 
   /// One sealed collection round: every live token MAC-seals its
   /// ciphertexts and signs a contribution manifest. The returned pool is
-  /// what the *SSI* claims arrived — when Config::adversary configures a
-  /// sealed tampering action it has already been applied, and
-  /// `adversary_note` says what the SSI did (empty for an honest run).
-  /// Feed the pool to global::AuditSealedBatch inside the querier token;
-  /// detection of every tampering action is the test's assertion.
+  /// what arrived; the querier token checks it with
+  /// global::AuditSealedBatch, which catches any ciphertext or manifest
+  /// the SSI altered, replayed or withheld on the way.
   struct SealedCollect {
     std::vector<global::SealedTuple> tuples;
     std::vector<global::Manifest> manifests;
     global::Metrics metrics;
     global::LeakageReport leakage;
-    std::string adversary_note;
   };
   [[nodiscard]] Result<SealedCollect> RunSealedCollect();
-
-  /// Adversarial probes (AdversaryPlan actions that attack the session
-  /// protocol itself rather than a sealed batch). Each sends one hostile
-  /// frame on session `idx` and reports the observed token-side defence —
-  /// an error reply, or the clean death of the session. A Status return
-  /// means the probe could not run, not that the token survived.
-  [[nodiscard]] Result<std::string> InjectStaleRound(size_t idx);
-  [[nodiscard]] Result<std::string> InjectOversizedFrame(size_t idx);
-  [[nodiscard]] Result<std::string> InjectMalformedFrame(size_t idx);
 
   [[nodiscard]] const RoundReport& last_report() const { return report_; }
 
@@ -290,18 +267,6 @@ class SsiServer {
   [[nodiscard]] Result<std::vector<MessageBody>> RunUnits(
       std::vector<Message>* units, const std::vector<size_t>& responders,
       size_t offset, global::Metrics* metrics);
-
-  /// The live session at `idx`, or InvalidArgument.
-  [[nodiscard]] Result<Session*> LiveSession(size_t idx);
-  /// Shared body of the Inject* probes: sends the hostile `frame` on `s`
-  /// and, when the token answers with ErrorMsg `code`, returns `verdict`
-  /// followed by the token's error text. Any other answer is the
-  /// IntegrityViolation `breach`. With `closed_verdict` set, a token that
-  /// closes the session instead defends too: the session dies and
-  /// `closed_verdict` is returned.
-  [[nodiscard]] Result<std::string> Probe(
-      Session* s, const Bytes& frame, uint8_t code, std::string verdict,
-      const char* breach, const char* closed_verdict = nullptr);
 
   Config config_;
   Clock* clock_;  // never null: Config::clock or the wall clock

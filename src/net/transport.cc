@@ -259,6 +259,23 @@ void SocketTransport::Close() {
 bool SocketTransport::closed() const { return closed_.load(); }
 
 // ---------------------------------------------------------------------------
+// FrameTap
+
+Status FrameTap::Send(ByteView frame) {
+  PDS_RETURN_IF_ERROR(inner_->Send(frame));
+  entries_.push_back({/*outbound=*/true, frame.ToBytes()});
+  return Status::Ok();
+}
+
+Result<Bytes> FrameTap::Recv(uint32_t deadline_ms) {
+  Result<Bytes> r = inner_->Recv(deadline_ms);
+  if (r.ok()) {
+    entries_.push_back({/*outbound=*/false, r.value()});
+  }
+  return r;
+}
+
+// ---------------------------------------------------------------------------
 // TcpListener
 
 TcpListener::~TcpListener() { Close(); }

@@ -9,6 +9,7 @@
 #include <mutex>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "common/bytes.h"
 #include "common/result.h"
@@ -20,6 +21,7 @@
 /// SocketTransport (non-blocking TCP or Unix-domain sockets driven by
 /// poll()). Both count the frames and bytes they move so the protocol layer
 /// can report *measured* wire traffic instead of synthetic estimates.
+/// FrameTap wraps any transport and keeps a copy of every frame it carries.
 namespace pds::net {
 
 class Transport {
@@ -124,6 +126,33 @@ class SocketTransport : public Transport {
   int fd_;
   std::atomic<bool> closed_{false};
   Bytes rxbuf_;  // partial-frame accumulation between Recv calls
+};
+
+/// Transparent wrapper recording every frame that crosses the wrapped
+/// transport, in order, per direction: the instrument that compares one
+/// run's frames byte for byte with another's (a simulated run against a
+/// wall-clock one, a forced-scalar kernel run against a SIMD one). Single
+/// caller per direction, like the fault wrapper.
+class FrameTap final : public Transport {
+ public:
+  struct Entry {
+    bool outbound = false;  // true: Send() saw it; false: Recv() returned it
+    Bytes frame;
+  };
+
+  explicit FrameTap(std::unique_ptr<Transport> inner)
+      : inner_(std::move(inner)) {}
+
+  [[nodiscard]] Status Send(ByteView frame) override;
+  [[nodiscard]] Result<Bytes> Recv(uint32_t deadline_ms) override;
+  void Close() override { inner_->Close(); }
+  [[nodiscard]] bool closed() const override { return inner_->closed(); }
+
+  [[nodiscard]] const std::vector<Entry>& entries() const { return entries_; }
+
+ private:
+  std::unique_ptr<Transport> inner_;
+  std::vector<Entry> entries_;
 };
 
 /// Accepting side of a TCP endpoint.

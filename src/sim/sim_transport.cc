@@ -164,27 +164,4 @@ void SimTransport::Close() {
 
 bool SimTransport::closed() const { return link_->closed; }
 
-Status FrameTap::Send(ByteView frame) {
-  Status st = inner_->Send(frame);
-  if (!st.ok()) {
-    return st;
-  }
-  Entry e;
-  e.outbound = true;
-  e.frame = frame.ToBytes();
-  entries_.push_back(std::move(e));
-  return Status::Ok();
-}
-
-Result<Bytes> FrameTap::Recv(uint32_t deadline_ms) {
-  Result<Bytes> r = inner_->Recv(deadline_ms);
-  if (r.ok()) {
-    Entry e;
-    e.outbound = false;
-    e.frame = r.value();
-    entries_.push_back(std::move(e));
-  }
-  return r;
-}
-
 }  // namespace pds::sim

@@ -136,32 +136,6 @@ class SimTransport final : public net::Transport {
   int side_;  // we receive from dirs[side_], send to the other
 };
 
-/// Transparent probe recording every frame that crosses a wrapped
-/// transport, in order, per direction — the instrument the anchor property
-/// tests use to compare a simulated run byte-for-byte against an
-/// in-process run. Single caller per direction, like the fault wrapper.
-class FrameTap final : public net::Transport {
- public:
-  struct Entry {
-    bool outbound = false;  // true: Send() saw it; false: Recv() returned it
-    Bytes frame;
-  };
-
-  explicit FrameTap(std::unique_ptr<net::Transport> inner)
-      : inner_(std::move(inner)) {}
-
-  [[nodiscard]] Status Send(ByteView frame) override;
-  [[nodiscard]] Result<Bytes> Recv(uint32_t deadline_ms) override;
-  void Close() override { inner_->Close(); }
-  [[nodiscard]] bool closed() const override { return inner_->closed(); }
-
-  [[nodiscard]] const std::vector<Entry>& entries() const { return entries_; }
-
- private:
-  std::unique_ptr<net::Transport> inner_;
-  std::vector<Entry> entries_;
-};
-
 }  // namespace pds::sim
 
 #endif  // PDS_SIM_SIM_TRANSPORT_H_

@@ -166,6 +166,25 @@ TEST(AdversarialMatrixTest, SameSeedRealizesSameInjectionLog) {
   EXPECT_NE(first, run_bitflip_cell(78));
 }
 
+TEST(AdversarialMatrixTest, StaleRoundProbeNeedsAnAnsweredLaterRound) {
+  // A packed-Paillier session answers one round, its collect round, so
+  // no round it answered is stale. The probe must report that it could not
+  // run, not replay a round the session never saw and call that a defence.
+  ScenarioFleet fleet = MakeScenarioFleet(4);
+  ScenarioSpec spec;
+  spec.name = "packed-paillier/replay-stale-round";
+  spec.protocol = WireProtocol::kPacked;
+  spec.adversary.action = AdversaryAction::kReplayStaleRound;
+  FillSpec(&spec, &fleet);
+  auto cell = RunScenarioCell(spec);
+  ASSERT_TRUE(cell.ok()) << cell.status().ToString();
+  EXPECT_TRUE(cell->ran_ok) << cell->error;
+  EXPECT_TRUE(cell->expects_detection);
+  EXPECT_FALSE(cell->detected) << cell->detection;
+  EXPECT_EQ(cell->detection.rfind("FailedPrecondition: ", 0), 0u)
+      << cell->detection;
+}
+
 TEST(AdversarialMatrixTest, RecoverableFaultsDoNotWidenLeakage) {
   // Wire-leakage bound: a lossy/duplicating link may cost retries but must
   // not change what the SSI observes — same tuple count, same class count,

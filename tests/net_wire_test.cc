@@ -444,11 +444,10 @@ TEST(NetSecureAggTest, InProcessExecuteReportsThreadedWireMetrics) {
       clients.back()->Start();
       ASSERT_TRUE(server.AcceptSession(std::move(server_end)).ok());
     }
-    SsiServer::DetRunConfig det;
+    DetParams det;
     det.noise_ratio = 0.5;
     det.noise_seed = 7;
     det.fakes_per_value = 2;
-    det.domain = packed.domain;
     det.num_buckets = 4;
     Result<global::AggOutput> output = Status::Internal("unset");
     switch (kind) {
@@ -457,15 +456,15 @@ TEST(NetSecureAggTest, InProcessExecuteReportsThreadedWireMetrics) {
         break;
       case WireProtocol::kWhiteNoise:
         det.variant = DetVariant::kWhiteNoise;
-        output = server.RunDetAggregation(AggFunc::kSum, det);
+        output = server.RunDetAggregation(AggFunc::kSum, det, packed.domain);
         break;
       case WireProtocol::kDomainNoise:
         det.variant = DetVariant::kDomainNoise;
-        output = server.RunDetAggregation(AggFunc::kSum, det);
+        output = server.RunDetAggregation(AggFunc::kSum, det, packed.domain);
         break;
       case WireProtocol::kHistogram:
         det.variant = DetVariant::kHistogram;
-        output = server.RunDetAggregation(AggFunc::kSum, det);
+        output = server.RunDetAggregation(AggFunc::kSum, det, packed.domain);
         break;
       case WireProtocol::kPacked:
         output = server.RunPackedAggregation(AggFunc::kSum, *packed.agg,
@@ -843,6 +842,71 @@ TEST(NetQuorumTest, RetryRecoversFlakyToken) {
   ExpectChannelsAgree(server, before);
 }
 
+/// Runs secure aggregation over four tokens whose token 0 link realizes
+/// `plan` (one injection at most), and checks that the one fault hit the
+/// token's first reply, its collect reply (recv #0 is the hello), and that
+/// the answer is still the plaintext aggregate, bit for bit. Returns the
+/// run's report.
+SsiServer::RoundReport RunWithFaultedFirstReply(const FaultPlan& plan,
+                                                FaultKind kind) {
+  TestFleet fleet = MakeTestFleet(4);
+  InjectionLog log;
+  SsiServer::Config scfg;
+  scfg.partition_capacity = 16;
+  scfg.verifier = fleet.verifier.get();
+  scfg.deadline_ms = ScaledMs(300);
+  scfg.max_retries = 2;
+  scfg.backoff_ms = ScaledMs(5);
+  SsiServer server(scfg);
+  auto clients = ConnectClients(&server, &fleet, plan, &log);
+  auto output = server.RunSecureAggregation(AggFunc::kSum);
+  JoinAll(&server, &clients);
+  EXPECT_TRUE(output.ok()) << output.status().ToString() << "\nfaults (seed "
+                           << plan.seed << "):\n"
+                           << log.ToString();
+  const std::vector<Injection> faults = log.Entries();
+  EXPECT_EQ(faults.size(), 1u) << log.ToString();
+  if (!faults.empty()) {
+    EXPECT_STREQ(faults[0].direction, "recv") << log.ToString();
+    EXPECT_EQ(faults[0].frame_index, 1u) << log.ToString();
+    EXPECT_EQ(faults[0].kind, kind) << log.ToString();
+  }
+  if (output.ok()) {
+    EXPECT_EQ(output->groups,
+              global::PlainAggregate(fleet.participants, AggFunc::kSum));
+  }
+  EXPECT_EQ(server.last_report().responders, 4u);
+  return server.last_report();
+}
+
+TEST(NetQuorumTest, RetryRecoversLostReply) {
+  // Seed 7 at rate 0.5 spares the collect request (first draw 0.70) and
+  // loses the token's reply to it (second draw 0.28). The SSI times out
+  // and retries the same round, which the token answers again.
+  FaultPlan plan;
+  plan.seed = 7;
+  plan.drop_rate = 0.5;
+  plan.max_injections = 1;
+  const SsiServer::RoundReport report =
+      RunWithFaultedFirstReply(plan, FaultKind::kDrop);
+  EXPECT_EQ(report.retries, 1u);
+  EXPECT_EQ(report.deadline_hits, 1u);
+}
+
+TEST(NetQuorumTest, HeldReplyStillLands) {
+  // The same draws hold the token's collect reply for reorder. No frame
+  // overtakes it, so the link releases it once its wait for one runs out:
+  // the reply arrives late but whole, and no retry is needed.
+  FaultPlan plan;
+  plan.seed = 7;
+  plan.reorder_rate = 0.5;
+  plan.max_injections = 1;
+  const SsiServer::RoundReport report =
+      RunWithFaultedFirstReply(plan, FaultKind::kReorder);
+  EXPECT_EQ(report.retries, 0u);
+  EXPECT_EQ(report.deadline_hits, 0u);
+}
+
 TEST(NetQuorumTest, OutOfRangeQuorumRefusedBeforeAnyFrame) {
   // ceil(quorum * n) is a token count only for a quorum in [0, 1]: 1.5
   // asks for more tokens than exist, and -0.5 or NaN cast out of range.
@@ -1074,16 +1138,16 @@ TEST(NetHostileParamsTest, SsiRejectsUnusableParamsBeforeAnyFrame) {
   const uint64_t before = frames_sent->Value();
   EXPECT_EQ(server.RunSecureAggregation(AggFunc::kSum).status().code(),
             StatusCode::kInvalidArgument);
-  SsiServer::DetRunConfig det;
+  DetParams det;
   det.noise_ratio = std::numeric_limits<double>::quiet_NaN();
-  EXPECT_EQ(server.RunDetAggregation(AggFunc::kSum, det).status().code(),
+  EXPECT_EQ(server.RunDetAggregation(AggFunc::kSum, det, {}).status().code(),
             StatusCode::kInvalidArgument);
   det.variant = DetVariant::kDomainNoise;
   det.noise_ratio = 0;
-  det.domain = {"city-0"};
   det.fakes_per_value = UINT32_MAX;
-  EXPECT_EQ(server.RunDetAggregation(AggFunc::kSum, det).status().code(),
-            StatusCode::kInvalidArgument);
+  EXPECT_EQ(
+      server.RunDetAggregation(AggFunc::kSum, det, {"city-0"}).status().code(),
+      StatusCode::kInvalidArgument);
   EXPECT_EQ(frames_sent->Value(), before);
 }
 
@@ -1358,11 +1422,12 @@ TEST(NetStatsTest, SessionDroppedOnSendLeavesNothingInFlight) {
 }
 
 TEST(NetStatsTest, FailedRunReportsItsFollowUpRounds) {
-  // Two tokens answer the handshake and collect; every later request to
-  // them drops. Each times out of its first partition (one retry, two
-  // deadline hits) and is dropped, so no token is left to take the
-  // partitions and the run fails. The rounds it ran must still reach the
-  // RoundReport, the registry and the per-session telemetry alike.
+  // Two tokens answer the handshake and collect; past their first
+  // partition request every frame on their links drops (that request's
+  // reply, then the retry). Each times out of its first partition (one
+  // retry, two deadline hits) and is dropped, so no token is left to take
+  // the partitions and the run fails. The rounds it ran must still reach
+  // the RoundReport, the registry and the per-session telemetry alike.
   TestFleet fleet = MakeTestFleet(2);
   SsiServer::Config scfg;
   scfg.partition_capacity = 4;
@@ -1372,7 +1437,8 @@ TEST(NetStatsTest, FailedRunReportsItsFollowUpRounds) {
   SsiServer server(scfg);
   FaultPlan drop_after_collect;
   drop_after_collect.drop_rate = 1.0;
-  drop_after_collect.skip_first = 3;  // challenge, ack, collect request
+  // Challenge, ack, collect request and the first partition request.
+  drop_after_collect.skip_first = 4;
   for (Participant& p : fleet.participants) {
     ASSERT_TRUE(server
                     .AcceptSession(std::make_unique<FaultInjectingTransport>(

@@ -41,6 +41,7 @@ using global::SourceTuple;
 using mcu::SecureToken;
 using net::FaultInjectingTransport;
 using net::FaultPlan;
+using net::FrameTap;
 using net::InjectionLog;
 using net::InProcessTransport;
 using net::SsiServer;

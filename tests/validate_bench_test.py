@@ -16,6 +16,7 @@ Usage: python3 tests/validate_bench_test.py
 import copy
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -497,6 +498,20 @@ class CompareTest(unittest.TestCase):
                 run = self.compare(name, mutate)
                 self.assertEqual(run.returncode, 0, run.stderr)
                 self.assertIn(text, run.stdout)
+
+    def test_moved_measured_field_leaves_counter_count(self):
+        # Only counters are counted: whether a measured field moved between
+        # two runs of the same code must not change the summary's count.
+        def counters(run):
+            found = re.search(r"(\d+) counters identical", run.stdout)
+            self.assertIsNotNone(found, run.stdout)
+            return int(found.group(1))
+
+        for name, mutate, text in MOVED_MEASURED:
+            with self.subTest(f"{name}: {text}"):
+                itself = self.compare(name, lambda doc: None)
+                moved = self.compare(name, mutate)
+                self.assertEqual(counters(moved), counters(itself))
 
 
 if __name__ == "__main__":
