@@ -12,8 +12,9 @@
 // quorum 1.0 must fail, quorum 0.85 must complete with the shortfall
 // recorded), the churn-tolerance scenario (run, churn and re-admit every
 // 10th token, run again at full strength), and the determinism probe (the
-// same seed twice must produce byte-identical records). Any unexpected
-// outcome exits non-zero, which is what the CI schema check builds on.
+// same seed twice over lossy links must retry and produce byte-identical
+// records). Any unexpected outcome exits non-zero, which is what the CI
+// schema check builds on.
 //
 // --max-tokens caps the sweep (CI smoke uses 10000); the committed
 // BENCH_sim.json comes from the full million-token sweep.
@@ -297,17 +298,16 @@ int main(int argc, char** argv) {
 
   // --- Determinism probe: the same seed twice, identical records. ---
   bool deterministic = false;
+  uint64_t probe_retries = 0;
   {
     SimFleetConfig cfg;
     cfg.num_tokens = 500;
     cfg.link = SweepLink();
+    // Each link loses frames only after its handshake, which has no retry
+    // machinery; protocol rounds do, and this probe wants it exercised.
+    cfg.loss_rate = 0.01;
     cfg.deadline_ms = 100;
     cfg.quorum = 0.95;  // loss may legitimately cost a straggler or two
-    // Loss goes live only after Build: the attestation handshake has no
-    // retry machinery, but protocol rounds do — which is exactly the
-    // machinery this probe wants exercised.
-    LinkModel lossy = cfg.link;
-    lossy.loss_rate = 0.01;
     auto run = [&](const std::string& what, RunRecord* rec) {
       SimFleet fleet(cfg);
       auto t0 = std::chrono::steady_clock::now();
@@ -315,7 +315,6 @@ int main(int argc, char** argv) {
       if (!built.ok()) {
         return Fail(what + ": Build: " + built.ToString());
       }
-      fleet.net().set_model(lossy);
       auto out = fleet.RunSecureAggregation(AggFunc::kSum);
       auto t1 = std::chrono::steady_clock::now();
       if (!out.ok()) {
@@ -338,6 +337,10 @@ int main(int argc, char** argv) {
       return Fail("identical seeds produced different records:\n  A: " +
                   DeterministicKey(a) + "\n  B: " + DeterministicKey(b));
     }
+    probe_retries = a.run.retries;
+    if (probe_retries == 0) {
+      return Fail("the lossy determinism probe never retried");
+    }
   }
 
   std::ofstream out(out_path);
@@ -350,7 +353,9 @@ int main(int argc, char** argv) {
   }
   out << "  ],\n";
   out << "  \"determinism\": {\"identical\": "
-      << (deterministic ? "true" : "false") << ", \"runs\": 2, \"seed\": 55}\n";
+      << (deterministic ? "true" : "false")
+      << ", \"runs\": 2, \"seed\": 55, \"retries\": " << probe_retries
+      << "}\n";
   out << "}\n";
   std::cerr << "sim_bench: wrote " << records.size() << " records to "
             << out_path << "\n";

@@ -38,7 +38,8 @@ list must be non-empty.
       a linear sizeof estimate and a measured mem_rss_bytes_per_token > 0,
       cover >= min_sweep_sizes fleet sizes; a churn record re-admits
       tokens at full strength; the determinism probe ran >= 2 identical
-      runs.
+      runs over lossy links and retried at least once, so its loss
+      engaged.
   adversarial_verdicts.json  fault_scenarios alone: cells with their
       fields, every expects_detection cell detected, detection_rate
       exactly 1.0, benign cells byte-identical and the flag true.
@@ -328,6 +329,8 @@ def check_sim(doc, schema, problems):
         problems.append("determinism: repeated seeded runs were not identical")
     if num(det, "runs") < 2:
         problems.append("determinism: needs at least 2 runs")
+    if num(det, "retries") < 1:
+        problems.append("determinism: the lossy probe never retried")
 
 
 def ordered(recs, field):

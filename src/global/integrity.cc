@@ -17,6 +17,14 @@ Bytes TupleMacInput(uint64_t participant, uint64_t sequence,
   return msg;
 }
 
+Bytes ManifestMacInput(uint64_t participant, uint64_t tuple_count) {
+  Bytes msg;
+  msg.push_back(0x4D);  // 'M' domain separator
+  PutU64(&msg, participant);
+  PutU64(&msg, tuple_count);
+  return msg;
+}
+
 }  // namespace
 
 Bytes EncodeSealedTuple(const SealedTuple& t) {
@@ -92,10 +100,7 @@ Result<Manifest> MakeManifest(mcu::SecureToken* token, uint64_t participant,
   Manifest m;
   m.participant = participant;
   m.tuple_count = tuple_count;
-  Bytes msg;
-  msg.push_back(0x4D);  // 'M' domain separator
-  PutU64(&msg, participant);
-  PutU64(&msg, tuple_count);
+  Bytes msg = ManifestMacInput(participant, tuple_count);
   PDS_ASSIGN_OR_RETURN(m.mac, token->Mac(ByteView(msg)));
   return m;
 }
@@ -108,10 +113,7 @@ Result<IntegrityVerdict> VerifyBatch(
   // 1. Manifest authenticity + expected counts.
   std::map<uint64_t, uint64_t> expected;
   for (const Manifest& m : manifests) {
-    Bytes msg;
-    msg.push_back(0x4D);
-    PutU64(&msg, m.participant);
-    PutU64(&msg, m.tuple_count);
+    Bytes msg = ManifestMacInput(m.participant, m.tuple_count);
     PDS_ASSIGN_OR_RETURN(crypto::Sha256::Digest mac,
                          token->Mac(ByteView(msg)));
     if (!crypto::DigestEqual(mac, m.mac)) {

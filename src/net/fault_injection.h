@@ -57,10 +57,10 @@ struct FaultPlan {
   uint64_t max_injections = 0;
   /// Faults engage, in both directions, once this many frames have gone
   /// out; a frame sent or received before then passes untouched. The
-  /// scenario harness sets 2 on the SSI's end (the challenge and the ack),
-  /// so the attestation handshake completes and faults hit only protocol
-  /// rounds, which have retry machinery: the first round request and the
-  /// reply to it included.
+  /// scenario harness and sim::SimFleet set 2 on the SSI's end (the
+  /// challenge and the ack), so the attestation handshake completes and
+  /// faults hit only protocol rounds, which have retry machinery: the
+  /// first round request and the reply to it included.
   uint64_t skip_first = 0;
   /// Churn: the wrapper closes the link once this many frames came back
   /// after faults engaged (0 = never) — past the harness's handshake skip,

@@ -269,6 +269,10 @@ SsiServer::SsiServer(const Config& config)
       clock_(config.clock != nullptr ? config.clock : WallClock()),
       trace_rng_(kNonceSeed ^ 0x7472616365ULL) {}
 
+size_t SsiServer::LeanSessionBytes() {
+  return sizeof(std::unique_ptr<Session>) + sizeof(Session);
+}
+
 bool SsiServer::IsStragglerFailure(const Status& s) {
   // A token that timed out, whose transport died, or whose byte stream
   // desynchronized (a truncating/bit-flipping link breaks socket framing)

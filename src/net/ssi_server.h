@@ -104,6 +104,11 @@ class SsiServer {
 
   [[nodiscard]] size_t num_sessions() const { return sessions_.size(); }
 
+  /// Bytes the server keeps per admitted session under
+  /// Config::lean_sessions, its transport aside: the session list's slot
+  /// and the record it points to.
+  [[nodiscard]] static size_t LeanSessionBytes();
+
   /// Executes the secure-aggregation protocol over all live sessions.
   /// Collect-round stragglers are tolerated down to the configured quorum.
   /// The partition and finalize rounds run through RunUnits: the units of

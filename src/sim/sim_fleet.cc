@@ -28,10 +28,9 @@ Status SimFleet::Build() {
   verifier_ = std::make_unique<mcu::SecureToken>(vcfg);
 
   net::SsiServer::Config scfg;
-  scfg.partition_capacity = config_.partition_capacity;
+  scfg.partition_capacity = 4096;
   scfg.deadline_ms = config_.deadline_ms;
   scfg.max_retries = config_.max_retries;
-  scfg.backoff_ms = config_.backoff_ms;
   scfg.quorum = config_.quorum;
   scfg.executor = nullptr;  // the event loop is single-threaded by design
   scfg.verifier = verifier_.get();
@@ -67,24 +66,25 @@ Status SimFleet::Build() {
 
   for (size_t i = 0; i < n; ++i) {
     sessions_.emplace_back(tokens_[i].get(), &tuples_[i], /*packed=*/nullptr);
-    const bool dropout =
-        config_.dropout_every > 0 && (i % config_.dropout_every) == 0;
-    dropped_tokens_ += dropout ? 1 : 0;
-    PDS_RETURN_IF_ERROR(ConnectToken(i, /*readmit=*/false, dropout));
+    dropped_tokens_ += IsDropout(i) ? 1 : 0;
+    PDS_RETURN_IF_ERROR(ConnectToken(i, /*readmit=*/false));
   }
   return Status::Ok();
 }
 
-Status SimFleet::ConnectToken(size_t i, bool readmit, bool dropout) {
+Status SimFleet::ConnectToken(size_t i, bool readmit) {
   std::unique_ptr<SimTransport> link = net_->ConnectSession(&sessions_[i]);
   links_[i] = link.get();
   std::unique_ptr<net::Transport> ssi_end = std::move(link);
-  if (dropout) {
-    // Every frame after the two-frame handshake is lost on the SSI's end
-    // of the link, so the token never sees a round request.
-    net::FaultPlan plan;
-    plan.drop_rate = 1.0;
-    plan.skip_first = 2;
+  // The link's one fault plan follows from the fleet seed and the token
+  // index, so a readmitted token gets the same link back. Frames are lost
+  // on the SSI's end once the two-frame handshake is through: all of them
+  // for a dropout, which then never sees a round request.
+  net::FaultPlan plan;
+  plan.seed = (config_.seed << 32) ^ i;
+  plan.drop_rate = IsDropout(i) ? 1.0 : config_.loss_rate;
+  plan.skip_first = 2;
+  if (plan.has_faults()) {
     ssi_end = std::make_unique<net::FaultInjectingTransport>(
         std::move(ssi_end), plan, /*log=*/nullptr, clock_.get());
   }
@@ -108,12 +108,12 @@ Status SimFleet::ChurnAndReadmit(size_t churn_every) {
     if ((i % churn_every) != 0) {
       continue;
     }
-    // Close detaches the old session, so in-flight frames land in a dead
-    // inbox instead of reaching the fresh session that replaces it.
+    // Close detaches the old session, so in-flight frames are dropped
+    // instead of reaching the fresh session that replaces it.
     links_[i]->Close();
     sessions_[i] =
         net::TokenSession(tokens_[i].get(), &tuples_[i], /*packed=*/nullptr);
-    PDS_RETURN_IF_ERROR(ConnectToken(i, /*readmit=*/true, /*dropout=*/false));
+    PDS_RETURN_IF_ERROR(ConnectToken(i, /*readmit=*/true));
     ++churned_tokens_;
   }
   return Status::Ok();
@@ -123,15 +123,15 @@ SimFleet::MemoryStats SimFleet::Memory() const {
   MemoryStats m;
   const uint64_t n = config_.num_tokens;
   // Resident per-token structures: the token and its session, the link
-  // (the SSI's endpoint + shared state), the server session record, and
-  // the one copy of the workload tuples the session points at.
+  // (the SSI's endpoint + shared state), the server's lean session record,
+  // and the one copy of the workload tuples the session points at.
   // Deque/string internals are approximated by their header sizes — the
   // point is the scaling law, not byte-perfect malloc accounting;
   // vm_hwm_kb is the ground truth.
   const uint64_t per_token =
       sizeof(mcu::SecureToken) + sizeof(net::TokenSession) +
       sizeof(SimTransport) + 128 /* Link */ +
-      sizeof(net::SsiServer::Config) /* ~session record upper bound */ +
+      net::SsiServer::LeanSessionBytes() +
       config_.tuples_per_token * (sizeof(global::SourceTuple) + 16);
   m.bytes_estimate = n * per_token;
   m.bytes_per_token = n > 0 ? m.bytes_estimate / n : 0;

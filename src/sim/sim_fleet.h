@@ -31,18 +31,21 @@ struct SimFleetConfig {
   size_t tuples_per_token = 1;
   /// Tuples draw their group from "city-0".."city-<num_groups-1>".
   size_t num_groups = 5;
-  /// Master seed: workload generation, link realizations, and token RNGs
-  /// all derive from it, so one integer reproduces the entire fleet run.
+  /// Master seed: workload generation and every link realization (jitter,
+  /// loss) derive from it, and token RNGs from the token ids, so one
+  /// integer reproduces the entire fleet run.
   uint64_t seed = 55;
   LinkModel link;
+  /// Per-frame loss on every token's link once its handshake is done: a
+  /// FaultInjectingTransport drop on the SSI's end, in both directions.
+  double loss_rate = 0.0;
   double quorum = 1.0;
-  size_t partition_capacity = 4096;
   uint32_t deadline_ms = 2000;
   uint32_t max_retries = 2;
-  uint32_t backoff_ms = 5;
   /// Every Nth token (0 disables) sits behind a link whose SSI end drops
   /// every frame after the handshake, so it never answers a round — the
-  /// deterministic straggler population for quorum-sensitivity runs.
+  /// deterministic straggler population for quorum-sensitivity runs. A
+  /// dropout stays one across churn.
   size_t dropout_every = 0;
 };
 
@@ -97,9 +100,13 @@ class SimFleet {
 
  private:
   /// Starts token i's session on a fresh link and admits the link's SSI
-  /// end (AcceptSession, or ReadmitSession on churn), behind a
-  /// FaultInjectingTransport that drops every round request for a dropout.
-  [[nodiscard]] Status ConnectToken(size_t i, bool readmit, bool dropout);
+  /// end (AcceptSession, or ReadmitSession on churn), behind the
+  /// FaultInjectingTransport that realizes the link's loss, if it has any.
+  [[nodiscard]] Status ConnectToken(size_t i, bool readmit);
+  /// Token i sits behind a dropout link (SimFleetConfig::dropout_every).
+  [[nodiscard]] bool IsDropout(size_t i) const {
+    return config_.dropout_every > 0 && i % config_.dropout_every == 0;
+  }
 
   SimFleetConfig config_;
   std::unique_ptr<SimClock> clock_;

@@ -5,7 +5,6 @@
 #include <deque>
 #include <memory>
 #include <utility>
-#include <vector>
 
 #include "common/rng.h"
 #include "net/transport.h"
@@ -18,22 +17,20 @@ class TokenSession;
 
 /// SimTransport — the simulated wire.
 ///
-/// SimNet::CreatePair() hands out two connected net::Transport endpoints,
-/// exactly like InProcessTransport::CreatePair(), except delivery runs
-/// through the SimClock event queue under a LinkModel: Send draws loss and
-/// jitter from the net's single seeded RNG and schedules the frame's
-/// arrival; a blocking Recv *advances the event queue* until its frame
-/// lands or the (virtual) deadline passes. The error surface mirrors
+/// SimNet::ConnectSession() is the virtual-time twin of DirectTokenLink: it
+/// returns the SSI's end of a link whose far end is a net::TokenSession
+/// that answers each frame at the instant it lands, over the same modeled
+/// link. Delivery runs through the SimClock event queue under a LinkModel:
+/// Send draws jitter from the net's single seeded RNG and schedules the
+/// frame's arrival; a blocking Recv *advances the event queue* until its
+/// frame lands or the (virtual) deadline passes. The error surface mirrors
 /// InProcessTransport verbatim — IoError("transport closed") after close,
-/// ResourceExhausted("transport queue full") past max_queued,
-/// DeadlineExceeded("recv deadline exceeded") on timeout — so the protocol
-/// layer cannot tell the two apart on an ideal link.
-///
-/// SimNet::ConnectSession() is the virtual-time twin of DirectTokenLink: the
-/// far end of the link is a net::TokenSession that answers each frame at
-/// the instant it lands, over the same modeled link. Everything is
-/// single-threaded: the SSI end blocks in Recv and so drives the queue;
-/// token sessions only ever run from delivery events.
+/// ResourceExhausted("transport queue full") past InProcessTransport's
+/// default bound of undelivered frames, DeadlineExceeded("recv deadline
+/// exceeded") on timeout — so the protocol layer cannot tell the two apart
+/// on an ideal link. Everything is single-threaded: the SSI end blocks in
+/// Recv and so drives the queue; token sessions only ever run from
+/// delivery events.
 namespace pds::sim {
 
 class SimTransport;
@@ -44,48 +41,33 @@ class SimTransport;
 class SimNet {
  public:
   struct Stats {
-    uint64_t frames_sent = 0;       // accepted by Send (drawn upon)
-    uint64_t frames_delivered = 0;  // landed in an inbox
-    uint64_t frames_lost = 0;       // loss_rate casualties
-    uint64_t frames_partitioned = 0;
+    uint64_t frames_sent = 0;       // accepted by Send
+    uint64_t frames_delivered = 0;  // landed at the far end
     uint64_t bytes_delivered = 0;
-    /// ConnectSession tokens silenced by a fatal session error (or by a
-    /// reply the link refused).
+    /// Tokens silenced by a fatal session error (or by a reply the link
+    /// refused).
     uint64_t session_errors = 0;
   };
 
   SimNet(SimClock* clock, LinkModel model, uint64_t seed);
 
-  /// Two connected endpoints; each direction holds at most `max_queued`
-  /// undelivered frames (in flight + inbox) before Send returns
-  /// ResourceExhausted — the same bound InProcessTransport enforces.
-  [[nodiscard]] std::pair<std::unique_ptr<SimTransport>,
-                          std::unique_ptr<SimTransport>>
-  CreatePair(size_t max_queued = 1024);
-
   /// The SSI's end of a link whose token end is `session`, which answers
   /// every frame as it lands and sends its reply back over the link. A
   /// fatal session error (counted in Stats::session_errors), or Bye,
   /// silences the token end without closing the link: later frames land
-  /// unread, as on a stopped client. Close() detaches the session, so the
-  /// caller may destroy it then; until that, it must stay alive.
+  /// and are dropped, as on a stopped client. Close() detaches the
+  /// session, so the caller may destroy it then; until that, it must stay
+  /// alive.
   [[nodiscard]] std::unique_ptr<SimTransport> ConnectSession(
       net::TokenSession* session);
 
-  [[nodiscard]] SimClock* clock() { return clock_; }
-  [[nodiscard]] const LinkModel& model() const { return model_; }
-  /// Swaps the link model mid-scenario (e.g. a lossless build phase, then
-  /// loss during protocol rounds — the handshake has no retry machinery).
-  /// Part of the scripted scenario, so determinism is unaffected.
-  void set_model(LinkModel model) { model_ = std::move(model); }
   [[nodiscard]] const Stats& stats() const { return stats_; }
 
  private:
   friend class SimTransport;
 
-  /// One direction of a link: frames *for* endpoint `side`.
-  struct LinkDir {
-    std::deque<Bytes> inbox;
+  /// One direction of a link.
+  struct Pipe {
     size_t in_flight = 0;          // scheduled, not yet delivered
     uint64_t last_arrival_ns = 0;  // FIFO clamp for in-order delivery
     uint64_t next_free_ns = 0;     // bandwidth serialization horizon
@@ -93,18 +75,20 @@ class SimNet {
   struct Link {
     SimNet* net = nullptr;
     bool closed = false;
-    size_t max_queued = 1024;
-    LinkDir dirs[2];
-    /// ConnectSession's token end (side 1) while it still answers.
+    /// The token end while it still answers.
     net::TokenSession* session = nullptr;
+    Pipe to_token;
+    Pipe to_ssi;
+    /// Frames landed at the SSI's end, not yet read.
+    std::deque<Bytes> inbox;
   };
 
-  [[nodiscard]] Status SendFrom(const std::shared_ptr<Link>& link,
-                                int from_side, ByteView frame);
-  void Deliver(const std::shared_ptr<Link>& link, int to_side, Bytes frame);
-  /// Hands a frame that landed on side 1 to the link's session.
+  /// Puts `frame` on the link toward the token end or the SSI's end.
+  [[nodiscard]] Status Send(const std::shared_ptr<Link>& link, bool to_token,
+                            ByteView frame);
+  void Deliver(const std::shared_ptr<Link>& link, bool to_token, Bytes frame);
+  /// Hands a frame that landed on the token end to the link's session.
   void Answer(const std::shared_ptr<Link>& link, ByteView frame);
-  [[nodiscard]] bool InPartition(uint64_t t_ns) const;
 
   SimClock* clock_;
   LinkModel model_;
@@ -112,7 +96,7 @@ class SimNet {
   Stats stats_;
 };
 
-/// One endpoint of a simulated link. Recv drives the event queue until its
+/// The SSI's end of a simulated link. Recv drives the event queue until a
 /// frame lands or the virtual deadline passes.
 class SimTransport final : public net::Transport {
   /// Passkey: only SimNet can construct endpoints.
@@ -121,8 +105,8 @@ class SimTransport final : public net::Transport {
   };
 
  public:
-  SimTransport(Private, std::shared_ptr<SimNet::Link> link, int side)
-      : link_(std::move(link)), side_(side) {}
+  SimTransport(Private, std::shared_ptr<SimNet::Link> link)
+      : link_(std::move(link)) {}
 
   [[nodiscard]] Status Send(ByteView frame) override;
   [[nodiscard]] Result<Bytes> Recv(uint32_t deadline_ms) override;
@@ -133,7 +117,6 @@ class SimTransport final : public net::Transport {
   friend class SimNet;
 
   std::shared_ptr<SimNet::Link> link_;
-  int side_;  // we receive from dirs[side_], send to the other
 };
 
 }  // namespace pds::sim

@@ -1,8 +1,9 @@
 // Unit tests for the discrete-event simulation tier: SimClock ordering and
-// virtual time, SimTransport's InProcess-mirroring semantics under a
-// LinkModel, session links, and SimFleet driving the real SsiServer and
-// TokenSession protocol. The byte-identity anchor against the in-process
-// wire lives in sim_anchor_test.cc.
+// virtual time, the InProcess-mirroring semantics of ConnectSession links
+// under a LinkModel, and SimFleet driving the real SsiServer and
+// TokenSession protocol over ideal, lossy and dropout links. The
+// byte-identity anchor against the in-process wire lives in
+// sim_anchor_test.cc.
 
 #include <gtest/gtest.h>
 
@@ -21,8 +22,6 @@
 
 namespace pds::sim {
 namespace {
-
-Bytes Frame(std::initializer_list<uint8_t> b) { return Bytes(b); }
 
 TEST(SimClockTest, RunsEventsInTimeThenFifoOrder) {
   SimClock clock;
@@ -75,129 +74,146 @@ TEST(SimClockTest, PastSchedulesClampToNowAndSleepAdvances) {
   EXPECT_EQ(clock.NowNs(), 500u + 3u * 1000000u);
 }
 
-TEST(SimTransportTest, IdealLinkDeliversInstantlyInOrder) {
-  SimClock clock;
-  SimNet net(&clock, LinkModel{}, 1);
-  auto [a, b] = net.CreatePair();
-  ASSERT_TRUE(a->Send(Frame({1, 2, 3})).ok());
-  ASSERT_TRUE(a->Send(Frame({4, 5})).ok());
+/// One token behind a ConnectSession link; the test holds the SSI's end,
+/// as SsiServer does.
+struct SessionLink {
+  explicit SessionLink(LinkModel model = LinkModel{})
+      : net(&clock, model, 1),
+        token(TokenConfig()),
+        session(&token, &tuples, /*packed=*/nullptr),
+        ssi(net.ConnectSession(&session)) {}
 
-  auto r1 = b->Recv(100);
-  auto r2 = b->Recv(100);
+  static mcu::SecureToken::Config TokenConfig() {
+    mcu::SecureToken::Config tcfg;
+    tcfg.token_id = 7;
+    tcfg.fleet_key = crypto::KeyFromString("sim-session");
+    return tcfg;
+  }
+
+  SimClock clock;
+  SimNet net;
+  mcu::SecureToken token;
+  const std::vector<global::SourceTuple> tuples = {{"city-0", 1.0}};
+  net::TokenSession session;
+  std::unique_ptr<SimTransport> ssi;
+};
+
+Bytes Challenge() {
+  net::ChallengeMsg challenge;
+  challenge.nonce.assign(16, 0x5a);
+  return net::EncodeMessage({challenge, {}, false});
+}
+
+Bytes Ack() {
+  net::HelloAckMsg ack;
+  ack.accepted = true;
+  return net::EncodeMessage({ack, {}, false});
+}
+
+Bytes Collect(uint32_t round_id) {
+  net::RoundRequestMsg request;
+  request.header.round_id = round_id;
+  return net::EncodeMessage({request, {}, false});
+}
+
+TEST(SimTransportTest, IdealLinkDeliversInstantlyInOrder) {
+  SessionLink link;
+  ASSERT_TRUE(link.ssi->Send(Challenge()).ok());
+  ASSERT_TRUE(link.ssi->Recv(100).ok());  // the hello
+  ASSERT_TRUE(link.ssi->Send(Ack()).ok());
+  ASSERT_TRUE(link.ssi->Send(Collect(1)).ok());
+  ASSERT_TRUE(link.ssi->Send(Collect(2)).ok());
+
+  auto r1 = link.ssi->Recv(100);
+  auto r2 = link.ssi->Recv(100);
   ASSERT_TRUE(r1.ok());
   ASSERT_TRUE(r2.ok());
-  EXPECT_EQ(r1.value(), Frame({1, 2, 3}));
-  EXPECT_EQ(r2.value(), Frame({4, 5}));
-  EXPECT_EQ(clock.NowNs(), 0u);  // zero latency: no virtual time passed
-  EXPECT_EQ(b->frames_received(), 2u);
-  EXPECT_EQ(a->bytes_sent(), 5u);
-  EXPECT_EQ(net.stats().frames_delivered, 2u);
+  auto b1 = net::DecodeAs<net::TupleBatchMsg>(r1.value());
+  auto b2 = net::DecodeAs<net::TupleBatchMsg>(r2.value());
+  ASSERT_TRUE(b1.ok() && b2.ok());
+  EXPECT_EQ(b1->round_id, 1u);
+  EXPECT_EQ(b2->round_id, 2u);
+  EXPECT_EQ(link.clock.NowNs(), 0u);  // zero latency: no virtual time passed
+  EXPECT_EQ(link.ssi->frames_received(), 3u);
+  EXPECT_EQ(link.ssi->bytes_sent(),
+            Challenge().size() + Ack().size() + 2 * Collect(1).size());
+  EXPECT_EQ(link.net.stats().frames_delivered, 7u);
 }
 
 TEST(SimTransportTest, ErrorSurfaceMirrorsInProcessTransport) {
-  SimClock clock;
-  SimNet net(&clock, LinkModel{}, 1);
-  auto [a, b] = net.CreatePair(/*max_queued=*/2);
+  SessionLink link;
 
   // Deadline with nothing in flight: virtual time jumps to the deadline.
-  auto timeout = b->Recv(50);
+  auto timeout = link.ssi->Recv(50);
   ASSERT_FALSE(timeout.ok());
   EXPECT_EQ(timeout.status().ToString(),
             Status::DeadlineExceeded("recv deadline exceeded").ToString());
-  EXPECT_EQ(clock.NowNs(), 50u * 1000000u);
+  EXPECT_EQ(link.clock.NowNs(), 50u * 1000000u);
 
-  // Queue bound counts in-flight + inbox, like InProcess's max_queued.
-  ASSERT_TRUE(a->Send(Frame({1})).ok());
-  ASSERT_TRUE(a->Send(Frame({2})).ok());
-  auto full = a->Send(Frame({3}));
+  // Queue bound: 1024 undelivered frames a direction, InProcessTransport's
+  // default max_queued.
+  for (int i = 0; i < 1024; ++i) {
+    ASSERT_TRUE(link.ssi->Send(Challenge()).ok());
+  }
+  auto full = link.ssi->Send(Challenge());
   ASSERT_FALSE(full.ok());
   EXPECT_EQ(full.ToString(),
             Status::ResourceExhausted("transport queue full").ToString());
 
+  // The first challenge is answered and the second, where the session
+  // awaits an ack, silences it. The frames that land after that are
+  // dropped, so they hold no room against the bound.
+  link.clock.AdvanceTo(link.clock.NowNs());
+  EXPECT_EQ(link.net.stats().session_errors, 1u);
+  for (int i = 0; i < 1024; ++i) {
+    ASSERT_TRUE(link.ssi->Send(Challenge()).ok());
+  }
+  link.clock.AdvanceTo(link.clock.NowNs());
+
   // Queued frames survive close and stay poppable; sends and empty recvs
   // fail with IoError, exactly as InProcess behaves.
-  ASSERT_TRUE(b->Recv(10).ok());  // deliver both, pop one
-  a->Close();
-  EXPECT_TRUE(b->closed());
-  EXPECT_TRUE(b->Recv(0).ok());  // pop-after-close
-  auto closed_recv = b->Recv(10);
+  link.ssi->Close();
+  EXPECT_TRUE(link.ssi->closed());
+  auto hello = link.ssi->Recv(0);  // pop-after-close
+  ASSERT_TRUE(hello.ok());
+  EXPECT_TRUE(net::DecodeAs<net::HelloMsg>(hello.value()).ok());
+  auto closed_recv = link.ssi->Recv(10);
   ASSERT_FALSE(closed_recv.ok());
   EXPECT_EQ(closed_recv.status().ToString(),
             Status::IoError("transport closed").ToString());
-  EXPECT_EQ(a->Send(Frame({9})).ToString(),
+  EXPECT_EQ(link.ssi->Send(Challenge()).ToString(),
             Status::IoError("transport closed").ToString());
 }
 
 TEST(SimTransportTest, LatencyBandwidthAndDeadlines) {
   LinkModel model;
   model.base_latency_us = 1000;                // 1 ms each way
-  model.bandwidth_bytes_per_sec = 1000 * 1000; // 1 MB/s: 100 B = 100 µs
-  SimClock clock;
-  SimNet net(&clock, model, 1);
-  auto [a, b] = net.CreatePair();
+  model.bandwidth_bytes_per_sec = 1000 * 1000; // 1 MB/s: 1 B = 1 µs
+  SessionLink link(model);
 
-  Bytes big(100, 0xab);
-  ASSERT_TRUE(a->Send(big).ok());
-  // Too early: the frame is still in flight at 0.5 ms.
-  ASSERT_FALSE(b->Recv(0).ok());
-  auto r = b->Recv(10);
-  ASSERT_TRUE(r.ok());
-  EXPECT_EQ(r.value().size(), 100u);
-  // Arrival = serialization (100 µs) + base latency (1 ms).
-  EXPECT_EQ(clock.NowNs(), (100u + 1000u) * 1000u);
+  const Bytes challenge = Challenge();
+  ASSERT_TRUE(link.ssi->Send(challenge).ok());
+  // Too early: nothing has come back at time 0.
+  ASSERT_FALSE(link.ssi->Recv(0).ok());
+  auto hello = link.ssi->Recv(10);
+  ASSERT_TRUE(hello.ok());
+  // Each way: serialization (1 µs a byte) plus base latency (1 ms).
+  uint64_t expect_us = challenge.size() + 1000 + hello->size() + 1000;
+  EXPECT_EQ(link.clock.NowNs(), expect_us * 1000u);
 
-  // A deadline shorter than the latency must expire without the frame.
-  ASSERT_TRUE(a->Send(big).ok());
-  auto miss = b->Recv(1);  // 1 ms < 1.1 ms arrival
+  // The ack holds the link until it is serialized, so the request behind
+  // it leaves later; a deadline shorter than the reply's arrival expires
+  // without it.
+  const Bytes ack = Ack();
+  const Bytes collect = Collect(1);
+  ASSERT_TRUE(link.ssi->Send(ack).ok());
+  ASSERT_TRUE(link.ssi->Send(collect).ok());
+  auto miss = link.ssi->Recv(1);  // 1 ms < arrival
   ASSERT_FALSE(miss.ok());
-  auto hit = b->Recv(10);
-  EXPECT_TRUE(hit.ok());
-}
-
-TEST(SimTransportTest, LossAndPartitionCounts) {
-  LinkModel model;
-  model.loss_rate = 1.0;
-  SimClock clock;
-  SimNet net(&clock, model, 7);
-  auto [a, b] = net.CreatePair();
-  ASSERT_TRUE(a->Send(Frame({1})).ok());  // accepted, then lost
-  ASSERT_FALSE(b->Recv(5).ok());
-  EXPECT_EQ(net.stats().frames_sent, 1u);
-  EXPECT_EQ(net.stats().frames_lost, 1u);
-  EXPECT_EQ(net.stats().frames_delivered, 0u);
-
-  LinkModel part;
-  part.partitions.push_back({0, 2000000});  // [0, 2ms) outage
-  SimClock clock2;
-  SimNet net2(&clock2, part, 7);
-  auto [c, d] = net2.CreatePair();
-  ASSERT_TRUE(c->Send(Frame({1})).ok());  // inside the window: lost
-  ASSERT_FALSE(d->Recv(5).ok());          // advances past the window
-  ASSERT_TRUE(c->Send(Frame({2})).ok());  // after the window: delivered
-  auto r = d->Recv(5);
-  ASSERT_TRUE(r.ok());
-  EXPECT_EQ(r.value(), Frame({2}));
-  EXPECT_EQ(net2.stats().frames_partitioned, 1u);
-  EXPECT_EQ(net2.stats().frames_delivered, 1u);
-}
-
-TEST(SimTransportTest, SameSeedRealizesSameLossPattern) {
-  LinkModel model;
-  model.loss_rate = 0.4;
-  auto run = [&](uint64_t seed) {
-    SimClock clock;
-    SimNet net(&clock, model, seed);
-    auto [a, b] = net.CreatePair(4096);
-    std::vector<bool> delivered;
-    delivered.reserve(200);
-    for (int i = 0; i < 200; ++i) {
-      EXPECT_TRUE(a->Send(Frame({static_cast<uint8_t>(i)})).ok());
-      delivered.push_back(b->Recv(1).ok());
-    }
-    return delivered;
-  };
-  EXPECT_EQ(run(11), run(11));
-  EXPECT_NE(run(11), run(12));
+  auto reply = link.ssi->Recv(10);
+  ASSERT_TRUE(reply.ok());
+  expect_us += ack.size() + collect.size() + 1000 + reply->size() + 1000;
+  EXPECT_EQ(link.clock.NowNs(), expect_us * 1000u);
 }
 
 TEST(SimTransportTest, SessionLinkAnswersWhereFramesLand) {
@@ -205,49 +221,47 @@ TEST(SimTransportTest, SessionLinkAnswersWhereFramesLand) {
   // challenge the instant it lands, back over the same 1 ms link.
   LinkModel model;
   model.base_latency_us = 1000;
-  SimClock clock;
-  SimNet net(&clock, model, 1);
-  mcu::SecureToken::Config tcfg;
-  tcfg.token_id = 7;
-  tcfg.fleet_key = crypto::KeyFromString("sim-session");
-  mcu::SecureToken token(tcfg);
-  const std::vector<global::SourceTuple> tuples = {{"city-0", 1.0}};
-  net::TokenSession session(&token, &tuples, /*packed=*/nullptr);
-  std::unique_ptr<SimTransport> ssi = net.ConnectSession(&session);
-
-  net::ChallengeMsg challenge;
-  challenge.nonce.assign(16, 0x5a);
-  ASSERT_TRUE(ssi->Send(net::EncodeMessage({challenge, {}, false})).ok());
-  auto hello = ssi->Recv(100);
+  SessionLink link(model);
+  ASSERT_TRUE(link.ssi->Send(Challenge()).ok());
+  auto hello = link.ssi->Recv(100);
   ASSERT_TRUE(hello.ok()) << hello.status().ToString();
   EXPECT_TRUE(net::DecodeAs<net::HelloMsg>(hello.value()).ok());
-  EXPECT_EQ(clock.NowNs(), 2u * 1000000u);
-  EXPECT_EQ(net.stats().session_errors, 0u);
+  EXPECT_EQ(link.clock.NowNs(), 2u * 1000000u);
+  EXPECT_EQ(link.net.stats().session_errors, 0u);
 
   // Garbage before the handshake completes is fatal to the session: no
   // reply, one session error, and the link stays open.
-  ASSERT_TRUE(ssi->Send(Frame({0xde, 0xad, 0xbe, 0xef})).ok());
-  auto silence = ssi->Recv(100);
+  ASSERT_TRUE(link.ssi->Send(Bytes{0xde, 0xad, 0xbe, 0xef}).ok());
+  auto silence = link.ssi->Recv(100);
   ASSERT_FALSE(silence.ok());
   EXPECT_EQ(silence.status().code(), StatusCode::kDeadlineExceeded);
-  EXPECT_EQ(net.stats().session_errors, 1u);
-  EXPECT_FALSE(ssi->closed());
+  EXPECT_EQ(link.net.stats().session_errors, 1u);
+  EXPECT_FALSE(link.ssi->closed());
   // The silenced token end reads no further frame.
-  ASSERT_TRUE(ssi->Send(net::EncodeMessage({challenge, {}, false})).ok());
-  EXPECT_FALSE(ssi->Recv(100).ok());
-  EXPECT_EQ(net.stats().session_errors, 1u);
+  ASSERT_TRUE(link.ssi->Send(Challenge()).ok());
+  EXPECT_FALSE(link.ssi->Recv(100).ok());
+  EXPECT_EQ(link.net.stats().session_errors, 1u);
 
   // Close() detaches the session, so its owner may destroy it while a
   // frame is still in flight: the frame lands unread (ASan checks this).
-  auto churned = std::make_unique<net::TokenSession>(&token, &tuples,
-                                                     /*packed=*/nullptr);
-  std::unique_ptr<SimTransport> link = net.ConnectSession(churned.get());
-  ASSERT_TRUE(link->Send(net::EncodeMessage({challenge, {}, false})).ok());
-  link->Close();
+  auto churned = std::make_unique<net::TokenSession>(
+      &link.token, &link.tuples, /*packed=*/nullptr);
+  std::unique_ptr<SimTransport> gone = link.net.ConnectSession(churned.get());
+  ASSERT_TRUE(gone->Send(Challenge()).ok());
+  gone->Close();
   churned.reset();
-  clock.AdvanceTo(clock.NowNs() + 5u * 1000000u);
-  EXPECT_EQ(net.stats().frames_delivered, 5u);
-  EXPECT_EQ(net.stats().frames_sent, 5u);  // no hello came back
+  link.clock.AdvanceTo(link.clock.NowNs() + 5u * 1000000u);
+  EXPECT_EQ(link.net.stats().frames_delivered, 5u);
+  EXPECT_EQ(link.net.stats().frames_sent, 5u);  // no hello came back
+
+  // A reply already on the wire when the link closes still lands, and the
+  // link reports closed only once it was read.
+  SessionLink late(model);
+  ASSERT_TRUE(late.ssi->Send(Challenge()).ok());
+  late.clock.AdvanceTo(1000000u);  // the challenge lands, the hello leaves
+  late.ssi->Close();
+  EXPECT_TRUE(late.ssi->Recv(10).ok());
+  EXPECT_FALSE(late.ssi->Recv(10).ok());
 }
 
 TEST(SimFleetTest, GroupByRoundOverRealProtocolStack) {
@@ -297,6 +311,50 @@ TEST(SimFleetTest, DropoutsDegradeToQuorum) {
     EXPECT_EQ(lenient.server().last_report().responders, 16u);
     EXPECT_EQ(lenient.server().last_report().missing_tokens, 4u);
   }
+}
+
+TEST(SimFleetTest, ChurnedDropoutsStayDropouts) {
+  SimFleetConfig cfg;
+  cfg.num_tokens = 20;
+  cfg.dropout_every = 5;
+  cfg.deadline_ms = 50;
+  cfg.max_retries = 1;
+  cfg.quorum = 0.75;
+  SimFleet fleet(cfg);
+  ASSERT_TRUE(fleet.Build().ok());
+  ASSERT_TRUE(fleet.RunSecureAggregation(global::AggFunc::kSum).ok());
+  EXPECT_EQ(fleet.server().last_report().responders, 16u);
+
+  // Churn readmits exactly the dropouts; their links drop rounds again.
+  ASSERT_TRUE(fleet.ChurnAndReadmit(5).ok());
+  EXPECT_EQ(fleet.churned_tokens(), 4u);
+  auto out = fleet.RunSecureAggregation(global::AggFunc::kSum);
+  ASSERT_TRUE(out.ok()) << out.status().ToString();
+  EXPECT_EQ(fleet.server().last_report().responders, 16u);
+  EXPECT_EQ(fleet.server().last_report().missing_tokens, 4u);
+}
+
+TEST(SimFleetTest, SameSeedRealizesSameLossPattern) {
+  SimFleetConfig cfg;
+  cfg.num_tokens = 40;
+  cfg.loss_rate = 0.2;
+  cfg.deadline_ms = 50;
+  cfg.quorum = 0.5;
+  auto run = [&](uint64_t seed) {
+    cfg.seed = seed;
+    SimFleet fleet(cfg);
+    EXPECT_TRUE(fleet.Build().ok());  // the handshake is spared
+    EXPECT_TRUE(fleet.RunSecureAggregation(global::AggFunc::kSum).ok());
+    const auto& report = fleet.server().last_report();
+    return std::vector<uint64_t>{report.responders, report.retries,
+                                 report.deadline_hits,
+                                 fleet.net().stats().frames_sent,
+                                 fleet.clock().NowNs()};
+  };
+  const std::vector<uint64_t> first = run(11);
+  EXPECT_GT(first[1], 0u);  // the loss engaged: the SSI retried
+  EXPECT_EQ(first, run(11));
+  EXPECT_NE(first, run(12));
 }
 
 TEST(SimFleetTest, ChurnedTokensReadmitAndNextRoundRunsFullStrength) {

@@ -256,6 +256,8 @@ CASES = [
      "repeated seeded runs were not identical"),
     ("BENCH_sim.json", lambda d: d["determinism"].update(runs=1),
      "needs at least 2 runs"),
+    ("BENCH_sim.json", lambda d: d["determinism"].update(retries=0),
+     "the lossy probe never retried"),
     ("BENCH_sim.json", lambda d: d.pop("determinism"),
      "'determinism' missing or not an object"),
     ("BENCH_sim.json", one_sweep_size, "fleet sizes covered, need >= 2"),
