@@ -1,8 +1,8 @@
 // One [TNP14] fleet run as net_bench and sim_bench record it: the fields
 // BENCH_net.json and BENCH_sim.json share, distilled from the SSI in one
 // place and written in one JSON layout. A driver sets the run's identity
-// (section, fleet size, quorum, dropped tokens, frames), calls Distill once
-// the run returns, and appends its own fields after WriteFields.
+// (section, fleet size, quorum, dropped tokens), calls Distill once the run
+// returns, and appends its own fields after WriteFields.
 
 #ifndef PDS_BENCH_FLEET_RECORD_H_
 #define PDS_BENCH_FLEET_RECORD_H_
@@ -50,9 +50,10 @@ struct FleetRecord {
 
   /// Fills the outcome of a finished run: responders, missing tokens,
   /// retries and deadline hits from the SSI's last_report(), percentiles
-  /// from its rtt_histogram(), groups/rounds/bytes from `out`, and the
-  /// throughput of `tuples` over `wall_ms`. Returns false when the
-  /// directional wire bytes do not sum to the total.
+  /// from its rtt_histogram(), groups/rounds/bytes/frames from `out` (0
+  /// for a failed run), and the throughput of `tuples` over `wall_ms`.
+  /// Returns false when the directional wire bytes do not sum to the
+  /// total.
   [[nodiscard]] bool Distill(const net::SsiServer& server,
                              const Result<global::AggOutput>& out,
                              uint64_t run_tuples, double run_wall_ms) {
@@ -78,6 +79,7 @@ struct FleetRecord {
     bytes = out->metrics.bytes;
     bytes_token_to_ssi = out->metrics.bytes_token_to_ssi;
     bytes_ssi_to_token = out->metrics.bytes_ssi_to_token;
+    frames = out->metrics.messages;
     if (wall_ms > 0) {
       tuples_per_sec = static_cast<double>(tuples) / (wall_ms / 1000.0);
     }

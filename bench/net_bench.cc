@@ -163,20 +163,15 @@ int RunScenario(const Scenario& sc, RunRecord* rec) {
   auto output = server.RunSecureAggregation(AggFunc::kSum);
   auto t1 = std::chrono::steady_clock::now();
 
-  // Join the clients and count their frames before Shutdown. A client
-  // counts a reply only after the SSI can read it, and whether it reads the
-  // farewell Bye is a race, so any other count moves by one between runs.
+  server.Shutdown();
   for (auto& c : clients) {
     c->Stop();
   }
-  pds::bench::FleetRecord& run = rec->run;
   for (auto& c : clients) {
     (void)c->Join();  // a stopped serve loop exits within its poll interval
-    run.frames += c->transport().frames_sent();
-    run.frames += c->transport().frames_received();
   }
-  server.Shutdown();
 
+  pds::bench::FleetRecord& run = rec->run;
   rec->transport = sc.transport;
   run.section = sc.section;
   run.fleet_size = sc.fleet_size;

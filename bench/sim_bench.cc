@@ -103,7 +103,6 @@ int Distill(SimFleet* fleet, const pds::Result<pds::global::AggOutput>& out,
   run.fleet_size = fleet->config().num_tokens;
   run.quorum = fleet->config().quorum;
   run.dropped_tokens = fleet->dropped_tokens();
-  run.frames = fleet->net().stats().frames_delivered;
   if (!run.Distill(fleet->server(), out, fleet->total_tuples(), wall_ms)) {
     return Fail("directional wire bytes do not sum to total bytes");
   }

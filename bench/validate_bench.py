@@ -33,7 +33,10 @@ list must be non-empty.
       distinct tails (p50 < p999) at >= 200 samples; the quorum section
       fails at quorum 1.0 with a dropped token and completes with a
       recorded shortfall below 1.0. Then per file:
-    net: the sweep covers every transport; fault_scenarios as below.
+    net: the sweep covers every transport, and at each fleet size the
+      transports' records agree on every field but the transport and the
+      measured fields --compare names, so every transport moved the same
+      frames; fault_scenarios as below.
     sim: sweeps run at full strength on virtual time (sim_ms > 0), report
       a linear sizeof estimate and a measured mem_rss_bytes_per_token > 0,
       cover >= min_sweep_sizes fleet sizes; a churn record re-admits
@@ -279,12 +282,28 @@ def check_fault_scenarios(doc, schema, problems):
 
 def check_net(doc, schema, problems):
     spec = schema["net"]
-    transports = {rec.get("transport")
-                  for _, rec in check_fleet_runs(doc, spec, schema, problems)
-                  if rec.get("section") == "sweep"}
+    measured = schema["compare"]["measured_fields"]
+    sweep = {}  # fleet size -> transport -> (where, record)
+    for where, rec in check_fleet_runs(doc, spec, schema, problems):
+        if rec.get("section") == "sweep":
+            sweep.setdefault(rec.get("fleet_size"), {})[
+                rec.get("transport")] = (where, rec)
     for transport in spec["sweep_transports"]:
-        if transport not in transports:
+        if not any(transport in runs for runs in sweep.values()):
             problems.append(f"sweep: no records for transport '{transport}'")
+    for size, runs in sweep.items():
+        (first, (_, base)), *others = runs.items()
+        for transport, (where, rec) in others:
+            for key in sorted(base.keys() | rec.keys()):
+                if key == "transport" or any(
+                        fnmatch.fnmatchcase(key, pattern)
+                        for pattern in measured):
+                    continue
+                if rec.get(key) != base.get(key):
+                    problems.append(
+                        f"{where}: {transport} and {first} disagree on "
+                        f"'{key}' at fleet size {size} ({rec.get(key)!r} "
+                        f"vs {base.get(key)!r})")
     check_fault_scenarios(doc, schema, problems)
 
 

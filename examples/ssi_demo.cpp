@@ -130,15 +130,12 @@ int main() {
   // 4. Run the secure aggregation over the real wire.
   auto output = server.RunSecureAggregation(pds::global::AggFunc::kSum);
   server.Shutdown();
-  uint64_t client_frames = 0;
   for (auto& c : clients) {
     c->Stop();
     if (!c->Join().ok()) {
       std::fprintf(stderr, "client exited uncleanly\n");
       return 1;
     }
-    client_frames += c->transport().frames_sent() +
-                     c->transport().frames_received();
   }
   if (!output.ok()) {
     std::fprintf(stderr, "RunSecureAggregation: %s\n",
@@ -159,8 +156,8 @@ int main() {
               static_cast<unsigned long long>(m.bytes_token_to_ssi));
   std::printf("  bytes SSI->token     %llu\n",
               static_cast<unsigned long long>(m.bytes_ssi_to_token));
-  std::printf("  frames (client side) %llu\n",
-              static_cast<unsigned long long>(client_frames));
+  std::printf("  frames               %llu\n",
+              static_cast<unsigned long long>(m.messages));
   std::printf("  responders           %zu/%zu, %llu retries, %llu timeouts\n",
               report.responders, report.sessions,
               static_cast<unsigned long long>(report.retries),

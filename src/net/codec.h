@@ -197,7 +197,7 @@ struct StatsReplyMsg {
 
 /// Distributed-trace context carried by traced frames: the sender's span
 /// id that receiver-side spans should parent under. A sender attaches it
-/// only to sampled operations, so its presence is the sampling decision.
+/// only to operations it traces.
 /// Trace ids must come from the *non-secret* RNG — the block travels in
 /// cleartext, and EncodeMessage is a secret-flow sink.
 struct TraceContext {

@@ -11,7 +11,6 @@ Status DirectTokenLink::Send(ByteView frame) {
   if (parked_.has_value()) {
     return Status::ResourceExhausted("previous reply not yet received");
   }
-  CountSent(frame.size());
   auto out = session_.OnFrame(frame);
   if (!out.ok()) {
     failure_ = out.status();  // the token gave up on the session
@@ -35,7 +34,6 @@ Result<Bytes> DirectTokenLink::Recv(uint32_t /*deadline_ms*/) {
   }
   Bytes frame = std::move(*parked_);
   parked_.reset();
-  CountReceived(frame.size());
   return frame;
 }
 

@@ -157,9 +157,7 @@ FaultInjectingTransport::Verdict FaultInjectingTransport::MutateFrame(
 Status FaultInjectingTransport::Send(ByteView frame) {
   const uint64_t index = send_index_++;
   if (!plan_.has_faults() || index < plan_.skip_first) {
-    Status s = inner_->Send(frame);
-    if (s.ok()) CountSent(frame.size());
-    return s;
+    return inner_->Send(frame);
   }
   Bytes mutated = frame.ToBytes();
   bool duplicate = false;
@@ -167,9 +165,7 @@ Status FaultInjectingTransport::Send(ByteView frame) {
   if (verdict == Verdict::kHold) {
     if (has_held_send_) {
       // Two holds in a row: release the older one first to bound memory.
-      Status s = inner_->Send(held_send_);
-      if (!s.ok()) return s;
-      CountSent(held_send_.size());
+      PDS_RETURN_IF_ERROR(inner_->Send(held_send_));
     }
     held_send_ = std::move(mutated);
     has_held_send_ = true;
@@ -179,21 +175,15 @@ Status FaultInjectingTransport::Send(ByteView frame) {
     // The caller sees success — that is the whole point of a lossy link.
     return Status::Ok();
   }
-  Status s = inner_->Send(mutated);
-  if (!s.ok()) return s;
-  CountSent(mutated.size());
+  PDS_RETURN_IF_ERROR(inner_->Send(mutated));
   if (duplicate) {
-    Status s2 = inner_->Send(mutated);
-    if (!s2.ok()) return s2;
-    CountSent(mutated.size());
+    PDS_RETURN_IF_ERROR(inner_->Send(mutated));
     Log(index, FaultKind::kDuplicate, "send", "");
   }
   if (has_held_send_) {
     Bytes held = std::move(held_send_);
     has_held_send_ = false;
-    Status s3 = inner_->Send(held);
-    if (!s3.ok()) return s3;
-    CountSent(held.size());
+    return inner_->Send(held);
   }
   return Status::Ok();
 }
@@ -212,9 +202,7 @@ Result<Bytes> FaultInjectingTransport::Recv(uint32_t deadline_ms) {
 
 Result<Bytes> FaultInjectingTransport::RecvFrame(uint32_t deadline_ms) {
   if (!plan_.has_faults()) {
-    Result<Bytes> got = inner_->Recv(deadline_ms);
-    if (got.ok()) CountReceived(got.value().size());
-    return got;
+    return inner_->Recv(deadline_ms);
   }
   if (held_recv_due_) {
     return ReleaseHeldRecv();
@@ -232,7 +220,6 @@ Result<Bytes> FaultInjectingTransport::RecvFrame(uint32_t deadline_ms) {
     uint64_t index = recv_index_++;
     Bytes frame = std::move(got.value());
     if (send_index_ < plan_.skip_first) {
-      CountReceived(frame.size());
       return frame;
     }
     bool duplicate = false;
@@ -257,7 +244,6 @@ Result<Bytes> FaultInjectingTransport::RecvFrame(uint32_t deadline_ms) {
       held_recv_due_ = true;
       Log(index, FaultKind::kDuplicate, "recv", "");
     }
-    CountReceived(frame.size());
     return frame;
   }
 }
@@ -265,9 +251,7 @@ Result<Bytes> FaultInjectingTransport::RecvFrame(uint32_t deadline_ms) {
 Bytes FaultInjectingTransport::ReleaseHeldRecv() {
   has_held_recv_ = false;
   held_recv_due_ = false;
-  Bytes held = std::move(held_recv_);
-  CountReceived(held.size());
-  return held;
+  return std::move(held_recv_);
 }
 
 void FaultInjectingTransport::Close() {

@@ -1,5 +1,6 @@
 #include "net/scenario.h"
 
+#include <algorithm>
 #include <memory>
 #include <sstream>
 #include <utility>
@@ -48,7 +49,7 @@ MakePair(bool use_socket) {
         std::unique_ptr<Transport>(std::move(pair.first)),
         std::unique_ptr<Transport>(std::move(pair.second)));
   }
-  auto pair = InProcessTransport::CreatePair(/*max_queued=*/1024);
+  auto pair = InProcessTransport::CreatePair();
   return std::make_pair(std::unique_ptr<Transport>(std::move(pair.first)),
                         std::unique_ptr<Transport>(std::move(pair.second)));
 }
@@ -127,16 +128,20 @@ Result<std::string> Probe(Transport* link, const Bytes& frame,
   return verdict + err->message;
 }
 
-/// The hostile-frame probe `action` on `link`, session 0's SSI end, after
-/// the run. The stale-round probe re-sends round 1, the collect request
-/// every session answers first; it has nothing stale to replay unless the
-/// session answered a later round too (beyond the hello and the collect
-/// reply, its link received another frame).
-Result<std::string> RunProbe(AdversaryAction action, Transport* link,
+/// The hostile-frame probe `action` on `link`, the tap on session 0's SSI
+/// end, after the run. The stale-round probe re-sends round 1, the collect
+/// request every session answers first; it has nothing stale to replay
+/// unless the session answered a later round too (beyond the hello and the
+/// collect reply, the tap saw another frame come in).
+Result<std::string> RunProbe(AdversaryAction action, FrameTap* link,
                              uint32_t deadline_ms, bool checksummed) {
   switch (action) {
     case AdversaryAction::kReplayStaleRound: {
-      if (link->frames_received() < 3) {
+      const std::vector<FrameTap::Entry>& seen = link->entries();
+      const auto received =
+          std::count_if(seen.begin(), seen.end(),
+                        [](const FrameTap::Entry& e) { return !e.outbound; });
+      if (received < 3) {
         return Status::FailedPrecondition(
             "session 0 answered no round after its collect round; there is "
             "no stale round to replay");
@@ -233,10 +238,10 @@ Result<ScenarioResult> RunScenarioCell(const ScenarioSpec& spec) {
   scfg.verifier = spec.verifier;
   scfg.checksum_frames = damaging_link;
   SsiServer server(scfg);
-  // Session 0's link, SSI end (owned by the server): the hostile frames go
-  // out on it after the run. A readmission would replace it, so it is read
-  // before the churn step.
-  Transport* ssi0 = nullptr;
+  // In probe cells, the tap on session 0's SSI end (owned by the server):
+  // the hostile frames go out on it after the run. A readmission would
+  // replace it, so it is read before the churn step.
+  FrameTap* tap0 = nullptr;
 
   std::vector<std::unique_ptr<TokenClient>> clients;
   clients.reserve(spec.participants.size());
@@ -275,7 +280,11 @@ Result<ScenarioResult> RunScenarioCell(const ScenarioSpec& spec) {
       ssi_end = std::make_unique<FaultInjectingTransport>(std::move(ssi_end),
                                                           link, &link_log);
     }
-    if (i == 0) ssi0 = ssi_end.get();
+    if (i == 0 && IsProbeAction(spec.adversary.action)) {
+      auto tap = std::make_unique<FrameTap>(std::move(ssi_end));
+      tap0 = tap.get();
+      ssi_end = std::move(tap);
+    }
     auto idx = server.AcceptSession(std::move(ssi_end));
     if (!idx.ok()) {
       shutdown();
@@ -375,7 +384,7 @@ Result<ScenarioResult> RunScenarioCell(const ScenarioSpec& spec) {
   // --- Adversarial probes (attack the session protocol directly) ----------
   if (IsProbeAction(spec.adversary.action) && res.ran_ok) {
     Result<std::string> probe =
-        RunProbe(spec.adversary.action, ssi0, deadline, damaging_link);
+        RunProbe(spec.adversary.action, tap0, deadline, damaging_link);
     res.detected = probe.ok();
     res.detection = probe.ok() ? probe.value() : probe.status().ToString();
   }

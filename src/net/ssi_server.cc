@@ -80,7 +80,6 @@ struct NetObs {
   obs::Counter* protocol_rounds;
   obs::Counter* token_to_ssi_bytes;
   obs::Counter* ssi_to_token_bytes;
-  obs::Counter* messages;
   obs::Counter* token_crypto_ops;
   obs::Counter* ssi_ops;
 };
@@ -100,7 +99,6 @@ const NetObs& NetHooks() {
                   reg.GetCounter("protocol.rounds", "ops"),
                   reg.GetCounter("wire.token_to_ssi_bytes", "bytes"),
                   reg.GetCounter("wire.ssi_to_token_bytes", "bytes"),
-                  reg.GetCounter("wire.messages", "ops"),
                   reg.GetCounter("protocol.token_crypto_ops", "ops"),
                   reg.GetCounter("protocol.ssi_ops", "ops")};
   }();
@@ -195,8 +193,7 @@ SsiServer::RoundSlots::~RoundSlots() {
     if (c.sent.frames == 0) {
       continue;  // nothing went out, so nothing happened on this session
     }
-    const uint64_t frames = c.sent.frames + c.received.frames;
-    metrics_->messages += frames;
+    metrics_->messages += c.sent.frames + c.received.frames;
     metrics_->bytes += c.sent.bytes + c.received.bytes;
     metrics_->bytes_ssi_to_token += c.sent.bytes;
     metrics_->bytes_token_to_ssi += c.received.bytes;
@@ -214,7 +211,6 @@ SsiServer::RoundSlots::~RoundSlots() {
     hooks.retries->Add(c.retries);
     hooks.deadline_hits->Add(c.deadline_hits);
     hooks.frame_rejects->Add(c.frame_rejects);
-    hooks.messages->Add(frames);
     hooks.ssi_to_token_bytes->Add(c.sent.bytes);
     hooks.token_to_ssi_bytes->Add(c.received.bytes);
   }

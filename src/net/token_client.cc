@@ -128,13 +128,11 @@ Result<TokenSession::Outcome> TokenSession::OnServingFrame(const Message& m) {
     return out;
   }
   // Parent this round's handler span under the SSI's round-trip span
-  // when the frame carried trace context (the SSI traces only sampled
-  // rounds); the merged Chrome trace then shows one cross-process timeline
-  // per round.
+  // when the frame carried trace context (the SSI traced the round); the
+  // merged Chrome trace then shows one cross-process timeline per round.
   obs::RemoteParent remote;
   if (m.trace.has_value()) {
     remote.span_id = m.trace->parent_span_id;
-    remote.sampled = true;
   }
   Result<Bytes> handled = Status::Ok();
   switch (req->header.kind) {

@@ -129,8 +129,6 @@ class TokenClient {
   /// Joins the background thread and returns its final status.
   [[nodiscard]] Status Join();
 
-  [[nodiscard]] const Transport& transport() const { return *transport_; }
-
  private:
   /// Feeds one received frame (handshake or round) to the session and sends
   /// its reply. Sets *done when the session ended cleanly (Bye).

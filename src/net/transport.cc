@@ -42,9 +42,8 @@ using SteadyClock = std::chrono::steady_clock;
 
 std::pair<std::unique_ptr<InProcessTransport>,
           std::unique_ptr<InProcessTransport>>
-InProcessTransport::CreatePair(size_t max_queued) {
+InProcessTransport::CreatePair() {
   auto shared = std::make_shared<Shared>();
-  shared->max_queued = max_queued;
   auto a = std::make_unique<InProcessTransport>(Private{}, shared, 0);
   auto b = std::make_unique<InProcessTransport>(Private{}, std::move(shared),
                                                 1);
@@ -58,13 +57,12 @@ Status InProcessTransport::Send(ByteView frame) {
       return Status::IoError("transport closed");
     }
     std::deque<Bytes>& peer_queue = shared_->queues[1 - side_];
-    if (peer_queue.size() >= shared_->max_queued) {
+    if (peer_queue.size() >= kMaxQueuedFrames) {
       return Status::ResourceExhausted("transport queue full");
     }
     peer_queue.push_back(frame.ToBytes());
   }
   shared_->cv.notify_all();
-  CountSent(frame.size());
   return Status::Ok();
 }
 
@@ -83,8 +81,6 @@ Result<Bytes> InProcessTransport::Recv(uint32_t deadline_ms) {
   }
   Bytes frame = std::move(my_queue.front());
   my_queue.pop_front();
-  lock.unlock();
-  CountReceived(frame.size());
   return frame;
 }
 
@@ -191,7 +187,6 @@ Status SocketTransport::Send(ByteView frame) {
     return Status::IoError("send failed: " +
                            std::string(std::strerror(errno)));
   }
-  CountSent(frame.size());
   return Status::Ok();
 }
 
@@ -216,7 +211,6 @@ Result<Bytes> SocketTransport::Recv(uint32_t deadline_ms) {
                     rxbuf_.begin() + static_cast<ptrdiff_t>(need));
         rxbuf_.erase(rxbuf_.begin(),
                      rxbuf_.begin() + static_cast<ptrdiff_t>(need));
-        CountReceived(frame.size());
         return frame;
       }
     }

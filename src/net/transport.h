@@ -3,6 +3,7 @@
 
 #include <atomic>
 #include <condition_variable>
+#include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <memory>
@@ -19,10 +20,15 @@
 /// Two implementations share one interface: InProcessTransport (a pair of
 /// bounded queues, fully deterministic, used by tests and benchmarks) and
 /// SocketTransport (non-blocking TCP or Unix-domain sockets driven by
-/// poll()). Both count the frames and bytes they move so the protocol layer
-/// can report *measured* wire traffic instead of synthetic estimates.
-/// FrameTap wraps any transport and keeps a copy of every frame it carries.
+/// poll()). A transport only moves frames and counts nothing: the SSI's
+/// round state (SsiServer's per-round wire slots, exported as Metrics) is
+/// the one record of the traffic a protocol run put on the wire. FrameTap
+/// wraps any transport and keeps a copy of every frame it carries.
 namespace pds::net {
+
+/// Undelivered frames one direction of an in-process or simulated link
+/// holds before Send returns ResourceExhausted.
+inline constexpr size_t kMaxQueuedFrames = 1024;
 
 class Transport {
  public:
@@ -37,28 +43,6 @@ class Transport {
 
   virtual void Close() = 0;
   [[nodiscard]] virtual bool closed() const = 0;
-
-  /// Measured traffic through this endpoint (frames include their headers).
-  [[nodiscard]] uint64_t bytes_sent() const { return bytes_sent_; }
-  [[nodiscard]] uint64_t bytes_received() const { return bytes_received_; }
-  [[nodiscard]] uint64_t frames_sent() const { return frames_sent_; }
-  [[nodiscard]] uint64_t frames_received() const { return frames_received_; }
-
- protected:
-  void CountSent(uint64_t n) {
-    bytes_sent_ += n;
-    ++frames_sent_;
-  }
-  void CountReceived(uint64_t n) {
-    bytes_received_ += n;
-    ++frames_received_;
-  }
-
- private:
-  std::atomic<uint64_t> bytes_sent_{0};
-  std::atomic<uint64_t> bytes_received_{0};
-  std::atomic<uint64_t> frames_sent_{0};
-  std::atomic<uint64_t> frames_received_{0};
 };
 
 /// Deterministic in-process transport: CreatePair() returns two connected
@@ -70,7 +54,6 @@ class InProcessTransport : public Transport {
     std::condition_variable cv;
     std::deque<Bytes> queues[2];  // queues[i] holds frames *for* endpoint i
     bool closed = false;
-    size_t max_queued = 1024;
   };
   /// Passkey: only CreatePair can name this, so the public constructor is
   /// effectively private while staying reachable for std::make_unique.
@@ -79,11 +62,11 @@ class InProcessTransport : public Transport {
   };
 
  public:
-  /// Two connected endpoints; each holds at most `max_queued` undelivered
-  /// frames before Send returns ResourceExhausted.
+  /// Two connected endpoints; each holds at most kMaxQueuedFrames
+  /// undelivered frames before Send returns ResourceExhausted.
   static std::pair<std::unique_ptr<InProcessTransport>,
                    std::unique_ptr<InProcessTransport>>
-  CreatePair(size_t max_queued = 1024);
+  CreatePair();
 
   InProcessTransport(Private, std::shared_ptr<Shared> shared, int side)
       : shared_(std::move(shared)), side_(side) {}

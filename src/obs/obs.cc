@@ -401,12 +401,11 @@ struct Tracer::Impl {
 
 namespace {
 
-/// Per-thread span bookkeeping for Tracer::Global(). `suppressed` counts
-/// open spans skipped by the sampler/capacity so their children skip too.
+/// Per-thread span bookkeeping for Tracer::Global(): the dense thread id
+/// and the ids of the open recorded spans, innermost last.
 struct ThreadState {
   uint32_t tid = 0;
   std::vector<uint64_t> stack;
-  uint32_t suppressed = 0;
 };
 
 ThreadState& Tls() {
@@ -428,10 +427,6 @@ void Tracer::SetEnabled(bool on) {
   enabled_.store(on, std::memory_order_relaxed);
 }
 
-void Tracer::SetSampleEveryN(uint32_t n) {
-  sample_n_.store(n == 0 ? 1 : n, std::memory_order_relaxed);
-}
-
 void Tracer::SetCapacity(size_t events) {
   std::lock_guard<std::mutex> lock(impl_->mu);
   impl_->capacity = events;
@@ -444,7 +439,6 @@ void Tracer::Clear() {
   std::lock_guard<std::mutex> lock(impl_->mu);
   impl_->events.clear();
   dropped_.store(0, std::memory_order_relaxed);
-  root_seq_.store(0, std::memory_order_relaxed);
 }
 
 size_t Tracer::num_events() const {
@@ -554,52 +548,22 @@ std::string Tracer::ChromeTraceJson() const {
 
 #if PDS_OBS_ENABLED
 
-void Span::Begin(const char* name, const char* category, bool has_remote,
+void Span::Begin(const char* name, const char* category,
                  RemoteParent remote) {
   name_ = name;
   category_ = category;
   Tracer& tracer = Tracer::Global();
   if (!tracer.enabled()) return;
   ThreadState& ts = Tls();
-  if (ts.suppressed > 0) {
-    suppressing_ = true;
-    ++ts.suppressed;
-    return;
-  }
-  bool remote_root = has_remote && remote.span_id != 0 && ts.stack.empty();
-  if (ts.stack.empty()) {
-    if (remote_root) {
-      // The remote root already made the keep/drop call for the whole
-      // distributed trace; follow it instead of the local root sampler.
-      if (!remote.sampled) {
-        suppressing_ = true;
-        ++ts.suppressed;
-        return;
-      }
-    } else {
-      uint32_t n = tracer.sample_n_.load(std::memory_order_relaxed);
-      if (n > 1 &&
-          tracer.root_seq_.fetch_add(1, std::memory_order_relaxed) % n != 0) {
-        suppressing_ = true;
-        ++ts.suppressed;
-        return;
-      }
-    }
-  }
   if (ts.tid == 0) ts.tid = tracer.impl_->next_tid.fetch_add(1);
   recorded_ = true;
   id_ = tracer.next_id_.fetch_add(1, std::memory_order_relaxed);
-  parent_ = !ts.stack.empty() ? ts.stack.back()
-                              : (remote_root ? remote.span_id : 0);
+  parent_ = ts.stack.empty() ? remote.span_id : ts.stack.back();
   ts.stack.push_back(id_);
   start_ns_ = MonotonicNanos();
 }
 
 void Span::End() {
-  if (suppressing_) {
-    --Tls().suppressed;
-    return;
-  }
   if (!recorded_) return;
   ThreadState& ts = Tls();
   ts.stack.pop_back();

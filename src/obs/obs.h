@@ -30,9 +30,8 @@
 ///  - Compile out entirely with -DPDS_OBS_ENABLED=0 (CMake: -DPDS_OBS=OFF).
 ///    Span becomes an empty struct and every mutator an inline no-op.
 ///  - At runtime, metrics are always live (one relaxed atomic add each);
-///    the tracer is opt-in (`Tracer::Global().SetEnabled(true)`) and has a
-///    sampler (`SetSampleEveryN`) that keeps 1 of every N root spans,
-///    children following their root's fate.
+///    the tracer is opt-in (`Tracer::Global().SetEnabled(true)`), and while
+///    it is on every span records.
 ///  - Embedded modules (embdb/search/logstore/flash/mcu) must hoist
 ///    registry lookups out of hot loops and use literal span names; the
 ///    pdslint rule `obs-in-embedded` enforces this.
@@ -250,9 +249,6 @@ class Tracer {
 #endif
   }
 
-  /// Record 1 of every `n` root spans (children follow their root). 1 = all.
-  void SetSampleEveryN(uint32_t n);
-
   /// Preallocates space for `events`; also clears the buffer.
   void SetCapacity(size_t events);
 
@@ -285,36 +281,27 @@ class Tracer {
   struct Impl;
   Impl* impl_;
   std::atomic<bool> enabled_{false};
-  std::atomic<uint32_t> sample_n_{1};
   std::atomic<uint64_t> next_id_{1};
-  std::atomic<uint64_t> root_seq_{0};
   std::atomic<uint64_t> dropped_{0};
 };
 
 /// Parent carried across a process/transport boundary by the wire
 /// trace-context header: the remote span id a local root span should hang
-/// under, plus the remote root's sampling decision (which replaces the
-/// local root sampler — the remote side already chose keep/drop for the
-/// whole distributed trace).
+/// under (0: none arrived).
 struct RemoteParent {
   uint64_t span_id = 0;
-  bool sampled = false;
 };
 
 /// RAII span: times a scope and records it into Tracer::Global() with the
-/// enclosing span (same thread) as parent. Name/category must outlive the
-/// tracer (string literals, or Tracer::Intern at setup).
+/// enclosing span (same thread) as parent; with no enclosing span, under
+/// `remote`, the parent that arrived over the wire, if any. Name/category
+/// must outlive the tracer (string literals, or Tracer::Intern at setup).
 class Span {
  public:
 #if PDS_OBS_ENABLED
-  explicit Span(const char* name, const char* category = "app") {
-    Begin(name, category, false, RemoteParent{});
-  }
-  /// Span whose parent arrived over the wire. With an empty local span
-  /// stack, `remote.span_id` becomes the parent and `remote.sampled` decides
-  /// recording; nested under a local span, behaves like the plain ctor.
-  Span(const char* name, const char* category, RemoteParent remote) {
-    Begin(name, category, true, remote);
+  explicit Span(const char* name, const char* category = "app",
+                RemoteParent remote = {}) {
+    Begin(name, category, remote);
   }
   ~Span() { End(); }
 
@@ -322,12 +309,11 @@ class Span {
   void AddArg(const char* key, double value);
 
   /// Span id for trace-context propagation; 0 when not recorded (tracer
-  /// off, sampled out, or suppressed).
+  /// off).
   uint64_t id() const { return recorded_ ? id_ : 0; }
 
  private:
-  void Begin(const char* name, const char* category, bool has_remote,
-             RemoteParent remote);
+  void Begin(const char* name, const char* category, RemoteParent remote);
   void End();
 
   const char* name_ = "";
@@ -336,13 +322,11 @@ class Span {
   uint64_t id_ = 0;
   uint64_t parent_ = 0;
   bool recorded_ = false;
-  bool suppressing_ = false;
   uint8_t num_args_ = 0;
   const char* arg_key_[2] = {nullptr, nullptr};
   double arg_val_[2] = {0, 0};
 #else
-  explicit Span(const char*, const char* = "app") {}
-  Span(const char*, const char*, RemoteParent) {}
+  explicit Span(const char*, const char* = "app", RemoteParent = {}) {}
   void AddArg(const char*, double) {}
   uint64_t id() const { return 0; }
 #endif

@@ -125,13 +125,12 @@ SimFleet::MemoryStats SimFleet::Memory() const {
   // Resident per-token structures: the token and its session, the link
   // (the SSI's endpoint + shared state), the server's lean session record,
   // and the one copy of the workload tuples the session points at.
-  // Deque/string internals are approximated by their header sizes — the
-  // point is the scaling law, not byte-perfect malloc accounting;
+  // Container/string internals are approximated by their header sizes —
+  // the point is the scaling law, not byte-perfect malloc accounting;
   // vm_hwm_kb is the ground truth.
   const uint64_t per_token =
       sizeof(mcu::SecureToken) + sizeof(net::TokenSession) +
-      sizeof(SimTransport) + 128 /* Link */ +
-      net::SsiServer::LeanSessionBytes() +
+      SimNet::LinkBytes() + net::SsiServer::LeanSessionBytes() +
       config_.tuples_per_token * (sizeof(global::SourceTuple) + 16);
   m.bytes_estimate = n * per_token;
   m.bytes_per_token = n > 0 ? m.bytes_estimate / n : 0;

@@ -7,13 +7,23 @@
 
 namespace pds::sim {
 
-namespace {
+void SimNet::Inbox::Push(Bytes frame) {
+  if (head > 0 && frames.size() == frames.capacity()) {
+    frames.erase(frames.begin(),
+                 frames.begin() + static_cast<ptrdiff_t>(head));
+    head = 0;
+  }
+  frames.push_back(std::move(frame));
+}
 
-/// Undelivered frames a direction holds (in flight, plus the SSI's unread
-/// inbox) before Send refuses: InProcessTransport's default max_queued.
-constexpr size_t kMaxQueued = 1024;
-
-}  // namespace
+Bytes SimNet::Inbox::Pop() {
+  Bytes frame = std::move(frames[head++]);
+  if (head == frames.size()) {
+    frames.clear();
+    head = 0;
+  }
+  return frame;
+}
 
 SimNet::SimNet(SimClock* clock, LinkModel model, uint64_t seed)
     : clock_(clock), model_(model), rng_(seed) {}
@@ -27,14 +37,17 @@ std::unique_ptr<SimTransport> SimNet::ConnectSession(
                                         std::move(link));
 }
 
+size_t SimNet::LinkBytes() { return sizeof(SimTransport) + sizeof(Link); }
+
 Status SimNet::Send(const std::shared_ptr<Link>& link, bool to_token,
                     ByteView frame) {
+  // Undelivered frames a direction holds: in flight, plus the SSI's unread
+  // inbox.
   Pipe& pipe = to_token ? link->to_token : link->to_ssi;
   const size_t unread = to_token ? 0 : link->inbox.size();
-  if (pipe.in_flight + unread >= kMaxQueued) {
+  if (pipe.in_flight + unread >= net::kMaxQueuedFrames) {
     return Status::ResourceExhausted("transport queue full");
   }
-  ++stats_.frames_sent;
   const uint64_t now_ns = clock_->NowNs();
   const uint64_t jitter_us =
       model_.jitter_us > 0 ? rng_.Uniform(model_.jitter_us + 1) : 0;
@@ -73,7 +86,7 @@ void SimNet::Deliver(const std::shared_ptr<Link>& link, bool to_token,
     // Frames in flight at Close still land in the inbox: InProcessTransport
     // keeps queued frames poppable after close, and the churn anchor depends
     // on the SSI reading a token's final reply after the link went down.
-    link->inbox.push_back(std::move(frame));
+    link->inbox.Push(std::move(frame));
   } else if (link->session != nullptr) {
     Answer(link, frame);
   }
@@ -98,12 +111,7 @@ Status SimTransport::Send(ByteView frame) {
   if (link_->closed) {
     return Status::IoError("transport closed");
   }
-  Status st = link_->net->Send(link_, /*to_token=*/true, frame);
-  if (!st.ok()) {
-    return st;
-  }
-  CountSent(frame.size());
-  return Status::Ok();
+  return link_->net->Send(link_, /*to_token=*/true, frame);
 }
 
 Result<Bytes> SimTransport::Recv(uint32_t deadline_ms) {
@@ -112,7 +120,7 @@ Result<Bytes> SimTransport::Recv(uint32_t deadline_ms) {
   // reaches the deadline.
   const uint64_t deadline_ns =
       clock->NowNs() + static_cast<uint64_t>(deadline_ms) * 1000000ull;
-  while (link_->inbox.empty()) {
+  while (link_->inbox.size() == 0) {
     // Frames already on the wire at Close still arrive (and InProcess
     // keeps its queues poppable after close), so the link only reports
     // closed once nothing is in flight toward us.
@@ -125,10 +133,7 @@ Result<Bytes> SimTransport::Recv(uint32_t deadline_ms) {
     }
     clock->RunOne();
   }
-  Bytes frame = std::move(link_->inbox.front());
-  link_->inbox.pop_front();
-  CountReceived(frame.size());
-  return frame;
+  return link_->inbox.Pop();
 }
 
 void SimTransport::Close() {

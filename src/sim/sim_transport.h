@@ -1,10 +1,11 @@
 #ifndef PDS_SIM_SIM_TRANSPORT_H_
 #define PDS_SIM_SIM_TRANSPORT_H_
 
+#include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <utility>
+#include <vector>
 
 #include "common/rng.h"
 #include "net/transport.h"
@@ -25,12 +26,12 @@ class TokenSession;
 /// frame's arrival; a blocking Recv *advances the event queue* until its
 /// frame lands or the (virtual) deadline passes. The error surface mirrors
 /// InProcessTransport verbatim — IoError("transport closed") after close,
-/// ResourceExhausted("transport queue full") past InProcessTransport's
-/// default bound of undelivered frames, DeadlineExceeded("recv deadline
-/// exceeded") on timeout — so the protocol layer cannot tell the two apart
-/// on an ideal link. Everything is single-threaded: the SSI end blocks in
-/// Recv and so drives the queue; token sessions only ever run from
-/// delivery events.
+/// ResourceExhausted("transport queue full") past the same
+/// net::kMaxQueuedFrames undelivered frames, DeadlineExceeded("recv
+/// deadline exceeded") on timeout — so the protocol layer cannot tell the
+/// two apart on an ideal link. Everything is single-threaded: the SSI end
+/// blocks in Recv and so drives the queue; token sessions only ever run
+/// from delivery events.
 namespace pds::sim {
 
 class SimTransport;
@@ -41,7 +42,6 @@ class SimTransport;
 class SimNet {
  public:
   struct Stats {
-    uint64_t frames_sent = 0;       // accepted by Send
     uint64_t frames_delivered = 0;  // landed at the far end
     uint64_t bytes_delivered = 0;
     /// Tokens silenced by a fatal session error (or by a reply the link
@@ -63,6 +63,10 @@ class SimNet {
 
   [[nodiscard]] const Stats& stats() const { return stats_; }
 
+  /// Bytes one link keeps, the frames on it aside: the SSI's endpoint and
+  /// the record it shares with the net.
+  [[nodiscard]] static size_t LinkBytes();
+
  private:
   friend class SimTransport;
 
@@ -72,6 +76,19 @@ class SimNet {
     uint64_t last_arrival_ns = 0;  // FIFO clamp for in-order delivery
     uint64_t next_free_ns = 0;     // bandwidth serialization horizon
   };
+  /// The frames landed at the SSI's end, not yet read, oldest first: a
+  /// vector and a read index. A link allocates nothing for it until a
+  /// frame lands, and then keeps room for the frame or two a round leaves
+  /// there. The index returns to 0 whenever the inbox drains, and the read
+  /// frames are dropped before the vector would grow.
+  struct Inbox {
+    std::vector<Bytes> frames;
+    size_t head = 0;  // frames[head] is the next to read
+
+    [[nodiscard]] size_t size() const { return frames.size() - head; }
+    void Push(Bytes frame);
+    [[nodiscard]] Bytes Pop();
+  };
   struct Link {
     SimNet* net = nullptr;
     bool closed = false;
@@ -79,8 +96,7 @@ class SimNet {
     net::TokenSession* session = nullptr;
     Pipe to_token;
     Pipe to_ssi;
-    /// Frames landed at the SSI's end, not yet read.
-    std::deque<Bytes> inbox;
+    Inbox inbox;
   };
 
   /// Puts `frame` on the link toward the token end or the SSI's end.

@@ -27,7 +27,6 @@ namespace {
 void FreshTracer(size_t capacity = 1 << 12) {
   Tracer& tracer = Tracer::Global();
   tracer.SetEnabled(false);
-  tracer.SetSampleEveryN(1);
   tracer.SetCapacity(capacity);
   tracer.SetEnabled(true);
 }
@@ -240,7 +239,7 @@ TEST(ObsSpan, RemoteParentAdoptsCrossProcessSpanId) {
   FreshTracer();
   const uint64_t remote_id = 0xC0FFEE;
   {
-    Span span("remote-child", "test", RemoteParent{remote_id, true});
+    Span span("remote-child", "test", RemoteParent{remote_id});
     EXPECT_NE(span.id(), 0u);
     {
       Span nested("remote-grandchild", "test");
@@ -257,23 +256,6 @@ TEST(ObsSpan, RemoteParentAdoptsCrossProcessSpanId) {
   EXPECT_EQ(nested.parent, child.id);  // locals nest under it as usual
 }
 
-TEST(ObsSpan, UnsampledRemoteParentSuppressesSubtree) {
-  SKIP_IF_OBS_DISABLED();
-  FreshTracer();
-  {
-    // The remote root decided not to sample; the local subtree follows that
-    // decision instead of consulting the local sampler.
-    Span span("unsampled-child", "test", RemoteParent{77, false});
-    EXPECT_EQ(span.id(), 0u);
-    {
-      Span nested("unsampled-grandchild", "test");
-    }
-  }
-  Tracer::Global().SetEnabled(false);
-  EXPECT_EQ(Tracer::Global().num_events(), 0u);
-  EXPECT_EQ(Tracer::Global().dropped(), 0u);
-}
-
 TEST(ObsSpan, DisabledTracerRecordsNothing) {
   FreshTracer();
   Tracer::Global().SetEnabled(false);
@@ -283,21 +265,6 @@ TEST(ObsSpan, DisabledTracerRecordsNothing) {
   Tracer::Global().Instant("ignored-instant", "test");
   EXPECT_EQ(Tracer::Global().num_events(), 0u);
   EXPECT_EQ(Tracer::Global().dropped(), 0u);
-}
-
-TEST(ObsSpan, SamplerKeepsOneRootInN) {
-  SKIP_IF_OBS_DISABLED();
-  FreshTracer();
-  Tracer::Global().SetSampleEveryN(4);
-  for (int i = 0; i < 8; ++i) {
-    Span root("sampled-root", "test");
-    Span child("sampled-child", "test");  // follows its root's fate
-  }
-  Tracer::Global().SetEnabled(false);
-  Tracer::Global().SetSampleEveryN(1);
-  EXPECT_EQ(CountEvents("sampled-root"), 2u);
-  EXPECT_EQ(CountEvents("sampled-child"), 2u);
-  EXPECT_EQ(Tracer::Global().dropped(), 0u);  // sampling is not loss
 }
 
 TEST(ObsSpan, CapacityOverflowCountsDrops) {

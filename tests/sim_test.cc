@@ -119,7 +119,8 @@ Bytes Collect(uint32_t round_id) {
 TEST(SimTransportTest, IdealLinkDeliversInstantlyInOrder) {
   SessionLink link;
   ASSERT_TRUE(link.ssi->Send(Challenge()).ok());
-  ASSERT_TRUE(link.ssi->Recv(100).ok());  // the hello
+  auto hello = link.ssi->Recv(100);
+  ASSERT_TRUE(hello.ok());
   ASSERT_TRUE(link.ssi->Send(Ack()).ok());
   ASSERT_TRUE(link.ssi->Send(Collect(1)).ok());
   ASSERT_TRUE(link.ssi->Send(Collect(2)).ok());
@@ -134,10 +135,11 @@ TEST(SimTransportTest, IdealLinkDeliversInstantlyInOrder) {
   EXPECT_EQ(b1->round_id, 1u);
   EXPECT_EQ(b2->round_id, 2u);
   EXPECT_EQ(link.clock.NowNs(), 0u);  // zero latency: no virtual time passed
-  EXPECT_EQ(link.ssi->frames_received(), 3u);
-  EXPECT_EQ(link.ssi->bytes_sent(),
-            Challenge().size() + Ack().size() + 2 * Collect(1).size());
+  // Four frames out (challenge, ack, two collects), three back.
   EXPECT_EQ(link.net.stats().frames_delivered, 7u);
+  EXPECT_EQ(link.net.stats().bytes_delivered,
+            Challenge().size() + hello->size() + Ack().size() +
+                2 * Collect(1).size() + r1->size() + r2->size());
 }
 
 TEST(SimTransportTest, ErrorSurfaceMirrorsInProcessTransport) {
@@ -150,9 +152,9 @@ TEST(SimTransportTest, ErrorSurfaceMirrorsInProcessTransport) {
             Status::DeadlineExceeded("recv deadline exceeded").ToString());
   EXPECT_EQ(link.clock.NowNs(), 50u * 1000000u);
 
-  // Queue bound: 1024 undelivered frames a direction, InProcessTransport's
-  // default max_queued.
-  for (int i = 0; i < 1024; ++i) {
+  // Queue bound: net::kMaxQueuedFrames undelivered frames a direction, as
+  // on an InProcessTransport.
+  for (size_t i = 0; i < net::kMaxQueuedFrames; ++i) {
     ASSERT_TRUE(link.ssi->Send(Challenge()).ok());
   }
   auto full = link.ssi->Send(Challenge());
@@ -165,7 +167,7 @@ TEST(SimTransportTest, ErrorSurfaceMirrorsInProcessTransport) {
   // dropped, so they hold no room against the bound.
   link.clock.AdvanceTo(link.clock.NowNs());
   EXPECT_EQ(link.net.stats().session_errors, 1u);
-  for (int i = 0; i < 1024; ++i) {
+  for (size_t i = 0; i < net::kMaxQueuedFrames; ++i) {
     ASSERT_TRUE(link.ssi->Send(Challenge()).ok());
   }
   link.clock.AdvanceTo(link.clock.NowNs());
@@ -251,8 +253,9 @@ TEST(SimTransportTest, SessionLinkAnswersWhereFramesLand) {
   gone->Close();
   churned.reset();
   link.clock.AdvanceTo(link.clock.NowNs() + 5u * 1000000u);
+  // Two challenges and the garbage reached `link`'s token end and one
+  // hello came back; `gone`'s challenge landed unread, so no hello did.
   EXPECT_EQ(link.net.stats().frames_delivered, 5u);
-  EXPECT_EQ(link.net.stats().frames_sent, 5u);  // no hello came back
 
   // A reply already on the wire when the link closes still lands, and the
   // link reports closed only once it was read.
@@ -348,7 +351,7 @@ TEST(SimFleetTest, SameSeedRealizesSameLossPattern) {
     const auto& report = fleet.server().last_report();
     return std::vector<uint64_t>{report.responders, report.retries,
                                  report.deadline_hits,
-                                 fleet.net().stats().frames_sent,
+                                 fleet.net().stats().frames_delivered,
                                  fleet.clock().NowNs()};
   };
   const std::vector<uint64_t> first = run(11);

@@ -241,6 +241,9 @@ CASES = [
      "'traceEvents' missing, not a list, or empty"),
     ("BENCH_net.json", lambda d: drop(d, transport="socket"),
      "no records for transport 'socket'"),
+    ("BENCH_net.json", at({"section": "sweep", "transport": "socket"},
+                          bump("bytes", 1)),
+     "socket and inproc disagree on 'bytes'"),
     ("BENCH_sim.json", at(SWEEP, bump("responders", -1)), "lost responders"),
     ("BENCH_sim.json", at(SWEEP, setf(sim_ms=0)),
      "consumed no virtual time"),
@@ -433,8 +436,8 @@ MOVED_COUNTERS = [
     ("BENCH_paper.json", lambda d: d["records"].pop(), "155 entries -> 154"),
     ("BENCH_crypto.json", at(CRYPTO, bump("cipher_ops_per_round", 1)),
      "(fleet_round_packed).cipher_ops_per_round"),
-    ("BENCH_obs.json", at({"name": "wire.messages"}, bump("value", 1)),
-     "records[wire.messages].value"),
+    ("BENCH_obs.json", at({"name": "net.frames_sent"}, bump("value", 1)),
+     "records[net.frames_sent].value"),
     ("BENCH_obs.json", at({"name": "net.round_trip_us"}, bump("value", 1)),
      "records[net.round_trip_us].value"),
     ("BENCH_obs.json", lambda d: drop(d, name="net.retries"),
