@@ -45,8 +45,8 @@ using pds::sim::SimFleetConfig;
 struct RunRecord {
   pds::bench::FleetRecord run;
   size_t churned_tokens = 0;
-  uint64_t events = 0;  // discrete events executed
-  double sim_ms = 0;    // virtual time consumed
+  uint64_t events = 0;  // discrete events the recorded run executed
+  double sim_ms = 0;    // virtual time the recorded run took
   uint64_t mem_bytes_estimate = 0;
   uint64_t mem_vm_hwm_kb = 0;        // this run's peak RSS
   uint64_t mem_bytes_per_token = 0;  // sizeof estimate per token
@@ -95,10 +95,30 @@ uint64_t ResetPeakRss() {
   return clear_refs ? ProcStatusKb("VmRSS") : 0;
 }
 
-/// Distills a finished run on `fleet` into `rec`. `rss_start_kb` is the RSS
-/// ResetPeakRss restarted the peak count from before the fleet was built.
+/// The clocks just before the recorded RunSecureAggregation, so that a
+/// record's wall time, virtual time and events are that run's own, not the
+/// build's handshakes or an earlier run's. The events still pending then
+/// (the last admitted token's HelloAck in flight) run during the recorded
+/// run but belong to the build, so they count as already run.
+struct RunStart {
+  explicit RunStart(SimFleet* fleet)
+      : wall(std::chrono::steady_clock::now()),
+        sim_ns(fleet->clock().NowNs()),
+        events(fleet->clock().events_run() + fleet->clock().pending()) {}
+
+  std::chrono::steady_clock::time_point wall;
+  uint64_t sim_ns;
+  uint64_t events;
+};
+
+/// Distills the run on `fleet` that began at `start` and just finished into
+/// `rec`. `rss_start_kb` is the RSS ResetPeakRss restarted the peak count
+/// from before the fleet was built.
 int Distill(SimFleet* fleet, const pds::Result<pds::global::AggOutput>& out,
-            double wall_ms, uint64_t rss_start_kb, RunRecord* rec) {
+            const RunStart& start, uint64_t rss_start_kb, RunRecord* rec) {
+  const double wall_ms = std::chrono::duration<double, std::milli>(
+                             std::chrono::steady_clock::now() - start.wall)
+                             .count();
   pds::bench::FleetRecord& run = rec->run;
   run.fleet_size = fleet->config().num_tokens;
   run.quorum = fleet->config().quorum;
@@ -107,8 +127,9 @@ int Distill(SimFleet* fleet, const pds::Result<pds::global::AggOutput>& out,
     return Fail("directional wire bytes do not sum to total bytes");
   }
   rec->churned_tokens = fleet->churned_tokens();
-  rec->sim_ms = static_cast<double>(fleet->clock().NowNs()) / 1e6;
-  rec->events = fleet->clock().events_run();
+  rec->sim_ms =
+      static_cast<double>(fleet->clock().NowNs() - start.sim_ns) / 1e6;
+  rec->events = fleet->clock().events_run() - start.events;
   SimFleet::MemoryStats mem = fleet->Memory();
   rec->mem_bytes_estimate = mem.bytes_estimate;
   rec->mem_vm_hwm_kb = mem.vm_hwm_kb;
@@ -128,20 +149,17 @@ int RunOnce(const SimFleetConfig& cfg, const std::string& what,
     return Fail(what + ": cannot reset the peak RSS count");
   }
   SimFleet fleet(cfg);
-  auto t0 = std::chrono::steady_clock::now();
   auto built = fleet.Build();
   if (!built.ok()) {
     return Fail(what + ": Build: " + built.ToString());
   }
+  const RunStart start(&fleet);
   auto out = fleet.RunSecureAggregation(AggFunc::kSum);
-  auto t1 = std::chrono::steady_clock::now();
   if (fleet.pump_errors() != 0) {
     return Fail(what + ": " + std::to_string(fleet.pump_errors()) +
                 " token sessions failed");
   }
-  if (Distill(&fleet, out,
-              std::chrono::duration<double, std::milli>(t1 - t0).count(),
-              rss_start_kb, rec) != 0) {
+  if (Distill(&fleet, out, start, rss_start_kb, rec) != 0) {
     return 1;
   }
   if (expect_ok && !out.ok()) {
@@ -270,17 +288,14 @@ int main(int argc, char** argv) {
     if (!churned.ok()) {
       return Fail("churn readmit: " + churned.ToString());
     }
-    auto t0 = std::chrono::steady_clock::now();
+    const RunStart start(&fleet);
     auto second = fleet.RunSecureAggregation(AggFunc::kSum);
-    auto t1 = std::chrono::steady_clock::now();
     if (!second.ok()) {
       return Fail("churn round 2: " + second.status().ToString());
     }
     RunRecord rec;
     rec.run.section = "churn";
-    if (Distill(&fleet, second,
-                std::chrono::duration<double, std::milli>(t1 - t0).count(),
-                rss_start_kb, &rec) != 0) {
+    if (Distill(&fleet, second, start, rss_start_kb, &rec) != 0) {
       return 1;
     }
     if (rec.churned_tokens != 100) {
@@ -309,20 +324,16 @@ int main(int argc, char** argv) {
     cfg.quorum = 0.95;  // loss may legitimately cost a straggler or two
     auto run = [&](const std::string& what, RunRecord* rec) {
       SimFleet fleet(cfg);
-      auto t0 = std::chrono::steady_clock::now();
       auto built = fleet.Build();
       if (!built.ok()) {
         return Fail(what + ": Build: " + built.ToString());
       }
+      const RunStart start(&fleet);
       auto out = fleet.RunSecureAggregation(AggFunc::kSum);
-      auto t1 = std::chrono::steady_clock::now();
       if (!out.ok()) {
         return Fail(what + ": " + out.status().ToString());
       }
-      return Distill(
-          &fleet, out,
-          std::chrono::duration<double, std::milli>(t1 - t0).count(),
-          /*rss_start_kb=*/0, rec);
+      return Distill(&fleet, out, start, /*rss_start_kb=*/0, rec);
     };
     RunRecord a;
     RunRecord b;

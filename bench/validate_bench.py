@@ -313,6 +313,12 @@ def check_sim(doc, schema, problems):
     churn_ok = False
     for where, rec in check_fleet_runs(doc, spec, schema, problems):
         n = num(rec, "fleet_size")
+        if (rec.get("section") in ("sweep", "churn")
+                and num(rec, "events") != num(rec, "frames")):
+            # On these lossless links every event the simulated clock runs
+            # is one frame delivery.
+            problems.append(f"{where}: {rec.get('events')} events != "
+                            f"{rec.get('frames')} frames")
         if rec.get("section") == "churn":
             churn_ok = churn_ok or (
                 rec["ok"] and num(rec, "churned_tokens") >= 1

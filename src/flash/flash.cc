@@ -4,6 +4,14 @@
 #include <cstring>
 
 namespace pds::flash {
+namespace {
+
+/// Where `page` starts in its block's storage.
+size_t OffsetInBlock(const Geometry& g, uint32_t page) {
+  return static_cast<size_t>(page % g.pages_per_block) * g.page_size;
+}
+
+}  // namespace
 
 std::string Stats::ToString() const {
   return "reads=" + std::to_string(page_reads) +
@@ -13,7 +21,8 @@ std::string Stats::ToString() const {
 
 FlashChip::FlashChip(const Geometry& geometry)
     : geometry_(geometry),
-      data_(geometry.total_bytes(), 0xFF),
+      blocks_(geometry.block_count),
+      erased_page_(geometry.page_size, 0xFF),
       programmed_(geometry.total_pages(), 0),
       bad_(geometry.total_pages(), 0),
       wear_(geometry.block_count, 0) {
@@ -34,9 +43,11 @@ Status FlashChip::ViewPage(uint32_t page, ByteView* out) {
     return Status::IoError("page " + std::to_string(page) +
                            " is unreadable (fault injected)");
   }
-  *out = ByteView(
-      data_.data() + static_cast<uint64_t>(page) * geometry_.page_size,
-      geometry_.page_size);
+  const Bytes& block = blocks_[page / geometry_.pages_per_block];
+  *out = block.empty()
+             ? ByteView(erased_page_)
+             : ByteView(block.data() + OffsetInBlock(geometry_, page),
+                        geometry_.page_size);
   return Status::Ok();
 }
 
@@ -64,11 +75,19 @@ Status FlashChip::ProgramPage(uint32_t page, ByteView data) {
   ++stats_.page_programs;
   obs_.programs->Add(1);
   programmed_[page] = 1;
-  uint8_t* dst =
-      data_.data() + static_cast<uint64_t>(page) * geometry_.page_size;
-  std::memcpy(dst, data.data(), data.size());
+  std::memcpy(BackedPage(page), data.data(), data.size());
   // Remainder of the page stays erased (0xFF).
   return Status::Ok();
+}
+
+uint8_t* FlashChip::BackedPage(uint32_t page) {
+  Bytes& block = blocks_[page / geometry_.pages_per_block];
+  if (block.empty()) {
+    block.assign(
+        static_cast<size_t>(geometry_.pages_per_block) * geometry_.page_size,
+        0xFF);
+  }
+  return block.data() + OffsetInBlock(geometry_, page);
 }
 
 Status FlashChip::EraseBlock(uint32_t block) {
@@ -79,12 +98,10 @@ Status FlashChip::EraseBlock(uint32_t block) {
   ++stats_.block_erases;
   obs_.erases->Add(1);
   ++wear_[block];
+  // Refilled in place (a never-programmed block has nothing to refill), so
+  // a view into the block stays valid.
+  std::fill(blocks_[block].begin(), blocks_[block].end(), 0xFF);
   uint32_t first_page = block * geometry_.pages_per_block;
-  uint8_t* dst =
-      data_.data() + static_cast<uint64_t>(first_page) * geometry_.page_size;
-  std::memset(dst, 0xFF,
-              static_cast<size_t>(geometry_.pages_per_block) *
-                  geometry_.page_size);
   std::fill(programmed_.begin() + first_page,
             programmed_.begin() + first_page + geometry_.pages_per_block, 0);
   return Status::Ok();
@@ -102,9 +119,8 @@ Status FlashChip::CorruptBit(uint32_t page, uint32_t bit_offset) {
       bit_offset >= geometry_.page_size * 8) {
     return Status::OutOfRange("corruption target out of range");
   }
-  uint64_t byte = static_cast<uint64_t>(page) * geometry_.page_size +
-                  bit_offset / 8;
-  data_[byte] ^= static_cast<uint8_t>(1u << (bit_offset % 8));
+  BackedPage(page)[bit_offset / 8] ^=
+      static_cast<uint8_t>(1u << (bit_offset % 8));
   return Status::Ok();
 }
 
@@ -186,7 +202,7 @@ Result<Partition> PartitionAllocator::Allocate(uint32_t num_blocks) {
       return p;
     }
   }
-  if (next_block_ + num_blocks > chip_->geometry().block_count) {
+  if (num_blocks > chip_->geometry().block_count - next_block_) {
     return Status::ResourceExhausted(
         "flash chip full: requested " + std::to_string(num_blocks) +
         " blocks, free " + std::to_string(blocks_free()));

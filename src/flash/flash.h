@@ -24,9 +24,6 @@ struct Geometry {
   uint32_t block_count = 1024;    // number of erase blocks
 
   uint32_t total_pages() const { return pages_per_block * block_count; }
-  uint64_t total_bytes() const {
-    return static_cast<uint64_t>(total_pages()) * page_size;
-  }
 };
 
 /// Latency model, defaults from typical SLC NAND datasheets.
@@ -69,7 +66,11 @@ static_assert(sizeof(Stats) == 3 * sizeof(uint64_t),
               "FlashStats.FieldCountGuard test in flash_test.cc");
 
 /// In-memory NAND flash chip simulator with write-once-per-erase semantics
-/// and per-block wear counters.
+/// and per-block wear counters. The chip holds only what it programs: a
+/// block gets its storage (0xFF) on its first program, and every page of a
+/// never-programmed block reads one chip-owned erased page, so host memory
+/// follows the data stored, not the chip's capacity. Storage, once a block
+/// has it, is never freed or moved.
 class FlashChip {
  public:
   explicit FlashChip(const Geometry& geometry);
@@ -84,7 +85,9 @@ class FlashChip {
   /// `stats()` and the `flash.page_reads` counter. Reading an erased page
   /// yields 0xFF bytes, as on real NAND; a fault-injected bad page fails
   /// with IoError after its read is counted. The view is valid until the
-  /// page's block is next erased.
+  /// page's block is next erased. A view of a page in a never-programmed
+  /// block is a view of the chip's one erased page: it keeps reading 0xFF
+  /// after that block's first program.
   [[nodiscard]] Status ViewPage(uint32_t page, ByteView* out);
 
   /// Copies one full page into `out` (resized to page_size): a ViewPage
@@ -111,7 +114,8 @@ class FlashChip {
   uint32_t MaxWear() const;
 
   /// Fault injection (testing): flips one stored bit, as a retention error
-  /// or disturbed cell would. Does not touch the stats.
+  /// or disturbed cell would; a never-programmed block gets its storage
+  /// first, so no other page sees the flip. Does not touch the stats.
   [[nodiscard]] Status CorruptBit(uint32_t page, uint32_t bit_offset);
   /// Fault injection (testing): the page fails with IoError on every
   /// subsequent read (a worn-out or unreadable page).
@@ -130,8 +134,13 @@ class FlashChip {
     obs::Counter* erases = nullptr;
   };
 
+  /// The first byte of `page` in its block's storage, which the block gets
+  /// (pages_per_block * page_size bytes of 0xFF) on the first call.
+  uint8_t* BackedPage(uint32_t page);
+
   Geometry geometry_;
-  Bytes data_;                     // flat page_size * total_pages bytes
+  std::vector<Bytes> blocks_;      // per block; empty until first program
+  Bytes erased_page_;              // page_size 0xFF bytes, never written
   std::vector<uint8_t> programmed_;  // one flag per page
   std::vector<uint8_t> bad_;       // fault-injected unreadable pages
   std::vector<uint32_t> wear_;     // erase count per block

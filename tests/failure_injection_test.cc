@@ -48,6 +48,21 @@ TEST(FaultInjectionTest, CorruptBitFlipsExactlyOneBit) {
     EXPECT_EQ(out[i], i == 100 ? 0x08 : 0x00) << i;
   }
   EXPECT_EQ(chip.CorruptBit(99999, 0).code(), StatusCode::kOutOfRange);
+
+  // A never-programmed page (block 2) flips just as well, and the flip
+  // stays on that page: its block's other pages and another
+  // never-programmed block (block 3) still read erased.
+  ASSERT_TRUE(chip.CorruptBit(9, 8 * 7 + 2).ok());
+  ASSERT_TRUE(chip.ReadPage(9, &out).ok());
+  for (size_t i = 0; i < out.size(); ++i) {
+    EXPECT_EQ(out[i], i == 7 ? 0xFB : 0xFF) << i;
+  }
+  for (uint32_t page : {10u, 13u}) {
+    ASSERT_TRUE(chip.ReadPage(page, &out).ok());
+    for (size_t i = 0; i < out.size(); ++i) {
+      EXPECT_EQ(out[i], 0xFF) << "page " << page << " byte " << i;
+    }
+  }
 }
 
 TEST(FaultInjectionTest, TableHeapPropagatesBadPage) {

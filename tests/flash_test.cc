@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <fstream>
+#include <string>
+
 #include "flash/flash.h"
 #include "obs/obs.h"
 
@@ -14,10 +18,21 @@ Geometry SmallGeometry() {
   return g;
 }
 
+/// This process's resident set (VmRSS) in bytes; 0 if unreadable.
+uint64_t ResidentBytes() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("VmRSS:", 0) == 0) {
+      return std::stoull(line.substr(6)) * 1024;
+    }
+  }
+  return 0;
+}
+
 TEST(GeometryTest, DerivedSizes) {
   Geometry g = SmallGeometry();
   EXPECT_EQ(g.total_pages(), 32u);
-  EXPECT_EQ(g.total_bytes(), 32u * 256u);
 }
 
 TEST(FlashChipTest, ErasedPageReadsAllOnes) {
@@ -131,6 +146,57 @@ TEST(FlashChipTest, ProgramAndEraseCountOnce) {
   expect_moved("program after erase", chip.ProgramPage(0, ByteView(one)),
                StatusCode::kOk, 1, 0);
   EXPECT_EQ(chip.WearOf(0), 1u);
+}
+
+TEST(FlashChipTest, HoldsOnlyWhatItPrograms) {
+  // token_pds's chip: 2,048 blocks of 64 pages of 2,048 B, 256 MiB in all.
+  // Programming one page in each of two blocks, and reading one page of
+  // every block, must leave host memory far below the chip's capacity.
+  Geometry g;
+  g.page_size = 2048;
+  g.pages_per_block = 64;
+  g.block_count = 2048;
+  const uint64_t before = ResidentBytes();
+  ASSERT_GT(before, 0u);
+  FlashChip chip(g);
+  const Bytes data(g.page_size, 0x5A);
+  ASSERT_TRUE(chip.ProgramPage(0, ByteView(data)).ok());
+  ASSERT_TRUE(chip.ProgramPage(1000 * g.pages_per_block + 3,
+                               ByteView(data)).ok());
+  ByteView page;
+  for (uint32_t block = 0; block < g.block_count; ++block) {
+    ASSERT_TRUE(chip.ViewPage(block * g.pages_per_block + 3, &page).ok());
+    EXPECT_EQ(page[0], block == 1000 ? 0x5A : 0xFF) << block;
+  }
+  const uint64_t after = ResidentBytes();
+  EXPECT_LT(after, before + (uint64_t{8} << 20))
+      << "VmRSS grew from " << before << " to " << after << " bytes";
+}
+
+TEST(FlashChipTest, ViewOutlivesOtherBlocksFirstProgram) {
+  // A view into a programmed block points into that block's storage, which
+  // the chip never frees or moves: other blocks getting their storage
+  // leaves it intact, and after its own block is erased and reprogrammed
+  // it reads the new bytes.
+  FlashChip chip(SmallGeometry());
+  const Bytes first = {1, 2, 3, 4};
+  ASSERT_TRUE(chip.ProgramPage(5, ByteView(first)).ok());  // block 1
+  ByteView view;
+  ASSERT_TRUE(chip.ViewPage(5, &view).ok());
+  Bytes expected(256, 0xFF);
+  std::copy(first.begin(), first.end(), expected.begin());
+  for (uint32_t block = 0; block < SmallGeometry().block_count; ++block) {
+    if (block != 1) {
+      ASSERT_TRUE(chip.ProgramPage(block * 4 + 2, ByteView(first)).ok());
+    }
+    EXPECT_TRUE(view == ByteView(expected)) << "after block " << block;
+  }
+  ASSERT_TRUE(chip.EraseBlock(1).ok());
+  const Bytes second = {9, 8, 7};
+  ASSERT_TRUE(chip.ProgramPage(5, ByteView(second)).ok());
+  EXPECT_EQ(view[0], 9);
+  EXPECT_EQ(view[2], 7);
+  EXPECT_EQ(view[3], 0xFF);
 }
 
 TEST(FlashChipTest, ProgramThenRead) {
@@ -342,6 +408,18 @@ TEST(PartitionAllocatorTest, ExhaustsChip) {
   ASSERT_TRUE(alloc.Allocate(8).ok());
   EXPECT_EQ(alloc.Allocate(1).status().code(),
             StatusCode::kResourceExhausted);
+
+  // A request whose end would wrap past 2^32 blocks is refused as well,
+  // and the next partition still starts after the first.
+  FlashChip fresh(SmallGeometry());
+  PartitionAllocator wrap(&fresh);
+  ASSERT_TRUE(wrap.Allocate(3).ok());
+  EXPECT_EQ(wrap.Allocate(UINT32_MAX - 1).status().code(),
+            StatusCode::kResourceExhausted);
+  auto next = wrap.Allocate(2);
+  ASSERT_TRUE(next.ok());
+  EXPECT_EQ(next->first_block(), 3u);
+  EXPECT_EQ(wrap.blocks_free(), 3u);
 }
 
 TEST(PartitionAllocatorTest, RejectsZeroBlocks) {

@@ -247,6 +247,7 @@ CASES = [
     ("BENCH_sim.json", at(SWEEP, bump("responders", -1)), "lost responders"),
     ("BENCH_sim.json", at(SWEEP, setf(sim_ms=0)),
      "consumed no virtual time"),
+    ("BENCH_sim.json", at(SWEEP, bump("events", 1)), "events != "),
     ("BENCH_sim.json", at(SWEEP, bump("mem_bytes_estimate", 1)),
      "memory estimate not linear per token"),
     ("BENCH_sim.json", at(SWEEP, setf(mem_bytes_per_token=0)),
